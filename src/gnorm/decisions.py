@@ -47,7 +47,7 @@ from .hermitian import (
     transpose_in_basis,
     zeros,
 )
-from .norms import DEFAULT_NORM_TOL, NormResult, base_norm, base_norm_psd
+from .norms import DEFAULT_NORM_TOL, NormResult, base_norm, base_norm_psd, majorant_program
 from .sections import (
     Section,
     contains,
@@ -255,34 +255,6 @@ def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatri
     return out
 
 
-def _classical_payoff_program(section: Section, n_outcomes: int) -> solver.ConeProgram:
-    key = ("prog_payoff", n_outcomes)
-    got = section._cache.get(key)
-    if got is None:
-        d = section.ambient_dim
-        n_h = d * d
-        k = section.span_dim
-        m_span = section.span_matrix()
-        a = np.zeros((n_outcomes * n_h, n_outcomes * n_h + k))
-        for j in range(n_outcomes):
-            rows = slice(j * n_h, (j + 1) * n_h)
-            a[rows, rows] = -np.eye(n_h)
-            a[rows, n_outcomes * n_h :] = m_span
-        c = np.zeros(n_outcomes * n_h + k)
-        c[n_outcomes * n_h :] = np.array(
-            [trace_pair(jm, section.normalizer) for jm in section.span_basis]
-        )
-        blocks = tuple(solver.Block(d, solver.PSD) for _ in range(n_outcomes)) + (
-            solver.Block(k, solver.FREE),
-        )
-        got = solver.ConeProgram(
-            blocks, c, a, np.zeros(n_outcomes * n_h),
-            f"classical payoff over {section.label} with {n_outcomes} outcomes",
-        )
-        section._cache[key] = got
-    return got
-
-
 def max_payoff(
     experiment: Experiment,
     problem: DecisionProblem,
@@ -302,7 +274,7 @@ def max_payoff(
     if problem.kind == "classical":
         blocks = classical_xi_blocks(experiment, problem)
         n_d = len(blocks)
-        program = _classical_payoff_program(section, n_d).with_rhs(
+        program = majorant_program(section, n_d).with_rhs(
             np.concatenate([hvec(b) for b in blocks])
         )
         sol = solver.solve(program, tol=tol, max_iter=max_iter)
@@ -442,36 +414,6 @@ def helstrom(
 # -- certification ---------------------------------------------------------------
 
 
-def _certify_payoff_program(section: Section, n_d: int) -> solver.ConeProgram:
-    key = ("prog_certify", n_d)
-    got = section._cache.get(key)
-    if got is None:
-        h = section.ambient_dim
-        n_h = h * h
-        big = n_d * h
-        n_big = big * big
-        k = section.span_dim
-        lift = np.column_stack(
-            [hvec(tensor(identity(n_d), jm)) for jm in section.span_basis]
-        )
-        a = np.zeros((n_h + n_big, n_h + n_big + k))
-        a[:n_h, :n_h] = -np.eye(n_h)
-        a[:n_h, n_h + n_big :] = section.span_matrix()
-        a[n_h : n_h + n_big, n_h : n_h + n_big] = -np.eye(n_big)
-        a[n_h : n_h + n_big, n_h + n_big :] = lift
-        blocks = (
-            solver.Block(h, solver.PSD),
-            solver.Block(big, solver.PSD),
-            solver.Block(k, solver.FREE),
-        )
-        got = solver.ConeProgram(
-            blocks, np.zeros(n_h + n_big + k), a, np.zeros(n_h + n_big),
-            f"optimality certificate over {section.label} with {n_d} outcomes",
-        )
-        section._cache[key] = got
-    return got
-
-
 def certify_optimal(
     candidate,
     experiment: Experiment,
@@ -513,15 +455,12 @@ def certify_optimal(
     xt = transpose_in_basis(x)
     payoff = trace_pair(xi, xt)
     marg_xt = partial_trace(xt.with_dims((n_d, section.ambient_dim)), 0)
-    c_t = np.array([trace_pair(jm, marg_xt) for jm in section.span_basis])
 
-    program = _certify_payoff_program(section, n_d)
+    program = majorant_program(section, 1, lifted=n_d)
     n_h = section.ambient_dim ** 2
     n_big = (n_d * section.ambient_dim) ** 2
-    c = np.zeros(program.total_dim)
-    c[n_h + n_big :] = c_t
-    rhs = np.zeros(n_h + n_big)
-    rhs[n_h:] = hvec(xi)
+    c = np.concatenate([np.zeros(n_h + n_big), section.span_coords(marg_xt)])
+    rhs = np.concatenate([np.zeros(n_h), hvec(xi)])
     sol = solver.solve(program.with_rhs(rhs).with_objective(c), tol=solve_tol, max_iter=max_iter)
     solver.require_optimal(sol, "certify_optimal")
 

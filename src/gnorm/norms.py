@@ -39,11 +39,13 @@ from .hermitian import (
     herm,
     hunvec_matrix,
     hvec,
+    identity,
     op_norm,
     pinv_sqrt,
     psd_check,
     sqrt_psd,
     support_projection,
+    tensor,
     trace_norm,
     trace_pair,
 )
@@ -172,29 +174,31 @@ def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
 # -- conic programs ------------------------------------------------------------
 
 
-def _base_norm_program(section: Section) -> solver.ConeProgram:
-    got = section._cache.get("prog_base_norm")
+def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.MajorantProgram:
+    """The program  min Tr(q n) : q in J,  q - P_j = b_j (j < copies),
+    I_lifted (x) q - P = b (when lifted > 0),  P_j >= 0.
+
+    q = M s runs over the span (M = ``span_matrix``, orthonormal), so the
+    lifts are M per copy and, for the lifted block, the columns
+    hvec(I (x) J_i); their Gram sum is (copies + lifted) I.  Callers set the
+    right-hand sides and, for certificates, the objective over s.  Cached on
+    the section.
+    """
+    key = ("majorant", copies, lifted)
+    got = section._cache.get(key)
     if got is None:
-        d = section.ambient_dim
-        n_h = d * d
-        k = section.span_dim
         m_span = section.span_matrix()
-        a = np.zeros((2 * n_h, 2 * n_h + k))
-        a[:n_h, :n_h] = -np.eye(n_h)
-        a[:n_h, 2 * n_h :] = m_span
-        a[n_h:, n_h : 2 * n_h] = -np.eye(n_h)
-        a[n_h:, 2 * n_h :] = m_span
-        c = np.zeros(2 * n_h + k)
-        c[2 * n_h :] = np.array([trace_pair(j, section.normalizer) for j in section.span_basis])
-        blocks = (
-            solver.Block(d, solver.PSD),
-            solver.Block(d, solver.PSD),
-            solver.Block(k, solver.FREE),
-        )
-        got = solver.ConeProgram(
-            blocks, c, a, np.zeros(2 * n_h), f"base norm over {section.label}"
-        )
-        section._cache["prog_base_norm"] = got
+        lifts = (m_span,) * copies
+        if lifted:
+            eye = identity(lifted)
+            lifts += (np.column_stack([hvec(tensor(eye, j)) for j in section.span_basis]),)
+        n_rows = sum(m.shape[0] for m in lifts)
+        c = np.concatenate([np.zeros(n_rows), section.span_coords(section.normalizer)])
+        desc = f"majorant over {section.label}, {copies} copies"
+        if lifted:
+            desc += f" and one lifted by I({lifted})"
+        got = solver.MajorantProgram(lifts, c, np.zeros(n_rows), desc)
+        section._cache[key] = got
     return got
 
 
@@ -243,9 +247,7 @@ def base_norm(
         return _singleton_norm(section, xc)
 
     xn = xc / scale
-    program = _base_norm_program(section).with_rhs(
-        np.concatenate([hvec(xn), -hvec(xn)])
-    )
+    program = majorant_program(section, 2).with_rhs(np.concatenate([hvec(xn), -hvec(xn)]))
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
     solver.require_optimal(sol, f"base_norm over {section.label}")
     d = section.ambient_dim
@@ -396,29 +398,6 @@ class ExtremalCertificate:
     norm_value: float
 
 
-def _certify_program(section: Section, a: HermitianMatrix, objective_mat: HermitianMatrix):
-    d = section.ambient_dim
-    n_h = d * d
-    k = section.span_dim
-    m_span = section.span_matrix()
-    arows = np.zeros((2 * n_h, 2 * n_h + k))
-    arows[:n_h, :n_h] = -np.eye(n_h)
-    arows[:n_h, 2 * n_h :] = m_span
-    arows[n_h:, n_h : 2 * n_h] = -np.eye(n_h)
-    arows[n_h:, 2 * n_h :] = m_span
-    rhs = np.concatenate([np.zeros(n_h), hvec(a)])
-    c = np.zeros(2 * n_h + k)
-    c[2 * n_h :] = np.array([trace_pair(j, objective_mat) for j in section.span_basis])
-    blocks = (
-        solver.Block(d, solver.PSD),
-        solver.Block(d, solver.PSD),
-        solver.Block(k, solver.FREE),
-    )
-    return solver.ConeProgram(
-        blocks, c, arows, rhs, f"slackness witness search over {section.label}"
-    )
-
-
 def certify_extremal_psd(
     section: Section,
     a: HermitianMatrix,
@@ -448,8 +427,11 @@ def certify_extremal_psd(
         y0 = section.compress(dual_candidate)
         if y0 is None or not contains(dual_section(section), y0, max(1e-6, 10 * tol)):
             raise ValidationError("dual candidate is not a member of the dual section")
-        program = _certify_program(section, ac, y0)
-        sol = solver.solve(program, tol=solve_tol, max_iter=max_iter)
+        program = majorant_program(section, 2)
+        n_h = section.ambient_dim ** 2
+        c = np.concatenate([np.zeros(2 * n_h), section.span_coords(y0)])
+        rhs = np.concatenate([np.zeros(n_h), hvec(ac)])
+        sol = solver.solve(program.with_rhs(rhs).with_objective(c), tol=solve_tol, max_iter=max_iter)
         solver.require_optimal(sol, "certify_extremal_psd (dual candidate)")
         q = section.from_span_coords(sol.primal_point[2])
         paired = trace_pair(ac, y0)

@@ -39,6 +39,7 @@ from .hermitian import (
     eig,
     frobenius_norm,
     herm,
+    hunvec,
     hunvec_matrix,
     hvec,
     identity,
@@ -50,7 +51,8 @@ from .hermitian import (
     transpose_in_basis,
 )
 
-GRAM_SCHMIDT_DROP_TOL = 1e-9
+# A direction whose singular value is at most this (relative) counts as dependent.
+DEPENDENT_DROP_TOL = 1e-9
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 # A candidate interior point counts as positive definite above this floor.
 FAITHFUL_EIG_TOL = 1e-8
@@ -101,7 +103,7 @@ class Section:
         """hvec coordinates of the spanning basis, one column per element."""
         got = self._cache.get("span_matrix")
         if got is None:
-            got = np.column_stack([hvec(j) for j in self.span_basis])
+            got = _columns(self.span_basis)
             self._cache["span_matrix"] = got
         return got
 
@@ -177,21 +179,16 @@ def dual_view(section: Section) -> DualSectionView:
 # -- linear algebra over hvec coordinates ------------------------------------
 
 
-def _orthonormalize_columns(cols: list[np.ndarray], drop_tol: float = GRAM_SCHMIDT_DROP_TOL):
-    """Modified Gram-Schmidt with a drop tolerance for dependent input."""
-    out: list[np.ndarray] = []
-    for col in cols:
-        scale = max(1.0, float(np.linalg.norm(col)))
-        r = col.astype(float).copy()
-        for q in out:
-            r -= (q @ r) * q
-        # second pass for numerical orthogonality
-        for q in out:
-            r -= (q @ r) * q
-        nrm = float(np.linalg.norm(r))
-        if nrm > drop_tol * scale:
-            out.append(r / nrm)
-    return out
+def _columns(mats) -> np.ndarray:
+    """hvec coordinates of the matrices, one column each."""
+    return np.column_stack([hvec(m) for m in mats])
+
+
+def _orthonormalize_columns(cols: np.ndarray, drop_tol: float = DEPENDENT_DROP_TOL) -> np.ndarray:
+    """Orthonormal basis of the column span by one thresholded SVD: directions
+    with singular value at most drop_tol * max(1, largest) are dropped."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, s > drop_tol * max(1.0, float(s[0]))]
 
 
 def _complement_columns(basis: np.ndarray, total: int) -> np.ndarray:
@@ -200,11 +197,6 @@ def _complement_columns(basis: np.ndarray, total: int) -> np.ndarray:
     u, _, _ = np.linalg.svd(basis, full_matrices=True)
     k = basis.shape[1]
     return u[:, k:]
-
-
-def _orthonormal_basis(mats, dim, subsystem_dims=(), drop_tol=GRAM_SCHMIDT_DROP_TOL):
-    cols = _orthonormalize_columns([hvec(m) for m in mats], drop_tol)
-    return tuple(hunvec_matrix(c, dim, subsystem_dims) for c in cols)
 
 
 def full_hermitian_basis(dim: int, subsystem_dims=()) -> tuple[HermitianMatrix, ...]:
@@ -216,27 +208,26 @@ def full_hermitian_basis(dim: int, subsystem_dims=()) -> tuple[HermitianMatrix, 
 # -- interior points ----------------------------------------------------------
 
 
-def _interior_program(span: tuple[HermitianMatrix, ...], normalizer: HermitianMatrix):
+def _interior_program(m_span: np.ndarray, normalizer: HermitianMatrix):
     """max t  s.t.  b = sum_i s_i J_i,  Tr(b n) = 1,  b - t I >= 0."""
     d = normalizer.dim
     n_h = d * d
-    k = len(span)
-    m_span = np.column_stack([hvec(j) for j in span])
+    k = m_span.shape[1]
     a = np.zeros((n_h + 1, n_h + k + 1))
     a[:n_h, :n_h] = np.eye(n_h)
     a[:n_h, n_h : n_h + k] = -m_span
     a[:n_h, n_h + k] = hvec(identity(d))
-    a[n_h, n_h : n_h + k] = np.array([trace_pair(j, normalizer) for j in span])
+    a[n_h, n_h : n_h + k] = m_span.T @ hvec(normalizer)
     b = np.zeros(n_h + 1)
     b[n_h] = 1.0
     c = np.zeros(n_h + k + 1)
     c[n_h + k] = -1.0
     blocks = (solver.Block(d, solver.PSD), solver.Block(k, solver.FREE), solver.Block(1, solver.FREE))
-    return solver.ConeProgram(blocks, c, a, b, "interior point (max min-eigenvalue)"), m_span
+    return solver.ConeProgram(blocks, c, a, b, "interior point (max min-eigenvalue)")
 
 
-def _solve_interior(span, normalizer, tol=1e-8, max_iter=solver.DEFAULT_MAX_ITER):
-    program, m_span = _interior_program(span, normalizer)
+def _solve_interior(m_span, normalizer, tol=1e-8, max_iter=solver.DEFAULT_MAX_ITER):
+    program = _interior_program(m_span, normalizer)
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
     if sol.status in ("infeasible", "unbounded"):
         raise EmptySectionError(
@@ -248,7 +239,7 @@ def _solve_interior(span, normalizer, tol=1e-8, max_iter=solver.DEFAULT_MAX_ITER
     return t_star, b_star, sol
 
 
-def _recession_direction_exists(span, normalizer, tol=1e-7) -> bool:
+def _recession_direction_exists(m_span, normalizer, tol=1e-7) -> bool:
     """Whether the slice has a nonzero PSD recession direction.
 
     Solves max Tr(y) over y in the span with y PSD, y <= I and
@@ -257,10 +248,9 @@ def _recession_direction_exists(span, normalizer, tol=1e-7) -> bool:
     """
     d = normalizer.dim
     n_h = d * d
-    k = len(span)
-    m_span = np.column_stack([hvec(j) for j in span])
-    pair_n = np.array([trace_pair(j, normalizer) for j in span])
-    pair_i = np.array([trace_pair(j, identity(d)) for j in span])
+    k = m_span.shape[1]
+    pair_n = m_span.T @ hvec(normalizer)
+    pair_i = m_span.T @ hvec(identity(d))
     a = np.zeros((2 * n_h + 1, 2 * n_h + k))
     a[:n_h, :n_h] = np.eye(n_h)
     a[:n_h, 2 * n_h :] = -m_span
@@ -288,7 +278,7 @@ def interior_element(section: Section, tol: float = 1e-8) -> HermitianMatrix:
     Positive definite exactly when the section is faithful; raises
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
-    _, b_star, sol = _solve_interior(section.span_basis, section.normalizer, tol=tol)
+    _, b_star, sol = _solve_interior(section.span_matrix(), section.normalizer, tol=tol)
     if sol.status != "optimal":
         solver.require_optimal(sol, "interior_element")
     return section.lift(b_star.with_dims(section.subsystem_dims))
@@ -298,7 +288,7 @@ def interior_element(section: Section, tol: float = 1e-8) -> HermitianMatrix:
 
 
 def _make_section(
-    span_mats,
+    span_cols: np.ndarray,
     normalizer: HermitianMatrix,
     label: str,
     subsystem_dims=(),
@@ -310,9 +300,9 @@ def _make_section(
     restricted: bool = False,
     membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> Section:
+    """Section with the span of the orthonormal hvec columns ``span_cols``."""
     dim = normalizer.dim
-    span = _orthonormal_basis(span_mats, dim, tuple(subsystem_dims))
-    if not span:
+    if span_cols.shape[1] == 0:
         raise EmptySectionError(f"section {label!r} has an empty span")
     if not psd_check(normalizer, membership_tol):
         raise ValidationError(f"normalizer of section {label!r} is not PSD")
@@ -320,7 +310,7 @@ def _make_section(
     if w_n[-1] <= FAITHFUL_EIG_TOL * max(1.0, float(w_n[0])):
         # A singular normalizer can leave the slice unbounded; reject that
         # outright (a positive-definite normalizer makes it compact for free).
-        if _recession_direction_exists(span, normalizer):
+        if _recession_direction_exists(span_cols, normalizer):
             raise ValidationError(
                 f"section {label!r} is unbounded: the slice contains a PSD "
                 "recession direction annihilated by the normalizer"
@@ -332,13 +322,13 @@ def _make_section(
         w = eig(cand).eigenvalues
         member_ok = (
             abs(trace_pair(cand, normalizer) - 1.0) <= 10 * membership_tol
-            and _span_residual(span, cand) <= 10 * membership_tol * (1 + frobenius_norm(cand))
+            and _span_residual(span_cols, cand) <= 10 * membership_tol * (1 + frobenius_norm(cand))
         )
         if member_ok and w[-1] > FAITHFUL_EIG_TOL * max(1.0, w[0]):
             interior = cand
 
     if interior is None:
-        t_star, b_star, _ = _solve_interior(span, normalizer)
+        t_star, b_star, _ = _solve_interior(span_cols, normalizer)
         scale = max(1.0, frobenius_norm(b_star))
         if t_star < -1e-6 * scale:
             # Even the best slice point has a negative eigenvalue.
@@ -364,8 +354,9 @@ def _make_section(
                 )
             v = s.eigenvectors[:, keep]
             comp = embedding @ v if embedding is not None else v
+            compressed = (hunvec(col, dim) for col in span_cols.T)
             return _make_section(
-                [HermitianMatrix(v.conj().T @ j.entries @ v) for j in span],
+                _orthonormalize_columns(_columns(herm(v.conj().T @ j @ v) for j in compressed)),
                 HermitianMatrix(v.conj().T @ normalizer.entries @ v),
                 label,
                 subsystem_dims=(),
@@ -379,7 +370,7 @@ def _make_section(
             )
 
     return Section(
-        span_basis=span,
+        span_basis=tuple(hunvec_matrix(col, dim, tuple(subsystem_dims)) for col in span_cols.T),
         normalizer=normalizer.with_dims(tuple(subsystem_dims)) if subsystem_dims else normalizer,
         interior_point=interior,
         label=label,
@@ -389,14 +380,13 @@ def _make_section(
         original_dim=original_dim,
         original_subsystem_dims=tuple(original_subsystem_dims),
         restricted=restricted,
+        _cache={"span_matrix": span_cols},
     )
 
 
-def _span_residual(span, x: HermitianMatrix) -> float:
+def _span_residual(span_cols: np.ndarray, x: HermitianMatrix) -> float:
     vec = hvec(x)
-    coords = np.array([hvec(j) @ vec for j in span])
-    proj = sum(c * hvec(j) for c, j in zip(coords, span))
-    return float(np.linalg.norm(vec - proj))
+    return float(np.linalg.norm(vec - span_cols @ (span_cols.T @ vec)))
 
 
 # -- membership ----------------------------------------------------------------
@@ -427,7 +417,7 @@ def states_section(d: int) -> Section:
     if d < 1:
         raise ShapeError("dimension must be positive")
     return _make_section(
-        full_hermitian_basis(d),
+        np.eye(d * d),
         identity(d),
         f"states({d})",
         interior_hint=identity(d) / d,
@@ -452,7 +442,7 @@ def singleton_section(b: HermitianMatrix) -> Section:
     if rank == b.dim:
         normalizer = pinv(b) / rank
         return _make_section(
-            [b / frobenius_norm(b)],
+            _columns([b / frobenius_norm(b)]),
             normalizer,
             "singleton",
             subsystem_dims=b.subsystem_dims,
@@ -461,7 +451,7 @@ def singleton_section(b: HermitianMatrix) -> Section:
     v = s.eigenvectors[:, keep]
     bc = HermitianMatrix(v.conj().T @ b.entries @ v)
     return _make_section(
-        [bc / frobenius_norm(bc)],
+        _columns([bc / frobenius_norm(bc)]),
         pinv(bc) / rank,
         "singleton",
         interior_hint=bc,
@@ -488,7 +478,7 @@ def full_slice_section(b: HermitianMatrix) -> Section:
     d = b.dim
     interior = b / trace_pair(b, b)  # the scaled copy of b on the slice
     return _make_section(
-        full_hermitian_basis(d, b.subsystem_dims),
+        np.eye(d * d),
         b,
         f"slice({d})",
         subsystem_dims=b.subsystem_dims,
@@ -508,11 +498,7 @@ def dual_section(section: Section) -> Section:
     got = section._cache.get("dual")
     if got is not None:
         return got
-    dim = section.ambient_dim
-    comp = section.complement_matrix()
-    mats = [section.normalizer] + [
-        hunvec_matrix(comp[:, k], dim, section.subsystem_dims) for k in range(comp.shape[1])
-    ]
+    cols = np.column_stack([hvec(section.normalizer), section.complement_matrix()])
     w = eig(section.normalizer).eigenvalues
     hint = (
         section.normalizer
@@ -520,7 +506,7 @@ def dual_section(section: Section) -> Section:
         else None
     )
     dual = _make_section(
-        mats,
+        _orthonormalize_columns(cols),
         section.interior_point,
         f"dual({section.label})",
         subsystem_dims=section.subsystem_dims,
@@ -536,8 +522,9 @@ def dual_section(section: Section) -> Section:
 
 def transpose_section(section: Section) -> Section:
     """Entrywise transpose of every member (again a section)."""
+    # The transpose is a trace-inner-product isometry: the basis stays orthonormal.
     return _make_section(
-        [transpose_in_basis(j) for j in section.span_basis],
+        _columns(transpose_in_basis(j) for j in section.span_basis),
         transpose_in_basis(section.normalizer),
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
@@ -583,7 +570,6 @@ def generalized_section(section: Section, dim_out: int, label: str | None = None
         np.column_stack(lifted) if lifted else np.zeros((new_dim * new_dim, 0)),
         new_dim * new_dim,
     )
-    span = [hunvec_matrix(span_cols[:, j], new_dim, sub) for j in range(span_cols.shape[1])]
 
     normalizer = tensor(eye_k, transpose_in_basis(section.interior_point))
     hint = tensor(eye_k / dk, transpose_in_basis(dual.interior_point))
@@ -591,7 +577,7 @@ def generalized_section(section: Section, dim_out: int, label: str | None = None
     if section.descriptor is not None:
         desc = {"kind": "generalized", "dims": [dk], "base": section.descriptor}
     return _make_section(
-        span,
+        span_cols,
         normalizer,
         label or f"generalized({section.label},{dk})",
         subsystem_dims=sub,
@@ -660,7 +646,7 @@ def povm_section(section: Section, outcomes: int) -> Section:
     if section.descriptor is not None:
         desc = {"kind": "povm", "dims": [n_d], "base": section.descriptor}
     return _make_section(
-        span,
+        _orthonormalize_columns(_columns(span)),
         normalizer,
         f"povm({section.label},{n_d})",
         subsystem_dims=sub,
@@ -679,7 +665,7 @@ def id_tensor_section(section: Section, d_left: int) -> Section:
     normalizer = tensor(eye / d, section.normalizer)
     hint = tensor(eye, section.interior_point)
     return _make_section(
-        span,
+        _orthonormalize_columns(_columns(span)),
         normalizer,
         f"id({d})(x){section.label}",
         subsystem_dims=(d,) + section.dims_tuple(),
@@ -690,8 +676,8 @@ def id_tensor_section(section: Section, d_left: int) -> Section:
 def custom_section(basis, normalizer: HermitianMatrix, label: str = "custom") -> Section:
     """Section from a user-provided spanning set and normalizer.
 
-    The basis is orthonormalized (Gram-Schmidt, rank-deficient directions
-    dropped); faithfulness is established by solving for an interior point
+    The basis is orthonormalized (one thresholded SVD; dependent directions
+    are dropped); faithfulness is established by solving for an interior point
     and the section is support-restricted if necessary.
     """
     mats = [m if isinstance(m, HermitianMatrix) else herm(m) for m in basis]
@@ -699,7 +685,7 @@ def custom_section(basis, normalizer: HermitianMatrix, label: str = "custom") ->
         raise ValidationError("custom_section needs a nonempty basis")
     dims = mats[0].subsystem_dims
     return _make_section(
-        mats,
+        _orthonormalize_columns(_columns(mats)),
         normalizer if isinstance(normalizer, HermitianMatrix) else herm(normalizer),
         label,
         subsystem_dims=dims,

@@ -9,10 +9,19 @@ Euclidean one) or a free real vector block.  The problem solved is
     subject to  A z = b,   z in K = (product of PSD cones and free spaces).
 
 Algorithm: over-relaxed ADMM, alternating a projection onto the affine set
-{A z = b} with a projection onto the cone product.  The affine projection
-reuses a cached Cholesky factorization of the constraint Gram matrix A A^T,
-which is independent of the penalty parameter, so residual-balancing updates
-of the penalty cost nothing.  Dual variables for the equality constraints are
+{A z = b} with a projection onto the cone product.  How the affine
+projection is done follows from the program's structure:
+
+* a :class:`MajorantProgram` (rows L_j s - P_j = b_j with
+  sum_j L_j^T L_j = sigma I, the shape of every norm, payoff and
+  certificate program) is projected in closed form, with products by the
+  lifts L_j only: A A^T = I + L L^T has the inverse I - L L^T / (1 + sigma),
+  and neither A nor A A^T is ever formed;
+* a generic :class:`ConeProgram` keeps its dense A and a cached Cholesky
+  factorization of A A^T (an eigen pseudo-inverse for dependent rows).
+
+Neither depends on the penalty parameter, so residual-balancing updates of
+the penalty cost nothing.  Dual variables for the equality constraints are
 recovered from the first-order conditions of the affine step; the cone-side
 scaled dual ``w`` furnishes an exactly dual-cone-feasible slack s = -rho w.
 
@@ -23,12 +32,13 @@ first-order methods carry no exact certificates), and prolonged stagnation
 ends the run with the best iterate found.
 
 A solve is single-threaded and owns its iterate workspace; concurrent solves
-on independent programs are safe (the per-program factorization cache is
-written once).
+on independent programs are safe (the per-program caches are written once).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +78,24 @@ class Block:
         return self.dim * self.dim if self.cone == PSD else self.dim
 
 
+class _ProgramData:
+    """What every program offers the solver and its callers."""
+
+    @property
+    def total_dim(self) -> int:
+        return sum(b.real_dim for b in self.blocks)
+
+    def with_rhs(self, rhs):
+        """Same program with a new right-hand side, sharing the cached
+        affine-projection data."""
+        return dataclasses.replace(self, eq_rhs=rhs)
+
+    def with_objective(self, objective):
+        return dataclasses.replace(self, objective=objective)
+
+
 @dataclass(frozen=True, eq=False)
-class ConeProgram:
+class ConeProgram(_ProgramData):
     """Standard-form conic program data.
 
     ``objective`` is a real vector over the concatenated real parametrization
@@ -98,21 +124,64 @@ class ConeProgram:
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", rhs)
 
+
+@dataclass(frozen=True, eq=False)
+class MajorantProgram(_ProgramData):
+    """The majorant program over z = (P_1, ..., P_m, s):
+
+        minimize    c . z
+        subject to  L_j s - P_j = b_j,   P_j PSD,   s a free vector,
+
+    for lifts L_j (d_j^2 x k) with sum_j L_j^T L_j = sigma I, checked on
+    construction.  ``eq_rhs`` stacks the b_j.  Consecutive blocks that share
+    one lift array share its products in the solve.  ``eq_matrix``, the dense
+    A = [-I | L], is built on first read; :func:`solve` never reads it.
+    """
+
+    lifts: tuple[np.ndarray, ...]
+    objective: np.ndarray
+    eq_rhs: np.ndarray
+    description: str = ""
+    _shared: dict = field(default_factory=dict, repr=False, compare=False)
+    blocks: tuple[Block, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lifts = tuple(np.asarray(m, dtype=float) for m in self.lifts)
+        if not lifts or any(m.ndim != 2 for m in lifts):
+            raise ShapeError("a majorant program needs at least one 2-d lift")
+        k = lifts[0].shape[1]
+        dims = [math.isqrt(m.shape[0]) for m in lifts]
+        for m, d in zip(lifts, dims):
+            if m.shape[1] != k or d < 1 or d * d != m.shape[0]:
+                raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
+        blocks = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
+        n_rows = sum(m.shape[0] for m in lifts)
+        c = np.asarray(self.objective, dtype=float).reshape(-1)
+        rhs = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
+        if c.shape[0] != n_rows + k:
+            raise ShapeError(f"objective length {c.shape[0]} != total block dim {n_rows + k}")
+        if rhs.shape[0] != n_rows:
+            raise ShapeError(f"rhs length {rhs.shape[0]} != row count {n_rows}")
+        object.__setattr__(self, "lifts", lifts)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "eq_rhs", rhs)
+        if "rows" not in self._shared:
+            self._shared["rows"] = _MajorantRows(lifts)
+
     @property
-    def total_dim(self) -> int:
-        return sum(b.real_dim for b in self.blocks)
-
-    def with_rhs(self, rhs) -> ConeProgram:
-        """Same program with a new right-hand side, sharing the cached
-        factorization of A A^T."""
-        return ConeProgram(
-            self.blocks, self.objective, self.eq_matrix, rhs, self.description, self._shared
-        )
-
-    def with_objective(self, objective) -> ConeProgram:
-        return ConeProgram(
-            self.blocks, objective, self.eq_matrix, self.eq_rhs, self.description, self._shared
-        )
+    def eq_matrix(self) -> np.ndarray:
+        got = self._shared.get("eq_matrix")
+        if got is None:
+            n_rows = self.eq_rhs.shape[0]
+            got = np.zeros((n_rows, self.total_dim))
+            got[np.arange(n_rows), np.arange(n_rows)] = -1.0
+            row = 0
+            for m in self.lifts:
+                got[row : row + m.shape[0], n_rows:] = m
+                row += m.shape[0]
+            self._shared["eq_matrix"] = got
+        return got
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +217,115 @@ def _block_slices(blocks: tuple[Block, ...]) -> list[slice]:
     return out
 
 
-def _factorization(program: ConeProgram):
-    cache = program._shared
-    if "chol" not in cache:
-        a = program.eq_matrix
+class _DenseRows:
+    """The rows A z = b of a generic program: dense products with A and a
+    factorization of A A^T."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
         gram = a @ a.T
         try:
-            cache["chol"] = ("cho", sla.cho_factor(gram, check_finite=False))
+            self._factor = ("cho", sla.cho_factor(gram, check_finite=False))
         except np.linalg.LinAlgError:
             # Rank-deficient rows: fall back to an eigen pseudo-inverse.
             w, u = np.linalg.eigh(gram)
             keep = w > 1e-12 * max(1.0, float(w[-1]))
-            cache["chol"] = ("pinv", (u[:, keep], 1.0 / w[keep]))
-        cache["slices"] = _block_slices(program.blocks)
-    return cache
+            self._factor = ("pinv", (u[:, keep], 1.0 / w[keep]))
+
+    def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
+        kind, data = self._factor
+        if kind == "cho":
+            return sla.cho_solve(data, rhs, check_finite=False)
+        u, winv = data
+        return u @ (winv * (u.T @ rhs))
+
+    def consistent(self, b: np.ndarray) -> bool:
+        """Whether A z = b has a solution at all."""
+        y_ls = self._gram_solve(b)
+        miss = float(np.linalg.norm(self.a @ (self.a.T @ y_ls) - b))
+        return miss <= 1e-8 * (1.0 + float(np.linalg.norm(b)))
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return self.a @ z
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.a.T @ y
+
+    def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Projection of zeta onto {A z = b} and its multiplier (A A^T)^-1 (A zeta - b)."""
+        mult = self._gram_solve(self.a @ zeta - b)
+        return zeta - self.a.T @ mult, mult
 
 
-def _gram_solve(cache, rhs: np.ndarray) -> np.ndarray:
-    kind, data = cache["chol"]
-    if kind == "cho":
-        return sla.cho_solve(data, rhs, check_finite=False)
-    u, winv = data
-    return u @ (winv * (u.T @ rhs))
+class _MajorantRows:
+    """The rows L_j s - P_j = b_j of a :class:`MajorantProgram`.
+
+    With L the stacked lifts, A A^T = I + L L^T and L^T L = sigma I, so
+    (A A^T)^-1 = I - L L^T / (1 + sigma).  Projecting zeta = (P~, s~) is then,
+    with e_j = L_j s~ - P~_j - b_j and u = sum_j L_j^T e_j / (1 + sigma),
+
+        s = s~ - u,   P_j = L_j s - b_j,   multiplier_j = e_j - L_j u = P_j - P~_j.
+    """
+
+    def __init__(self, lifts: tuple[np.ndarray, ...]):
+        # Runs of consecutive blocks sharing one lift array: [lift, copies].
+        self.runs = []
+        for m in lifts:
+            if self.runs and self.runs[-1][0] is m:
+                self.runs[-1][1] += 1
+            else:
+                self.runs.append([m, 1])
+        self.n_rows = sum(m.shape[0] for m in lifts)
+        k = lifts[0].shape[1]
+        gram = sum(copies * (m.T @ m) for m, copies in self.runs)
+        sigma = float(np.trace(gram)) / k
+        if not sigma > 0.0 or float(np.max(np.abs(gram - sigma * np.eye(k)))) > 1e-9 * sigma:
+            raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
+        self.shrink = 1.0 / (1.0 + sigma)
+
+    def consistent(self, b: np.ndarray) -> bool:
+        """Always: the -I columns give A full row rank."""
+        return True
+
+    def _lift(self, s: np.ndarray) -> np.ndarray:
+        """The stacked L_j s, one product per run."""
+        parts = []
+        for m, copies in self.runs:
+            parts += [m @ s] * copies
+        return np.concatenate(parts)
+
+    def _pull(self, y: np.ndarray) -> np.ndarray:
+        """sum_j L_j^T y_j, one product per run."""
+        out, lo = 0.0, 0
+        for m, copies in self.runs:
+            hi = lo + copies * m.shape[0]
+            out = out + m.T @ y[lo:hi].reshape(copies, -1).sum(axis=0)
+            lo = hi
+        return out
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        n = self.n_rows
+        return self._lift(z[n:]) - z[:n]
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([-y, self._pull(y)])
+
+    def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n_rows
+        s_t = zeta[n:]
+        s = s_t - self.shrink * self._pull(self._lift(s_t) - zeta[:n] - b)
+        p = self._lift(s) - b
+        return np.concatenate([p, s]), p - zeta[:n]
+
+
+def _rows(program) -> _DenseRows | _MajorantRows:
+    """The program's affine-row operator: given for a majorant program, built
+    (and factorized) once per generic program and shared with its
+    ``with_rhs`` / ``with_objective`` copies."""
+    cache = program._shared
+    if "rows" not in cache:
+        cache["rows"] = _DenseRows(program.eq_matrix)
+    return cache["rows"]
 
 
 def _project_cone(z: np.ndarray, blocks, slices) -> np.ndarray:
@@ -204,7 +360,7 @@ def _split(z: np.ndarray, blocks, slices) -> tuple:
 
 
 def solve(
-    program: ConeProgram,
+    program: ConeProgram | MajorantProgram,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     rho: float = 1.0,
@@ -216,15 +372,13 @@ def solve(
     best iterate seen; ``status`` is "optimal" only if all residuals and the
     gap met ``tol``.
     """
-    cache = _factorization(program)
-    slices = cache["slices"]
-    a, b, c = program.eq_matrix, program.eq_rhs, program.objective
-    at = a.T
-    m, n = a.shape
+    rows = _rows(program)
+    slices = _block_slices(program.blocks)
+    b, c = program.eq_rhs, program.objective
+    m, n = b.shape[0], c.shape[0]
 
     # Unsolvable affine rows mean the program is infeasible outright.
-    y_ls = _gram_solve(cache, b)
-    if float(np.linalg.norm(a @ (at @ y_ls) - b)) > 1e-8 * (1.0 + float(np.linalg.norm(b))):
+    if not rows.consistent(b):
         return ConeSolution(
             "infeasible", np.nan, np.nan, _split(np.zeros(n), program.blocks, slices),
             np.zeros(m), _split(np.zeros(n), program.blocks, slices),
@@ -248,10 +402,7 @@ def solve(
     it = 0
 
     for it in range(1, max_iter + 1):
-        zeta = v - w - c / rho
-        resid = a @ zeta - b
-        mult = _gram_solve(cache, resid)
-        z = zeta - at @ mult
+        z, mult = rows.project(v - w - c / rho, b)
         zhat = over_relax * z + (1.0 - over_relax) * v
         v = _project_cone(zhat + w, program.blocks, slices)
         w = w + zhat - v
@@ -259,8 +410,8 @@ def solve(
         if it % CHECK_EVERY == 0 or it == max_iter:
             y = -rho * mult
             s = -rho * w
-            pres = float(np.linalg.norm(a @ v - b)) / b_scale
-            dres = float(np.linalg.norm(c - at @ y - s)) / c_scale
+            pres = float(np.linalg.norm(rows.apply(v) - b)) / b_scale
+            dres = float(np.linalg.norm(c - rows.adjoint(y) - s)) / c_scale
             pobj = float(c @ v)
             dobj = float(b @ y)
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -282,7 +433,7 @@ def solve(
                 break
             # Residual balancing: a lopsided primal/dual residual ratio means
             # the penalty is off; rescaling it (and the scaled dual w with it)
-            # does not touch the cached factorization.
+            # does not touch the affine projection.
             if it % RHO_ADAPT_EVERY == 0 and it - last_rho_change >= 200:
                 if dres > 10.0 * pres and rho > 1e-4:
                     rho /= 2.0
@@ -308,12 +459,12 @@ def solve(
                     plateau_bumps += 1
 
     if best is None:
-        y = -rho * _gram_solve(cache, a @ (v - w - c / rho) - b)
+        y = -rho * rows.project(v - w - c / rho, b)[1]
         s = -rho * w
         best = (
             v.copy(), y.copy(), s.copy(),
-            float(np.linalg.norm(a @ v - b)) / b_scale,
-            float(np.linalg.norm(c - at @ y - s)) / c_scale,
+            float(np.linalg.norm(rows.apply(v) - b)) / b_scale,
+            float(np.linalg.norm(c - rows.adjoint(y) - s)) / c_scale,
             abs(float(c @ v) - float(b @ y)),
             float(c @ v), float(b @ y), it,
         )
@@ -344,7 +495,7 @@ def require_optimal(solution: ConeSolution, context: str) -> ConeSolution:
     return solution
 
 
-def dump_program(program: ConeProgram) -> str:
+def dump_program(program: ConeProgram | MajorantProgram) -> str:
     """Debug text dump (objective, then constraint triplets row/col/value).
 
     Not a stability-guaranteed format; meant for cross-checking against

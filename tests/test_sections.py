@@ -25,6 +25,7 @@ from gnorm.sections import (
     dual_view,
     full_slice_section,
     generalized_section,
+    id_tensor_section,
     interior_element,
     povm_section,
     section_from_descriptor,
@@ -60,6 +61,30 @@ def test_span_bases_are_trace_orthonormal():
                 want = 1.0 if i == j else 0.0
                 got = trace_pair(sec.span_basis[i], sec.span_basis[j])
                 assert abs(got - want) <= 1e-10
+
+
+def test_orthonormalization_keeps_span_dims():
+    # channels(a, b): the whole space minus the a^2 - 1 marginal constraints
+    cases = [(states_section(d), d * d) for d in range(1, 5)]
+    cases += [
+        (channels_section(a, b), (a * b) ** 2 - a * a + 1)
+        for a in range(2, 5) for b in range(2, 5)
+    ]
+    cases += [
+        (comb_section((2, 2, 2, 2)), 205),
+        (comb_section((2, 3, 2, 3)), 1185),
+        (povm_section(channels_section(2, 2), 3), 36),
+        (id_tensor_section(channels_section(2, 2), 2), 13),
+        (dual_section(comb_section((2, 2, 2, 2))), 52),
+    ]
+    # the fourth column is a combination of the first two and must be dropped
+    e = [herm(np.diag(v)) for v in np.eye(3)]
+    sym = herm(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    cases.append((custom_section(e + [e[0] + 2.0 * e[1], sym], identity(3)), 4))
+    for sec, dim in cases:
+        assert sec.span_dim == dim, sec.label
+        m = sec.span_matrix()
+        assert np.max(np.abs(m.T @ m - np.eye(dim))) <= 1e-12, sec.label
 
 
 def test_dual_view_describes_dual_membership():

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import rand_herm
-from gnorm.errors import SolverError
+from gnorm import solver
+from gnorm.errors import ShapeError, SolverError
 from gnorm.hermitian import herm, hvec, identity, op_norm, trace_norm
+from gnorm.norms import majorant_program
+from gnorm.sections import channels_section, comb_section
 from gnorm.solver import (
     FREE,
     PSD,
     Block,
     ConeProgram,
+    MajorantProgram,
     dump_program,
     project_psd,
     require_optimal,
@@ -164,3 +168,71 @@ def test_dual_slack_in_cone():
 def test_dump_program_mentions_blocks():
     text = dump_program(trace_norm_program(herm(np.diag([1.0, -1.0]))))
     assert "psd:2" in text and "free:4" in text and text.count("A ") > 0
+
+
+def majorant_cases():
+    """Fresh (uncached) majorant programs with feasible right-hand sides: the
+    base norm on channels(2,2) and comb(2,2,2,2), a 3-outcome classical
+    payoff and the certificate lifted by I(3), all on channels(2,2)."""
+    rng = np.random.default_rng(48)
+    ch = channels_section(2, 2)
+    comb = comb_section((2, 2, 2, 2))
+    out = []
+    for sec, copies, lifted in ((ch, 2, 0), (comb, 2, 0), (ch, 3, 0), (ch, 1, 3)):
+        cached = majorant_program(sec, copies, lifted)
+        d = sec.ambient_dim
+        if lifted:
+            rhs = [np.zeros(d * d), hvec(rand_herm(rng, lifted * d))]
+        elif copies == 2:
+            x = rand_herm(rng, d)
+            rhs = [hvec(x), -hvec(x)]
+        else:
+            rhs = [hvec(rand_herm(rng, d)) for _ in range(copies)]
+        out.append(MajorantProgram(cached.lifts, cached.objective, np.concatenate(rhs)))
+    return out
+
+
+def test_majorant_projection_matches_dense():
+    rng = np.random.default_rng(49)
+    for program in majorant_cases():
+        b = program.eq_rhs
+        rows = solver._rows(program)
+        dense = solver._DenseRows(program.eq_matrix)
+        zeta = rng.normal(size=program.total_dim)
+        z, mult = rows.project(zeta, b)
+        z_ref, mult_ref = dense.project(zeta, b)
+        assert np.max(np.abs(z - z_ref)) <= 1e-10
+        assert np.max(np.abs(mult - mult_ref)) <= 1e-10
+        y = rng.normal(size=b.shape[0])
+        assert np.max(np.abs(rows.apply(zeta) - dense.apply(zeta))) <= 1e-10
+        assert np.max(np.abs(rows.adjoint(y) - dense.adjoint(y))) <= 1e-10
+
+
+def test_majorant_solve_matches_dense_copy():
+    for program in majorant_cases():
+        sol = solve(program, tol=1e-8)
+        # the closed-form path never builds the dense A
+        assert "eq_matrix" not in program._shared
+        dense = ConeProgram(program.blocks, program.objective, program.eq_matrix, program.eq_rhs)
+        ref = solve(dense, tol=1e-8)
+        assert sol.status == ref.status == "optimal"
+        assert sol.iterations == ref.iterations
+        assert abs(sol.primal_value - ref.primal_value) <= 1e-9
+        assert abs(sol.dual_value - ref.dual_value) <= 1e-9
+
+
+def test_majorant_rejects_bad_lifts():
+    m = channels_section(2, 2).span_matrix()
+    rng = np.random.default_rng(50)
+    skew = rng.normal(size=m.shape)
+    for lifts in ((m, skew), (m, m[:, :-1]), (m[:-1],)):
+        n_rows = sum(x.shape[0] for x in lifts)
+        with pytest.raises(ShapeError):
+            MajorantProgram(lifts, np.zeros(n_rows + m.shape[1]), np.zeros(n_rows))
+
+
+def test_dump_program_lists_majorant_rows():
+    program = majorant_program(channels_section(2, 2), 2)
+    text = dump_program(program)
+    assert "psd:4 psd:4 free:13" in text
+    assert text.count("\nA ") == np.count_nonzero(program.eq_matrix)
