@@ -127,7 +127,7 @@ def _norm_report(report: Report, res: NormResult, witness_out: str | None):
     report.values["dual_value"] = res.dual_value
     report.gap = res.gap
     report.method = res.method
-    report.achieved_tol = res.gap if res.method == "closed_form" else None
+    report.achieved_tol = res.gap
     report.solver = {"status": res.status, "iterations": res.iterations}
     if witness_out and res.primal_witness is not None:
         payload = {
@@ -159,7 +159,6 @@ def _cmd_norm(args) -> int:
         requested_tol=args.tol,
     )
     _norm_report(report, res, args.witness_out)
-    report.achieved_tol = res.gap
     _emit(report, f"norm = {res.value:.12g} (gap {res.gap:.3e}, {res.method})")
     return EXIT_OK
 
@@ -206,7 +205,6 @@ def _cmd_diamond(args) -> int:
         requested_tol=args.tol,
     )
     _norm_report(report, res, args.witness_out)
-    report.achieved_tol = res.gap
     _emit(report, f"channel-section norm = {res.value:.12g}, error = {0.5*(1-res.value):.12g}")
     return EXIT_OK
 
@@ -222,7 +220,6 @@ def _cmd_comb_norm(args) -> int:
         requested_tol=args.tol,
     )
     _norm_report(report, res, args.witness_out)
-    report.achieved_tol = res.gap
     _emit(report, f"network norm = {res.value:.12g} (gap {res.gap:.3e})")
     return EXIT_OK
 
@@ -254,7 +251,7 @@ def _cmd_certify(args) -> int:
         candidate = matrix_from_json(cand_obj["matrix"])
     else:
         raise ShapeError("candidate file: field 'kind' must be 'povm' or 'choi'")
-    cert = certify_optimal(candidate, experiment, problem, tol=args.tol)
+    cert = certify_optimal(candidate, experiment, problem, tol=args.tol, max_iter=args.max_iter)
     report = Report(
         "certify",
         {"candidate": _digest(args.candidate), "experiment": _digest(args.experiment)},

@@ -456,15 +456,16 @@ def certify_optimal(
     payoff = trace_pair(xi, xt)
     marg_xt = partial_trace(xt.with_dims((n_d, section.ambient_dim)), 0)
 
-    program = majorant_program(section, 1, lifted=n_d)
-    n_h = section.ambient_dim ** 2
+    # q >= 0 needs no block of its own: I (x) q >= xi >= 0 implies it.
+    program = majorant_program(section, 0, lifted=n_d)
     n_big = (n_d * section.ambient_dim) ** 2
-    c = np.concatenate([np.zeros(n_h + n_big), section.span_coords(marg_xt)])
-    rhs = np.concatenate([np.zeros(n_h), hvec(xi)])
-    sol = solver.solve(program.with_rhs(rhs).with_objective(c), tol=solve_tol, max_iter=max_iter)
+    c = np.concatenate([np.zeros(n_big), section.span_coords(marg_xt)])
+    sol = solver.solve(
+        program.with_rhs(hvec(xi)).with_objective(c), tol=solve_tol, max_iter=max_iter
+    )
     solver.require_optimal(sol, "certify_optimal")
 
-    q = section.from_span_coords(sol.primal_point[2])
+    q = section.from_span_coords(sol.primal_point[1])
     big_q = tensor(identity(n_d), q)
     slack = float(np.linalg.norm((big_q.entries - xi.entries) @ xt.entries))
     w_min = float(eig(big_q - xi).eigenvalues[-1])

@@ -42,11 +42,12 @@ def _as_complex_matrix(data) -> np.ndarray:
 class HermitianMatrix:
     """An element of the real vector space of hermitian matrices.
 
-    Construction hermitizes the input, ``x := (x + x^*)/2``.  With
-    ``strict=True`` an asymmetry above ``STRICT_HERMITICITY_TOL`` (relative
-    to the largest entry) raises instead.  ``subsystem_dims`` is an ordered
-    tuple of factor dimensions whose product must equal ``dim``; the empty
-    tuple means a single unstructured system.
+    Construction rejects NaN or infinite entries and hermitizes the input,
+    ``x := (x + x^*)/2``.  With ``strict=True`` an asymmetry above
+    ``STRICT_HERMITICITY_TOL`` (relative to the largest entry) raises
+    instead.  ``subsystem_dims`` is an ordered tuple of factor dimensions
+    whose product must equal ``dim``; the empty tuple means a single
+    unstructured system.
     """
 
     entries: np.ndarray
@@ -56,6 +57,8 @@ class HermitianMatrix:
     def __post_init__(self, strict: bool):
         arr = _as_complex_matrix(self.entries)
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+        if not math.isfinite(scale):
+            raise ShapeError("matrix has non-finite (NaN or infinite) entries")
         asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
         if strict and asym > STRICT_HERMITICITY_TOL * max(1.0, scale):
             raise ShapeError(

@@ -207,7 +207,7 @@ def _psd_norm_program(section: Section) -> solver.ConeProgram:
     if got is None:
         d = section.ambient_dim
         m_span = section.span_matrix()
-        rhs = np.array([trace_pair(j, section.normalizer) for j in section.span_basis])
+        rhs = section.span_coords(section.normalizer)
         blocks = (solver.Block(d, solver.PSD),)
         got = solver.ConeProgram(
             blocks,
@@ -427,13 +427,14 @@ def certify_extremal_psd(
         y0 = section.compress(dual_candidate)
         if y0 is None or not contains(dual_section(section), y0, max(1e-6, 10 * tol)):
             raise ValidationError("dual candidate is not a member of the dual section")
-        program = majorant_program(section, 2)
-        n_h = section.ambient_dim ** 2
-        c = np.concatenate([np.zeros(2 * n_h), section.span_coords(y0)])
-        rhs = np.concatenate([np.zeros(n_h), hvec(ac)])
-        sol = solver.solve(program.with_rhs(rhs).with_objective(c), tol=solve_tol, max_iter=max_iter)
+        # q >= a >= 0, so q >= 0 needs no block of its own.
+        program = majorant_program(section, 1)
+        c = np.concatenate([np.zeros(section.ambient_dim ** 2), section.span_coords(y0)])
+        sol = solver.solve(
+            program.with_rhs(hvec(ac)).with_objective(c), tol=solve_tol, max_iter=max_iter
+        )
         solver.require_optimal(sol, "certify_extremal_psd (dual candidate)")
-        q = section.from_span_coords(sol.primal_point[2])
+        q = section.from_span_coords(sol.primal_point[1])
         paired = trace_pair(ac, y0)
         gap = sol.primal_value - paired
         slack = float(np.linalg.norm((q.entries - ac.entries) @ y0.entries))

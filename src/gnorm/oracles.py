@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .hermitian import HermitianMatrix, trace_pair
+from .hermitian import HermitianMatrix
 from .norms import base_norm_singleton, order_unit_norm_singleton
 from .sections import Section, dual_section
 
@@ -46,7 +46,7 @@ def sample_section(section: Section, n: int, seed: int = 0) -> SampleSet:
     k = m.shape[1]
     # Span directions tangent to the slice: coefficients orthogonal to the
     # pairing row Tr(J_i n).
-    pairing = np.array([trace_pair(j, section.normalizer) for j in section.span_basis])
+    pairing = section.span_coords(section.normalizer)
     p_norm2 = float(pairing @ pairing)
     points = []
     for _ in range(n):

@@ -62,23 +62,25 @@ FAITHFUL_EIG_TOL = 1e-8
 class Section:
     """Immutable affine description of one section.
 
-    ``span_basis`` is trace-orthonormal; ``normalizer`` pairs to 1 with every
-    member; ``interior_point`` is a positive-definite member.  ``embedding``
-    (an isometry, columns orthonormal) is set when the section was compressed
-    onto a support subspace; matrices supplied by callers then live in the
-    original space of dimension ``original_dim``.
+    ``span_columns`` holds the hvec coordinates of a trace-orthonormal
+    spanning basis, one column each (read-only); it is the only span data
+    stored, and ``span_basis`` is the same basis as matrices, built on first
+    read and cached.  ``normalizer`` pairs to 1 with every member;
+    ``interior_point`` is a positive-definite member.  ``embedding`` (an
+    isometry, columns orthonormal) is set when the section was compressed
+    onto a support subspace; the section is then ``restricted`` and matrices
+    supplied by callers live in the original space of dimension
+    ``original_dim``.
     """
 
-    span_basis: tuple[HermitianMatrix, ...]
+    span_columns: np.ndarray
     normalizer: HermitianMatrix
     interior_point: HermitianMatrix
     label: str
     subsystem_dims: tuple[int, ...] = ()
     descriptor: dict | None = None
     embedding: np.ndarray | None = None
-    original_dim: int | None = None
     original_subsystem_dims: tuple[int, ...] = ()
-    restricted: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -87,13 +89,28 @@ class Section:
         return self.normalizer.dim
 
     @property
-    def user_dim(self) -> int:
-        """Dimension of the space callers pass matrices on."""
-        return self.original_dim if self.embedding is not None else self.ambient_dim
+    def restricted(self) -> bool:
+        return self.embedding is not None
+
+    @property
+    def original_dim(self) -> int | None:
+        return self.embedding.shape[0] if self.embedding is not None else None
 
     @property
     def span_dim(self) -> int:
-        return len(self.span_basis)
+        return self.span_columns.shape[1]
+
+    @property
+    def span_basis(self) -> tuple[HermitianMatrix, ...]:
+        """The spanning basis as matrices (built on first read, cached)."""
+        got = self._cache.get("span_basis")
+        if got is None:
+            got = tuple(
+                hunvec_matrix(col, self.ambient_dim, self.subsystem_dims)
+                for col in self.span_columns.T
+            )
+            self._cache["span_basis"] = got
+        return got
 
     def dims_tuple(self) -> tuple[int, ...]:
         """Subsystem dims of the carrier space, ``(ambient_dim,)`` fallback."""
@@ -101,11 +118,7 @@ class Section:
 
     def span_matrix(self) -> np.ndarray:
         """hvec coordinates of the spanning basis, one column per element."""
-        got = self._cache.get("span_matrix")
-        if got is None:
-            got = _columns(self.span_basis)
-            self._cache["span_matrix"] = got
-        return got
+        return self.span_columns
 
     def span_coords(self, x: HermitianMatrix) -> np.ndarray:
         return self.span_matrix().T @ hvec(x)
@@ -113,9 +126,6 @@ class Section:
     def from_span_coords(self, coords: np.ndarray) -> HermitianMatrix:
         vec = self.span_matrix() @ np.asarray(coords, dtype=float)
         return hunvec_matrix(vec, self.ambient_dim, self.subsystem_dims)
-
-    def project_span(self, x: HermitianMatrix) -> HermitianMatrix:
-        return self.from_span_coords(self.span_coords(x))
 
     def complement_matrix(self) -> np.ndarray:
         """hvec basis of the orthogonal complement of the span."""
@@ -229,7 +239,7 @@ def _interior_program(m_span: np.ndarray, normalizer: HermitianMatrix):
 def _solve_interior(m_span, normalizer, tol=1e-8, max_iter=solver.DEFAULT_MAX_ITER):
     program = _interior_program(m_span, normalizer)
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    if sol.status in ("infeasible", "unbounded"):
+    if sol.status == "infeasible":
         raise EmptySectionError(
             f"no PSD element on the affine slice (solver status {sol.status})"
         )
@@ -295,9 +305,7 @@ def _make_section(
     interior_hint: HermitianMatrix | None = None,
     descriptor: dict | None = None,
     embedding: np.ndarray | None = None,
-    original_dim: int | None = None,
     original_subsystem_dims=(),
-    restricted: bool = False,
     membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> Section:
     """Section with the span of the orthonormal hvec columns ``span_cols``."""
@@ -362,25 +370,24 @@ def _make_section(
                 subsystem_dims=(),
                 descriptor=descriptor,
                 embedding=comp,
-                original_dim=original_dim if original_dim is not None else dim,
                 original_subsystem_dims=tuple(original_subsystem_dims)
                 or tuple(subsystem_dims),
-                restricted=True,
                 membership_tol=membership_tol,
             )
 
+    # A contiguous copy: a column slice of an SVD factor would keep the whole
+    # factor alive and slow every product with the span.
+    span_cols = np.ascontiguousarray(span_cols)
+    span_cols.setflags(write=False)
     return Section(
-        span_basis=tuple(hunvec_matrix(col, dim, tuple(subsystem_dims)) for col in span_cols.T),
+        span_columns=span_cols,
         normalizer=normalizer.with_dims(tuple(subsystem_dims)) if subsystem_dims else normalizer,
         interior_point=interior,
         label=label,
         subsystem_dims=tuple(subsystem_dims),
         descriptor=descriptor,
         embedding=embedding,
-        original_dim=original_dim,
         original_subsystem_dims=tuple(original_subsystem_dims),
-        restricted=restricted,
-        _cache={"span_matrix": span_cols},
     )
 
 
@@ -456,9 +463,7 @@ def singleton_section(b: HermitianMatrix) -> Section:
         "singleton",
         interior_hint=bc,
         embedding=v,
-        original_dim=b.dim,
         original_subsystem_dims=b.subsystem_dims,
-        restricted=True,
     )
 
 
@@ -512,9 +517,7 @@ def dual_section(section: Section) -> Section:
         subsystem_dims=section.subsystem_dims,
         interior_hint=hint,
         embedding=section.embedding,
-        original_dim=section.original_dim,
         original_subsystem_dims=section.original_subsystem_dims,
-        restricted=section.restricted,
     )
     section._cache["dual"] = dual
     return dual
@@ -522,17 +525,19 @@ def dual_section(section: Section) -> Section:
 
 def transpose_section(section: Section) -> Section:
     """Entrywise transpose of every member (again a section)."""
-    # The transpose is a trace-inner-product isometry: the basis stays orthonormal.
+    # The transpose is a trace-inner-product isometry that flips the sign of
+    # the imaginary hvec coordinates: the columns stay orthonormal.
+    d = section.ambient_dim
+    cols = section.span_matrix().copy()
+    cols[d + d * (d - 1) // 2 :] *= -1.0
     return _make_section(
-        _columns(transpose_in_basis(j) for j in section.span_basis),
+        cols,
         transpose_in_basis(section.normalizer),
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
         interior_hint=transpose_in_basis(section.interior_point),
         embedding=None if section.embedding is None else section.embedding.conj(),
-        original_dim=section.original_dim,
         original_subsystem_dims=section.original_subsystem_dims,
-        restricted=section.restricted,
     )
 
 

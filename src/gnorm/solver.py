@@ -26,10 +26,10 @@ recovered from the first-order conditions of the affine step; the cone-side
 scaled dual ``w`` furnishes an exactly dual-cone-feasible slack s = -rho w.
 
 Stopping: mixed absolute/relative primal residual, dual residual and duality
-gap all below the requested tolerance.  Divergence of the normalized iterates
-beyond a fixed threshold is reported as infeasibility (a heuristic;
-first-order methods carry no exact certificates), and prolonged stagnation
-ends the run with the best iterate found.
+gap all below the requested tolerance.  Inconsistent affine rows are reported
+as infeasible before the loop; residuals that stop improving walk the penalty
+up a finite ladder, and prolonged stagnation ends the run with the best
+iterate found (first-order methods carry no exact infeasibility certificates).
 
 A solve is single-threaded and owns its iterate workspace; concurrent solves
 on independent programs are safe (the per-program caches are written once).
@@ -55,7 +55,6 @@ DEFAULT_MAX_ITER = 50000
 OVER_RELAXATION = 1.5
 STAGNATION_WINDOW = 5000
 PLATEAU_WINDOW = 1200
-DIVERGENCE_THRESHOLD = 1e6
 CHECK_EVERY = 25
 RHO_ADAPT_EVERY = 100
 
@@ -193,7 +192,7 @@ class ConeSolution:
     multiplier y and ``dual_slack`` the per-block slack of c - A^T y.
     """
 
-    status: str  # optimal | max_iter | infeasible | unbounded
+    status: str  # optimal | max_iter | infeasible (inconsistent affine rows)
     primal_value: float
     dual_value: float
     primal_point: tuple
@@ -363,14 +362,11 @@ def solve(
     program: ConeProgram | MajorantProgram,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    rho: float = 1.0,
-    over_relax: float = OVER_RELAXATION,
 ) -> ConeSolution:
     """Run the operator-splitting iteration on ``program``.
 
-    Deterministic for fixed inputs and iteration parameters.  Returns the
-    best iterate seen; ``status`` is "optimal" only if all residuals and the
-    gap met ``tol``.
+    Deterministic for fixed inputs.  Returns the best iterate seen;
+    ``status`` is "optimal" only if all residuals and the gap met ``tol``.
     """
     rows = _rows(program)
     slices = _block_slices(program.blocks)
@@ -387,10 +383,9 @@ def solve(
 
     v = np.zeros(n)
     w = np.zeros(n)
-    rho = float(rho)
+    rho = 1.0
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + float(np.linalg.norm(c))
-    iterate_scale = 1.0 + b_scale
 
     best = None
     best_res = np.inf
@@ -403,7 +398,7 @@ def solve(
 
     for it in range(1, max_iter + 1):
         z, mult = rows.project(v - w - c / rho, b)
-        zhat = over_relax * z + (1.0 - over_relax) * v
+        zhat = OVER_RELAXATION * z + (1.0 - OVER_RELAXATION) * v
         v = _project_cone(zhat + w, program.blocks, slices)
         w = w + zhat - v
 
@@ -423,10 +418,6 @@ def solve(
                 best = (v.copy(), y.copy(), s.copy(), pres, dres, gap, pobj, dobj, it)
             if res <= tol:
                 status = "optimal"
-                break
-            norm_scale = (float(np.linalg.norm(v)) + float(np.linalg.norm(w))) / iterate_scale
-            if norm_scale > DIVERGENCE_THRESHOLD:
-                status = "unbounded" if pobj < -DIVERGENCE_THRESHOLD else "infeasible"
                 break
             if it - max(best_res_iter, last_plateau_bump) >= STAGNATION_WINDOW:
                 status = "max_iter"

@@ -207,6 +207,36 @@ def test_exit_code_non_convergence(tmp_path):
     assert proc.returncode == 2
 
 
+def test_certify_honours_max_iter(tmp_path):
+    s = states_section(2)
+    zero = outer([1.0, 0.0])
+    plus = outer([1.0 / math.sqrt(2), 1.0 / math.sqrt(2)])
+    e = Experiment(s, (zero, plus), np.array([0.5, 0.5]))
+    exp = write_json(tmp_path / "exp.json", experiment_to_json(e, classical_problem(np.eye(2))))
+    _, povm = helstrom(zero, plus, 0.5)
+    cand = write_json(
+        tmp_path / "cand.json",
+        {"kind": "povm", "effects": [matrix_to_json(m) for m in povm.effects]},
+    )
+    proc = run_cli("certify", cand, exp, "--max-iter", "1")
+    assert proc.returncode == 2
+
+
+def test_exit_code_non_finite_matrix(tmp_path):
+    # Python's json reads NaN; the matrix is rejected as an input error.
+    entries = np.eye(4).tolist()
+    entries[1][1] = float("nan")
+    mat = write_json(
+        tmp_path / "nan.json",
+        {"dims": [2, 2], "matrix": [[[x, 0.0] for x in row] for row in entries]},
+    )
+    for argv in (("comb-norm", mat, "--dims", "2,2"), ("hmin", mat)):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_validation_failure(tmp_path, state_files):
     zero_p, plus_p = state_files
     s = states_section(2)

@@ -51,6 +51,14 @@ def test_strict_mode_rejects_asymmetry():
         herm(bad, strict=True)
 
 
+def test_non_finite_entries_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ShapeError):
+            diag([bad, 1.0])
+        with pytest.raises(ShapeError):
+            herm(np.array([[1.0, 1j * bad], [0.0, 1.0]]))
+
+
 def test_subsystem_dims_must_multiply():
     with pytest.raises(ShapeError):
         herm(np.eye(4), dims=(2, 3))

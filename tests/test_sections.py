@@ -8,6 +8,7 @@ from gnorm.choi import kraus_channel, max_entangled_projection
 from gnorm.errors import EmptySectionError, ValidationError
 from gnorm.hermitian import (
     herm,
+    hunvec_matrix,
     identity,
     outer,
     partial_trace,
@@ -85,6 +86,33 @@ def test_orthonormalization_keeps_span_dims():
         assert sec.span_dim == dim, sec.label
         m = sec.span_matrix()
         assert np.max(np.abs(m.T @ m - np.eye(dim))) <= 1e-12, sec.label
+
+
+def test_span_columns_are_the_only_stored_span():
+    restricted = singleton_section(outer([1.0, 0.0]))
+    for sec in (
+        states_section(2),
+        channels_section(2, 2),
+        comb_section((2, 2, 2, 2)),
+        restricted,
+    ):
+        m = sec.span_matrix()
+        assert m.shape[1] == sec.span_dim == len(sec.span_basis)
+        for col, j in zip(m.T, sec.span_basis):
+            want = hunvec_matrix(col, sec.ambient_dim, sec.subsystem_dims)
+            assert j.subsystem_dims == sec.subsystem_dims
+            assert np.array_equal(j.entries, want.entries)
+    assert restricted.restricted and restricted.original_dim == 2
+    assert restricted.ambient_dim == 1
+    assert not states_section(2).restricted and states_section(2).original_dim is None
+    # a comb section reads its stored columns: no rebuild, no cached copy
+    comb = comb_section((2, 2, 2, 2))
+    assert comb.span_matrix() is comb.span_matrix() is comb.span_columns
+    assert "span_matrix" not in comb._cache
+    # the column-form transpose agrees with transposing each basis matrix
+    ch = channels_section(2, 2)
+    for j, jt in zip(ch.span_basis, transpose_section(ch).span_basis):
+        assert np.max(np.abs(transpose_in_basis(j).entries - jt.entries)) <= 1e-15
 
 
 def test_dual_view_describes_dual_membership():

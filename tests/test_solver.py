@@ -173,16 +173,18 @@ def test_dump_program_mentions_blocks():
 def majorant_cases():
     """Fresh (uncached) majorant programs with feasible right-hand sides: the
     base norm on channels(2,2) and comb(2,2,2,2), a 3-outcome classical
-    payoff and the certificate lifted by I(3), all on channels(2,2)."""
+    payoff, the 1-copy program and the certificates lifted by I(3) with one
+    copy and with none, all on channels(2,2)."""
     rng = np.random.default_rng(48)
     ch = channels_section(2, 2)
     comb = comb_section((2, 2, 2, 2))
     out = []
-    for sec, copies, lifted in ((ch, 2, 0), (comb, 2, 0), (ch, 3, 0), (ch, 1, 3)):
+    cases = ((ch, 2, 0), (comb, 2, 0), (ch, 3, 0), (ch, 1, 3), (ch, 1, 0), (ch, 0, 3))
+    for sec, copies, lifted in cases:
         cached = majorant_program(sec, copies, lifted)
         d = sec.ambient_dim
         if lifted:
-            rhs = [np.zeros(d * d), hvec(rand_herm(rng, lifted * d))]
+            rhs = [np.zeros(d * d)] * copies + [hvec(rand_herm(rng, lifted * d))]
         elif copies == 2:
             x = rand_herm(rng, d)
             rhs = [hvec(x), -hvec(x)]
