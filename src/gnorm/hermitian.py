@@ -321,15 +321,21 @@ def transpose_in_basis(x: HermitianMatrix) -> HermitianMatrix:
 
 # -- real parametrization ----------------------------------------------------
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LAYOUT_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
 _SQRT2 = math.sqrt(2.0)
 
 
-def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _TRIU_CACHE.get(d)
+def _hvec_layout(d: int) -> tuple[np.ndarray, ...]:
+    """Flat positions of the diagonal, upper and lower triangle of a d x d
+    matrix, and the float-view positions and scales of the hvec coordinates."""
+    got = _LAYOUT_CACHE.get(d)
     if got is None:
-        got = np.triu_indices(d, k=1)
-        _TRIU_CACHE[d] = got
+        iu, ju = np.triu_indices(d, k=1)
+        up = iu * d + ju
+        take = np.concatenate([2 * (d + 1) * np.arange(d), 2 * up, 2 * up + 1])
+        scale = np.concatenate([np.ones(d), np.full(2 * up.shape[0], _SQRT2)])
+        got = ((d + 1) * np.arange(d), up, ju * d + iu, take, scale)
+        _LAYOUT_CACHE[d] = got
     return got
 
 
@@ -337,30 +343,25 @@ def hvec(x: HermitianMatrix | np.ndarray) -> np.ndarray:
     """Isometric real coordinates of a hermitian matrix.
 
     Diagonal entries come first, then sqrt(2)-scaled real and imaginary
-    parts of the upper triangle; Tr(x y) = hvec(x) . hvec(y).
+    parts of the upper triangle; Tr(x y) = hvec(x) . hvec(y).  Arrays may
+    stack matrices along leading axes: (..., d, d) maps to (..., d^2).
     """
-    arr = x.entries if isinstance(x, HermitianMatrix) else np.asarray(x, dtype=complex)
-    d = arr.shape[0]
-    iu, ju = _triu(d)
-    out = np.empty(d * d)
-    out[:d] = arr.diagonal().real
-    off = arr[iu, ju]
-    m = off.shape[0]
-    out[d : d + m] = _SQRT2 * off.real
-    out[d + m :] = _SQRT2 * off.imag
-    return out
+    arr = np.ascontiguousarray(x.entries if isinstance(x, HermitianMatrix) else x, dtype=complex)
+    d = arr.shape[-1]
+    _, _, _, take, scale = _hvec_layout(d)
+    return arr.reshape(arr.shape[:-2] + (d * d,)).view(float)[..., take] * scale
 
 
 def hunvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hvec`, returning a raw complex ndarray."""
-    iu, ju = _triu(d)
-    m = d * (d - 1) // 2
-    x = np.zeros((d, d), dtype=complex)
-    x[np.arange(d), np.arange(d)] = v[:d]
-    off = (v[d : d + m] + 1j * v[d + m :]) / _SQRT2
-    x[iu, ju] = off
-    x[ju, iu] = off.conj()
-    return x
+    """Inverse of :func:`hvec` (also on stacks), returning raw complex ndarrays."""
+    diag, up, low, _, _ = _hvec_layout(d)
+    m = up.shape[0]
+    x = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
+    x[..., diag] = v[..., :d]
+    off = (v[..., d : d + m] + 1j * v[..., d + m :]) / _SQRT2
+    x[..., up] = off
+    x[..., low] = off.conj()
+    return x.reshape(v.shape[:-1] + (d, d))
 
 
 def hunvec_matrix(v: np.ndarray, d: int, dims=()) -> HermitianMatrix:

@@ -45,11 +45,10 @@ from .hermitian import (
     psd_check,
     sqrt_psd,
     support_projection,
-    tensor,
     trace_norm,
     trace_pair,
 )
-from .sections import Section, channels_section, comb_section, contains, dual_section
+from .sections import Section, _kron_columns, channels_section, comb_section, contains, dual_section
 
 DEFAULT_NORM_TOL = 1e-7
 INF = math.inf
@@ -179,10 +178,10 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
     I_lifted (x) q - P = b (when lifted > 0),  P_j >= 0.
 
     q = M s runs over the span (M = ``span_matrix``, orthonormal), so the
-    lifts are M per copy and, for the lifted block, the columns
-    hvec(I (x) J_i); their Gram sum is (copies + lifted) I.  Callers set the
-    right-hand sides and, for certificates, the objective over s.  Cached on
-    the section.
+    lifts are M per copy and, for the lifted block, the Kronecker lift
+    I (x) M (columns hvec(I (x) J_i)); their Gram sum is (copies + lifted) I.
+    Callers set the right-hand sides and, for certificates, the objective
+    over s.  Cached on the section.
     """
     key = ("majorant", copies, lifted)
     got = section._cache.get(key)
@@ -190,8 +189,8 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
         m_span = section.span_matrix()
         lifts = (m_span,) * copies
         if lifted:
-            eye = identity(lifted)
-            lifts += (np.column_stack([hvec(tensor(eye, j)) for j in section.span_basis]),)
+            i_col = hvec(identity(lifted))[:, None]
+            lifts += (_kron_columns(i_col, lifted, m_span, section.ambient_dim),)
         n_rows = sum(m.shape[0] for m in lifts)
         c = np.concatenate([np.zeros(n_rows), section.span_coords(section.normalizer)])
         desc = f"majorant over {section.label}, {copies} copies"

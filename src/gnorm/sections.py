@@ -27,6 +27,7 @@ B; duality is an involution on sections with positive-definite members, and
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -131,7 +132,8 @@ class Section:
         """hvec basis of the orthogonal complement of the span."""
         got = self._cache.get("complement")
         if got is None:
-            got = _complement_columns(self.span_matrix(), self.ambient_dim**2)
+            m = self.span_matrix()
+            got = _orthonormalize_columns(np.eye(m.shape[0]) - m @ m.T)
             self._cache["complement"] = got
         return got
 
@@ -201,12 +203,36 @@ def _orthonormalize_columns(cols: np.ndarray, drop_tol: float = DEPENDENT_DROP_T
     return u[:, s > drop_tol * max(1.0, float(s[0]))]
 
 
-def _complement_columns(basis: np.ndarray, total: int) -> np.ndarray:
-    if basis.size == 0:
-        return np.eye(total)
-    u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    k = basis.shape[1]
-    return u[:, k:]
+def _kron_columns(left: np.ndarray, d_left: int, right: np.ndarray, d_right: int) -> np.ndarray:
+    """hvec columns of L (x) R for all pairs of hvec columns L of ``left`` and
+    R of ``right``, left index outermost.  Tr((L (x) R)(L' (x) R')) =
+    Tr(L L') Tr(R R'): orthonormal inputs give orthonormal columns.  One left
+    column at a time keeps the complex intermediate small."""
+    d = d_left * d_right
+    k = right.shape[1]
+    rights = hunvec(right.T, d_right)
+    out = np.empty((d * d, left.shape[1] * k))
+    for i, col in enumerate(left.T):
+        prod = np.einsum("ik,bjl->bijkl", hunvec(col, d_left), rights).reshape(k, d, d)
+        out[:, i * k : (i + 1) * k] = hvec(prod).T
+    return out
+
+
+def _transpose_columns(cols: np.ndarray, d: int) -> np.ndarray:
+    """hvec columns of the entrywise transposes: an isometry that flips the
+    sign of the imaginary hvec coordinates."""
+    out = cols.copy()
+    out[d + d * (d - 1) // 2 :] *= -1.0
+    return out
+
+
+def _zero_sum_columns(n: int) -> np.ndarray:
+    """Orthonormal basis of the vectors in R^n summing to zero (Helmert)."""
+    out = np.zeros((n, n - 1))
+    for k in range(1, n):
+        out[:k, k - 1] = 1.0 / math.sqrt(k * (k + 1))
+        out[k, k - 1] = -k / math.sqrt(k * (k + 1))
+    return out
 
 
 def full_hermitian_basis(dim: int, subsystem_dims=()) -> tuple[HermitianMatrix, ...]:
@@ -525,13 +551,8 @@ def dual_section(section: Section) -> Section:
 
 def transpose_section(section: Section) -> Section:
     """Entrywise transpose of every member (again a section)."""
-    # The transpose is a trace-inner-product isometry that flips the sign of
-    # the imaginary hvec coordinates: the columns stay orthonormal.
-    d = section.ambient_dim
-    cols = section.span_matrix().copy()
-    cols[d + d * (d - 1) // 2 :] *= -1.0
     return _make_section(
-        cols,
+        _transpose_columns(section.span_matrix(), section.ambient_dim),
         transpose_in_basis(section.normalizer),
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
@@ -541,53 +562,57 @@ def transpose_section(section: Section) -> Section:
     )
 
 
+def _marginal_section(
+    section: Section, traceless: np.ndarray, dk: int, label: str, desc: dict | None
+) -> Section:
+    """The section with span (traceless (x) Herm(H)) + (I_K/sqrt(dk) (x) dual^T)
+    for orthonormal hvec columns ``traceless`` on K: exact Kronecker lifts."""
+    if section.embedding is not None:
+        raise ValidationError(
+            f"{label}: a support-restricted base section is only defined on its carrier space"
+        )
+    dual = dual_section(section)
+    h = section.ambient_dim
+    eye_k = identity(dk)
+    span_cols = np.hstack([
+        _kron_columns(traceless, dk, np.eye(h * h), h),
+        _kron_columns(
+            hvec(eye_k)[:, None] / math.sqrt(dk), dk, _transpose_columns(dual.span_matrix(), h), h
+        ),
+    ])
+    return _make_section(
+        span_cols,
+        tensor(eye_k, transpose_in_basis(section.interior_point)),
+        label,
+        subsystem_dims=(dk,) + section.dims_tuple(),
+        interior_hint=tensor(eye_k / dk, transpose_in_basis(dual.interior_point)),
+        descriptor=desc,
+    )
+
+
 def generalized_section(section: Section, dim_out: int, label: str | None = None) -> Section:
     """Choi matrices of completely positive maps sending the given section
     into density matrices.
 
-    Membership on K (x) H is "X PSD and Tr_K X in (dual section)^T"; the
-    span is accordingly the orthogonal complement of
-    {I_K (x) z^T : z orthogonal to the dual span}, the normalizer is
-    I_K (x) b0^T for the interior member b0, and I_K/dim_out (x) n^T (n a
-    positive-definite dual element) is an interior point.
+    Membership on K (x) H is "X PSD and Tr_K X in (dual section)^T", so the
+    span is ker Tr_K + I_K (x) (dual span)^T: the traceless matrices on K
+    tensored with all of Herm(H), plus I_K/sqrt(dim_out) tensored with the
+    transposed dual basis, both exact Kronecker products of orthonormal
+    bases.  The normalizer is I_K (x) b0^T for the interior member b0, and
+    I_K/dim_out (x) n^T (n the dual interior point) is an interior point.
     """
     if dim_out < 1:
         raise ShapeError("output dimension must be positive")
-    if section.embedding is not None:
-        raise ValidationError(
-            "generalized_section over a support-restricted section is only "
-            "defined on its carrier space; rebuild the base section there"
-        )
-    dual = dual_section(section)
-    h = section.ambient_dim
     dk = int(dim_out)
-    new_dim = dk * h
-    sub = (dk,) + section.dims_tuple()
-
-    dual_span = dual.span_matrix()
-    dual_comp = _complement_columns(dual_span, h * h)
-    eye_k = identity(dk)
-    lifted = [
-        hvec(tensor(eye_k, transpose_in_basis(hunvec_matrix(dual_comp[:, j], h))))
-        for j in range(dual_comp.shape[1])
-    ]
-    span_cols = _complement_columns(
-        np.column_stack(lifted) if lifted else np.zeros((new_dim * new_dim, 0)),
-        new_dim * new_dim,
-    )
-
-    normalizer = tensor(eye_k, transpose_in_basis(section.interior_point))
-    hint = tensor(eye_k / dk, transpose_in_basis(dual.interior_point))
+    # off-diagonal hvec coordinates are traceless already
+    traceless = np.zeros((dk * dk, dk * dk - 1))
+    traceless[:dk, : dk - 1] = _zero_sum_columns(dk)
+    traceless[dk:, dk - 1 :] = np.eye(dk * dk - dk)
     desc = None
     if section.descriptor is not None:
         desc = {"kind": "generalized", "dims": [dk], "base": section.descriptor}
-    return _make_section(
-        span_cols,
-        normalizer,
-        label or f"generalized({section.label},{dk})",
-        subsystem_dims=sub,
-        interior_hint=hint,
-        descriptor=desc,
+    return _marginal_section(
+        section, traceless, dk, label or f"generalized({section.label},{dk})", desc
     )
 
 
@@ -622,42 +647,21 @@ def comb_section(dims: tuple[int, ...]) -> Section:
 
 def povm_section(section: Section, outcomes: int) -> Section:
     """Block-diagonal members whose transposed blocks form a measurement on
-    the given section (effects PSD, summing into the dual section)."""
+    the given section (effects PSD, summing into the dual section).
+
+    The span is (traceless diagonal on D) (x) Herm(H) plus
+    I_D/sqrt(outcomes) (x) (dual span)^T, exact Kronecker products of
+    orthonormal bases.
+    """
     if outcomes < 1:
         raise ShapeError("need at least one outcome")
-    if section.embedding is not None:
-        raise ValidationError("povm_section needs a faithful (unrestricted) base section")
-    dual = dual_section(section)
-    h = section.ambient_dim
     n_d = int(outcomes)
-    sub = (n_d,) + section.dims_tuple()
-    basis_h = full_hermitian_basis(h)
-
-    span: list[HermitianMatrix] = []
-    for c in range(n_d - 1):
-        ec = np.zeros((n_d, n_d))
-        ec[c, c] = 1.0
-        ec[c + 1, c + 1] = -1.0
-        block = herm(ec)
-        for e in basis_h:
-            span.append(tensor(block, e))
-    eye_d = identity(n_d)
-    for j in dual.span_basis:
-        span.append(tensor(eye_d, transpose_in_basis(j)))
-
-    normalizer = tensor(eye_d, transpose_in_basis(section.interior_point))
-    hint = tensor(eye_d / n_d, transpose_in_basis(dual.interior_point))
+    traceless = np.zeros((n_d * n_d, n_d - 1))
+    traceless[:n_d] = _zero_sum_columns(n_d)
     desc = None
     if section.descriptor is not None:
         desc = {"kind": "povm", "dims": [n_d], "base": section.descriptor}
-    return _make_section(
-        _orthonormalize_columns(_columns(span)),
-        normalizer,
-        f"povm({section.label},{n_d})",
-        subsystem_dims=sub,
-        interior_hint=hint,
-        descriptor=desc,
-    )
+    return _marginal_section(section, traceless, n_d, f"povm({section.label},{n_d})", desc)
 
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
@@ -666,15 +670,14 @@ def id_tensor_section(section: Section, d_left: int) -> Section:
         raise ValidationError("id_tensor_section needs a faithful base section")
     d = int(d_left)
     eye = identity(d)
-    span = [tensor(eye, j) for j in section.span_basis]
-    normalizer = tensor(eye / d, section.normalizer)
-    hint = tensor(eye, section.interior_point)
     return _make_section(
-        _orthonormalize_columns(_columns(span)),
-        normalizer,
+        _kron_columns(
+            hvec(eye)[:, None] / math.sqrt(d), d, section.span_matrix(), section.ambient_dim
+        ),
+        tensor(eye / d, section.normalizer),
         f"id({d})(x){section.label}",
         subsystem_dims=(d,) + section.dims_tuple(),
-        interior_hint=hint,
+        interior_hint=tensor(eye, section.interior_point),
     )
 
 

@@ -17,8 +17,8 @@ projection is done follows from the program's structure:
   certificate program) is projected in closed form, with products by the
   lifts L_j only: A A^T = I + L L^T has the inverse I - L L^T / (1 + sigma),
   and neither A nor A A^T is ever formed;
-* a generic :class:`ConeProgram` keeps its dense A and a cached Cholesky
-  factorization of A A^T (an eigen pseudo-inverse for dependent rows).
+* a generic :class:`ConeProgram` keeps its dense A and a cached eigen
+  pseudo-inverse of A A^T (which also covers dependent rows).
 
 Neither depends on the penalty parameter, so residual-balancing updates of
 the penalty cost nothing.  Dual variables for the equality constraints are
@@ -42,9 +42,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import ShapeError, SolverError
+from .errors import DomainError, ShapeError, SolverError
 from .hermitian import HermitianMatrix, hunvec, hvec
 
 PSD = "psd"
@@ -75,6 +74,13 @@ class Block:
     @property
     def real_dim(self) -> int:
         return self.dim * self.dim if self.cone == PSD else self.dim
+
+
+def _require_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ShapeError(
+            "program objective, rows or right-hand side has non-finite (NaN or infinite) entries"
+        )
 
 
 class _ProgramData:
@@ -119,6 +125,7 @@ class ConeProgram(_ProgramData):
             raise ShapeError(f"constraint matrix shape {a.shape} incompatible with n={n}")
         if rhs.shape[0] != a.shape[0]:
             raise ShapeError(f"rhs length {rhs.shape[0]} != row count {a.shape[0]}")
+        _require_finite(c, a, rhs)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", rhs)
@@ -161,11 +168,14 @@ class MajorantProgram(_ProgramData):
             raise ShapeError(f"objective length {c.shape[0]} != total block dim {n_rows + k}")
         if rhs.shape[0] != n_rows:
             raise ShapeError(f"rhs length {rhs.shape[0]} != row count {n_rows}")
+        _require_finite(c, rhs)
         object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_rhs", rhs)
         if "rows" not in self._shared:
+            # once per program family: with_rhs / with_objective share the lifts
+            _require_finite(*lifts)
             self._shared["rows"] = _MajorantRows(lifts)
 
     @property
@@ -217,26 +227,17 @@ def _block_slices(blocks: tuple[Block, ...]) -> list[slice]:
 
 
 class _DenseRows:
-    """The rows A z = b of a generic program: dense products with A and a
-    factorization of A A^T."""
+    """The rows A z = b of a generic program: dense products with A and an
+    eigen pseudo-inverse of A A^T (dependent rows are allowed)."""
 
     def __init__(self, a: np.ndarray):
         self.a = a
-        gram = a @ a.T
-        try:
-            self._factor = ("cho", sla.cho_factor(gram, check_finite=False))
-        except np.linalg.LinAlgError:
-            # Rank-deficient rows: fall back to an eigen pseudo-inverse.
-            w, u = np.linalg.eigh(gram)
-            keep = w > 1e-12 * max(1.0, float(w[-1]))
-            self._factor = ("pinv", (u[:, keep], 1.0 / w[keep]))
+        w, u = np.linalg.eigh(a @ a.T)
+        keep = w > 1e-12 * max(1.0, float(w[-1]))
+        self._u, self._winv = u[:, keep], 1.0 / w[keep]
 
     def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
-        kind, data = self._factor
-        if kind == "cho":
-            return sla.cho_solve(data, rhs, check_finite=False)
-        u, winv = data
-        return u @ (winv * (u.T @ rhs))
+        return self._u @ (self._winv * (self._u.T @ rhs))
 
     def consistent(self, b: np.ndarray) -> bool:
         """Whether A z = b has a solution at all."""
@@ -367,7 +368,10 @@ def solve(
 
     Deterministic for fixed inputs.  Returns the best iterate seen;
     ``status`` is "optimal" only if all residuals and the gap met ``tol``.
+    ``max_iter`` must be at least 1.
     """
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     rows = _rows(program)
     slices = _block_slices(program.blocks)
     b, c = program.eq_rhs, program.objective
@@ -448,17 +452,6 @@ def solve(
                     last_rho_change = it
                     last_plateau_bump = it
                     plateau_bumps += 1
-
-    if best is None:
-        y = -rho * rows.project(v - w - c / rho, b)[1]
-        s = -rho * w
-        best = (
-            v.copy(), y.copy(), s.copy(),
-            float(np.linalg.norm(rows.apply(v) - b)) / b_scale,
-            float(np.linalg.norm(c - rows.adjoint(y) - s)) / c_scale,
-            abs(float(c @ v) - float(b @ y)),
-            float(c @ v), float(b @ y), it,
-        )
 
     v_b, y_b, s_b, pres, dres, gap, pobj, dobj, best_it = best
     return ConeSolution(

@@ -207,6 +207,15 @@ def test_exit_code_non_convergence(tmp_path):
     assert proc.returncode == 2
 
 
+def test_exit_code_max_iter_below_one(tmp_path):
+    sec = write_json(tmp_path / "sec.json", {"kind": "channels", "dims": [2, 2]})
+    x = herm(np.diag([1.0, -1.0, 0.0, 0.0]), (2, 2))
+    mat = write_json(tmp_path / "mat.json", matrix_to_json(x))
+    proc = run_cli("norm", sec, mat, "--max-iter", "0")
+    assert proc.returncode == 1
+    assert "max_iter" in proc.stderr
+
+
 def test_certify_honours_max_iter(tmp_path):
     s = states_section(2)
     zero = outer([1.0, 0.0])

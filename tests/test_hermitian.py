@@ -16,6 +16,7 @@ from gnorm.hermitian import (
     diag,
     eig,
     herm,
+    hunvec,
     hunvec_matrix,
     hvec,
     identity,
@@ -212,6 +213,13 @@ def test_hvec_is_isometric(d, seed):
     x, y = rand_herm(rng, d), rand_herm(rng, d)
     assert hvec(x) @ hvec(y) == pytest.approx(trace_pair(x, y), abs=1e-10)
     assert np.allclose(hunvec_matrix(hvec(x), d).entries, x.entries)
+    # stacks along leading axes map entry by entry
+    stack = np.stack([[x.entries, y.entries], [y.entries, x.entries]])
+    vecs = hvec(stack)
+    assert vecs.shape == (2, 2, d * d)
+    assert np.array_equal(vecs[0, 0], hvec(x)) and np.array_equal(vecs[1, 0], hvec(y))
+    hx, hy = hunvec(hvec(x), d), hunvec(hvec(y), d)
+    assert np.array_equal(hunvec(vecs, d), np.array([[hx, hy], [hy, hx]]))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])

@@ -9,6 +9,7 @@ from gnorm.errors import EmptySectionError, ValidationError
 from gnorm.hermitian import (
     herm,
     hunvec_matrix,
+    hvec,
     identity,
     outer,
     partial_trace,
@@ -28,6 +29,7 @@ from gnorm.sections import (
     generalized_section,
     id_tensor_section,
     interior_element,
+    _kron_columns,
     povm_section,
     section_from_descriptor,
     section_to_descriptor,
@@ -71,21 +73,65 @@ def test_orthonormalization_keeps_span_dims():
         (channels_section(a, b), (a * b) ** 2 - a * a + 1)
         for a in range(2, 5) for b in range(2, 5)
     ]
-    cases += [
-        (comb_section((2, 2, 2, 2)), 205),
-        (comb_section((2, 3, 2, 3)), 1185),
-        (povm_section(channels_section(2, 2), 3), 36),
-        (id_tensor_section(channels_section(2, 2), 2), 13),
-        (dual_section(comb_section((2, 2, 2, 2))), 52),
-    ]
     # the fourth column is a combination of the first two and must be dropped
     e = [herm(np.diag(v)) for v in np.eye(3)]
     sym = herm(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    cases.append((custom_section(e + [e[0] + 2.0 * e[1], sym], identity(3)), 4))
+    custom = custom_section(e + [e[0] + 2.0 * e[1], sym], identity(3))
+    cases += [
+        (comb_section((2, 2, 2, 2)), 205),
+        (comb_section((2, 3, 2, 3)), 1185),
+        (comb_section((3, 2, 2)), 117),
+        (povm_section(channels_section(2, 2), 3), 36),
+        (povm_section(states_section(3), 2), 10),
+        (id_tensor_section(channels_section(2, 2), 2), 13),
+        (id_tensor_section(channels_section(2, 2), 3), 13),
+        (dual_section(comb_section((2, 2, 2, 2))), 52),
+        (custom, 4),
+        (generalized_section(custom, 1), 6),
+    ]
     for sec, dim in cases:
         assert sec.span_dim == dim, sec.label
         m = sec.span_matrix()
         assert np.max(np.abs(m.T @ m - np.eye(dim))) <= 1e-12, sec.label
+    # Independent membership check of generalized sections: every span
+    # element X has Tr_K X in (dual span)^T, and the dimension is that of
+    # the whole set {X : Tr_K X in (dual span)^T}.
+    for base, dk in (
+        (states_section(2), 3),
+        (comb_section((2, 2, 2)), 2),
+        (channels_section(3, 2), 2),
+        (custom, 1),
+        (dual_section(channels_section(2, 2)), 2),
+    ):
+        sec = generalized_section(base, dk)
+        dual = dual_section(base).span_matrix()
+        h = base.ambient_dim
+        assert sec.span_dim == (dk * dk - 1) * h * h + dual.shape[1], sec.label
+        for j in sec.span_basis:
+            v = hvec(transpose_in_basis(partial_trace(j, 0)))
+            assert np.linalg.norm(v - dual @ (dual.T @ v)) <= 1e-12, sec.label
+
+
+@pytest.mark.parametrize(
+    "d_left,n_left,d_right,n_right", [(2, 3, 3, 2), (3, 9, 2, 4), (1, 0, 2, 3)]
+)
+def test_kron_columns_match_materialized_tensors(d_left, n_left, d_right, n_right):
+    rng = np.random.default_rng(d_left + 10 * n_left)
+    left = rng.normal(size=(d_left**2, n_left))
+    right = rng.normal(size=(d_right**2, n_right))
+    got = _kron_columns(left, d_left, right, d_right)
+    want = np.zeros(((d_left * d_right) ** 2, n_left * n_right))
+    for i in range(n_left):
+        for j in range(n_right):
+            want[:, i * n_right + j] = hvec(
+                tensor(hunvec_matrix(left[:, i], d_left), hunvec_matrix(right[:, j], d_right))
+            )
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+    # orthonormal inputs give orthonormal products, with no factorization
+    ql, qr = np.linalg.qr(left)[0], np.linalg.qr(right)[0]
+    m = _kron_columns(ql, d_left, qr, d_right)
+    assert np.max(np.abs(m.T @ m - np.eye(m.shape[1])), initial=0.0) <= 1e-12
 
 
 def test_span_columns_are_the_only_stored_span():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rand_herm
 from gnorm import solver
-from gnorm.errors import ShapeError, SolverError
+from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import herm, hvec, identity, op_norm, trace_norm
 from gnorm.norms import majorant_program
 from gnorm.sections import channels_section, comb_section
@@ -121,6 +121,31 @@ def test_max_iter_status():
     assert sol.dual_value <= sol.primal_value + max(1e-9, 10 * abs(sol.gap) * (
         1 + abs(sol.primal_value) + abs(sol.dual_value)
     ))
+
+
+def test_max_iter_below_one_rejected():
+    program = trace_norm_program(rand_herm(np.random.default_rng(46), 2))
+    for max_iter in (0, -3):
+        with pytest.raises(DomainError):
+            solve(program, max_iter=max_iter)
+
+
+def test_non_finite_program_data_rejected():
+    dense = trace_norm_program(rand_herm(np.random.default_rng(47), 2))
+    majorant = majorant_program(channels_section(2, 2), 1)
+    builders = (
+        (lambda c, a, b: ConeProgram(dense.blocks, c, a, b),
+         (dense.objective, dense.eq_matrix, dense.eq_rhs)),
+        (lambda lift, c, b: MajorantProgram((lift,), c, b),
+         (majorant.lifts[0], majorant.objective, majorant.eq_rhs)),
+    )
+    for build, parts in builders:
+        for i in range(3):
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = [p.copy() for p in parts]
+                broken[i].flat[1] = bad
+                with pytest.raises(ShapeError):
+                    build(*broken)
 
 
 def test_inconsistent_rows_detected_infeasible():
