@@ -175,21 +175,6 @@ def kraus_from_json(obj) -> KrausMap:
     return KrausMap(tuple(ops))
 
 
-def choi_to_json(x: ChoiMatrix) -> dict:
-    from .hermitian import matrix_to_json
-
-    return matrix_to_json(x.matrix)
-
-
-def choi_from_json(obj, strict: bool = False) -> ChoiMatrix:
-    from .hermitian import matrix_from_json
-
-    m = matrix_from_json(obj, strict)
-    if len(m.subsystem_dims) != 2:
-        raise ShapeError("Choi JSON needs 'dims' of length 2 (output, input)")
-    return ChoiMatrix(m)
-
-
 def kraus_channel(operators) -> ChoiMatrix:
     """Convenience: Choi matrix straight from a list of Kraus operators."""
     return choi_of_kraus(KrausMap(tuple(np.asarray(v, dtype=complex) for v in operators)))

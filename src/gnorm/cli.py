@@ -361,6 +361,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "tol") and args.tol is None:
             args.tol = _default_tol()
+        if getattr(args, "max_iter", 1) < 1:
+            raise DomainError(f"max_iter must be at least 1, got {args.max_iter}")
         return args.fn(args)
     except (ShapeError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -47,12 +47,11 @@ from .hermitian import (
     transpose_in_basis,
     zeros,
 )
-from .norms import DEFAULT_NORM_TOL, NormResult, base_norm, base_norm_psd, majorant_program
+from .norms import DEFAULT_NORM_TOL, NormResult, base_norm, majorant_program, transposed_norm
 from .sections import (
     Section,
     contains,
     dual_section,
-    id_tensor_section,
     section_from_descriptor,
     section_to_descriptor,
     states_section,
@@ -266,8 +265,9 @@ def max_payoff(
     Classical problems solve the block-collapsed program
     min { Tr(q n) : q in span, q >= xi_d for all d } whose equality
     multipliers are directly the optimal effects; quantum problems maximize
-    the linear payoff functional over the dual of {I (x) b : b in section}
-    and read the optimal Choi matrix off the maximizer.
+    Tr(xi Y) over PSD Y whose marginal Tr_D Y pairs with the span like the
+    normalizer does (the transposed certificate program) and read the
+    optimal Choi matrix off the maximizer Y.
     """
     section = experiment.section
     _require_unrestricted(section, "max_payoff")
@@ -298,20 +298,13 @@ def max_payoff(
 
     xi = build_xi(experiment, problem)
     n_d = problem.n_outcomes
-    wrapped = _id_tensor(section, n_d)
-    norm = base_norm_psd(wrapped, xi, tol=tol, max_iter=max_iter)
-    y_star = norm.dual_witness[0]
-    choi = transpose_in_basis(y_star).with_dims((n_d,) + section.dims_tuple())
+    dims = (n_d,) + section.dims_tuple()
+    norm = transposed_norm(
+        majorant_program(section, 0, lifted=n_d), xi, dims, tol, max_iter,
+        "max_payoff (quantum)",
+    )
+    choi = transpose_in_basis(norm.dual_witness[0]).with_dims(dims)
     return PayoffResult(norm.value, norm, choi, None)
-
-
-def _id_tensor(section: Section, n_d: int) -> Section:
-    key = ("id_tensor", n_d)
-    got = section._cache.get(key)
-    if got is None:
-        got = id_tensor_section(section, n_d)
-        section._cache[key] = got
-    return got
 
 
 def povm_to_choi(povm: GeneralizedPOVM) -> HermitianMatrix:

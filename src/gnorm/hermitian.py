@@ -281,12 +281,6 @@ def pinv(x: HermitianMatrix, tol: float = 1e-9) -> HermitianMatrix:
     return HermitianMatrix((u * inv) @ u.conj().T, x.subsystem_dims)
 
 
-def conjugate(a: HermitianMatrix, m: np.ndarray | HermitianMatrix) -> HermitianMatrix:
-    """m a m^* for a (possibly rectangular) complex matrix m."""
-    mm = m.entries if isinstance(m, HermitianMatrix) else np.asarray(m, dtype=complex)
-    return HermitianMatrix(mm @ a.entries @ mm.conj().T)
-
-
 # -- tensor algebra ----------------------------------------------------------
 
 

@@ -201,22 +201,47 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
     return got
 
 
-def _psd_norm_program(section: Section) -> solver.ConeProgram:
-    got = section._cache.get("prog_psd_norm")
-    if got is None:
-        d = section.ambient_dim
-        m_span = section.span_matrix()
-        rhs = section.span_coords(section.normalizer)
-        blocks = (solver.Block(d, solver.PSD),)
-        got = solver.ConeProgram(
-            blocks,
-            np.zeros(d * d),
-            m_span.T,
-            rhs,
-            f"linear functional over dual of {section.label}",
-        )
-        section._cache["prog_psd_norm"] = got
-    return got
+def transposed_norm(
+    family: solver.MajorantProgram, a: HermitianMatrix, dims, tol, max_iter, context,
+    lift=lambda m: m,
+) -> NormResult:
+    """sup Tr(a Y) over {Y >= 0 : L^T Y = c_s} = inf c_s . s over {L s >= a},
+    for PSD ``a`` and a one-lift ``family``, by one solve of its transposed
+    form.  ``a`` is solved at unit Frobenius norm; ``lift`` maps the
+    witnesses (Y, 0) and L s to the caller's space."""
+    scale = frobenius_norm(a) or 1.0
+    program = family.with_rhs(hvec(a / scale)).transposed()
+    sol = solver.require_optimal(solver.solve(program, tol=tol, max_iter=max_iter), context)
+    y = herm(sol.primal_point[0], dims)
+    s = -sol.dual_vector / math.sqrt(family.sigma)
+    q = hunvec_matrix(family.lifts[0] @ s, a.dim, dims) * scale
+    sup_side = -sol.primal_value * scale
+    inf_side = -sol.dual_value * scale
+    zero = herm(np.zeros_like(y.entries), dims)
+    return NormResult(
+        max(0.0, 0.5 * (sup_side + inf_side)), inf_side, sup_side,
+        abs(sup_side - inf_side), "conic",
+        lift(q), (lift(y), lift(zero)),
+        sol.status, sol.iterations,
+    )
+
+
+def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: bool):
+    """What base_norm and base_norm_psd share before a solve: compress x, then
+    answer +inf off the carrier, zero input and the closed forms.  Returns
+    (result, None) when answered, else (None, compressed x)."""
+    xc = section.compress(x)
+    if xc is None:
+        return _infinite_result(), None
+    if psd and not psd_check(xc, 1e-8):
+        raise DomainError("base_norm_psd needs a PSD input")
+    if frobenius_norm(xc) == 0.0:
+        return _zero_result(section), None
+    if prefer_closed and section.span_dim == section.ambient_dim ** 2:
+        return _full_slice_norm(section, xc), None
+    if prefer_closed and section.span_dim == 1:
+        return _singleton_norm(section, xc), None
+    return None, xc
 
 
 def base_norm(
@@ -234,17 +259,10 @@ def base_norm(
     dual optimizers.  +inf is returned (not raised) when x is not supported
     on a restricted section's carrier subspace.
     """
-    xc = section.compress(x)
-    if xc is None:
-        return _infinite_result()
+    done, xc = _front_half(section, x, prefer_closed, psd=False)
+    if done is not None:
+        return done
     scale = frobenius_norm(xc)
-    if scale == 0.0:
-        return _zero_result(section)
-    if prefer_closed and section.span_dim == section.ambient_dim ** 2:
-        return _full_slice_norm(section, xc)
-    if prefer_closed and section.span_dim == 1:
-        return _singleton_norm(section, xc)
-
     xn = xc / scale
     program = majorant_program(section, 2).with_rhs(np.concatenate([hvec(xn), -hvec(xn)]))
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
@@ -287,33 +305,10 @@ def base_norm_psd(
     side inf Tr(q n) over members' cone {q in J : q >= a} reproduces the
     max-relative-entropy form of the same value.
     """
-    ac = section.compress(a)
-    if ac is None:
-        return _infinite_result()
-    if not psd_check(ac, 1e-8):
-        raise DomainError("base_norm_psd needs a PSD input")
-    scale = frobenius_norm(ac)
-    if scale == 0.0:
-        return _zero_result(section)
-    if prefer_closed and section.span_dim == section.ambient_dim ** 2:
-        return _full_slice_norm(section, ac)
-    if prefer_closed and section.span_dim == 1:
-        return _singleton_norm(section, ac)
-
-    an = ac / scale
-    program = _psd_norm_program(section).with_objective(-hvec(an))
-    sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    solver.require_optimal(sol, f"base_norm_psd over {section.label}")
-    y = herm(sol.primal_point[0], section.subsystem_dims)
-    q = section.from_span_coords(-sol.dual_vector) * scale
-    sup_side = -sol.primal_value * scale
-    inf_side = -sol.dual_value * scale
-    zero = herm(np.zeros_like(y.entries), section.subsystem_dims)
-    return NormResult(
-        max(0.0, 0.5 * (sup_side + inf_side)), inf_side, sup_side,
-        abs(sup_side - inf_side), "conic",
-        section.lift(q), (section.lift(y), section.lift(zero)),
-        sol.status, sol.iterations,
+    done, ac = _front_half(section, a, prefer_closed, psd=True)
+    return done or transposed_norm(
+        majorant_program(section, 1), ac, section.subsystem_dims, tol, max_iter,
+        f"base_norm_psd over {section.label}", section.lift,
     )
 
 

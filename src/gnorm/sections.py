@@ -196,11 +196,12 @@ def _columns(mats) -> np.ndarray:
     return np.column_stack([hvec(m) for m in mats])
 
 
-def _orthonormalize_columns(cols: np.ndarray, drop_tol: float = DEPENDENT_DROP_TOL) -> np.ndarray:
+def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span by one thresholded SVD: directions
-    with singular value at most drop_tol * max(1, largest) are dropped."""
+    with singular value at most DEPENDENT_DROP_TOL * max(1, largest) are
+    dropped."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > drop_tol * max(1.0, float(s[0]))]
+    return u[:, s > DEPENDENT_DROP_TOL * max(1.0, float(s[0]))]
 
 
 def _kron_columns(left: np.ndarray, d_left: int, right: np.ndarray, d_right: int) -> np.ndarray:
@@ -244,68 +245,66 @@ def full_hermitian_basis(dim: int, subsystem_dims=()) -> tuple[HermitianMatrix, 
 # -- interior points ----------------------------------------------------------
 
 
-def _interior_program(m_span: np.ndarray, normalizer: HermitianMatrix):
-    """max t  s.t.  b = sum_i s_i J_i,  Tr(b n) = 1,  b - t I >= 0."""
+def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
+    """The slice's affine hull {M s : p . s = 1}, p = M^T hvec(n), as
+    M s0 + range(M N): s0 = p / |p|^2, and N (orthonormal, k x (k-1)) is the
+    last k - 1 columns of the Householder reflection taking p onto e_1.
+    Returns (M s0, M N).  Raises EmptySectionError when p = 0: then no span
+    element pairs to one with the normalizer."""
+    p = span_cols.T @ hvec(normalizer)
+    norm_p = float(np.linalg.norm(p))
+    if norm_p <= DEPENDENT_DROP_TOL * frobenius_norm(normalizer):
+        raise EmptySectionError("empty slice: the whole span pairs to zero with the normalizer")
+    v = p.copy()
+    v[0] += math.copysign(norm_p, p[0])
+    m_n = span_cols[:, 1:] - np.outer(span_cols @ v, v[1:] * (2.0 / float(v @ v)))
+    return span_cols @ (p / norm_p**2), m_n
+
+
+def _solve_interior(span_cols, normalizer, tol=1e-8):
+    """max t  s.t.  b in the slice,  b - t I >= 0,  with b = M s0 + M N u.
+
+    Split hvec(I) = M N g + rho with rho orthogonal to M N (rho != 0 since
+    Tr n > 0); in u' = u - t g the rows read b - t I = [M N, -rho/|rho|]
+    (u', t |rho|) + M s0, a majorant program with one orthonormal lift.
+    """
     d = normalizer.dim
-    n_h = d * d
-    k = m_span.shape[1]
-    a = np.zeros((n_h + 1, n_h + k + 1))
-    a[:n_h, :n_h] = np.eye(n_h)
-    a[:n_h, n_h : n_h + k] = -m_span
-    a[:n_h, n_h + k] = hvec(identity(d))
-    a[n_h, n_h : n_h + k] = m_span.T @ hvec(normalizer)
-    b = np.zeros(n_h + 1)
-    b[n_h] = 1.0
-    c = np.zeros(n_h + k + 1)
-    c[n_h + k] = -1.0
-    blocks = (solver.Block(d, solver.PSD), solver.Block(k, solver.FREE), solver.Block(1, solver.FREE))
-    return solver.ConeProgram(blocks, c, a, b, "interior point (max min-eigenvalue)")
-
-
-def _solve_interior(m_span, normalizer, tol=1e-8, max_iter=solver.DEFAULT_MAX_ITER):
-    program = _interior_program(m_span, normalizer)
-    sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    if sol.status == "infeasible":
-        raise EmptySectionError(
-            f"no PSD element on the affine slice (solver status {sol.status})"
-        )
-    coeffs = sol.primal_point[1]
-    t_star = float(sol.primal_point[2][0])
-    b_star = hunvec_matrix(m_span @ coeffs, normalizer.dim)
+    m_s0, m_n = _pairing_complement(span_cols, normalizer)
+    eye = hvec(identity(d))
+    g = m_n.T @ eye
+    rho = eye - m_n @ g
+    norm_rho = float(np.linalg.norm(rho))
+    lift = np.column_stack([m_n, -rho / norm_rho])
+    c = np.zeros(d * d + lift.shape[1])
+    c[-1] = -1.0 / norm_rho
+    program = solver.MajorantProgram((lift,), c, -m_s0, "interior point (max min-eigenvalue)")
+    sol = solver.solve(program, tol=tol)
+    z = sol.primal_point[1]
+    t_star = float(z[-1]) / norm_rho
+    b_star = hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
     return t_star, b_star, sol
 
 
-def _recession_direction_exists(m_span, normalizer, tol=1e-7) -> bool:
+def _recession_direction_exists(span_cols, normalizer) -> bool:
     """Whether the slice has a nonzero PSD recession direction.
 
-    Solves max Tr(y) over y in the span with y PSD, y <= I and
-    Tr(y normalizer) = 0; a positive optimum means the slice is unbounded
-    (only possible when the normalizer is singular).
+    Solves max Tr(y) over the span elements y = M N u pairing to zero with
+    the normalizer, with y PSD and y <= I; a positive optimum means the slice
+    is unbounded (only possible when the normalizer is singular).
     """
-    d = normalizer.dim
-    n_h = d * d
-    k = m_span.shape[1]
-    pair_n = m_span.T @ hvec(normalizer)
-    pair_i = m_span.T @ hvec(identity(d))
-    a = np.zeros((2 * n_h + 1, 2 * n_h + k))
-    a[:n_h, :n_h] = np.eye(n_h)
-    a[:n_h, 2 * n_h :] = -m_span
-    a[n_h : 2 * n_h, n_h : 2 * n_h] = np.eye(n_h)
-    a[n_h : 2 * n_h, 2 * n_h :] = m_span
-    a[2 * n_h, 2 * n_h :] = pair_n
-    b = np.zeros(2 * n_h + 1)
-    b[n_h : 2 * n_h] = hvec(identity(d))
-    c = np.zeros(2 * n_h + k)
-    c[2 * n_h :] = -pair_i
-    blocks = (
-        solver.Block(d, solver.PSD),
-        solver.Block(d, solver.PSD),
-        solver.Block(k, solver.FREE),
+    _, m_n = _pairing_complement(span_cols, normalizer)
+    if m_n.shape[1] == 0:
+        return False
+    eye = hvec(identity(normalizer.dim))
+    program = solver.MajorantProgram(
+        (m_n, -m_n),
+        np.concatenate([np.zeros(2 * eye.size), -(m_n.T @ eye)]),
+        np.concatenate([np.zeros(eye.size), -eye]),
+        "recession direction search",
     )
-    program = solver.ConeProgram(blocks, c, a, b, "recession direction search")
     sol = solver.solve(program, tol=1e-8)
     solver.require_optimal(sol, "recession direction search")
-    return -sol.primal_value > tol
+    return -sol.primal_value > 1e-7
 
 
 def interior_element(section: Section, tol: float = 1e-8) -> HermitianMatrix:
@@ -315,8 +314,7 @@ def interior_element(section: Section, tol: float = 1e-8) -> HermitianMatrix:
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
     _, b_star, sol = _solve_interior(section.span_matrix(), section.normalizer, tol=tol)
-    if sol.status != "optimal":
-        solver.require_optimal(sol, "interior_element")
+    solver.require_optimal(sol, "interior_element")
     return section.lift(b_star.with_dims(section.subsystem_dims))
 
 
@@ -332,13 +330,12 @@ def _make_section(
     descriptor: dict | None = None,
     embedding: np.ndarray | None = None,
     original_subsystem_dims=(),
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> Section:
     """Section with the span of the orthonormal hvec columns ``span_cols``."""
     dim = normalizer.dim
     if span_cols.shape[1] == 0:
         raise EmptySectionError(f"section {label!r} has an empty span")
-    if not psd_check(normalizer, membership_tol):
+    if not psd_check(normalizer, DEFAULT_MEMBERSHIP_TOL):
         raise ValidationError(f"normalizer of section {label!r} is not PSD")
     w_n = eig(normalizer).eigenvalues
     if w_n[-1] <= FAITHFUL_EIG_TOL * max(1.0, float(w_n[0])):
@@ -355,8 +352,9 @@ def _make_section(
         cand = interior_hint
         w = eig(cand).eigenvalues
         member_ok = (
-            abs(trace_pair(cand, normalizer) - 1.0) <= 10 * membership_tol
-            and _span_residual(span_cols, cand) <= 10 * membership_tol * (1 + frobenius_norm(cand))
+            abs(trace_pair(cand, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
+            and _span_residual(span_cols, cand)
+            <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(cand))
         )
         if member_ok and w[-1] > FAITHFUL_EIG_TOL * max(1.0, w[0]):
             interior = cand
@@ -398,7 +396,6 @@ def _make_section(
                 embedding=comp,
                 original_subsystem_dims=tuple(original_subsystem_dims)
                 or tuple(subsystem_dims),
-                membership_tol=membership_tol,
             )
 
     # A contiguous copy: a column slice of an SVD factor would keep the whole

@@ -214,6 +214,13 @@ def test_exit_code_max_iter_below_one(tmp_path):
     proc = run_cli("norm", sec, mat, "--max-iter", "0")
     assert proc.returncode == 1
     assert "max_iter" in proc.stderr
+    # rejected before any computation, also where a closed form needs no solve
+    states = write_json(tmp_path / "states.json", {"kind": "states", "dims": [2]})
+    diag = write_json(tmp_path / "diag.json", matrix_to_json(herm(np.diag([1.0, -1.0]))))
+    for value in ("0", "-5"):
+        proc = run_cli("norm", states, diag, "--max-iter", value)
+        assert proc.returncode == 1
+        assert "max_iter" in proc.stderr and proc.stdout == ""
 
 
 def test_certify_honours_max_iter(tmp_path):

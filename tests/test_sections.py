@@ -391,6 +391,18 @@ def test_interior_element_positive_definite_on_customs():
     assert np.linalg.eigvalsh(b.entries)[0] > 0
 
 
+def test_interior_element_is_scaled_identity_when_span_holds_it():
+    # lambda_min(X) <= Tr(X n) / Tr n = 1 / Tr n on the slice, with equality
+    # only at I / Tr n: the closed form whenever I is in the span
+    rng = np.random.default_rng(11)
+    for d in range(2, 6):
+        normalizer = rand_psd(rng, d) + 0.1 * identity(d)
+        sec = custom_section([identity(d)] + [rand_herm(rng, d) for _ in range(d)], normalizer)
+        b = interior_element(sec)
+        expected = np.eye(d) / np.trace(normalizer.entries).real
+        assert np.max(np.abs(b.entries - expected)) <= 1e-6
+
+
 def test_custom_auto_restriction():
     # Span touches only the upper-left 2x2 block: every member is supported
     # there, so the section compresses and flags itself.
@@ -408,6 +420,10 @@ def test_custom_auto_restriction():
 def test_empty_section_raises():
     with pytest.raises(EmptySectionError):
         custom_section([herm(np.diag([1.0, -1.0]))], herm(np.diag([1.0, 0.0])))
+    # every span element pairs to zero with the normalizer: an empty slice,
+    # not an unbounded one
+    with pytest.raises(EmptySectionError):
+        custom_section([herm(np.diag([0.0, 1.0]))], herm(np.diag([1.0, 0.0])))
 
 
 def test_unbounded_slice_rejected():

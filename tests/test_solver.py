@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_herm
 from gnorm import solver
 from gnorm.errors import DomainError, ShapeError, SolverError
-from gnorm.hermitian import herm, hvec, identity, op_norm, trace_norm
+from gnorm.hermitian import herm, hunvec, hvec, identity, op_norm, trace_norm
 from gnorm.norms import majorant_program
 from gnorm.sections import channels_section, comb_section
 from gnorm.solver import (
@@ -246,6 +246,33 @@ def test_majorant_solve_matches_dense_copy():
         assert sol.iterations == ref.iterations
         assert abs(sol.primal_value - ref.primal_value) <= 1e-9
         assert abs(sol.dual_value - ref.dual_value) <= 1e-9
+
+
+def test_transposed_program_matches_majorant():
+    rng = np.random.default_rng(51)
+    ch = channels_section(2, 2)
+    for copies, lifted in ((1, 0), (0, 2)):
+        family = majorant_program(ch, copies, lifted)
+        d = (lifted or 1) * ch.ambient_dim
+        b = hvec(rand_herm(rng, d))
+        program = family.with_rhs(b)
+        transposed = program.transposed()
+        a = transposed.eq_matrix
+        assert np.max(np.abs(a @ a.T - np.eye(a.shape[0]))) <= 1e-12
+        # the dense rows are built once per program family
+        assert family.with_rhs(-b).transposed().eq_matrix is a
+        ref = solve(program, tol=1e-8)
+        sol = solve(transposed, tol=1e-8)
+        assert ref.status == sol.status == "optimal"
+        assert abs(sol.primal_value + ref.primal_value) <= 1e-8 * (1 + 2 * abs(ref.primal_value))
+        assert np.linalg.eigvalsh(sol.primal_point[0])[0] >= -1e-9
+        # the multiplier is the majorant point: L s >= b at the optimal value
+        s = -sol.dual_vector / np.sqrt(family.sigma)
+        assert abs(family.objective[d * d :] @ s - ref.primal_value) <= 1e-6
+        assert np.linalg.eigvalsh(hunvec(family.lifts[0] @ s - b, d))[0] >= -1e-6
+        # the dual over the PSD blocks alone needs no objective on them
+        with pytest.raises(ShapeError):
+            program.with_objective(np.ones(program.total_dim)).transposed()
 
 
 def test_majorant_rejects_bad_lifts():
