@@ -27,6 +27,21 @@ the penalty cost nothing.  Dual variables for the equality constraints are
 recovered from the first-order conditions of the affine step; the cone-side
 scaled dual ``w`` furnishes an exactly dual-cone-feasible slack s = -rho w.
 
+Acceleration: one ADMM step is a fixed-point map T: u = (v, w) -> (v+, w+),
+and the iteration is safeguarded type-II Anderson acceleration of T
+(Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020).  From the last
+``ANDERSON_MEMORY`` differences of g = u - T(u) and of T(u) it extrapolates
+the next point T(u) - dF^T gamma; a fit whose weights exceed
+``ANDERSON_MAX_WEIGHT`` is skipped.  The safeguard evaluates T at that
+point, which is the next iteration's step anyway: the point stands if its
+|g| is no larger than the previous one, and otherwise the memory is
+cleared and the iteration steps from the plain T(u) instead, the only case
+that costs an extra step (``ConeSolution.rejected`` counts them).  Every
+penalty change clears the memory too, since T depends on the penalty.
+Residual checks, the best iterate and the returned point are always the
+plain image T(u), never an extrapolated point: its PSD blocks are exact
+cone projections and s = -rho w stays in the dual cone.
+
 Stopping: mixed absolute/relative primal residual, dual residual and duality
 gap all below the requested tolerance.  Inconsistent affine rows are reported
 as infeasible before the loop; residuals that stop improving walk the penalty
@@ -58,6 +73,9 @@ STAGNATION_WINDOW = 5000
 PLATEAU_WINDOW = 1200
 CHECK_EVERY = 25
 RHO_ADAPT_EVERY = 100
+ANDERSON_MEMORY = 10
+ANDERSON_MAX_WEIGHT = 1e4
+ANDERSON_REGULARIZATION = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +261,9 @@ class ConeSolution:
     primal_residual: float
     dual_residual: float
     gap: float
-    iterations: int
+    iterations: int  # iterations run (each one ADMM step)
+    best_iteration: int  # the iteration of the returned iterate
+    rejected: int  # safeguard rejections, each one extra ADMM step
 
     @property
     def max_residual(self) -> float:
@@ -375,6 +395,77 @@ def _project_cone(z: np.ndarray, blocks, slices) -> np.ndarray:
     return out
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map T
+    (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020).
+
+    The memory holds the last ``ANDERSON_MEMORY`` differences of the
+    residual g = u - T(u) and of the image T(u) in fixed ring arrays, and
+    their Gram matrix, updated with one product per point.  Differences
+    taken under different maps never mix: a new ``key`` clears the memory.
+    """
+
+    def __init__(self, dim: int):
+        self.dg = np.zeros((ANDERSON_MEMORY, dim))
+        self.df = np.zeros((ANDERSON_MEMORY, dim))
+        self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.key = None
+        self.rejected = 0
+        self.clear()
+
+    def clear(self):
+        self.size = 0  # stored difference pairs
+        self.slot = 0  # ring slot written next
+        self.base = None  # (g, T(u)) at the current point, where the next differences start
+        self.fallback = None  # (T(u), |g|) at the previous point, while u is extrapolated
+
+    def next_point(self, g: np.ndarray, f: np.ndarray, key) -> np.ndarray:
+        """Record the current point's residual ``g`` and image ``f`` under
+        the map named by ``key``, and return the next point: the
+        extrapolation f - dF^T gamma, with gamma the regularized
+        least-squares fit of g by the residual differences, or ``f`` itself
+        when there is no candidate or its weights exceed
+        ``ANDERSON_MAX_WEIGHT``."""
+        if key != self.key:
+            self.clear()
+            self.key = key
+        if self.base is not None:
+            j = self.slot
+            np.subtract(g, self.base[0], out=self.dg[j])
+            np.subtract(f, self.base[1], out=self.df[j])
+            self.size = min(self.size + 1, ANDERSON_MEMORY)
+            self.slot = (j + 1) % ANDERSON_MEMORY
+            col = self.dg[: self.size] @ self.dg[j]
+            self.gram[j, : self.size] = col
+            self.gram[: self.size, j] = col
+        self.base = (g, f)
+        k = self.size
+        if k == 0:
+            return f
+        gram = self.gram[:k, :k].copy()
+        reg = ANDERSON_REGULARIZATION * float(gram.trace())
+        if not reg > 0.0:
+            return f
+        gram.flat[:: k + 1] += reg
+        gamma = np.linalg.solve(gram, self.dg[:k] @ g)
+        if not float(gamma @ gamma) <= ANDERSON_MAX_WEIGHT**2:
+            return f
+        self.fallback = (f, math.sqrt(g @ g))
+        return f - gamma @ self.df[:k]
+
+    def safeguard(self, g: np.ndarray) -> np.ndarray | None:
+        """Judge the current point by its residual ``g``.  None if it stands
+        (it was not extrapolated, or |g| did not grow); otherwise the
+        memory is cleared and T at the previous point, the point to step
+        from instead, is returned."""
+        fallback, self.fallback = self.fallback, None
+        if fallback is None or math.sqrt(g @ g) <= fallback[1]:
+            return None
+        self.rejected += 1
+        self.clear()
+        return fallback[0]
+
+
 def project_psd(x: HermitianMatrix) -> HermitianMatrix:
     """Euclidean projection onto the PSD cone (the positive part x_+)."""
     w, u = np.linalg.eigh(x.entries)
@@ -415,11 +506,22 @@ def solve(
         return ConeSolution(
             "infeasible", np.nan, np.nan, _split(np.zeros(n), program.blocks, slices),
             np.zeros(m), _split(np.zeros(n), program.blocks, slices),
-            np.inf, np.inf, np.inf, 0,
+            np.inf, np.inf, np.inf, 0, 0, 0,
         )
 
-    v = np.zeros(n)
-    w = np.zeros(n)
+    def step(u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """One over-relaxed ADMM step: T(u) for u = (v, w), and the
+        multiplier of its affine projection."""
+        v, w = u[:n], u[n:]
+        z, mult = rows.project(v - w - c / rho, b)
+        shifted = OVER_RELAXATION * z + (1.0 - OVER_RELAXATION) * v + w
+        out = np.empty(2 * n)
+        out[:n] = _project_cone(shifted, program.blocks, slices)
+        np.subtract(shifted, out[:n], out=out[n:])
+        return out, mult
+
+    u = np.zeros(2 * n)
+    accel = _Anderson(2 * n)
     rho = 1.0
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + float(np.linalg.norm(c))
@@ -434,10 +536,16 @@ def solve(
     it = 0
 
     for it in range(1, max_iter + 1):
-        z, mult = rows.project(v - w - c / rho, b)
-        zhat = OVER_RELAXATION * z + (1.0 - OVER_RELAXATION) * v
-        v = _project_cone(zhat + w, program.blocks, slices)
-        w = w + zhat - v
+        f, mult = step(u, rho)
+        g = u - f
+        back = accel.safeguard(g)
+        if back is not None:
+            u = back
+            f, mult = step(u, rho)
+            g = u - f
+        # Checks and the best iterate read the plain image T(u), never an
+        # extrapolated point: v is in the cone and s = -rho w in its dual.
+        v, w = f[:n], f[n:]
 
         if it % CHECK_EVERY == 0 or it == max_iter:
             y = -rho * mult
@@ -463,14 +571,11 @@ def solve(
             # the penalty is off; rescaling it (and the scaled dual w with it)
             # does not touch the affine projection.
             if it % RHO_ADAPT_EVERY == 0 and it - last_rho_change >= 200:
+                new_rho = rho
                 if dres > 10.0 * pres and rho > 1e-4:
-                    rho /= 2.0
-                    w *= 2.0
-                    last_rho_change = it
+                    new_rho = rho / 2.0
                 elif pres > 10.0 * dres and rho < 1e4:
-                    rho *= 2.0
-                    w /= 2.0
-                    last_rho_change = it
+                    new_rho = rho * 2.0
                 elif (
                     it - max(best_res_iter, last_rho_change) >= PLATEAU_WINDOW
                     and plateau_bumps < 6
@@ -480,11 +585,17 @@ def solve(
                     # Each bump restarts the stagnation window once; the
                     # ladder is finite, so termination stays bounded.
                     new_rho = rho * 4.0 if rho < 1e3 else 1e-2
-                    w *= rho / new_rho
-                    rho = new_rho
-                    last_rho_change = it
                     last_plateau_bump = it
                     plateau_bumps += 1
+                if new_rho != rho:
+                    # w (and the w-part of g = u - T(u)) follows the
+                    # penalty; the new key restarts the acceleration memory.
+                    w *= rho / new_rho
+                    g[n:] *= rho / new_rho
+                    rho = new_rho
+                    last_rho_change = it
+
+        u = accel.next_point(g, f, rho)
 
     v_b, y_b, s_b, pres, dres, gap, pobj, dobj, best_it = best
     return ConeSolution(
@@ -498,6 +609,8 @@ def solve(
         dual_residual=dres,
         gap=gap,
         iterations=it,
+        best_iteration=best_it,
+        rejected=accel.rejected,
     )
 
 
