@@ -290,7 +290,7 @@ def max_payoff(
         value = max(0.0, 0.5 * (primal + dual))
         norm = NormResult(
             value, primal, dual, abs(primal - dual), "conic",
-            q, None, sol.status, sol.iterations,
+            q, None, sol.status, sol.iterations, sol.best_iteration, sol.rejected,
         )
         povm = GeneralizedPOVM(section, tuple(effs), validation_tol=max(1e-5, 100 * tol))
         choi = povm_to_choi(povm)

@@ -320,15 +320,22 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _hvec_layout(d: int) -> tuple[np.ndarray, ...]:
-    """Flat positions of the diagonal, upper and lower triangle of a d x d
-    matrix, and the float-view positions and scales of the hvec coordinates."""
+    """For a d x d matrix: the float-view positions and scales of the hvec
+    coordinates (read by hvec) and, for every float-view entry, the hvec
+    coordinate it is rebuilt from and its coefficient (read by hunvec)."""
     got = _LAYOUT_CACHE.get(d)
     if got is None:
         iu, ju = np.triu_indices(d, k=1)
-        up = iu * d + ju
-        take = np.concatenate([2 * (d + 1) * np.arange(d), 2 * up, 2 * up + 1])
-        scale = np.concatenate([np.ones(d), np.full(2 * up.shape[0], _SQRT2)])
-        got = ((d + 1) * np.arange(d), up, ju * d + iu, take, scale)
+        up, low = 2 * (iu * d + ju), 2 * (ju * d + iu)
+        take = np.concatenate([2 * (d + 1) * np.arange(d), up, up + 1])
+        scale = np.concatenate([np.ones(d), np.full(up.shape[0] * 2, _SQRT2)])
+        src = np.zeros(2 * d * d, dtype=np.intp)
+        coef = np.zeros(2 * d * d)  # the diagonal's imaginary parts stay zero
+        src[take] = np.arange(d * d)
+        coef[take] = 1.0 / scale
+        src[low], src[low + 1] = src[up], src[up + 1]
+        coef[low], coef[low + 1] = coef[up], -coef[up + 1]
+        got = (take, scale, src, coef)
         _LAYOUT_CACHE[d] = got
     return got
 
@@ -342,20 +349,15 @@ def hvec(x: HermitianMatrix | np.ndarray) -> np.ndarray:
     """
     arr = np.ascontiguousarray(x.entries if isinstance(x, HermitianMatrix) else x, dtype=complex)
     d = arr.shape[-1]
-    _, _, _, take, scale = _hvec_layout(d)
-    return arr.reshape(arr.shape[:-2] + (d * d,)).view(float)[..., take] * scale
+    take, scale, _, _ = _hvec_layout(d)
+    return arr.reshape(arr.shape[:-2] + (d * d,)).view(float).take(take, axis=-1) * scale
 
 
 def hunvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hvec` (also on stacks), returning raw complex ndarrays."""
-    diag, up, low, _, _ = _hvec_layout(d)
-    m = up.shape[0]
-    x = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
-    x[..., diag] = v[..., :d]
-    off = (v[..., d : d + m] + 1j * v[..., d + m :]) / _SQRT2
-    x[..., up] = off
-    x[..., low] = off.conj()
-    return x.reshape(v.shape[:-1] + (d, d))
+    """Inverse of :func:`hvec` (also on stacks), returning raw complex ndarrays:
+    one gather of the coordinates into the complex float layout."""
+    _, _, src, coef = _hvec_layout(d)
+    return (v.take(src, axis=-1) * coef).view(complex).reshape(v.shape[:-1] + (d, d))
 
 
 def hunvec_matrix(v: np.ndarray, d: int, dims=()) -> HermitianMatrix:

@@ -74,7 +74,9 @@ class NormResult:
     primal_witness: HermitianMatrix | None = None
     dual_witness: tuple[HermitianMatrix, HermitianMatrix] | None = None
     status: str = "optimal"
-    iterations: int = 0
+    iterations: int = 0  # the solver's last iteration; 0 for closed forms
+    best_iteration: int = 0  # the iteration of the returned iterate
+    rejected: int = 0  # safeguard rejections of the acceleration
 
     @property
     def is_finite(self) -> bool:
@@ -222,7 +224,7 @@ def transposed_norm(
         max(0.0, 0.5 * (sup_side + inf_side)), inf_side, sup_side,
         abs(sup_side - inf_side), "conic",
         lift(q), (lift(y), lift(zero)),
-        sol.status, sol.iterations,
+        sol.status, sol.iterations, sol.best_iteration, sol.rejected,
     )
 
 
@@ -278,7 +280,7 @@ def base_norm(
     return NormResult(
         max(0.0, 0.5 * (primal + dual)), primal, dual, abs(primal - dual), "conic",
         section.lift(q), (section.lift(y1), section.lift(y2)),
-        sol.status, sol.iterations,
+        sol.status, sol.iterations, sol.best_iteration, sol.rejected,
     )
 
 

@@ -252,7 +252,10 @@ class ConeSolution:
     multiplier y and ``dual_slack`` the per-block slack of c - A^T y.
     """
 
-    status: str  # optimal | max_iter | infeasible (inconsistent affine rows)
+    # optimal | max_iter (the iteration cap) | stagnated (no residual
+    # progress for STAGNATION_WINDOW iterations) | infeasible (inconsistent
+    # affine rows)
+    status: str
     primal_value: float
     dual_value: float
     primal_point: tuple
@@ -320,16 +323,20 @@ class _MajorantRows:
     """
 
     def __init__(self, lifts: tuple[np.ndarray, ...]):
-        # Runs of consecutive blocks sharing one lift array: [lift, copies].
+        # Runs of consecutive blocks sharing one lift array: (lift, rows, copies),
+        # with ``rows`` the run's slice of the stacked rows.
         self.runs = []
+        lo = 0
         for m in lifts:
             if self.runs and self.runs[-1][0] is m:
-                self.runs[-1][1] += 1
+                _, rows, copies = self.runs[-1]
+                self.runs[-1] = (m, slice(rows.start, lo + m.shape[0]), copies + 1)
             else:
-                self.runs.append([m, 1])
-        self.n_rows = sum(m.shape[0] for m in lifts)
+                self.runs.append((m, slice(lo, lo + m.shape[0]), 1))
+            lo += m.shape[0]
+        self.n_rows = lo
         k = lifts[0].shape[1]
-        gram = sum(copies * (m.T @ m) for m, copies in self.runs)
+        gram = sum(copies * (m.T @ m) for m, _, copies in self.runs)
         sigma = float(np.trace(gram)) / k
         if not sigma > 0.0 or float(np.max(np.abs(gram - sigma * np.eye(k)))) > 1e-9 * sigma:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
@@ -340,25 +347,23 @@ class _MajorantRows:
         """Always: the -I columns give A full row rank."""
         return True
 
-    def _lift(self, s: np.ndarray) -> np.ndarray:
-        """The stacked L_j s, one product per run."""
-        parts = []
-        for m, copies in self.runs:
-            parts += [m @ s] * copies
-        return np.concatenate(parts)
+    def _lift_minus(self, s: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The stacked L_j s - y_j written into ``out``: one product per run,
+        broadcast over the run's (copies, d^2) view."""
+        for m, rows, copies in self.runs:
+            np.subtract(m @ s, y[rows].reshape(copies, -1), out=out[rows].reshape(copies, -1))
+        return out
 
     def _pull(self, y: np.ndarray) -> np.ndarray:
         """sum_j L_j^T y_j, one product per run."""
-        out, lo = 0.0, 0
-        for m, copies in self.runs:
-            hi = lo + copies * m.shape[0]
-            out = out + m.T @ y[lo:hi].reshape(copies, -1).sum(axis=0)
-            lo = hi
+        out = 0.0
+        for m, rows, copies in self.runs:
+            out = out + m.T @ y[rows].reshape(copies, -1).sum(axis=0)
         return out
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         n = self.n_rows
-        return self._lift(z[n:]) - z[:n]
+        return self._lift_minus(z[n:], z[:n], np.empty(n))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return np.concatenate([-y, self._pull(y)])
@@ -366,9 +371,13 @@ class _MajorantRows:
     def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_rows
         s_t = zeta[n:]
-        s = s_t - self.shrink * self._pull(self._lift(s_t) - zeta[:n] - b)
-        p = self._lift(s) - b
-        return np.concatenate([p, s]), p - zeta[:n]
+        out = np.empty_like(zeta)
+        e = self._lift_minus(s_t, zeta[:n], out[:n])
+        e -= b
+        s = out[n:]
+        np.subtract(s_t, self.shrink * self._pull(e), out=s)
+        p = self._lift_minus(s, b, out[:n])
+        return out, p - zeta[:n]
 
 
 def _rows(program) -> _DenseRows | _MajorantRows:
@@ -381,18 +390,36 @@ def _rows(program) -> _DenseRows | _MajorantRows:
     return cache["rows"]
 
 
-def _project_cone(z: np.ndarray, blocks, slices) -> np.ndarray:
-    out = z.copy()
-    for blk, sl in zip(blocks, slices):
-        if blk.cone != PSD:
-            continue
-        mat = hunvec(z[sl], blk.dim)
-        w, u = np.linalg.eigh(mat)
-        if w[0] >= 0.0:
-            continue
-        pos = np.clip(w, 0.0, None)
-        out[sl] = hvec((u * pos) @ u.conj().T)
-    return out
+def _psd_runs(blocks) -> list[tuple[int, int, int]]:
+    """(start, stop, d) in real coordinates of each run of consecutive PSD
+    blocks of one dimension d."""
+    runs, lo = [], 0
+    for blk in blocks:
+        hi = lo + blk.real_dim
+        if blk.cone == PSD:
+            if runs and runs[-1][1] == lo and runs[-1][2] == blk.dim:
+                runs[-1] = (runs[-1][0], hi, blk.dim)
+            else:
+                runs.append((lo, hi, blk.dim))
+        lo = hi
+    return runs
+
+
+def _positive_part(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and positive parts of hermitian matrices stacked
+    along leading axes: one batched ``eigh`` and one rebuild."""
+    w, u = np.linalg.eigh(mats)
+    return w, (u * np.maximum(w, 0.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def _project_cone(z: np.ndarray, runs) -> None:
+    """Project z onto the cone product in place.  Each run of PSD blocks is
+    projected as one stack; a block without a negative eigenvalue keeps its
+    coordinates."""
+    for lo, hi, d in runs:
+        stack = z[lo:hi].reshape(-1, d * d)
+        w, pos = _positive_part(hunvec(stack, d))
+        np.copyto(stack, hvec(pos), where=w[:, :1] < 0.0)
 
 
 class _Anderson:
@@ -409,6 +436,7 @@ class _Anderson:
         self.dg = np.zeros((ANDERSON_MEMORY, dim))
         self.df = np.zeros((ANDERSON_MEMORY, dim))
         self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.eye = np.eye(ANDERSON_MEMORY)
         self.key = None
         self.rejected = 0
         self.clear()
@@ -419,9 +447,9 @@ class _Anderson:
         self.base = None  # (g, T(u)) at the current point, where the next differences start
         self.fallback = None  # (T(u), |g|) at the previous point, while u is extrapolated
 
-    def next_point(self, g: np.ndarray, f: np.ndarray, key) -> np.ndarray:
-        """Record the current point's residual ``g`` and image ``f`` under
-        the map named by ``key``, and return the next point: the
+    def next_point(self, g: np.ndarray, f: np.ndarray, key, g_norm: float) -> np.ndarray:
+        """Record the current point's residual ``g`` (of norm ``g_norm``) and
+        image ``f`` under the map named by ``key``, and return the next point: the
         extrapolation f - dF^T gamma, with gamma the regularized
         least-squares fit of g by the residual differences, or ``f`` itself
         when there is no candidate or its weights exceed
@@ -442,24 +470,22 @@ class _Anderson:
         k = self.size
         if k == 0:
             return f
-        gram = self.gram[:k, :k].copy()
-        reg = ANDERSON_REGULARIZATION * float(gram.trace())
+        reg = ANDERSON_REGULARIZATION * float(self.gram[:k, :k].trace())
         if not reg > 0.0:
             return f
-        gram.flat[:: k + 1] += reg
-        gamma = np.linalg.solve(gram, self.dg[:k] @ g)
+        gamma = np.linalg.solve(self.gram[:k, :k] + reg * self.eye[:k, :k], self.dg[:k] @ g)
         if not float(gamma @ gamma) <= ANDERSON_MAX_WEIGHT**2:
             return f
-        self.fallback = (f, math.sqrt(g @ g))
+        self.fallback = (f, g_norm)
         return f - gamma @ self.df[:k]
 
-    def safeguard(self, g: np.ndarray) -> np.ndarray | None:
-        """Judge the current point by its residual ``g``.  None if it stands
-        (it was not extrapolated, or |g| did not grow); otherwise the
+    def safeguard(self, g_norm: float) -> np.ndarray | None:
+        """Judge the current point by the norm of its residual.  None if it
+        stands (it was not extrapolated, or |g| did not grow); otherwise the
         memory is cleared and T at the previous point, the point to step
         from instead, is returned."""
         fallback, self.fallback = self.fallback, None
-        if fallback is None or math.sqrt(g @ g) <= fallback[1]:
+        if fallback is None or g_norm <= fallback[1]:
             return None
         self.rejected += 1
         self.clear()
@@ -468,9 +494,7 @@ class _Anderson:
 
 def project_psd(x: HermitianMatrix) -> HermitianMatrix:
     """Euclidean projection onto the PSD cone (the positive part x_+)."""
-    w, u = np.linalg.eigh(x.entries)
-    pos = np.clip(w, 0.0, None)
-    return HermitianMatrix((u * pos) @ u.conj().T, x.subsystem_dims)
+    return HermitianMatrix(_positive_part(x.entries)[1], x.subsystem_dims)
 
 
 def _split(z: np.ndarray, blocks, slices) -> tuple:
@@ -498,6 +522,7 @@ def solve(
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     rows = _rows(program)
     slices = _block_slices(program.blocks)
+    runs = _psd_runs(program.blocks)
     b, c = program.eq_rhs, program.objective
     m, n = b.shape[0], c.shape[0]
 
@@ -516,7 +541,8 @@ def solve(
         z, mult = rows.project(v - w - c / rho, b)
         shifted = OVER_RELAXATION * z + (1.0 - OVER_RELAXATION) * v + w
         out = np.empty(2 * n)
-        out[:n] = _project_cone(shifted, program.blocks, slices)
+        out[:n] = shifted
+        _project_cone(out[:n], runs)
         np.subtract(shifted, out[:n], out=out[n:])
         return out, mult
 
@@ -538,11 +564,13 @@ def solve(
     for it in range(1, max_iter + 1):
         f, mult = step(u, rho)
         g = u - f
-        back = accel.safeguard(g)
+        g_norm = math.sqrt(g @ g)
+        back = accel.safeguard(g_norm)
         if back is not None:
             u = back
             f, mult = step(u, rho)
             g = u - f
+            g_norm = math.sqrt(g @ g)
         # Checks and the best iterate read the plain image T(u), never an
         # extrapolated point: v is in the cone and s = -rho w in its dual.
         v, w = f[:n], f[n:]
@@ -565,7 +593,7 @@ def solve(
                 status = "optimal"
                 break
             if it - max(best_res_iter, last_plateau_bump) >= STAGNATION_WINDOW:
-                status = "max_iter"
+                status = "stagnated"
                 break
             # Residual balancing: a lopsided primal/dual residual ratio means
             # the penalty is off; rescaling it (and the scaled dual w with it)
@@ -589,13 +617,14 @@ def solve(
                     plateau_bumps += 1
                 if new_rho != rho:
                     # w (and the w-part of g = u - T(u)) follows the
-                    # penalty; the new key restarts the acceleration memory.
+                    # penalty; the new key restarts the acceleration memory,
+                    # so g_norm, now stale, is not read.
                     w *= rho / new_rho
                     g[n:] *= rho / new_rho
                     rho = new_rho
                     last_rho_change = it
 
-        u = accel.next_point(g, f, rho)
+        u = accel.next_point(g, f, rho, g_norm)
 
     v_b, y_b, s_b, pres, dres, gap, pobj, dobj, best_it = best
     return ConeSolution(

@@ -166,7 +166,7 @@ def test_cone_infeasible_never_reports_optimal():
     a = hvec(identity(d)).reshape(1, -1)
     prog = ConeProgram((Block(d, PSD),), np.zeros(d * d), a, np.array([-1.0]), "Tr u = -1")
     sol = solve(prog, tol=1e-9, max_iter=20000)
-    assert sol.status in ("max_iter", "infeasible")
+    assert sol.status == "stagnated"
 
 
 def test_project_psd_examples_and_idempotence():
@@ -307,7 +307,7 @@ def test_anderson_solves_affine_contraction_in_dim_plus_one_steps():
         u = plain = np.zeros(dim)
         for _ in range(dim + 1):
             f = a @ u + c
-            u = memory.next_point(u - f, f, 1.0)
+            u = memory.next_point(u - f, f, 1.0, np.linalg.norm(u - f))
             plain = a @ plain + c
         assert np.linalg.norm(u - star) <= 1e-3 * np.linalg.norm(star)
         assert np.linalg.norm(plain - star) >= 1e-2 * np.linalg.norm(star)
@@ -319,33 +319,33 @@ def test_anderson_memory_cleared_by_rejection_and_key_change():
     f = None
     for _ in range(3):
         g, f = rng.normal(size=3), rng.normal(size=3)
-        u = memory.next_point(g, f, 1.0)
+        u = memory.next_point(g, f, 1.0, np.linalg.norm(g))
     assert memory.size == 2 and u is not f
     # a residual that did not grow keeps the extrapolated point
-    assert memory.safeguard(np.zeros(3)) is None and memory.size == 2
-    u = memory.next_point(rng.normal(size=3), rng.normal(size=3), 1.0)
-    back = memory.safeguard(1e6 * np.ones(3))
+    assert memory.safeguard(0.0) is None and memory.size == 2
+    u = memory.next_point(rng.normal(size=3), rng.normal(size=3), 1.0, 1.0)
+    back = memory.safeguard(1e6)
     assert back is not None and memory.size == 0 and memory.rejected == 1
     for _ in range(3):
-        memory.next_point(rng.normal(size=3), rng.normal(size=3), 1.0)
+        memory.next_point(rng.normal(size=3), rng.normal(size=3), 1.0, 1.0)
     assert memory.size == 2
     f = rng.normal(size=3)
-    assert memory.next_point(rng.normal(size=3), f, 2.0) is f and memory.size == 0
+    assert memory.next_point(rng.normal(size=3), f, 2.0, 1.0) is f and memory.size == 0
 
 
 def test_solver_clears_memory_on_rejection_and_rho_change(monkeypatch):
     events = []
 
     class Recorder(solver._Anderson):
-        def next_point(self, g, f, key):
+        def next_point(self, g, f, key, g_norm):
             changed = self.key is not None and key != self.key
-            out = super().next_point(g, f, key)
+            out = super().next_point(g, f, key, g_norm)
             if changed:
                 events.append(("rho", self.size, out is f))
             return out
 
-        def safeguard(self, g):
-            back = super().safeguard(g)
+        def safeguard(self, g_norm):
+            back = super().safeguard(g_norm)
             if back is not None:
                 events.append(("rejection", self.size, True))
             return back
