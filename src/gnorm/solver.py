@@ -73,7 +73,7 @@ STAGNATION_WINDOW = 5000
 PLATEAU_WINDOW = 1200
 CHECK_EVERY = 25
 RHO_ADAPT_EVERY = 100
-ANDERSON_MEMORY = 10
+ANDERSON_MEMORY = 20
 ANDERSON_MAX_WEIGHT = 1e4
 ANDERSON_REGULARIZATION = 1e-10
 

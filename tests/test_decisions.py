@@ -491,3 +491,11 @@ def test_choi_povm_roundtrip():
     back = choi_to_povm(s, x)
     for a, b in zip(povm.effects, back.effects):
         assert np.allclose(a.entries, b.entries)
+
+
+def test_payoff_result_carries_solve_diagnostics():
+    e = uniform_experiment(states_section(2), (KET0, PLUS))
+    for problem in (classical_problem(np.eye(2)), quantum_problem((identity(2), identity(2)))):
+        norm = max_payoff(e, problem, tol=1e-8).norm
+        assert norm.method == "conic" and 0 < norm.best_iteration <= norm.iterations
+        assert norm.rejected >= 0

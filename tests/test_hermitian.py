@@ -239,3 +239,27 @@ def test_arithmetic_keeps_dims():
     y = x + x * 0.5 - x / 2
     assert y.subsystem_dims == (2, 2)
     assert isinstance(-y, HermitianMatrix)
+
+
+def scatter_hunvec(v, d):
+    """hunvec as a zero-filled matrix with the diagonal, the scaled upper
+    triangle and its conjugate written in: the reference for the gather."""
+    iu, ju = np.triu_indices(d, k=1)
+    m = iu.shape[0]
+    x = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
+    x[..., (d + 1) * np.arange(d)] = v[..., :d]
+    off = (v[..., d : d + m] + 1j * v[..., d + m :]) / math.sqrt(2.0)
+    x[..., iu * d + ju] = off
+    x[..., ju * d + iu] = off.conj()
+    return x.reshape(v.shape[:-1] + (d, d))
+
+
+def test_hunvec_gather_is_bitwise_the_scatter():
+    # d = 1 has no off-diagonal entries; (3,) and (2, 3) give 3-d and 4-d stacks
+    rng = np.random.default_rng(101)
+    for d in range(1, 10):
+        for lead in ((), (3,), (2, 3)):
+            for _ in range(20):
+                shape = lead + (d * d,)
+                v = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+                assert np.array_equal(hunvec(v, d), scatter_hunvec(v, d))

@@ -504,3 +504,14 @@ def test_certify_extremal_rejects_suboptimal_dual():
     if res.value - paired > 1e-3:
         cert = certify_extremal_psd(c, a, dual_candidate=center, tol=1e-6)
         assert not cert.feasible
+
+
+def test_results_carry_solve_diagnostics():
+    rng = np.random.default_rng(61)
+    ch = channels_section(2, 2)
+    for res in (base_norm(ch, rand_herm(rng, 4)), base_norm_psd(ch, rand_psd(rng, 4))):
+        assert res.method == "conic" and 0 < res.best_iteration <= res.iterations
+        assert res.rejected >= 0
+    closed = base_norm(states_section(3), rand_herm(rng, 3))
+    assert closed.method == "closed_form"
+    assert (closed.iterations, closed.best_iteration, closed.rejected) == (0, 0, 0)

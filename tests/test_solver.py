@@ -4,7 +4,7 @@ scaling properties, and degenerate statuses."""
 import numpy as np
 import pytest
 
-from conftest import rand_herm
+from conftest import rand_herm, rand_psd
 from gnorm import solver
 from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import herm, hunvec, hvec, identity, op_norm, trace_norm
@@ -233,6 +233,68 @@ def test_majorant_projection_matches_dense():
         y = rng.normal(size=b.shape[0])
         assert np.max(np.abs(rows.apply(zeta) - dense.apply(zeta))) <= 1e-10
         assert np.max(np.abs(rows.adjoint(y) - dense.adjoint(y))) <= 1e-10
+
+
+def test_majorant_projection_runs_match_dense_solve():
+    # one-, two- and three-copy runs of one lift, and two distinct lift runs
+    # (one copy, then the lift by I(2)), against the dense normal equations
+    rng = np.random.default_rng(57)
+    ch = channels_section(2, 2)
+    for copies, lifted in ((1, 0), (2, 0), (3, 0), (1, 2)):
+        program = majorant_program(ch, copies, lifted)
+        rows = solver._rows(program)
+        assert len(rows.runs) == (2 if lifted else 1)
+        a = program.eq_matrix
+        for _ in range(3):
+            b = rng.normal(size=a.shape[0])
+            zeta = rng.normal(size=a.shape[1])
+            mult_ref = np.linalg.solve(a @ a.T, a @ zeta - b)
+            z, mult = rows.project(zeta, b)
+            assert np.max(np.abs(z - (zeta - a.T @ mult_ref))) <= 1e-12
+            assert np.max(np.abs(mult - mult_ref)) <= 1e-12
+            assert np.max(np.abs(rows.apply(zeta) - a @ zeta)) <= 1e-12
+
+
+def per_block_cone_projection(z, blocks):
+    """The cone projection one PSD block at a time: the reference for the stack."""
+    out, lo = z.copy(), 0
+    for blk in blocks:
+        hi = lo + blk.real_dim
+        if blk.cone == PSD:
+            w, u = np.linalg.eigh(hunvec(z[lo:hi], blk.dim))
+            if w[0] < 0.0:
+                out[lo:hi] = hvec((u * np.clip(w, 0.0, None)) @ u.conj().T)
+        lo = hi
+    return out
+
+
+def test_stacked_cone_projection_is_bitwise_per_block():
+    rng = np.random.default_rng(58)
+    layouts = {
+        (4, 4): [(0, 32, 4)],
+        (4, 4, 4): [(0, 48, 4)],
+        (4, 9, 4): [(0, 16, 4), (16, 97, 9), (97, 113, 4)],
+        (3, None, 3, 3): [(0, 9, 3), (14, 32, 3)],
+    }
+    for dims, runs in layouts.items():
+        blocks = tuple(Block(5, FREE) if d is None else Block(d, PSD) for d in dims)
+        assert solver._psd_runs(blocks) == runs
+        for trial in range(20):
+            parts = []
+            for j, blk in enumerate(blocks):
+                if blk.cone == FREE:
+                    parts.append(rng.normal(size=blk.dim))
+                elif trial % 2 and j == len(blocks) - 1:
+                    # only some blocks of the run have a negative eigenvalue
+                    parts.append(hvec(rand_psd(rng, blk.dim) + identity(blk.dim)))
+                else:
+                    parts.append(hvec(rand_herm(rng, blk.dim)))
+            z = np.concatenate(parts)
+            got = z.copy()
+            solver._project_cone(got, runs)
+            assert np.array_equal(got, per_block_cone_projection(z, blocks))
+            if trial % 2:
+                assert np.array_equal(got[-len(parts[-1]) :], parts[-1])
 
 
 def test_majorant_solve_matches_dense_copy():
