@@ -328,7 +328,7 @@ def _hvec_layout(d: int) -> tuple[np.ndarray, ...]:
         iu, ju = np.triu_indices(d, k=1)
         up, low = 2 * (iu * d + ju), 2 * (ju * d + iu)
         take = np.concatenate([2 * (d + 1) * np.arange(d), up, up + 1])
-        scale = np.concatenate([np.ones(d), np.full(up.shape[0] * 2, _SQRT2)])
+        scale = np.concatenate([np.ones(d), np.full(2 * up.shape[0], _SQRT2)])
         src = np.zeros(2 * d * d, dtype=np.intp)
         coef = np.zeros(2 * d * d)  # the diagonal's imaginary parts stay zero
         src[take] = np.arange(d * d)

@@ -342,17 +342,18 @@ class _MajorantRows:
     """
 
     def __init__(self, lifts: tuple[np.ndarray, ...]):
-        # Runs of consecutive blocks sharing one lift array: (lift, rows, copies),
-        # with ``rows`` the run's slice of the stacked rows.
+        # Runs of consecutive blocks sharing one lift array: (lift, rows,
+        # copies), ``rows`` being the run's slice of the stacked rows.
         self.runs = []
         lo = 0
         for m in lifts:
+            hi = lo + m.shape[0]
             if self.runs and self.runs[-1][0] is m:
                 _, rows, copies = self.runs[-1]
-                self.runs[-1] = (m, slice(rows.start, lo + m.shape[0]), copies + 1)
+                self.runs[-1] = (m, slice(rows.start, hi), copies + 1)
             else:
-                self.runs.append((m, slice(lo, lo + m.shape[0]), 1))
-            lo += m.shape[0]
+                self.runs.append((m, slice(lo, hi), 1))
+            lo = hi
         self.n_rows = lo
         k = lifts[0].shape[1]
         gram = sum(copies * (m.T @ m) for m, _, copies in self.runs)
