@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, solver
 from .decisions import (
     GeneralizedPOVM,
     certify_optimal,
@@ -35,7 +35,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .hermitian import matrix_from_json, matrix_to_json
+from .hermitian import json_field, matrix_from_json, matrix_to_json
 from .norms import NormResult, base_norm, dmax, dual_base_norm, hmin, ncomb_norm
 from .sections import channels_section, section_from_descriptor
 
@@ -114,7 +114,7 @@ def _load_matrix(path: str, strict: bool = False):
 def _default_tol() -> float:
     raw = os.environ.get("GNORM_DEFAULT_TOL")
     if raw is None:
-        return 1e-7
+        return solver.DEFAULT_TOL
     try:
         return float(raw)
     except ValueError:
@@ -209,8 +209,15 @@ def _cmd_diamond(args) -> int:
     return EXIT_OK
 
 
+def _parse_dims(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise ShapeError(f"--dims must be comma-separated integers, got {text!r}") from None
+
+
 def _cmd_comb_norm(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = _parse_dims(args.dims)
     x = _load_matrix(args.matrix)
     res = ncomb_norm(dims, x, tol=args.tol, max_iter=args.max_iter)
     report = Report(
@@ -227,8 +234,7 @@ def _cmd_comb_norm(args) -> int:
 def _cmd_hmin(args) -> int:
     sigma = _load_matrix(args.state)
     if args.dims:
-        d_out, d_in = (int(d) for d in args.dims.split(","))
-        sigma = sigma.with_dims((d_out, d_in))
+        sigma = sigma.with_dims(_parse_dims(args.dims))
     value = hmin(sigma, tol=args.tol, max_iter=args.max_iter)
     report = Report(
         "hmin", {"state": _digest(args.state)}, {"hmin": value}, requested_tol=args.tol
@@ -245,10 +251,10 @@ def _cmd_certify(args) -> int:
     if not isinstance(cand_obj, dict) or "kind" not in cand_obj:
         raise ShapeError("candidate file: missing 'kind' field ('povm' or 'choi')")
     if cand_obj["kind"] == "povm":
-        effects = tuple(matrix_from_json(m) for m in cand_obj["effects"])
-        candidate = GeneralizedPOVM(experiment.section, effects)
+        effects = json_field(cand_obj, "effects", "povm candidate file")
+        candidate = GeneralizedPOVM(experiment.section, tuple(matrix_from_json(m) for m in effects))
     elif cand_obj["kind"] == "choi":
-        candidate = matrix_from_json(cand_obj["matrix"])
+        candidate = matrix_from_json(json_field(cand_obj, "matrix", "choi candidate file"))
     else:
         raise ShapeError("candidate file: field 'kind' must be 'povm' or 'choi'")
     cert = certify_optimal(candidate, experiment, problem, tol=args.tol, max_iter=args.max_iter)
@@ -287,7 +293,7 @@ def _cmd_tester_check(args) -> int:
 
 def _add_common(p, witness=True):
     p.add_argument("--tol", type=float, default=None, help="target tolerance")
-    p.add_argument("--max-iter", type=int, default=50000)
+    p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER)
     if witness:
         p.add_argument("--witness-out", default=None, help="write optimizers to this JSON file")
 

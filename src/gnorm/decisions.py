@@ -30,9 +30,9 @@ from .hermitian import (
     abs_pos_neg,
     eig,
     herm,
-    hunvec_matrix,
     hvec,
     identity,
+    json_field,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -47,7 +47,7 @@ from .hermitian import (
     transpose_in_basis,
     zeros,
 )
-from .norms import DEFAULT_NORM_TOL, NormResult, base_norm, majorant_program, transposed_norm
+from .norms import NormResult, base_norm, majorant_norm, majorant_program, transposed_norm
 from .sections import (
     Section,
     contains,
@@ -257,7 +257,7 @@ def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatri
 def max_payoff(
     experiment: Experiment,
     problem: DecisionProblem,
-    tol: float = DEFAULT_NORM_TOL,
+    tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> PayoffResult:
     """Maximal average payoff over all decision procedures.
@@ -272,29 +272,12 @@ def max_payoff(
     section = experiment.section
     _require_unrestricted(section, "max_payoff")
     if problem.kind == "classical":
-        blocks = classical_xi_blocks(experiment, problem)
-        n_d = len(blocks)
-        program = majorant_program(section, n_d).with_rhs(
-            np.concatenate([hvec(b) for b in blocks])
+        norm = majorant_norm(
+            section, classical_xi_blocks(experiment, problem), 1.0, tol, max_iter,
+            "max_payoff (classical)",
         )
-        sol = solver.solve(program, tol=tol, max_iter=max_iter)
-        solver.require_optimal(sol, "max_payoff (classical)")
-        d = section.ambient_dim
-        n_h = d * d
-        effs = [
-            hunvec_matrix(sol.dual_vector[j * n_h : (j + 1) * n_h], d) for j in range(n_d)
-        ]
-        q = section.from_span_coords(sol.primal_point[-1])
-        primal = sol.primal_value
-        dual = sol.dual_value
-        value = max(0.0, 0.5 * (primal + dual))
-        norm = NormResult(
-            value, primal, dual, abs(primal - dual), "conic",
-            q, None, sol.status, sol.iterations, sol.best_iteration, sol.rejected,
-        )
-        povm = GeneralizedPOVM(section, tuple(effs), validation_tol=max(1e-5, 100 * tol))
-        choi = povm_to_choi(povm)
-        return PayoffResult(value, norm, choi, povm)
+        povm = GeneralizedPOVM(section, norm.dual_witness, validation_tol=max(1e-5, 100 * tol))
+        return PayoffResult(norm.value, norm, povm_to_choi(povm), povm)
 
     xi = build_xi(experiment, problem)
     n_d = problem.n_outcomes
@@ -341,7 +324,7 @@ def bayes_error(
     b0: HermitianMatrix,
     b1: HermitianMatrix,
     lam: float,
-    tol: float = DEFAULT_NORM_TOL,
+    tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> tuple[float, GeneralizedPOVM, NormResult]:
     """Minimal probability of error deciding between two members at prior lam.
@@ -367,7 +350,7 @@ def multi_hypothesis_error(
     section: Section,
     family,
     prior,
-    tol: float = DEFAULT_NORM_TOL,
+    tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> tuple[float, GeneralizedPOVM, PayoffResult]:
     """Minimal average error probability for k hypotheses.
@@ -412,7 +395,7 @@ def certify_optimal(
     experiment: Experiment,
     problem: DecisionProblem,
     tol: float = 1e-6,
-    solve_tol: float = DEFAULT_NORM_TOL,
+    solve_tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> Certificate:
     """Decide whether a procedure attains the maximal average payoff.
@@ -547,9 +530,11 @@ def experiment_from_json(obj) -> tuple[Experiment, DecisionProblem | None]:
     if "payoff" in obj:
         p = obj["payoff"]
         if p.get("kind") == "classical":
-            problem = classical_problem(np.asarray(p["table"], dtype=float))
+            table = json_field(p, "table", "classical payoff")
+            problem = classical_problem(np.asarray(table, dtype=float))
         elif p.get("kind") == "quantum":
-            problem = quantum_problem(tuple(matrix_from_json(w) for w in p["operators"]))
+            operators = json_field(p, "operators", "quantum payoff")
+            problem = quantum_problem(tuple(matrix_from_json(w) for w in operators))
         else:
             raise ValidationError("field 'payoff.kind' must be 'classical' or 'quantum'")
     return experiment, problem

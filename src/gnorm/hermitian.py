@@ -376,14 +376,30 @@ def matrix_to_json(x: HermitianMatrix) -> dict:
     }
 
 
+def json_field(obj, key: str, where: str):
+    """``obj[key]``, or a ShapeError naming ``where`` when ``obj`` is no JSON
+    object or lacks the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ShapeError(f"{where} must be an object with a '{key}' field")
+    return obj[key]
+
+
+def json_dims(obj, where: str, least: int = 1) -> tuple[int, ...]:
+    """The field ``dims`` of ``obj``: at least ``least`` integers, else a
+    ShapeError naming ``where``."""
+    raw = json_field(obj, "dims", where)
+    try:
+        dims = tuple(int(d) for d in raw)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{where}: field 'dims' must be a list of integers, got {raw!r}") from None
+    if len(dims) < least:
+        raise ShapeError(f"{where}: field 'dims' needs at least {least} entries, got {raw!r}")
+    return dims
+
+
 def matrix_from_json(obj, strict: bool = False) -> HermitianMatrix:
-    if not isinstance(obj, dict):
-        raise ShapeError("matrix JSON must be an object with 'dims' and 'matrix'")
-    for key in ("dims", "matrix"):
-        if key not in obj:
-            raise ShapeError(f"matrix JSON is missing the '{key}' field")
-    dims = tuple(int(d) for d in obj["dims"])
-    rows = obj["matrix"]
+    dims = json_dims(obj, "matrix JSON", least=0)
+    rows = json_field(obj, "matrix", "matrix JSON")
     try:
         arr = np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
     except (TypeError, IndexError) as exc:

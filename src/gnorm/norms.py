@@ -50,7 +50,6 @@ from .hermitian import (
 )
 from .sections import Section, _kron_columns, channels_section, comb_section, contains, dual_section
 
-DEFAULT_NORM_TOL = 1e-7
 INF = math.inf
 
 
@@ -60,10 +59,12 @@ class NormResult:
 
     ``value`` is the midpoint of the two conic objective values (they agree
     up to ``gap``); for closed forms all three coincide.  ``primal_witness``
-    is the minimizing q (so value = Tr(q n), -q <= x <= q); ``dual_witness``
-    is the pair (y1, y2) of PSD matrices with y1 + y2 in the dual section
-    attaining Tr(x (y1 - y2)).  Witnesses satisfy their constraints within a
-    small multiple of the solve tolerance; both are None for infinite values.
+    is the minimizing q (so value = Tr(q n), -q <= x <= q).  ``dual_witness``
+    holds one PSD multiplier per majorant block q >= r_j: the pair (y1, y2),
+    with y1 + y2 in the dual section, attaining Tr(x (y1 - y2)) for base
+    norms; the effects for classical payoffs; (Y, 0) for the PSD forms.
+    Witnesses satisfy their constraints within a small multiple of the solve
+    tolerance; both are None for infinite values.
     """
 
     value: float
@@ -72,7 +73,7 @@ class NormResult:
     gap: float
     method: str  # closed_form | conic
     primal_witness: HermitianMatrix | None = None
-    dual_witness: tuple[HermitianMatrix, HermitianMatrix] | None = None
+    dual_witness: tuple[HermitianMatrix, ...] | None = None
     status: str = "optimal"
     iterations: int = 0  # the solver's last iteration; 0 for closed forms
     best_iteration: int = 0  # the iteration of the returned iterate
@@ -203,6 +204,28 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
     return got
 
 
+def _conic_result(primal: float, dual: float, q, ys, sol: solver.ConeSolution) -> NormResult:
+    """The one conic NormResult: value max(0, midpoint), gap |primal - dual|."""
+    return NormResult(
+        max(0.0, 0.5 * (primal + dual)), primal, dual, abs(primal - dual), "conic",
+        q, ys, sol.status, sol.iterations, sol.best_iteration, sol.rejected,
+    )
+
+
+def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context) -> NormResult:
+    """min Tr(q n) over {q in J : q >= r_j for each block r_j}, by one solve;
+    value and q are multiplied by ``scale``, and the dual witness holds each
+    block's multiplier y_j, all lifted to the caller's space."""
+    rhs = np.concatenate([hvec(b) for b in blocks])
+    program = majorant_program(section, len(blocks)).with_rhs(rhs)
+    sol = solver.require_optimal(solver.solve(program, tol=tol, max_iter=max_iter), context)
+    d, dims = section.ambient_dim, section.subsystem_dims
+    q = section.lift(section.from_span_coords(sol.primal_point[-1]) * scale)
+    y_rows = sol.dual_vector.reshape(len(blocks), -1)
+    ys = tuple(section.lift(hunvec_matrix(y, d, dims)) for y in y_rows)
+    return _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, ys, sol)
+
+
 def transposed_norm(
     family: solver.MajorantProgram, a: HermitianMatrix, dims, tol, max_iter, context,
     lift=lambda m: m,
@@ -217,14 +240,9 @@ def transposed_norm(
     y = herm(sol.primal_point[0], dims)
     s = -sol.dual_vector / math.sqrt(family.sigma)
     q = hunvec_matrix(family.lifts[0] @ s, a.dim, dims) * scale
-    sup_side = -sol.primal_value * scale
-    inf_side = -sol.dual_value * scale
     zero = herm(np.zeros_like(y.entries), dims)
-    return NormResult(
-        max(0.0, 0.5 * (sup_side + inf_side)), inf_side, sup_side,
-        abs(sup_side - inf_side), "conic",
-        lift(q), (lift(y), lift(zero)),
-        sol.status, sol.iterations, sol.best_iteration, sol.rejected,
+    return _conic_result(
+        -sol.dual_value * scale, -sol.primal_value * scale, lift(q), (lift(y), lift(zero)), sol
     )
 
 
@@ -249,7 +267,7 @@ def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: 
 def base_norm(
     section: Section,
     x: HermitianMatrix,
-    tol: float = DEFAULT_NORM_TOL,
+    tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
     prefer_closed: bool = True,
 ) -> NormResult:
@@ -266,28 +284,15 @@ def base_norm(
         return done
     scale = frobenius_norm(xc)
     xn = xc / scale
-    program = majorant_program(section, 2).with_rhs(np.concatenate([hvec(xn), -hvec(xn)]))
-    sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    solver.require_optimal(sol, f"base_norm over {section.label}")
-    d = section.ambient_dim
-    n_h = d * d
-    coords = sol.primal_point[2]
-    q = section.from_span_coords(coords) * scale
-    y1 = hunvec_matrix(sol.dual_vector[:n_h], d, section.subsystem_dims)
-    y2 = hunvec_matrix(sol.dual_vector[n_h:], d, section.subsystem_dims)
-    primal = sol.primal_value * scale
-    dual = sol.dual_value * scale
-    return NormResult(
-        max(0.0, 0.5 * (primal + dual)), primal, dual, abs(primal - dual), "conic",
-        section.lift(q), (section.lift(y1), section.lift(y2)),
-        sol.status, sol.iterations, sol.best_iteration, sol.rejected,
+    return majorant_norm(
+        section, (xn, -xn), scale, tol, max_iter, f"base_norm over {section.label}"
     )
 
 
 def dual_base_norm(
     section: Section,
     x: HermitianMatrix,
-    tol: float = DEFAULT_NORM_TOL,
+    tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> NormResult:
     """Norm dual to :func:`base_norm`: the base norm of the dual section."""
@@ -297,7 +302,7 @@ def dual_base_norm(
 def base_norm_psd(
     section: Section,
     a: HermitianMatrix,
-    tol: float = DEFAULT_NORM_TOL,
+    tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
     prefer_closed: bool = True,
 ) -> NormResult:
@@ -325,7 +330,7 @@ def _as_choi_matrix(x) -> HermitianMatrix:
 
 
 def diamond_norm(
-    x, tol: float = DEFAULT_NORM_TOL, max_iter: int = solver.DEFAULT_MAX_ITER
+    x, tol: float = solver.DEFAULT_TOL, max_iter: int = solver.DEFAULT_MAX_ITER
 ) -> NormResult:
     """Channel-section norm of a hermitian matrix on K (x) H.
 
@@ -338,7 +343,7 @@ def diamond_norm(
 
 
 def ncomb_norm(
-    dims, x: HermitianMatrix, tol: float = DEFAULT_NORM_TOL,
+    dims, x: HermitianMatrix, tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> NormResult:
     """Network-section norm over the spaces H_0, ..., H_n (dims in that order).
@@ -355,13 +360,14 @@ def ncomb_norm(
 
 
 def hmin(
-    sigma: HermitianMatrix, tol: float = DEFAULT_NORM_TOL,
+    sigma: HermitianMatrix, tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> float:
     """Conditional min-entropy of K given H for PSD sigma on K (x) H.
 
     Computed as -log2 of the order-unit norm over {I_K (x) rho}: the dual of
-    the channel-section norm applied to sigma.
+    the channel-section norm applied to sigma.  Returns +inf for sigma = 0
+    (-log2 0, the mirror of :func:`dmax`'s -inf).
     """
     if len(sigma.subsystem_dims) != 2:
         raise ShapeError("hmin needs sigma with (K, H) subsystem dims")
@@ -369,7 +375,7 @@ def hmin(
         raise DomainError("hmin needs a PSD matrix")
     d_out, d_in = sigma.subsystem_dims
     res = dual_base_norm(channels_section(d_in, d_out), sigma, tol=tol, max_iter=max_iter)
-    return -math.log2(res.value)
+    return -math.log2(res.value) if res.value > 0.0 else INF
 
 
 # -- optimizer certification -----------------------------------------------------
@@ -400,7 +406,7 @@ def certify_extremal_psd(
     dual_candidate: HermitianMatrix | None = None,
     member_candidate: HermitianMatrix | None = None,
     tol: float = 1e-6,
-    solve_tol: float = DEFAULT_NORM_TOL,
+    solve_tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> ExtremalCertificate:
     """Check a claimed maximizer (dual element) or minimizer (member) of the

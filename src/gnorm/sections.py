@@ -720,26 +720,29 @@ def section_to_descriptor(section: Section) -> dict:
 
 
 def section_from_descriptor(obj) -> Section:
-    from .hermitian import matrix_from_json
+    from .hermitian import json_dims, json_field, matrix_from_json
 
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("section descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
+    where = f"section descriptor of kind {kind!r}"
     if kind == "states":
-        return states_section(int(obj["dims"][0]))
+        return states_section(json_dims(obj, where)[0])
     if kind == "singleton":
         # the slice through one positive-definite matrix (states is b = I)
-        return full_slice_section(matrix_from_json(obj["matrix"]))
+        return full_slice_section(matrix_from_json(json_field(obj, "matrix", where)))
     if kind == "channels":
-        dims = obj["dims"]
-        return channels_section(int(dims[0]), int(dims[1]))
+        dims = json_dims(obj, where, least=2)
+        return channels_section(dims[0], dims[1])
     if kind == "combs":
-        return comb_section(tuple(int(d) for d in obj["dims"]))
+        return comb_section(json_dims(obj, where))
     if kind == "generalized":
-        return generalized_section(section_from_descriptor(obj["base"]), int(obj["dims"][0]))
+        base = section_from_descriptor(json_field(obj, "base", where))
+        return generalized_section(base, json_dims(obj, where)[0])
     if kind == "povm":
-        return povm_section(section_from_descriptor(obj["base"]), int(obj["dims"][0]))
+        base = section_from_descriptor(json_field(obj, "base", where))
+        return povm_section(base, json_dims(obj, where)[0])
     if kind == "custom":
-        basis = [matrix_from_json(m) for m in obj["basis"]]
-        return custom_section(basis, matrix_from_json(obj["normalizer"]))
+        basis = [matrix_from_json(m) for m in json_field(obj, "basis", where)]
+        return custom_section(basis, matrix_from_json(json_field(obj, "normalizer", where)))
     raise ValidationError(f"unknown section kind {kind!r}")

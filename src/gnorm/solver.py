@@ -62,10 +62,11 @@ point as well, and their four solves no longer change the penalty), so
 
 Stopping: mixed absolute/relative primal residual, dual residual and duality
 gap all below the requested tolerance.  Inconsistent affine rows are reported
-as infeasible before the loop; residuals that stop improving walk the penalty
-up a finite ladder, and prolonged stagnation ends the run with the best
-iterate found and status "stagnated" (first-order methods carry no exact
-infeasibility certificates).
+as infeasible before the loop.  Balanced residuals that stop improving for
+``PLATEAU_WINDOW`` iterations walk the penalty up a ladder of six bumps; a
+plateau after the last bump ends the run with the best iterate found and
+status "stagnated" (first-order methods carry no exact infeasibility
+certificates).
 
 A solve is single-threaded and owns its iterate workspace; concurrent solves
 on independent programs are safe (the per-program caches are written once).
@@ -88,7 +89,6 @@ FREE = "free"
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 50000
 OVER_RELAXATION = 1.5
-STAGNATION_WINDOW = 5000
 PLATEAU_WINDOW = 1200
 CHECK_EVERY = 25
 RHO_ADAPT_EVERY = 100
@@ -271,9 +271,9 @@ class ConeSolution:
     multiplier y and ``dual_slack`` the per-block slack of c - A^T y.
     """
 
-    # optimal | max_iter (the iteration cap) | stagnated (no residual
-    # progress for STAGNATION_WINDOW iterations) | infeasible (inconsistent
-    # affine rows)
+    # optimal | max_iter (the iteration cap) | stagnated (a residual plateau
+    # after the last penalty ladder bump) | infeasible (inconsistent affine
+    # rows)
     status: str
     primal_value: float
     dual_value: float
@@ -576,7 +576,6 @@ def solve(
     best_res = np.inf
     best_res_iter = 0
     last_rho_change = 0
-    last_plateau_bump = 0
     plateau_bumps = 0
     status = "max_iter"
     it = 0
@@ -612,9 +611,6 @@ def solve(
             if res <= tol:
                 status = "optimal"
                 break
-            if it - max(best_res_iter, last_plateau_bump) >= STAGNATION_WINDOW:
-                status = "stagnated"
-                break
             # Residual balancing: a lopsided primal/dual residual ratio means
             # the penalty is off; rescaling it (and the scaled dual w with it)
             # does not touch the affine projection.
@@ -624,16 +620,15 @@ def solve(
                     new_rho = rho / 2.0
                 elif pres > 10.0 * dres and rho < 1e4:
                     new_rho = rho * 2.0
-                elif (
-                    it - max(best_res_iter, last_rho_change) >= PLATEAU_WINDOW
-                    and plateau_bumps < 6
-                ):
+                elif it - max(best_res_iter, last_rho_change) >= PLATEAU_WINDOW:
                     # Balanced residuals that stopped improving: walk the
                     # penalty up an exploration ladder (wrapping around).
-                    # Each bump restarts the stagnation window once; the
-                    # ladder is finite, so termination stays bounded.
+                    # The ladder has six rungs; a plateau after the last
+                    # one ends the run.
+                    if plateau_bumps == 6:
+                        status = "stagnated"
+                        break
                     new_rho = rho * 4.0 if rho < 1e3 else 1e-2
-                    last_plateau_bump = it
                     plateau_bumps += 1
                 if new_rho != rho:
                     # w (and the w-part of g = u - T(u)) follows the

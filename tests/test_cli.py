@@ -151,6 +151,13 @@ def test_hmin_command(tmp_path):
     assert json.loads(proc.stdout)["values"]["hmin"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_hmin_command_zero_state_is_infinite(tmp_path):
+    mat = write_json(tmp_path / "zero.json", matrix_to_json(herm(np.zeros((4, 4)), (2, 2))))
+    proc = run_cli("hmin", mat)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["values"]["hmin"] == "inf"
+
+
 def test_certify_command(tmp_path, state_files):
     zero_p, plus_p = state_files
     s = states_section(2)
@@ -284,3 +291,58 @@ def test_env_default_tol(tmp_path):
     proc = run_cli("norm", sec, mat, env_extra={"GNORM_DEFAULT_TOL": "1e-5"})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["requested_tol"] == pytest.approx(1e-5)
+
+
+def _certify_files(tmp_path, candidate, payoff=None):
+    s = states_section(2)
+    zero = outer([1.0, 0.0])
+    plus = outer([1.0 / math.sqrt(2), 1.0 / math.sqrt(2)])
+    e = Experiment(s, (zero, plus), np.array([0.5, 0.5]))
+    obj = experiment_to_json(e, classical_problem(np.eye(2)))
+    if payoff is not None:
+        obj["payoff"] = payoff
+    return (
+        write_json(tmp_path / "cand.json", candidate),
+        write_json(tmp_path / "exp.json", obj),
+    )
+
+
+def _malformed(tmp_path, case):
+    diag = matrix_to_json(herm(np.diag([1.0, -1.0, 0.0, 0.0]), (2, 2)))
+    mat = write_json(tmp_path / "mat.json", diag)
+    if case == "povm without effects":
+        return ("certify", *_certify_files(tmp_path, {"kind": "povm"}))
+    if case == "choi without matrix":
+        return ("certify", *_certify_files(tmp_path, {"kind": "choi"}))
+    if case == "channels without dims":
+        return ("norm", write_json(tmp_path / "sec.json", {"kind": "channels"}), mat)
+    if case == "non-integer dims":
+        bad = write_json(tmp_path / "bad.json", {**diag, "dims": ["x"]})
+        return ("norm", write_json(tmp_path / "sec.json", {"kind": "states", "dims": [4]}), bad)
+    if case == "classical payoff without table":
+        identity_povm = {"kind": "povm", "effects": [matrix_to_json(identity(2))] * 2}
+        return ("certify", *_certify_files(tmp_path, identity_povm, {"kind": "classical"}))
+    if case == "comb-norm non-integer dims":
+        return ("comb-norm", mat, "--dims", "2,x")
+    if case == "hmin one dim":
+        return ("hmin", mat, "--dims", "2")
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "povm without effects",
+        "choi without matrix",
+        "channels without dims",
+        "non-integer dims",
+        "classical payoff without table",
+        "comb-norm non-integer dims",
+        "hmin one dim",
+    ],
+)
+def test_exit_code_malformed_input(tmp_path, case):
+    proc = run_cli(*_malformed(tmp_path, case))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("input error:"), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -14,6 +14,7 @@ from gnorm.decisions import (
     build_xi,
     certify_optimal,
     choi_to_povm,
+    classical_xi_blocks,
     classical_problem,
     decompose_povm,
     experiment_from_json,
@@ -133,6 +134,20 @@ def test_max_payoff_helstrom_value():
     # emitted measurement achieves the value it claims
     direct = 1.0 - povm_error(res.povm, e.family, e.prior)
     assert direct == pytest.approx(res.value, abs=1e-6)
+
+
+def test_classical_payoff_dual_witness_is_the_effects():
+    c = channels_section(2, 2)
+    members = sample_section(c, 2, seed=3).points
+    e = Experiment(c, tuple(members), np.array([0.4, 0.6]))
+    p = classical_problem(np.eye(2))
+    res = max_payoff(e, p, tol=1e-8)
+    assert res.norm.dual_witness == res.povm.effects
+    assert all(m.subsystem_dims == c.subsystem_dims for m in res.povm.effects)
+    # the effects are the majorant multipliers: sum_d Tr(xi_d M_d) is the dual side
+    blocks = classical_xi_blocks(e, p)
+    paired = sum(trace_pair(xi, m) for xi, m in zip(blocks, res.povm.effects))
+    assert paired == pytest.approx(res.norm.dual_value, abs=1e-6)
 
 
 def test_payoff_bound_over_random_procedures():

@@ -309,6 +309,10 @@ def test_hmin_requires_bipartite_dims():
         hmin(identity(4) / 4)
 
 
+def test_hmin_of_zero_is_infinite():
+    assert hmin(herm(np.zeros((4, 4)), (2, 2))) == math.inf
+
+
 def test_ncomb_norm_examples():
     psi = herm(max_entangled_projection(2).entries, (2, 2))
     member = tensor(psi, psi)
