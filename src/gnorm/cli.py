@@ -35,7 +35,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .hermitian import json_field, matrix_from_json, matrix_to_json
+from .hermitian import json_field, json_list, matrix_from_json, matrix_to_json
 from .norms import NormResult, base_norm, dmax, dual_base_norm, hmin, ncomb_norm
 from .sections import channels_section, section_from_descriptor
 
@@ -248,12 +248,11 @@ def _cmd_certify(args) -> int:
     if problem is None:
         raise ShapeError("experiment file: missing 'payoff' field")
     cand_obj = _load_json(args.candidate)
-    if not isinstance(cand_obj, dict) or "kind" not in cand_obj:
-        raise ShapeError("candidate file: missing 'kind' field ('povm' or 'choi')")
-    if cand_obj["kind"] == "povm":
-        effects = json_field(cand_obj, "effects", "povm candidate file")
+    kind = json_field(cand_obj, "kind", "candidate file")
+    if kind == "povm":
+        effects = json_list(cand_obj, "effects", "povm candidate file")
         candidate = GeneralizedPOVM(experiment.section, tuple(matrix_from_json(m) for m in effects))
-    elif cand_obj["kind"] == "choi":
+    elif kind == "choi":
         candidate = matrix_from_json(json_field(cand_obj, "matrix", "choi candidate file"))
     else:
         raise ShapeError("candidate file: field 'kind' must be 'povm' or 'choi'")

@@ -33,6 +33,7 @@ from .hermitian import (
     hvec,
     identity,
     json_field,
+    json_list,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -47,7 +48,7 @@ from .hermitian import (
     transpose_in_basis,
     zeros,
 )
-from .norms import NormResult, base_norm, majorant_norm, majorant_program, transposed_norm
+from .norms import NormResult, base_norm, majorant_norm, majorant_program
 from .sections import (
     Section,
     contains,
@@ -262,12 +263,12 @@ def max_payoff(
 ) -> PayoffResult:
     """Maximal average payoff over all decision procedures.
 
-    Classical problems solve the block-collapsed program
-    min { Tr(q n) : q in span, q >= xi_d for all d } whose equality
-    multipliers are directly the optimal effects; quantum problems maximize
-    Tr(xi Y) over PSD Y whose marginal Tr_D Y pairs with the span like the
-    normalizer does (the transposed certificate program) and read the
-    optimal Choi matrix off the maximizer Y.
+    Both kinds solve one majorant program, min { Tr(q n) : q in span } under
+    the payoff's blocks, and read the optimal procedure off its multipliers.
+    Classical problems use the block-collapsed constraints q >= xi_d, one
+    per outcome, whose multipliers are directly the optimal effects; quantum
+    problems use the one lifted constraint I (x) q >= xi, whose multiplier Y
+    is the transposed Choi matrix of an optimal procedure.
     """
     section = experiment.section
     _require_unrestricted(section, "max_payoff")
@@ -280,13 +281,8 @@ def max_payoff(
         return PayoffResult(norm.value, norm, povm_to_choi(povm), povm)
 
     xi = build_xi(experiment, problem)
-    n_d = problem.n_outcomes
-    dims = (n_d,) + section.dims_tuple()
-    norm = transposed_norm(
-        majorant_program(section, 0, lifted=n_d), xi, dims, tol, max_iter,
-        "max_payoff (quantum)",
-    )
-    choi = transpose_in_basis(norm.dual_witness[0]).with_dims(dims)
+    norm = majorant_norm(section, (xi,), 1.0, tol, max_iter, "max_payoff (quantum)")
+    choi = transpose_in_basis(norm.dual_witness[0]).with_dims(xi.subsystem_dims)
     return PayoffResult(norm.value, norm, choi, None)
 
 
@@ -520,20 +516,20 @@ def experiment_to_json(experiment: Experiment, problem: DecisionProblem | None =
 
 
 def experiment_from_json(obj) -> tuple[Experiment, DecisionProblem | None]:
-    for key in ("section", "family", "prior"):
-        if key not in obj:
-            raise ValidationError(f"experiment JSON is missing the '{key}' field")
-    section = section_from_descriptor(obj["section"])
-    family = tuple(matrix_from_json(m) for m in obj["family"])
-    experiment = Experiment(section, family, np.asarray(obj["prior"], dtype=float))
+    where = "experiment JSON"
+    section = section_from_descriptor(json_field(obj, "section", where))
+    family = tuple(matrix_from_json(m) for m in json_list(obj, "family", where))
+    prior = np.asarray(json_field(obj, "prior", where), dtype=float)
+    experiment = Experiment(section, family, prior)
     problem = None
     if "payoff" in obj:
         p = obj["payoff"]
-        if p.get("kind") == "classical":
+        kind = json_field(p, "kind", "payoff")
+        if kind == "classical":
             table = json_field(p, "table", "classical payoff")
             problem = classical_problem(np.asarray(table, dtype=float))
-        elif p.get("kind") == "quantum":
-            operators = json_field(p, "operators", "quantum payoff")
+        elif kind == "quantum":
+            operators = json_list(p, "operators", "quantum payoff")
             problem = quantum_problem(tuple(matrix_from_json(w) for w in operators))
         else:
             raise ValidationError("field 'payoff.kind' must be 'classical' or 'quantum'")

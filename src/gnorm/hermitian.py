@@ -384,6 +384,15 @@ def json_field(obj, key: str, where: str):
     return obj[key]
 
 
+def json_list(obj, key: str, where: str) -> list:
+    """The field ``obj[key]``, which must be a JSON list, else a ShapeError
+    naming ``where``."""
+    raw = json_field(obj, key, where)
+    if not isinstance(raw, list):
+        raise ShapeError(f"{where}: field '{key}' must be a list, got {raw!r}")
+    return raw
+
+
 def json_dims(obj, where: str, least: int = 1) -> tuple[int, ...]:
     """The field ``dims`` of ``obj``: at least ``least`` integers, else a
     ShapeError naming ``where``."""

@@ -25,7 +25,7 @@ order-unit norm over {I (x) rho} gives the conditional min-entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class NormResult:
     is the minimizing q (so value = Tr(q n), -q <= x <= q).  ``dual_witness``
     holds one PSD multiplier per majorant block q >= r_j: the pair (y1, y2),
     with y1 + y2 in the dual section, attaining Tr(x (y1 - y2)) for base
-    norms; the effects for classical payoffs; (Y, 0) for the PSD forms.
+    norms; the effects for classical payoffs; (Y,) for quantum payoffs, Y
+    the transposed Choi matrix of the procedure.  :func:`base_norm_psd`
+    returns (Y, 0), Y the maximizing dual member, in the base-norm shape.
     Witnesses satisfy their constraints within a small multiple of the solve
     tolerance; both are None for infinite values.
     """
@@ -213,37 +215,26 @@ def _conic_result(primal: float, dual: float, q, ys, sol: solver.ConeSolution) -
 
 
 def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context) -> NormResult:
-    """min Tr(q n) over {q in J : q >= r_j for each block r_j}, by one solve;
-    value and q are multiplied by ``scale``, and the dual witness holds each
-    block's multiplier y_j, all lifted to the caller's space."""
+    """min Tr(q n) over {q in J : q >= r_j for each block r_j}, by one solve.
+
+    Each block's size says which constraint it states: a block of dimension d
+    (the section's) is q >= r_j, and a last block of dimension k d (k > 1) is
+    the lifted I_k (x) q >= r_j.  Value and q are multiplied by ``scale``, and
+    the dual witness holds each block's multiplier y_j, lifted to the
+    caller's space."""
+    d = section.ambient_dim
+    lifted = blocks[-1].dim // d if blocks[-1].dim > d else 0
     rhs = np.concatenate([hvec(b) for b in blocks])
-    program = majorant_program(section, len(blocks)).with_rhs(rhs)
+    program = majorant_program(section, len(blocks) - (lifted > 0), lifted).with_rhs(rhs)
     sol = solver.require_optimal(solver.solve(program, tol=tol, max_iter=max_iter), context)
-    d, dims = section.ambient_dim, section.subsystem_dims
     q = section.lift(section.from_span_coords(sol.primal_point[-1]) * scale)
-    y_rows = sol.dual_vector.reshape(len(blocks), -1)
-    ys = tuple(section.lift(hunvec_matrix(y, d, dims)) for y in y_rows)
-    return _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, ys, sol)
-
-
-def transposed_norm(
-    family: solver.MajorantProgram, a: HermitianMatrix, dims, tol, max_iter, context,
-    lift=lambda m: m,
-) -> NormResult:
-    """sup Tr(a Y) over {Y >= 0 : L^T Y = c_s} = inf c_s . s over {L s >= a},
-    for PSD ``a`` and a one-lift ``family``, by one solve of its transposed
-    form.  ``a`` is solved at unit Frobenius norm; ``lift`` maps the
-    witnesses (Y, 0) and L s to the caller's space."""
-    scale = frobenius_norm(a) or 1.0
-    program = family.with_rhs(hvec(a / scale)).transposed()
-    sol = solver.require_optimal(solver.solve(program, tol=tol, max_iter=max_iter), context)
-    y = herm(sol.primal_point[0], dims)
-    s = -sol.dual_vector / math.sqrt(family.sigma)
-    q = hunvec_matrix(family.lifts[0] @ s, a.dim, dims) * scale
-    zero = herm(np.zeros_like(y.entries), dims)
-    return _conic_result(
-        -sol.dual_value * scale, -sol.primal_value * scale, lift(q), (lift(y), lift(zero)), sol
-    )
+    ys, lo = [], 0
+    for b in blocks:
+        y = sol.dual_vector[lo : lo + b.dim ** 2]
+        dims = section.subsystem_dims if b.dim == d else (lifted,) + section.dims_tuple()
+        ys.append(section.lift(hunvec_matrix(y, b.dim, dims)))
+        lo += b.dim ** 2
+    return _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, tuple(ys), sol)
 
 
 def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: bool):
@@ -306,17 +297,23 @@ def base_norm_psd(
     max_iter: int = solver.DEFAULT_MAX_ITER,
     prefer_closed: bool = True,
 ) -> NormResult:
-    """Section norm of a PSD matrix via the linear program over the dual.
+    """Section norm of a PSD matrix: the linear program over the dual.
 
-    The maximizing side is sup Tr(a y) over dual members y; the minimizing
-    side inf Tr(q n) over members' cone {q in J : q >= a} reproduces the
-    max-relative-entropy form of the same value.
+    One majorant solve gives both sides: the minimizing side inf Tr(q n)
+    over {q in J : q >= a} (the max-relative-entropy form of the value) and,
+    as its multiplier, the maximizer of sup Tr(a y) over dual members y.
+    ``a`` is solved at unit Frobenius norm.
     """
     done, ac = _front_half(section, a, prefer_closed, psd=True)
-    return done or transposed_norm(
-        majorant_program(section, 1), ac, section.subsystem_dims, tol, max_iter,
-        f"base_norm_psd over {section.label}", section.lift,
+    if done is not None:
+        return done
+    scale = frobenius_norm(ac)
+    norm = majorant_norm(
+        section, (ac / scale,), scale, tol, max_iter, f"base_norm_psd over {section.label}"
     )
+    (y,) = norm.dual_witness
+    zero = herm(np.zeros_like(y.entries), y.subsystem_dims)
+    return replace(norm, dual_witness=(y, zero))
 
 
 # -- named specializations -----------------------------------------------------

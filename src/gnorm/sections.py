@@ -720,11 +720,9 @@ def section_to_descriptor(section: Section) -> dict:
 
 
 def section_from_descriptor(obj) -> Section:
-    from .hermitian import json_dims, json_field, matrix_from_json
+    from .hermitian import json_dims, json_field, json_list, matrix_from_json
 
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("section descriptor must be an object with a 'kind' field")
-    kind = obj["kind"]
+    kind = json_field(obj, "kind", "section descriptor")
     where = f"section descriptor of kind {kind!r}"
     if kind == "states":
         return states_section(json_dims(obj, where)[0])
@@ -743,6 +741,6 @@ def section_from_descriptor(obj) -> Section:
         base = section_from_descriptor(json_field(obj, "base", where))
         return povm_section(base, json_dims(obj, where)[0])
     if kind == "custom":
-        basis = [matrix_from_json(m) for m in json_field(obj, "basis", where)]
+        basis = [matrix_from_json(m) for m in json_list(obj, "basis", where)]
         return custom_section(basis, matrix_from_json(json_field(obj, "normalizer", where)))
     raise ValidationError(f"unknown section kind {kind!r}")

@@ -13,14 +13,14 @@ Algorithm: over-relaxed ADMM, alternating a projection onto the affine set
 projection is done follows from the program's structure:
 
 * a :class:`MajorantProgram` (rows L_j s - P_j = b_j with
-  sum_j L_j^T L_j = sigma I, the shape of every norm, payoff, certificate,
-  interior-point and recession program) is projected in closed form, with
-  products by the lifts L_j only: A A^T = I + L L^T has the inverse
-  I - L L^T / (1 + sigma), and neither A nor A A^T is ever formed;
-* a generic :class:`ConeProgram` (stated by a caller, or the
-  :meth:`MajorantProgram.transposed` form the PSD-input norm and the
-  quantum payoff solve) keeps its dense A and a cached eigen pseudo-inverse
-  of A A^T (which also covers dependent rows).
+  sum_j L_j^T L_j = sigma I, the shape of every program the library solves:
+  norms of any input, payoffs, certificates, interior points and recession
+  searches) is projected in closed form, with products by the lifts L_j
+  only: A A^T = I + L L^T has the inverse I - L L^T / (1 + sigma), and
+  neither A nor A A^T is ever formed;
+* a generic :class:`ConeProgram`, which only a caller states, keeps its
+  dense A and a cached eigen pseudo-inverse of A A^T (which also covers
+  dependent rows).
 
 The cone projection groups consecutive PSD blocks of one dimension into
 runs (a base or diamond norm has one run of two blocks, a classical payoff
@@ -180,9 +180,9 @@ class MajorantProgram(_ProgramData):
     for lifts L_j (d_j^2 x k) with sum_j L_j^T L_j = sigma I, checked on
     construction.  ``eq_rhs`` stacks the b_j.  Consecutive blocks that share
     one lift array share its products in the solve.  ``eq_matrix``, the dense
-    A = [-I | L], is built on first read; :func:`solve` never reads it.
-    :meth:`transposed` states the same optimum as a program over the PSD
-    blocks alone.
+    A = [-I | L], is built on first read for :func:`dump_program` and other
+    outside readers; :func:`solve` never reads it.  Every program the library
+    solves has this shape.
     """
 
     lifts: tuple[np.ndarray, ...]
@@ -191,7 +191,6 @@ class MajorantProgram(_ProgramData):
     description: str = ""
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
     blocks: tuple[Block, ...] = field(init=False, repr=False)
-    sigma: float = field(init=False, repr=False)  # sum_j L_j^T L_j = sigma I
 
     def __post_init__(self):
         lifts = tuple(np.asarray(m, dtype=float) for m in self.lifts)
@@ -219,7 +218,6 @@ class MajorantProgram(_ProgramData):
             # once per program family: with_rhs / with_objective share the lifts
             _require_finite(*lifts)
             self._shared["rows"] = _MajorantRows(lifts)
-        object.__setattr__(self, "sigma", self._shared["rows"].sigma)
 
     @property
     def eq_matrix(self) -> np.ndarray:
@@ -234,32 +232,6 @@ class MajorantProgram(_ProgramData):
                 row += m.shape[0]
             self._shared["eq_matrix"] = got
         return got
-
-    def transposed(self) -> ConeProgram:
-        """The Lagrange dual over the PSD blocks alone,
-
-            minimize  -sum_j b_j . Y_j   subject to  sum_j L_j^T Y_j = c_s,  Y_j PSD,
-
-        of a program whose objective c = (0, c_s) is zero on the P_j.  Its
-        rows and right-hand side are scaled by 1/sqrt(sigma), so A A^T = I,
-        and its equality multiplier y is the majorant point s = -y/sqrt(sigma).
-        The dense rows are built once per program family.
-        """
-        n_rows = self.eq_rhs.shape[0]
-        if np.any(self.objective[:n_rows]):
-            raise ShapeError("the transposed program needs a zero objective on the PSD blocks")
-        root = math.sqrt(self.sigma)
-        family = self._shared.get("transposed")
-        if family is None:
-            rows = np.vstack(self.lifts).T / root
-            family = ConeProgram(
-                self.blocks[:-1], np.zeros(n_rows), rows, np.zeros(rows.shape[0]),
-                f"transposed {self.description}",
-            )
-            self._shared["transposed"] = family
-        return dataclasses.replace(
-            family, objective=-self.eq_rhs, eq_rhs=self.objective[n_rows:] / root
-        )
 
 
 @dataclass(frozen=True, eq=False)

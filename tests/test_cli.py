@@ -293,14 +293,15 @@ def test_env_default_tol(tmp_path):
     assert json.loads(proc.stdout)["requested_tol"] == pytest.approx(1e-5)
 
 
-def _certify_files(tmp_path, candidate, payoff=None):
+def _certify_files(tmp_path, candidate, **fields):
+    """Candidate and experiment files; ``fields`` replace top-level fields of
+    the experiment, and None drops one."""
     s = states_section(2)
     zero = outer([1.0, 0.0])
     plus = outer([1.0 / math.sqrt(2), 1.0 / math.sqrt(2)])
     e = Experiment(s, (zero, plus), np.array([0.5, 0.5]))
     obj = experiment_to_json(e, classical_problem(np.eye(2)))
-    if payoff is not None:
-        obj["payoff"] = payoff
+    obj = {k: v for k, v in {**obj, **fields}.items() if v is not None}
     return (
         write_json(tmp_path / "cand.json", candidate),
         write_json(tmp_path / "exp.json", obj),
@@ -319,9 +320,19 @@ def _malformed(tmp_path, case):
     if case == "non-integer dims":
         bad = write_json(tmp_path / "bad.json", {**diag, "dims": ["x"]})
         return ("norm", write_json(tmp_path / "sec.json", {"kind": "states", "dims": [4]}), bad)
+    identity_povm = {"kind": "povm", "effects": [matrix_to_json(identity(2))] * 2}
     if case == "classical payoff without table":
-        identity_povm = {"kind": "povm", "effects": [matrix_to_json(identity(2))] * 2}
-        return ("certify", *_certify_files(tmp_path, identity_povm, {"kind": "classical"}))
+        return ("certify", *_certify_files(tmp_path, identity_povm, payoff={"kind": "classical"}))
+    if case == "payoff not an object":
+        return ("certify", *_certify_files(tmp_path, identity_povm, payoff=[1]))
+    if case == "effects not a list":
+        return ("certify", *_certify_files(tmp_path, {"kind": "povm", "effects": 3}))
+    if case == "family not a list":
+        return ("certify", *_certify_files(tmp_path, identity_povm, family=3))
+    if case == "section without kind":
+        return ("certify", *_certify_files(tmp_path, identity_povm, section={"dims": [2]}))
+    if case == "experiment without prior":
+        return ("certify", *_certify_files(tmp_path, identity_povm, prior=None))
     if case == "comb-norm non-integer dims":
         return ("comb-norm", mat, "--dims", "2,x")
     if case == "hmin one dim":
@@ -337,6 +348,11 @@ def _malformed(tmp_path, case):
         "channels without dims",
         "non-integer dims",
         "classical payoff without table",
+        "payoff not an object",
+        "effects not a list",
+        "family not a list",
+        "section without kind",
+        "experiment without prior",
         "comb-norm non-integer dims",
         "hmin one dim",
     ],

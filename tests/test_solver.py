@@ -4,12 +4,24 @@ scaling properties, and degenerate statuses."""
 import numpy as np
 import pytest
 
-from conftest import rand_herm, rand_psd
+from conftest import rand_herm, rand_kraus_channel, rand_psd
 from gnorm import solver
+from gnorm.choi import kraus_channel
+from gnorm.decisions import Experiment, build_xi, max_payoff, quantum_problem
 from gnorm.errors import DomainError, ShapeError, SolverError
-from gnorm.hermitian import herm, hunvec, hvec, identity, op_norm, trace_norm
-from gnorm.norms import majorant_program
-from gnorm.sections import channels_section, comb_section
+from gnorm.hermitian import (
+    herm,
+    hunvec,
+    hvec,
+    identity,
+    op_norm,
+    partial_trace,
+    tensor,
+    trace_norm,
+    trace_pair,
+)
+from gnorm.norms import base_norm_psd, certify_extremal_psd, majorant_program
+from gnorm.sections import channels_section, comb_section, contains, dual_section
 from gnorm.solver import (
     FREE,
     PSD,
@@ -310,31 +322,45 @@ def test_majorant_solve_matches_dense_copy():
         assert abs(sol.dual_value - ref.dual_value) <= 1e-9
 
 
-def test_transposed_program_matches_majorant():
+def test_library_programs_are_majorant_programs(monkeypatch):
+    def no_dense_rows(a):
+        raise AssertionError("a library solve built dense rows")
+
+    monkeypatch.setattr(solver, "_DenseRows", no_dense_rows)
     rng = np.random.default_rng(51)
-    ch = channels_section(2, 2)
-    for copies, lifted in ((1, 0), (0, 2)):
-        family = majorant_program(ch, copies, lifted)
-        d = (lifted or 1) * ch.ambient_dim
-        b = hvec(rand_herm(rng, d))
-        program = family.with_rhs(b)
-        transposed = program.transposed()
-        a = transposed.eq_matrix
-        assert np.max(np.abs(a @ a.T - np.eye(a.shape[0]))) <= 1e-12
-        # the dense rows are built once per program family
-        assert family.with_rhs(-b).transposed().eq_matrix is a
-        ref = solve(program, tol=1e-8)
-        sol = solve(transposed, tol=1e-8)
-        assert ref.status == sol.status == "optimal"
-        assert abs(sol.primal_value + ref.primal_value) <= 1e-8 * (1 + 2 * abs(ref.primal_value))
-        assert np.linalg.eigvalsh(sol.primal_point[0])[0] >= -1e-9
-        # the multiplier is the majorant point: L s >= b at the optimal value
-        s = -sol.dual_vector / np.sqrt(family.sigma)
-        assert abs(family.objective[d * d :] @ s - ref.primal_value) <= 1e-6
-        assert np.linalg.eigvalsh(hunvec(family.lifts[0] @ s - b, d))[0] >= -1e-6
-        # the dual over the PSD blocks alone needs no objective on them
-        with pytest.raises(ShapeError):
-            program.with_objective(np.ones(program.total_dim)).transposed()
+    # uncached sections, so no program family carries rows built earlier
+    for sec in (channels_section.__wrapped__(2, 2), comb_section.__wrapped__((2, 2, 2, 2))):
+        d = sec.ambient_dim
+        a = rand_psd(rng, d)
+        res = base_norm_psd(sec, a, tol=1e-9)
+        y, zero = res.dual_witness
+        q = res.primal_witness
+        assert res.method == "conic" and not np.any(zero.entries)
+        assert np.linalg.eigvalsh(y.entries)[0] >= -1e-8
+        assert contains(dual_section(sec), y, 1e-6)
+        assert contains(sec, q / trace_pair(q, sec.normalizer), 1e-6)
+        assert np.linalg.eigvalsh((q - a).entries)[0] >= -1e-6
+        assert abs(trace_pair(q, sec.normalizer) - res.value) <= 1e-6 * res.value
+        assert abs(trace_pair(a, y) - res.value) <= 1e-6 * res.value
+        for cert in (
+            certify_extremal_psd(sec, a, dual_candidate=y),
+            certify_extremal_psd(sec, a, member_candidate=q / res.value),
+        ):
+            assert cert.feasible
+
+    ch = channels_section.__wrapped__(2, 2)
+    family = tuple(kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(2))
+    experiment = Experiment(ch, family, np.array([0.5, 0.5]))
+    ops = (herm(np.diag([1.0, 0.2])), herm(np.diag([0.1, 0.9])))
+    pay = max_payoff(experiment, quantum_problem(ops), tol=1e-9)
+    (y,) = pay.norm.dual_witness
+    q = pay.norm.primal_witness
+    xi = build_xi(experiment, quantum_problem(ops))
+    assert np.linalg.eigvalsh(y.entries)[0] >= -1e-8
+    assert contains(dual_section(ch), partial_trace(y.with_dims((2, 4)), 0), 1e-6)
+    assert np.linalg.eigvalsh((tensor(identity(2), q) - xi).entries)[0] >= -1e-6
+    assert abs(trace_pair(q, ch.normalizer) - pay.value) <= 1e-6
+    assert abs(trace_pair(xi, y) - pay.value) <= 1e-6
 
 
 def test_majorant_rejects_bad_lifts():
