@@ -36,8 +36,8 @@ from .errors import (
     ValidationError,
 )
 from .hermitian import json_field, json_list, matrix_from_json, matrix_to_json
-from .norms import NormResult, base_norm, dmax, dual_base_norm, hmin, ncomb_norm
-from .sections import channels_section, section_from_descriptor
+from .norms import NormResult, base_norm, diamond_norm, dmax, dual_base_norm, hmin, ncomb_norm
+from .sections import section_from_descriptor
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -196,8 +196,7 @@ def _cmd_diamond(args) -> int:
         if len(x.subsystem_dims) != 2:
             raise ShapeError(f"{name}: 'dims' must have length 2 (output, input)")
     diff = args.lam * x0 - (1.0 - args.lam) * x1
-    d_out, d_in = x0.subsystem_dims
-    res = base_norm(channels_section(d_in, d_out), diff, tol=args.tol, max_iter=args.max_iter)
+    res = diamond_norm(diff, tol=args.tol, max_iter=args.max_iter)
     report = Report(
         "diamond",
         {"choi0": _digest(args.choi0), "choi1": _digest(args.choi1)},

@@ -11,9 +11,9 @@ block matrix
 
 over the section {I (x) b}, and every optimizer is certified by a
 complementary-slackness witness q:  xi <= I (x) q  and  ((I (x) q) - xi) X^T = 0.
-Both conditions are linear once the candidate X is fixed, so certification is
-one conic solve whose optimal value exceeds the candidate's payoff exactly by
-its suboptimality.
+The minimizing q of the payoff's own solve is such a witness for every
+optimal X, so certification reads q and the optimum off that solve, and a
+candidate fails exactly by its payoff deficit.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .hermitian import (
     abs_pos_neg,
     eig,
     herm,
-    hvec,
     identity,
     json_field,
+    json_floats,
     json_list,
     matrix_from_json,
     matrix_to_json,
@@ -48,7 +48,7 @@ from .hermitian import (
     transpose_in_basis,
     zeros,
 )
-from .norms import NormResult, base_norm, majorant_norm, majorant_program
+from .norms import NormResult, base_norm, majorant_norm
 from .sections import (
     Section,
     contains,
@@ -191,7 +191,8 @@ class GeneralizedPOVM:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Complementary-slackness check of a candidate decision procedure."""
+    """Complementary-slackness check of a candidate decision procedure;
+    ``payoff_at_optimum`` and ``witness_q`` come from :func:`max_payoff`'s solve."""
 
     feasible: bool
     witness_q: HermitianMatrix | None
@@ -255,6 +256,18 @@ def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatri
     return out
 
 
+def _payoff_norm(experiment, problem, tol, max_iter, context: str) -> NormResult:
+    """The payoff's majorant solve: q >= xi_d, one block per outcome, for
+    classical problems, and the one lifted I (x) q >= xi for quantum ones."""
+    _require_unrestricted(experiment.section, context)
+    if problem.kind == "classical":
+        blocks = classical_xi_blocks(experiment, problem)
+    else:
+        blocks = (build_xi(experiment, problem),)
+    context = f"{context} ({problem.kind})"
+    return majorant_norm(experiment.section, blocks, 1.0, tol, max_iter, context)
+
+
 def max_payoff(
     experiment: Experiment,
     problem: DecisionProblem,
@@ -270,20 +283,12 @@ def max_payoff(
     problems use the one lifted constraint I (x) q >= xi, whose multiplier Y
     is the transposed Choi matrix of an optimal procedure.
     """
+    norm = _payoff_norm(experiment, problem, tol, max_iter, "max_payoff")
     section = experiment.section
-    _require_unrestricted(section, "max_payoff")
     if problem.kind == "classical":
-        norm = majorant_norm(
-            section, classical_xi_blocks(experiment, problem), 1.0, tol, max_iter,
-            "max_payoff (classical)",
-        )
         povm = GeneralizedPOVM(section, norm.dual_witness, validation_tol=max(1e-5, 100 * tol))
         return PayoffResult(norm.value, norm, povm_to_choi(povm), povm)
-
-    xi = build_xi(experiment, problem)
-    norm = majorant_norm(section, (xi,), 1.0, tol, max_iter, "max_payoff (quantum)")
-    choi = transpose_in_basis(norm.dual_witness[0]).with_dims(xi.subsystem_dims)
-    return PayoffResult(norm.value, norm, choi, None)
+    return PayoffResult(norm.value, norm, transpose_in_basis(norm.dual_witness[0]), None)
 
 
 def povm_to_choi(povm: GeneralizedPOVM) -> HermitianMatrix:
@@ -397,10 +402,11 @@ def certify_optimal(
     """Decide whether a procedure attains the maximal average payoff.
 
     ``candidate`` is a :class:`GeneralizedPOVM`, a procedure Choi matrix, or
-    a :class:`ChoiMatrix`.  Searches for q in the span cone with
-    xi <= I (x) q and Tr(((I (x) q) - xi) X^T) = 0; since the search minimizes
-    Tr((I (x) q) X^T) and its optimum is the maximal payoff, infeasibility is
-    exactly a positive payoff deficit.
+    a :class:`ChoiMatrix`.  The witness is the q of the solve
+    :func:`max_payoff` runs: xi <= I (x) q, and Tr(((I (x) q) - xi) X^T) = 0
+    holds exactly when the candidate's payoff reaches that solve's optimum
+    (the input marginal of X^T is a dual element, which pairs with q as the
+    normalizer does).  So ``feasible`` is decided by the payoff deficit.
     """
     section = experiment.section
     _require_unrestricted(section, "certify_optimal")
@@ -426,31 +432,19 @@ def certify_optimal(
 
     xt = transpose_in_basis(x)
     payoff = trace_pair(xi, xt)
-    marg_xt = partial_trace(xt.with_dims((n_d, section.ambient_dim)), 0)
-
-    # q >= 0 needs no block of its own: I (x) q >= xi >= 0 implies it.
-    program = majorant_program(section, 0, lifted=n_d)
-    n_big = (n_d * section.ambient_dim) ** 2
-    c = np.concatenate([np.zeros(n_big), section.span_coords(marg_xt)])
-    sol = solver.solve(
-        program.with_rhs(hvec(xi)).with_objective(c), tol=solve_tol, max_iter=max_iter
-    )
-    solver.require_optimal(sol, "certify_optimal")
-
-    q = section.from_span_coords(sol.primal_point[1])
+    norm = _payoff_norm(experiment, problem, solve_tol, max_iter, "certify_optimal")
+    q = norm.primal_witness
     big_q = tensor(identity(n_d), q)
     slack = float(np.linalg.norm((big_q.entries - xi.entries) @ xt.entries))
     w_min = float(eig(big_q - xi).eigenvalues[-1])
-    optimum = 0.5 * (sol.primal_value + sol.dual_value)
-    gap = optimum - payoff
-    scale = max(1.0, abs(payoff))
+    gap = norm.value - payoff
     return Certificate(
-        feasible=bool(gap <= tol * scale),
+        feasible=bool(gap <= tol * max(1.0, abs(payoff))),
         witness_q=q,
         slack_residual=slack,
         majorization_residual=max(0.0, -w_min),
         candidate_payoff=payoff,
-        payoff_at_optimum=optimum,
+        payoff_at_optimum=norm.value,
     )
 
 
@@ -519,15 +513,13 @@ def experiment_from_json(obj) -> tuple[Experiment, DecisionProblem | None]:
     where = "experiment JSON"
     section = section_from_descriptor(json_field(obj, "section", where))
     family = tuple(matrix_from_json(m) for m in json_list(obj, "family", where))
-    prior = np.asarray(json_field(obj, "prior", where), dtype=float)
-    experiment = Experiment(section, family, prior)
+    experiment = Experiment(section, family, json_floats(obj, "prior", where))
     problem = None
     if "payoff" in obj:
         p = obj["payoff"]
         kind = json_field(p, "kind", "payoff")
         if kind == "classical":
-            table = json_field(p, "table", "classical payoff")
-            problem = classical_problem(np.asarray(table, dtype=float))
+            problem = classical_problem(json_floats(p, "table", "classical payoff"))
         elif kind == "quantum":
             operators = json_list(p, "operators", "quantum payoff")
             problem = quantum_problem(tuple(matrix_from_json(w) for w in operators))

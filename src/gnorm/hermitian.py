@@ -393,6 +393,19 @@ def json_list(obj, key: str, where: str) -> list:
     return raw
 
 
+def json_floats(obj, key: str, where: str) -> np.ndarray:
+    """The field ``obj[key]`` as a finite float array, else a ShapeError
+    naming ``where``."""
+    raw = json_field(obj, key, where)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(math.nan)
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError(f"{where}: field '{key}' must be finite numbers, got {raw!r}")
+    return arr
+
+
 def json_dims(obj, where: str, least: int = 1) -> tuple[int, ...]:
     """The field ``dims`` of ``obj``: at least ``least`` integers, else a
     ShapeError naming ``where``."""

@@ -185,8 +185,7 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
     q = M s runs over the span (M = ``span_matrix``, orthonormal), so the
     lifts are M per copy and, for the lifted block, the Kronecker lift
     I (x) M (columns hvec(I (x) J_i)); their Gram sum is (copies + lifted) I.
-    Callers set the right-hand sides and, for certificates, the objective
-    over s.  Cached on the section.
+    Callers set the right-hand sides.  Cached on the section.
     """
     key = ("majorant", copies, lifted)
     got = section._cache.get(key)
@@ -385,8 +384,9 @@ class ExtremalCertificate:
     ``feasible`` means the complementary-slackness witness exists within
     tolerance: for a dual candidate y0, some q in the span cone with
     a <= q and (q - a) y0 = 0; for a member candidate b0, a scale t and a
-    dual element y0 with a <= t b0 and (t b0 - a) y0 = 0.
-    """
+    dual element y0 with a <= t b0 and (t b0 - a) y0 = 0.  ``norm_value`` is
+    :func:`base_norm_psd`'s value and ``optimum_gap`` the candidate's distance
+    from it."""
 
     feasible: bool
     witness_q: HermitianMatrix | None
@@ -409,10 +409,11 @@ def certify_extremal_psd(
     """Check a claimed maximizer (dual element) or minimizer (member) of the
     PSD-norm value for ``a``.
 
-    Exactly one candidate must be given.  The search is a conic program with
-    the candidate as data; its optimal value exceeds the candidate's
-    objective exactly by the candidate's suboptimality, so ``feasible`` is
-    decided by that gap.
+    Exactly one candidate must be given; both are checked against one
+    :func:`base_norm_psd` result, which decides ``feasible`` by the gap.  A
+    dual candidate y0 falls short by value - Tr(a y0), with the norm's q as
+    witness (every dual element pairs with q as n does); a member b0
+    overshoots by t - value, t the least scale with a <= t b0.
     """
     if (dual_candidate is None) == (member_candidate is None):
         raise ValidationError("pass exactly one of dual_candidate / member_candidate")
@@ -421,46 +422,39 @@ def certify_extremal_psd(
         raise ValidationError("input has weight outside the section's carrier space")
     if not psd_check(ac, 1e-8):
         raise DomainError("certify_extremal_psd needs PSD input")
-
+    check_tol = max(1e-6, 10 * tol)
     if dual_candidate is not None:
-        y0 = section.compress(dual_candidate)
-        if y0 is None or not contains(dual_section(section), y0, max(1e-6, 10 * tol)):
+        if not contains(dual_section(section), dual_candidate, check_tol):
             raise ValidationError("dual candidate is not a member of the dual section")
-        # q >= a >= 0, so q >= 0 needs no block of its own.
-        program = majorant_program(section, 1)
-        c = np.concatenate([np.zeros(section.ambient_dim ** 2), section.span_coords(y0)])
-        sol = solver.solve(
-            program.with_rhs(hvec(ac)).with_objective(c), tol=solve_tol, max_iter=max_iter
-        )
-        solver.require_optimal(sol, "certify_extremal_psd (dual candidate)")
-        q = section.from_span_coords(sol.primal_point[1])
+    elif not contains(section, member_candidate, check_tol):
+        raise ValidationError("member candidate is not a member of the section")
+
+    norm = base_norm_psd(section, a, tol=solve_tol, max_iter=max_iter)
+    if dual_candidate is not None:
+        y0 = section.compress(dual_candidate, check_tol)
+        q = section.compress(norm.primal_witness)
         paired = trace_pair(ac, y0)
-        gap = sol.primal_value - paired
+        gap = norm.value - paired
         slack = float(np.linalg.norm((q.entries - ac.entries) @ y0.entries))
-        scale = max(1.0, abs(paired))
         return ExtremalCertificate(
-            feasible=bool(gap <= tol * scale),
-            witness_q=section.lift(q),
+            feasible=bool(gap <= tol * max(1.0, abs(paired))),
+            witness_q=norm.primal_witness,
             witness_dual=section.lift(y0),
-            scale_t=sol.primal_value,
+            scale_t=norm.value,
             slack_residual=slack,
             optimum_gap=float(gap),
-            norm_value=float(sol.primal_value),
+            norm_value=norm.value,
         )
 
-    b0 = section.compress(member_candidate)
-    if b0 is None or not contains(section, b0, max(1e-6, 10 * tol)):
-        raise ValidationError("member candidate is not a member of the section")
+    b0 = section.compress(member_candidate, check_tol)
     t_min = order_unit_norm_singleton(b0, ac)
-    norm = base_norm_psd(section, a, tol=solve_tol, max_iter=max_iter)
     if t_min == INF:
         return ExtremalCertificate(False, norm.primal_witness, None, INF, INF, INF, norm.value)
     y_star = section.compress(norm.dual_witness[0])
     gap = t_min - norm.value
     slack = float(np.linalg.norm((t_min * b0.entries - ac.entries) @ y_star.entries))
-    scale = max(1.0, norm.value)
     return ExtremalCertificate(
-        feasible=bool(gap <= tol * scale),
+        feasible=bool(gap <= tol * max(1.0, norm.value)),
         witness_q=section.lift((t_min * b0).with_dims(section.subsystem_dims)),
         witness_dual=norm.dual_witness[0],
         scale_t=t_min,

@@ -333,6 +333,13 @@ def _malformed(tmp_path, case):
         return ("certify", *_certify_files(tmp_path, identity_povm, section={"dims": [2]}))
     if case == "experiment without prior":
         return ("certify", *_certify_files(tmp_path, identity_povm, prior=None))
+    if case == "prior a string":
+        return ("certify", *_certify_files(tmp_path, identity_povm, prior="x"))
+    if case == "prior of strings":
+        return ("certify", *_certify_files(tmp_path, identity_povm, prior=["a", "b"]))
+    if case == "classical table a string":
+        payoff = {"kind": "classical", "table": "x"}
+        return ("certify", *_certify_files(tmp_path, identity_povm, payoff=payoff))
     if case == "comb-norm non-integer dims":
         return ("comb-norm", mat, "--dims", "2,x")
     if case == "hmin one dim":
@@ -353,6 +360,9 @@ def _malformed(tmp_path, case):
         "family not a list",
         "section without kind",
         "experiment without prior",
+        "prior a string",
+        "prior of strings",
+        "classical table a string",
         "comb-norm non-integer dims",
         "hmin one dim",
     ],

@@ -383,6 +383,20 @@ def test_certify_optimal_over_channel_section():
     assert cert.feasible
 
 
+def test_certificate_optimum_is_the_payoff_value():
+    rng = np.random.default_rng(71)
+    c = channels_section(2, 2)
+    family = tuple(kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(2))
+    e = uniform_experiment(c, family)
+    ops = (herm(np.diag([1.0, 0.2])), herm(np.diag([0.1, 0.9])))
+    for p in (classical_problem(np.eye(2)), quantum_problem(ops)):
+        res = max_payoff(e, p, tol=1e-8)
+        cert = certify_optimal(res.choi, e, p, tol=1e-5, solve_tol=1e-8)
+        assert cert.feasible
+        assert cert.payoff_at_optimum == res.value
+        assert np.array_equal(cert.witness_q.entries, res.norm.primal_witness.entries)
+
+
 def test_decompose_povm_ordinary():
     _, povm = helstrom(KET0, PLUS, 0.5)
     c, lams = decompose_povm(povm)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd
+from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection, max_entangled_state
 from gnorm.errors import DomainError
 from gnorm.hermitian import (
@@ -508,6 +509,58 @@ def test_certify_extremal_rejects_suboptimal_dual():
     if res.value - paired > 1e-3:
         cert = certify_extremal_psd(c, a, dual_candidate=center, tol=1e-6)
         assert not cert.feasible
+
+
+def test_certify_extremal_reads_the_norm_solve():
+    rng = np.random.default_rng(72)
+    c = channels_section(2, 2)
+    a = rand_psd(rng, 4, dims=(2, 2))
+    res = base_norm_psd(c, a, tol=1e-9)
+    cert = certify_extremal_psd(c, a, dual_candidate=res.dual_witness[0], solve_tol=1e-9)
+    assert cert.feasible
+    assert cert.norm_value == res.value
+    assert np.array_equal(cert.witness_q.entries, res.primal_witness.entries)
+    member = res.primal_witness / res.value
+    assert certify_extremal_psd(c, a, member_candidate=member, solve_tol=1e-9).norm_value == res.value
+
+
+def test_certify_extremal_closed_forms_need_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a closed-form certificate called the solver")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    rng = np.random.default_rng(73)
+    for sec in (states_section(2), full_slice_section(rand_psd(rng, 3) + identity(3))):
+        a = rand_psd(rng, sec.ambient_dim)
+        res = base_norm_psd(sec, a)
+        assert res.method == "closed_form"
+        y = res.dual_witness[0]
+        b = res.primal_witness / res.value
+        for cert in (
+            certify_extremal_psd(sec, a, dual_candidate=y),
+            certify_extremal_psd(sec, a, member_candidate=b),
+        ):
+            assert cert.feasible and cert.norm_value == res.value
+
+
+def test_certify_extremal_on_restricted_sections():
+    singleton = singleton_section(herm(np.diag([0.6, 0.4, 0.0])))
+    e00, e11 = herm(np.diag([1.0, 0.0, 0.0])), herm(np.diag([0.0, 1.0, 0.0]))
+    off = herm(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    custom = custom_section([e00, e11, off], identity(3))
+    a = herm(np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.0]]))
+    for sec in (singleton, custom):
+        assert sec.restricted
+        res = base_norm_psd(sec, a, tol=1e-9)
+        normalizer = sec.lift(sec.normalizer)
+        member = res.primal_witness / trace_pair(res.primal_witness, normalizer)
+        for cert in (
+            certify_extremal_psd(sec, a, dual_candidate=res.dual_witness[0], solve_tol=1e-9),
+            certify_extremal_psd(sec, a, member_candidate=member, solve_tol=1e-9),
+        ):
+            assert cert.feasible
+            assert cert.norm_value == res.value
+            assert cert.witness_q.dim == cert.witness_dual.dim == 3
 
 
 def test_results_carry_solve_diagnostics():

@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_herm, rand_kraus_channel, rand_psd
 from gnorm import solver
 from gnorm.choi import kraus_channel
-from gnorm.decisions import Experiment, build_xi, max_payoff, quantum_problem
+from gnorm.decisions import Experiment, build_xi, certify_optimal, max_payoff, quantum_problem
 from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import (
     herm,
@@ -326,7 +326,11 @@ def test_library_programs_are_majorant_programs(monkeypatch):
     def no_dense_rows(a):
         raise AssertionError("a library solve built dense rows")
 
+    def no_objective(self, objective):
+        raise AssertionError("a library solve changed a majorant program's objective")
+
     monkeypatch.setattr(solver, "_DenseRows", no_dense_rows)
+    monkeypatch.setattr(MajorantProgram, "with_objective", no_objective)
     rng = np.random.default_rng(51)
     # uncached sections, so no program family carries rows built earlier
     for sec in (channels_section.__wrapped__(2, 2), comb_section.__wrapped__((2, 2, 2, 2))):
@@ -353,6 +357,7 @@ def test_library_programs_are_majorant_programs(monkeypatch):
     experiment = Experiment(ch, family, np.array([0.5, 0.5]))
     ops = (herm(np.diag([1.0, 0.2])), herm(np.diag([0.1, 0.9])))
     pay = max_payoff(experiment, quantum_problem(ops), tol=1e-9)
+    assert certify_optimal(pay.choi, experiment, quantum_problem(ops), tol=1e-5).feasible
     (y,) = pay.norm.dual_witness
     q = pay.norm.primal_witness
     xi = build_xi(experiment, quantum_problem(ops))
