@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__, solver
 from .decisions import (
@@ -45,51 +44,11 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INFEASIBLE = 3
 
 
-@dataclass
-class Report:
-    """Deterministic machine-readable result of one invocation."""
-
-    command: str
-    inputs: dict
-    values: dict
-    requested_tol: float | None = None
-    achieved_tol: float | None = None
-    gap: float | None = None
-    method: str | None = None
-    solver: dict = field(default_factory=dict)
-    witnesses: str | None = None
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "values": _jsonable(self.values),
-            "version": self.version,
-        }
-        if self.requested_tol is not None:
-            out["requested_tol"] = self.requested_tol
-        if self.achieved_tol is not None:
-            out["achieved_tol"] = self.achieved_tol
-        if self.gap is not None:
-            out["gap"] = self.gap
-        if self.method is not None:
-            out["method"] = self.method
-        if self.solver:
-            out["solver"] = _jsonable(self.solver)
-        if self.witnesses is not None:
-            out["witnesses"] = self.witnesses
-        return out
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
+def _jsonable(x):
+    """JSON has no infinity: write it as the string "inf" or "-inf"."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 def _digest(path: str) -> str:
@@ -107,8 +66,8 @@ def _load_json(path: str):
         raise ShapeError(f"file {path} is not valid JSON: {exc}")
 
 
-def _load_matrix(path: str, strict: bool = False):
-    return matrix_from_json(_load_json(path), strict)
+def _load_matrix(path: str):
+    return matrix_from_json(_load_json(path))
 
 
 def _default_tol() -> float:
@@ -121,27 +80,39 @@ def _default_tol() -> float:
         raise ShapeError(f"GNORM_DEFAULT_TOL is not a number: {raw!r}")
 
 
-def _norm_report(report: Report, res: NormResult, witness_out: str | None):
-    report.values["value"] = res.value
-    report.values["primal_value"] = res.primal_value
-    report.values["dual_value"] = res.dual_value
-    report.gap = res.gap
-    report.method = res.method
-    report.achieved_tol = res.gap
-    report.solver = {"status": res.status, "iterations": res.iterations}
-    if witness_out and res.primal_witness is not None:
-        payload = {
-            "primal_witness": matrix_to_json(res.primal_witness),
-            "dual_witness": [matrix_to_json(w) for w in res.dual_witness],
-        }
-        with open(witness_out, "w") as fh:
-            json.dump(payload, fh)
-        report.witnesses = witness_out
+def _emit(args, values: dict, summary: str, res: NormResult | None = None, witness=None) -> int:
+    """Print the invocation's JSON report on stdout and ``summary`` on stderr.
 
-
-def _emit(report: Report, summary: str) -> None:
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    The report holds the command, the sha256 of each input file, ``values``
+    and the version; ``requested_tol`` for commands that take --tol; and for
+    a norm result ``res`` its values, gap, method and solver statistics.  The
+    witnesses (``res``'s optimizers, else ``witness``) go to --witness-out.
+    """
+    report = {
+        "command": args.command,
+        "inputs": {name: _digest(getattr(args, name)) for name in args.inputs},
+        "version": __version__,
+    }
+    if hasattr(args, "tol"):
+        report["requested_tol"] = args.tol
+    out = getattr(args, "witness_out", None)
+    if res is not None:
+        values.update(value=res.value, primal_value=res.primal_value, dual_value=res.dual_value)
+        report.update(gap=res.gap, achieved_tol=res.gap, method=res.method)
+        report["solver"] = {"status": res.status, "iterations": res.iterations}
+        if out and res.primal_witness is not None:
+            witness = {
+                "primal_witness": matrix_to_json(res.primal_witness),
+                "dual_witness": [matrix_to_json(w) for w in res.dual_witness],
+            }
+    if out and witness is not None:
+        with open(out, "w") as fh:
+            json.dump(witness, fh)
+        report["witnesses"] = out
+    report["values"] = {k: _jsonable(v) for k, v in values.items()}
+    print(json.dumps(report, indent=2, sort_keys=True))
     print(summary, file=sys.stderr)
+    return EXIT_OK
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -152,41 +123,20 @@ def _cmd_norm(args) -> int:
     x = _load_matrix(args.matrix)
     fn = dual_base_norm if args.dual else base_norm
     res = fn(section, x, tol=args.tol, max_iter=args.max_iter)
-    report = Report(
-        "norm",
-        {"section": _digest(args.section), "matrix": _digest(args.matrix)},
-        {"dual": bool(args.dual)},
-        requested_tol=args.tol,
-    )
-    _norm_report(report, res, args.witness_out)
-    _emit(report, f"norm = {res.value:.12g} (gap {res.gap:.3e}, {res.method})")
-    return EXIT_OK
+    summary = f"norm = {res.value:.12g} (gap {res.gap:.3e}, {res.method})"
+    return _emit(args, {"dual": bool(args.dual)}, summary, res)
 
 
 def _cmd_dmax(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
-    value = dmax(a, b)
-    report = Report("dmax", {"a": _digest(args.a), "b": _digest(args.b)}, {"dmax": value})
-    _emit(report, f"dmax = {value:.12g} (log base 2)")
-    return EXIT_OK
+    value = dmax(_load_matrix(args.a), _load_matrix(args.b))
+    return _emit(args, {"dmax": value}, f"dmax = {value:.12g} (log base 2)")
 
 
 def _cmd_helstrom(args) -> int:
-    rho0 = _load_matrix(args.rho0)
-    rho1 = _load_matrix(args.rho1)
-    error, povm = helstrom(rho0, rho1, args.lam)
-    report = Report(
-        "helstrom",
-        {"rho0": _digest(args.rho0), "rho1": _digest(args.rho1)},
-        {"error": error, "lambda": args.lam},
-    )
-    if args.witness_out:
-        with open(args.witness_out, "w") as fh:
-            json.dump({"effects": [matrix_to_json(m) for m in povm.effects]}, fh)
-        report.witnesses = args.witness_out
-    _emit(report, f"minimal Bayes error = {error:.12g}")
-    return EXIT_OK
+    error, povm = helstrom(_load_matrix(args.rho0), _load_matrix(args.rho1), args.lam)
+    witness = {"effects": [matrix_to_json(m) for m in povm.effects]}
+    summary = f"minimal Bayes error = {error:.12g}"
+    return _emit(args, {"error": error, "lambda": args.lam}, summary, witness=witness)
 
 
 def _cmd_diamond(args) -> int:
@@ -195,17 +145,13 @@ def _cmd_diamond(args) -> int:
     for name, x in (("choi0", x0), ("choi1", x1)):
         if len(x.subsystem_dims) != 2:
             raise ShapeError(f"{name}: 'dims' must have length 2 (output, input)")
+    if not 0.0 <= args.lam <= 1.0:
+        raise DomainError("prior must lie in [0, 1]")
     diff = args.lam * x0 - (1.0 - args.lam) * x1
     res = diamond_norm(diff, tol=args.tol, max_iter=args.max_iter)
-    report = Report(
-        "diamond",
-        {"choi0": _digest(args.choi0), "choi1": _digest(args.choi1)},
-        {"lambda": args.lam, "error": 0.5 * (1.0 - res.value)},
-        requested_tol=args.tol,
-    )
-    _norm_report(report, res, args.witness_out)
-    _emit(report, f"channel-section norm = {res.value:.12g}, error = {0.5*(1-res.value):.12g}")
-    return EXIT_OK
+    error = 0.5 * (1.0 - res.value)
+    summary = f"channel-section norm = {res.value:.12g}, error = {error:.12g}"
+    return _emit(args, {"lambda": args.lam, "error": error}, summary, res)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -217,17 +163,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _cmd_comb_norm(args) -> int:
     dims = _parse_dims(args.dims)
-    x = _load_matrix(args.matrix)
-    res = ncomb_norm(dims, x, tol=args.tol, max_iter=args.max_iter)
-    report = Report(
-        "comb-norm",
-        {"matrix": _digest(args.matrix)},
-        {"dims": list(dims)},
-        requested_tol=args.tol,
-    )
-    _norm_report(report, res, args.witness_out)
-    _emit(report, f"network norm = {res.value:.12g} (gap {res.gap:.3e})")
-    return EXIT_OK
+    res = ncomb_norm(dims, _load_matrix(args.matrix), tol=args.tol, max_iter=args.max_iter)
+    summary = f"network norm = {res.value:.12g} (gap {res.gap:.3e})"
+    return _emit(args, {"dims": list(dims)}, summary, res)
 
 
 def _cmd_hmin(args) -> int:
@@ -235,11 +173,7 @@ def _cmd_hmin(args) -> int:
     if args.dims:
         sigma = sigma.with_dims(_parse_dims(args.dims))
     value = hmin(sigma, tol=args.tol, max_iter=args.max_iter)
-    report = Report(
-        "hmin", {"state": _digest(args.state)}, {"hmin": value}, requested_tol=args.tol
-    )
-    _emit(report, f"conditional min-entropy = {value:.12g}")
-    return EXIT_OK
+    return _emit(args, {"hmin": value}, f"conditional min-entropy = {value:.12g}")
 
 
 def _cmd_certify(args) -> int:
@@ -256,37 +190,34 @@ def _cmd_certify(args) -> int:
     else:
         raise ShapeError("candidate file: field 'kind' must be 'povm' or 'choi'")
     cert = certify_optimal(candidate, experiment, problem, tol=args.tol, max_iter=args.max_iter)
-    report = Report(
-        "certify",
-        {"candidate": _digest(args.candidate), "experiment": _digest(args.experiment)},
-        {
-            "feasible": cert.feasible,
-            "candidate_payoff": cert.candidate_payoff,
-            "payoff_at_optimum": cert.payoff_at_optimum,
-            "slack_residual": cert.slack_residual,
-        },
-        requested_tol=args.tol,
-    )
-    _emit(
-        report,
+    values = {
+        "feasible": cert.feasible,
+        "candidate_payoff": cert.candidate_payoff,
+        "payoff_at_optimum": cert.payoff_at_optimum,
+        "slack_residual": cert.slack_residual,
+    }
+    summary = (
         f"optimal: {cert.feasible} (payoff {cert.candidate_payoff:.9g} vs "
-        f"optimum {cert.payoff_at_optimum:.9g})",
+        f"optimum {cert.payoff_at_optimum:.9g})"
     )
-    return EXIT_OK
+    return _emit(args, values, summary)
 
 
 def _cmd_tester_check(args) -> int:
     x0 = _load_matrix(args.choi0)
     x1 = _load_matrix(args.choi1)
     exists, residual = max_entangled_tester_exists(x0, x1, args.lam, tol=args.tol)
-    report = Report(
-        "tester-check",
-        {"choi0": _digest(args.choi0), "choi1": _digest(args.choi1)},
-        {"exists": exists, "residual": residual, "lambda": args.lam},
-        requested_tol=args.tol,
-    )
-    _emit(report, f"maximally entangled optimal tester exists: {exists} (residual {residual:.3e})")
-    return EXIT_OK
+    summary = f"maximally entangled optimal tester exists: {exists} (residual {residual:.3e})"
+    return _emit(args, {"exists": exists, "residual": residual, "lambda": args.lam}, summary)
+
+
+def _command(sub, name: str, fn, help: str, *inputs: str):
+    """A subcommand whose positional arguments are the JSON files ``inputs``."""
+    p = sub.add_parser(name, help=help)
+    for path in inputs:
+        p.add_argument(path)
+    p.set_defaults(fn=fn, inputs=inputs)
+    return p
 
 
 def _add_common(p, witness=True):
@@ -305,56 +236,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gnorm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", help="section norm of a hermitian matrix")
-    p.add_argument("section")
-    p.add_argument("matrix")
+    p = _command(sub, "norm", _cmd_norm, "section norm of a hermitian matrix", "section", "matrix")
     p.add_argument("--dual", action="store_true", help="use the dual section")
     _add_common(p)
-    p.set_defaults(fn=_cmd_norm)
 
-    p = sub.add_parser("dmax", help="max-relative entropy log2 inf{t : a <= t b}")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_dmax)
+    _command(sub, "dmax", _cmd_dmax, "max-relative entropy log2 inf{t : a <= t b}", "a", "b")
 
-    p = sub.add_parser("helstrom", help="minimal error for two states")
-    p.add_argument("rho0")
-    p.add_argument("rho1")
+    p = _command(sub, "helstrom", _cmd_helstrom, "minimal error for two states", "rho0", "rho1")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--witness-out", default=None)
-    p.set_defaults(fn=_cmd_helstrom)
 
-    p = sub.add_parser("diamond", help="channel-section norm of a weighted Choi difference")
-    p.add_argument("choi0")
-    p.add_argument("choi1")
+    p = _command(sub, "diamond", _cmd_diamond,
+                 "channel-section norm of a weighted Choi difference", "choi0", "choi1")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     _add_common(p)
-    p.set_defaults(fn=_cmd_diamond)
 
-    p = sub.add_parser("comb-norm", help="network-section norm")
-    p.add_argument("matrix")
+    p = _command(sub, "comb-norm", _cmd_comb_norm, "network-section norm", "matrix")
     p.add_argument("--dims", required=True, help="comma-separated space dims H0,...,Hn")
     _add_common(p)
-    p.set_defaults(fn=_cmd_comb_norm)
 
-    p = sub.add_parser("hmin", help="conditional min-entropy of a bipartite PSD matrix")
-    p.add_argument("state")
+    p = _command(sub, "hmin", _cmd_hmin, "conditional min-entropy of a bipartite PSD matrix",
+                 "state")
     p.add_argument("--dims", default=None, help="override subsystem dims as dK,dH")
     _add_common(p, witness=False)
-    p.set_defaults(fn=_cmd_hmin)
 
-    p = sub.add_parser("certify", help="certify a decision procedure as optimal")
-    p.add_argument("candidate")
-    p.add_argument("experiment")
+    p = _command(sub, "certify", _cmd_certify, "certify a decision procedure as optimal",
+                 "candidate", "experiment")
     _add_common(p, witness=False)
-    p.set_defaults(fn=_cmd_certify)
 
-    p = sub.add_parser("tester-check", help="maximally entangled optimal tester criterion")
-    p.add_argument("choi0")
-    p.add_argument("choi1")
+    p = _command(sub, "tester-check", _cmd_tester_check,
+                 "maximally entangled optimal tester criterion", "choi0", "choi1")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(fn=_cmd_tester_check)
 
     return parser
 

@@ -87,7 +87,7 @@ class Experiment:
         p = np.asarray(self.prior, dtype=float).reshape(-1)
         if p.shape[0] != len(fam):
             raise ValidationError("prior length must match the family")
-        if np.any(p < -PRIOR_TOL) or abs(float(p.sum()) - 1.0) > PRIOR_TOL:
+        if not np.all(np.isfinite(p)) or np.any(p < -PRIOR_TOL) or abs(p.sum() - 1.0) > PRIOR_TOL:
             raise ValidationError("prior must be a probability vector (sum 1, entries >= 0)")
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "prior", np.clip(p, 0.0, None))

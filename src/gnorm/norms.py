@@ -301,16 +301,18 @@ def base_norm_psd(
     One majorant solve gives both sides: the minimizing side inf Tr(q n)
     over {q in J : q >= a} (the max-relative-entropy form of the value) and,
     as its multiplier, the maximizer of sup Tr(a y) over dual members y.
-    ``a`` is solved at unit Frobenius norm.
+    ``a`` is solved at unit Frobenius norm.  A closed form's base-norm pair
+    (y1, y2) is returned as (y1 + y2, 0).
     """
-    done, ac = _front_half(section, a, prefer_closed, psd=True)
-    if done is not None:
-        return done
-    scale = frobenius_norm(ac)
-    norm = majorant_norm(
-        section, (ac / scale,), scale, tol, max_iter, f"base_norm_psd over {section.label}"
-    )
-    (y,) = norm.dual_witness
+    norm, ac = _front_half(section, a, prefer_closed, psd=True)
+    if norm is None:
+        scale = frobenius_norm(ac)
+        norm = majorant_norm(
+            section, (ac / scale,), scale, tol, max_iter, f"base_norm_psd over {section.label}"
+        )
+    if norm.dual_witness is None:
+        return norm
+    y = sum(norm.dual_witness[1:], norm.dual_witness[0])
     zero = herm(np.zeros_like(y.entries), y.subsystem_dims)
     return replace(norm, dual_witness=(y, zero))
 

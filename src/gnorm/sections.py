@@ -142,11 +142,13 @@ class Section:
 
         Returns None when ``x`` has weight outside the support subspace
         (beyond ``tol`` relative), which for norm purposes means +infinity.
+        Raises ShapeError when ``x`` is not of the caller-space dimension.
         """
+        expected = self.original_dim or self.ambient_dim
+        if x.dim != expected:
+            raise ShapeError(f"expected dim {expected}, got {x.dim}")
         if self.embedding is None:
             return x
-        if x.dim != self.original_dim:
-            raise ShapeError(f"expected dim {self.original_dim}, got {x.dim}")
         v = self.embedding
         xc = HermitianMatrix(v.conj().T @ x.entries @ v)
         back = v @ xc.entries @ v.conj().T

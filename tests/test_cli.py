@@ -131,6 +131,28 @@ def test_diamond_command(tmp_path):
     assert report["values"]["error"] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("lam", ["1.5", "-0.1", "nan"])
+def test_diamond_rejects_lambda_outside_unit_interval(tmp_path, lam):
+    psi = herm(max_entangled_projection(2).entries, (2, 2))
+    c0 = write_json(tmp_path / "c0.json", matrix_to_json(psi))
+    proc = run_cli("diamond", c0, c0, "--lambda", lam)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "input error: prior must lie in [0, 1]" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "descriptor, dim",
+    [({"kind": "states", "dims": [2]}, 16), ({"kind": "channels", "dims": [2, 2]}, 3)],
+)
+def test_norm_rejects_mismatched_dimension(tmp_path, descriptor, dim):
+    sec = write_json(tmp_path / "sec.json", descriptor)
+    mat = write_json(tmp_path / "mat.json", matrix_to_json(herm(np.eye(dim))))
+    proc = run_cli("norm", sec, mat)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: expected dim")
+    assert "Traceback" not in proc.stderr
+
+
 def test_comb_norm_command(tmp_path):
     psi = herm(max_entangled_projection(2).entries, (2, 2))
     from gnorm.hermitian import tensor

@@ -88,6 +88,14 @@ def test_experiment_validation():
         Experiment(s, (KET0,), np.array([0.7]))  # prior does not sum to 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_experiment_rejects_non_finite_prior(bad):
+    with pytest.raises(ValidationError, match="prior"):
+        Experiment(states_section(2), (identity(2) / 2,), [bad])
+    with pytest.raises(ValidationError, match="prior"):
+        Experiment(states_section(2), (KET0, identity(2) / 2), [bad, 0.5])
+
+
 def test_build_xi_single_hypothesis():
     s = states_section(2)
     e = Experiment(s, (KET0,), np.array([1.0]))

@@ -9,7 +9,7 @@ import pytest
 from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd
 from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection, max_entangled_state
-from gnorm.errors import DomainError
+from gnorm.errors import DomainError, ShapeError
 from gnorm.hermitian import (
     herm,
     identity,
@@ -41,6 +41,7 @@ from gnorm.oracles import sample_section
 from gnorm.sections import (
     channels_section,
     comb_section,
+    contains,
     custom_section,
     dual_section,
     full_hermitian_basis,
@@ -572,3 +573,60 @@ def test_results_carry_solve_diagnostics():
     closed = base_norm(states_section(3), rand_herm(rng, 3))
     assert closed.method == "closed_form"
     assert (closed.iterations, closed.best_iteration, closed.rejected) == (0, 0, 0)
+
+
+def test_mismatched_dimension_is_a_shape_error():
+    s2, ch = states_section(2), channels_section(2, 2)
+    calls = (
+        lambda: base_norm(s2, identity(4)),  # closed form
+        lambda: base_norm(s2, identity(4), prefer_closed=False),  # conic
+        lambda: base_norm(ch, identity(3)),
+        lambda: base_norm_psd(ch, identity(3)),
+        lambda: contains(s2, identity(3) / 3),
+        lambda: certify_extremal_psd(s2, identity(3), dual_candidate=identity(2)),
+    )
+    for call in calls:
+        with pytest.raises(ShapeError, match="expected dim"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "section, a",
+    [
+        (states_section(2), herm(np.diag([1.0, 0.0]))),
+        (full_slice_section(herm(np.diag([1.0, 3.0]))), herm(np.diag([1.0, 0.0]))),
+        (channels_section(2, 2), herm(np.zeros((4, 4)), (2, 2))),
+    ],
+    ids=["states-rank-one", "full-slice", "zero"],
+)
+def test_base_norm_psd_closed_forms_return_a_dual_member(section, a):
+    res = base_norm_psd(section, a)
+    assert res.method == "closed_form"
+    y, zero = res.dual_witness
+    assert contains(dual_section(section), y)
+    assert trace_pair(a, y) == pytest.approx(res.value, abs=1e-12)
+    assert not np.any(zero.entries)
+    member = section.interior_point if res.value == 0 else res.primal_witness / res.value
+    cert = certify_extremal_psd(section, a, member_candidate=member)
+    assert cert.feasible and contains(dual_section(section), cert.witness_dual)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 3), (3, 2), (4, 4)])
+def test_channel_choi_has_norm_one(d_in, d_out):
+    rng = np.random.default_rng(100 * d_in + d_out)
+    x = kraus_channel(rand_kraus_channel(rng, d_in, d_out, 2)).matrix
+    assert base_norm(channels_section(d_in, d_out), x, tol=1e-9).value == pytest.approx(
+        1.0, abs=1e-7
+    )
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_hmin_of_classical_quantum_state_is_helstrom_guessing(d):
+    from gnorm.decisions import helstrom
+
+    rng = np.random.default_rng(d)
+    rho0, rho1, lam = rand_density(rng, d), rand_density(rng, d), 0.3
+    sigma = tensor(herm(np.diag([lam, 0.0])), rho0) + tensor(herm(np.diag([0.0, 1 - lam])), rho1)
+    error, _ = helstrom(rho0, rho1, lam)
+    value = hmin(sigma.with_dims((2, d)), tol=1e-9)
+    assert value == pytest.approx(-math.log2(1.0 - error), abs=1e-7)
