@@ -6,7 +6,8 @@ human summary goes to stderr.  Exit codes: 0 success, 1 input error,
 2 solver non-convergence, 3 infeasible or validation failure.
 
 The default tolerance is 1e-7, overridable by the GNORM_DEFAULT_TOL
-environment variable and per-invocation by --tol.
+environment variable and per-invocation by --tol; either must be finite and
+positive.
 """
 
 from __future__ import annotations
@@ -276,8 +277,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "tol") and args.tol is None:
-            args.tol = _default_tol()
+        if hasattr(args, "tol"):
+            if args.tol is None:
+                args.tol = _default_tol()
+            if not (math.isfinite(args.tol) and args.tol > 0.0):
+                raise DomainError(f"tol must be finite and positive, got {args.tol}")
         if getattr(args, "max_iter", 1) < 1:
             raise DomainError(f"max_iter must be at least 1, got {args.max_iter}")
         return args.fn(args)

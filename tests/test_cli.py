@@ -315,6 +315,22 @@ def test_env_default_tol(tmp_path):
     assert json.loads(proc.stdout)["requested_tol"] == pytest.approx(1e-5)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(tmp_path, value):
+    # rejected before any work, by --tol and by GNORM_DEFAULT_TOL alike
+    sec = write_json(tmp_path / "sec.json", {"kind": "channels", "dims": [2, 2]})
+    x = herm(np.diag([1.0, -1.0, 0.0, 0.0]), (2, 2))
+    mat = write_json(tmp_path / "mat.json", matrix_to_json(x))
+    for proc in (
+        run_cli("norm", sec, mat, "--tol", value),
+        run_cli("norm", sec, mat, env_extra={"GNORM_DEFAULT_TOL": value}),
+    ):
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "input error" in proc.stderr and "tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def _certify_files(tmp_path, candidate, **fields):
     """Candidate and experiment files; ``fields`` replace top-level fields of
     the experiment, and None drops one."""

@@ -275,6 +275,37 @@ def test_diamond_unitary_pair_closed_form():
         assert got == pytest.approx(oracle, abs=1e-7)
 
 
+def unitary_pair_reference(u, v):
+    """2 sqrt(1 - nu^2), nu the distance from 0 to the convex hull of the
+    eigenvalues of U^dag V: the hull misses 0 only if some arc between
+    neighbouring eigenphases exceeds pi, and then nu is the distance to the
+    chord across that arc."""
+    ang = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
+    arc = max(np.max(np.diff(ang), initial=0.0), 2.0 * math.pi - (ang[-1] - ang[0]))
+    nu = max(0.0, -math.cos(arc / 2.0))
+    return 2.0 * math.sqrt(1.0 - nu * nu)
+
+
+@pytest.mark.parametrize("d, count", [(3, 3), (4, 2), (6, 2), (8, 1)])
+def test_diamond_unitary_pair_closed_form_beyond_qubits(d, count):
+    # V = U W with the eigenphases of W drawn on an arc shorter than pi (the
+    # hull misses 0), except for a second pair, whose phases range over the
+    # whole circle (at d = 6 its hull holds 0 and the norm is 2).
+    from conftest import rand_unitary
+
+    rng = np.random.default_rng(78 + d)
+    for k in range(count):
+        u, q = rand_unitary(rng, d), rand_unitary(rng, d)
+        spread = 2.0 * math.pi if k == 1 else rng.uniform(0.5, 3.0)
+        phases = rng.uniform(0.0, spread, size=d)
+        v = u @ (q * np.exp(1j * phases)) @ q.conj().T
+        oracle = unitary_pair_reference(u, v)
+        got = diamond_norm(
+            kraus_channel([u]).matrix - kraus_channel([v]).matrix, tol=1e-9
+        ).value
+        assert got == pytest.approx(oracle, abs=1e-7)
+
+
 def test_dual_base_norm_brute_force_over_conditioning_states():
     # dual of the channel section: inf over states rho of the order-unit
     # value against I (x) rho; a Bloch grid gives a sound upper bound that

@@ -7,7 +7,14 @@ import pytest
 from conftest import rand_herm, rand_kraus_channel, rand_psd
 from gnorm import solver
 from gnorm.choi import kraus_channel
-from gnorm.decisions import Experiment, build_xi, certify_optimal, max_payoff, quantum_problem
+from gnorm.decisions import (
+    Experiment,
+    build_xi,
+    certify_optimal,
+    classical_problem,
+    max_payoff,
+    quantum_problem,
+)
 from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import (
     herm,
@@ -20,7 +27,7 @@ from gnorm.hermitian import (
     trace_norm,
     trace_pair,
 )
-from gnorm.norms import base_norm_psd, certify_extremal_psd, majorant_program
+from gnorm.norms import base_norm_psd, certify_extremal_psd, hmin, majorant_program
 from gnorm.sections import channels_section, comb_section, contains, dual_section
 from gnorm.solver import (
     FREE,
@@ -140,6 +147,15 @@ def test_max_iter_below_one_rejected():
     for max_iter in (0, -3):
         with pytest.raises(DomainError):
             solve(program, max_iter=max_iter)
+
+
+def test_tol_must_be_finite_and_non_negative():
+    program = trace_norm_program(rand_herm(np.random.default_rng(46), 2))
+    for tol in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(DomainError):
+            solve(program, tol=tol)
+    # tol = 0 never stops early: the run ends at the cap
+    assert solve(program, tol=0.0, max_iter=3).status == "max_iter"
 
 
 def test_non_finite_program_data_rejected():
@@ -490,3 +506,51 @@ def test_returned_psd_blocks_stay_in_the_cone():
             for point in (sol.primal_point[:2], sol.dual_slack[:2]):
                 for block in point:
                     assert np.linalg.eigvalsh(block)[0] >= -1e-12
+
+
+def recorded_programs(monkeypatch, call):
+    """The programs a library call hands to the solver, in order."""
+    seen, real = [], solver.solve
+
+    def record(program, *args, **kwargs):
+        seen.append(program)
+        return real(program, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "solve", record)
+        call()
+    return seen
+
+
+def test_screened_stop_matches_a_full_check_every_iteration(monkeypatch):
+    # The screen adds full checks between the cadence ones and changes
+    # nothing else: a solve stops where a run with a full check on every
+    # iteration stops, with the same iterates.
+    rng = np.random.default_rng(59)
+    ch = channels_section(2, 2)
+    x = hvec(rand_herm(rng, 4))
+    family = tuple(kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(3))
+    experiment = Experiment(ch, family, np.array([0.2, 0.3, 0.5]))
+    (payoff,) = recorded_programs(
+        monkeypatch, lambda: max_payoff(experiment, classical_problem(np.eye(3)))
+    )
+    sigma = rand_psd(rng, 4, (2, 2))
+    *_, entropy = recorded_programs(monkeypatch, lambda: hmin(sigma))
+    programs = (
+        majorant_program(ch, 2).with_rhs(np.concatenate([x, -x])),
+        payoff,
+        entropy,
+        trace_norm_program(rand_herm(rng, 3)),
+    )
+    assert solver._psd_runs(payoff.blocks) == [(0, 48, 4)]
+    for program in programs:
+        shipped = solve(program)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "CHECK_EVERY", 1)
+            every = solve(program)
+        assert shipped.status == every.status == "optimal"
+        assert shipped.iterations == every.iterations
+        assert shipped.best_iteration == shipped.iterations
+        for a, b in zip(shipped.primal_point + (shipped.dual_vector,),
+                        every.primal_point + (every.dual_vector,)):
+            assert np.array_equal(a, b)
