@@ -303,7 +303,7 @@ def povm_to_choi(povm: GeneralizedPOVM) -> HermitianMatrix:
     return out
 
 
-def choi_to_povm(section: Section, choi: HermitianMatrix, tol: float = MEMBER_TOL) -> GeneralizedPOVM:
+def choi_to_povm(section: Section, choi: HermitianMatrix) -> GeneralizedPOVM:
     """Diagonal blocks of a procedure Choi matrix, transposed into effects."""
     dims = choi.subsystem_dims
     if len(dims) < 2:
@@ -314,7 +314,7 @@ def choi_to_povm(section: Section, choi: HermitianMatrix, tol: float = MEMBER_TO
     for d in range(n_d):
         blk = choi.entries[d * h : (d + 1) * h, d * h : (d + 1) * h]
         effs.append(transpose_in_basis(herm(blk, section.dims_tuple())))
-    return GeneralizedPOVM(section, tuple(effs), validation_tol=tol)
+    return GeneralizedPOVM(section, tuple(effs))
 
 
 # -- discrimination ------------------------------------------------------------

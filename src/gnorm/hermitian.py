@@ -222,16 +222,19 @@ def _support_cutoff(w: np.ndarray) -> float:
     return SUPPORT_CUTOFF * max(1.0, top)
 
 
-def support_projection(x: HermitianMatrix, cutoff: float | None = None) -> HermitianMatrix:
-    """Orthogonal projection onto eigenspaces with eigenvalue above cutoff.
-
-    Default cutoff is ``SUPPORT_CUTOFF * max(1, largest eigenvalue)``.
+def support_basis(x: HermitianMatrix, cutoff: float | None = None) -> np.ndarray:
+    """Orthonormal eigenvector columns with eigenvalue above cutoff, largest
+    first.  Default cutoff is ``SUPPORT_CUTOFF * max(1, largest eigenvalue)``.
     """
     s = eig(x)
     if cutoff is None:
         cutoff = _support_cutoff(s.eigenvalues)
-    keep = s.eigenvalues > cutoff
-    u = s.eigenvectors[:, keep]
+    return s.eigenvectors[:, s.eigenvalues > cutoff]
+
+
+def support_projection(x: HermitianMatrix, cutoff: float | None = None) -> HermitianMatrix:
+    """Orthogonal projection onto the span of :func:`support_basis`."""
+    u = support_basis(x, cutoff)
     return HermitianMatrix(u @ u.conj().T, x.subsystem_dims)
 
 
@@ -247,34 +250,36 @@ def abs_pos_neg(x: HermitianMatrix) -> tuple[HermitianMatrix, HermitianMatrix, H
     return x_abs, x_pos, x_neg
 
 
-def _psd_eigenvalues(x: HermitianMatrix, tol: float) -> Spectrum:
+def _psd_eigenvalues(x: HermitianMatrix) -> Spectrum:
+    """The spectrum with eigenvalues clipped at zero; DomainError below
+    -1e-9 * (1 + |largest|)."""
     s = eig(x)
     low = float(s.eigenvalues[-1])
-    if low < -tol * (1.0 + abs(float(s.eigenvalues[0]))):
-        raise DomainError(f"matrix has negative eigenvalue {low:.3e}, not PSD within {tol:.0e}")
+    if low < -1e-9 * (1.0 + abs(float(s.eigenvalues[0]))):
+        raise DomainError(f"matrix has negative eigenvalue {low:.3e}, not PSD within 1e-09")
     return Spectrum(np.clip(s.eigenvalues, 0.0, None), s.eigenvectors)
 
 
-def sqrt_psd(x: HermitianMatrix, tol: float = 1e-9) -> HermitianMatrix:
+def sqrt_psd(x: HermitianMatrix) -> HermitianMatrix:
     """Principal square root of a PSD matrix."""
-    s = _psd_eigenvalues(x, tol)
+    s = _psd_eigenvalues(x)
     u = s.eigenvectors
     return HermitianMatrix((u * np.sqrt(s.eigenvalues)) @ u.conj().T, x.subsystem_dims)
 
 
-def pinv_sqrt(x: HermitianMatrix, tol: float = 1e-9) -> HermitianMatrix:
+def pinv_sqrt(x: HermitianMatrix) -> HermitianMatrix:
     """Pseudo-inverse square root: eigenvalues above the support cutoff are
     mapped to 1/sqrt, the rest to zero."""
-    s = _psd_eigenvalues(x, tol)
+    s = _psd_eigenvalues(x)
     cutoff = _support_cutoff(s.eigenvalues)
     inv = np.where(s.eigenvalues > cutoff, 1.0 / np.sqrt(np.maximum(s.eigenvalues, cutoff)), 0.0)
     u = s.eigenvectors
     return HermitianMatrix((u * inv) @ u.conj().T, x.subsystem_dims)
 
 
-def pinv(x: HermitianMatrix, tol: float = 1e-9) -> HermitianMatrix:
+def pinv(x: HermitianMatrix) -> HermitianMatrix:
     """Moore-Penrose inverse of a PSD matrix via the same cutoff rule."""
-    s = _psd_eigenvalues(x, tol)
+    s = _psd_eigenvalues(x)
     cutoff = _support_cutoff(s.eigenvalues)
     inv = np.where(s.eigenvalues > cutoff, 1.0 / np.maximum(s.eigenvalues, cutoff), 0.0)
     u = s.eigenvectors

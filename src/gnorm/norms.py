@@ -102,12 +102,16 @@ def _zero_result(section: Section) -> NormResult:
 
 def base_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
     """|b^(1/2) x b^(1/2)|_1 for PSD b: the norm of the full slice through b."""
+    if b.dim != x.dim:
+        raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
     r = sqrt_psd(b)
     return trace_norm(HermitianMatrix(r.entries @ x.entries @ r.entries))
 
 
 def order_unit_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
     """|b^(-1/2) x b^(-1/2)| on the support of b; +inf when x leaks outside."""
+    if b.dim != x.dim:
+        raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
     p = support_projection(b)
     leak = x.entries - p.entries @ x.entries @ p.entries
     if float(np.linalg.norm(leak)) > 1e-9 * (1.0 + frobenius_norm(x)):
@@ -294,7 +298,6 @@ def base_norm_psd(
     a: HermitianMatrix,
     tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
-    prefer_closed: bool = True,
 ) -> NormResult:
     """Section norm of a PSD matrix: the linear program over the dual.
 
@@ -304,7 +307,7 @@ def base_norm_psd(
     ``a`` is solved at unit Frobenius norm.  A closed form's base-norm pair
     (y1, y2) is returned as (y1 + y2, 0).
     """
-    norm, ac = _front_half(section, a, prefer_closed, psd=True)
+    norm, ac = _front_half(section, a, prefer_closed=True, psd=True)
     if norm is None:
         scale = frobenius_norm(ac)
         norm = majorant_norm(

@@ -37,7 +37,7 @@ from . import solver
 from .errors import EmptySectionError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
-    eig,
+    eigenvalues,
     frobenius_norm,
     herm,
     hunvec,
@@ -46,7 +46,7 @@ from .hermitian import (
     identity,
     pinv,
     psd_check,
-    support_projection,
+    support_basis,
     tensor,
     trace_pair,
     transpose_in_basis,
@@ -168,28 +168,6 @@ class Section:
         return f"Section({self.label}, ambient={self.ambient_dim}, span={self.span_dim}{extra})"
 
 
-@dataclass(frozen=True, eq=False)
-class DualSectionView:
-    """Affine view of a dual section: one dual element plus a basis of the
-    orthogonal complement of the primal span.
-
-    The dual section is exactly (base_point + span(orth_basis)) intersected
-    with the PSD cone.
-    """
-
-    base_point: HermitianMatrix
-    orth_basis: tuple[HermitianMatrix, ...]
-
-
-def dual_view(section: Section) -> DualSectionView:
-    comp = section.complement_matrix()
-    dim = section.ambient_dim
-    basis = tuple(
-        hunvec_matrix(comp[:, k], dim, section.subsystem_dims) for k in range(comp.shape[1])
-    )
-    return DualSectionView(section.normalizer, basis)
-
-
 # -- linear algebra over hvec coordinates ------------------------------------
 
 
@@ -263,7 +241,7 @@ def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
     return span_cols @ (p / norm_p**2), m_n
 
 
-def _solve_interior(span_cols, normalizer, tol=1e-8):
+def _solve_interior(span_cols, normalizer):
     """max t  s.t.  b in the slice,  b - t I >= 0,  with b = M s0 + M N u.
 
     Split hvec(I) = M N g + rho with rho orthogonal to M N (rho != 0 since
@@ -280,7 +258,7 @@ def _solve_interior(span_cols, normalizer, tol=1e-8):
     c = np.zeros(d * d + lift.shape[1])
     c[-1] = -1.0 / norm_rho
     program = solver.MajorantProgram((lift,), c, -m_s0, "interior point (max min-eigenvalue)")
-    sol = solver.solve(program, tol=tol)
+    sol = solver.solve(program, tol=1e-8)
     z = sol.primal_point[1]
     t_star = float(z[-1]) / norm_rho
     b_star = hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
@@ -309,13 +287,13 @@ def _recession_direction_exists(span_cols, normalizer) -> bool:
     return -sol.primal_value > 1e-7
 
 
-def interior_element(section: Section, tol: float = 1e-8) -> HermitianMatrix:
+def interior_element(section: Section) -> HermitianMatrix:
     """Member maximizing the smallest eigenvalue (a conic program).
 
     Positive definite exactly when the section is faithful; raises
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
-    _, b_star, sol = _solve_interior(section.span_matrix(), section.normalizer, tol=tol)
+    _, b_star, sol = _solve_interior(section.span_matrix(), section.normalizer)
     solver.require_optimal(sol, "interior_element")
     return section.lift(b_star.with_dims(section.subsystem_dims))
 
@@ -339,8 +317,7 @@ def _make_section(
         raise EmptySectionError(f"section {label!r} has an empty span")
     if not psd_check(normalizer, DEFAULT_MEMBERSHIP_TOL):
         raise ValidationError(f"normalizer of section {label!r} is not PSD")
-    w_n = eig(normalizer).eigenvalues
-    if w_n[-1] <= FAITHFUL_EIG_TOL * max(1.0, float(w_n[0])):
+    if not _positive_definite(normalizer):
         # A singular normalizer can leave the slice unbounded; reject that
         # outright (a positive-definite normalizer makes it compact for free).
         if _recession_direction_exists(span_cols, normalizer):
@@ -352,13 +329,12 @@ def _make_section(
     interior = None
     if interior_hint is not None:
         cand = interior_hint
-        w = eig(cand).eigenvalues
         member_ok = (
             abs(trace_pair(cand, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
             and _span_residual(span_cols, cand)
             <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(cand))
         )
-        if member_ok and w[-1] > FAITHFUL_EIG_TOL * max(1.0, w[0]):
+        if member_ok and _positive_definite(cand):
             interior = cand
 
     if interior is None:
@@ -374,11 +350,8 @@ def _make_section(
             interior = b_star.with_dims(tuple(subsystem_dims))
         else:
             # Restrict to the support of the best achievable member.
-            psd_part = solver.project_psd(b_star)
-            proj = support_projection(psd_part, cutoff=1e-7 * scale)
-            s = eig(proj)
-            keep = s.eigenvalues > 0.5
-            rank = int(np.count_nonzero(keep))
+            v = support_basis(b_star, 1e-7 * scale)
+            rank = v.shape[1]
             if rank == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
             if rank == dim:
@@ -386,7 +359,6 @@ def _make_section(
                     f"section {label!r} admits no positive-definite member and no "
                     "proper support to restrict to"
                 )
-            v = s.eigenvectors[:, keep]
             comp = embedding @ v if embedding is not None else v
             compressed = (hunvec(col, dim) for col in span_cols.T)
             return _make_section(
@@ -419,6 +391,12 @@ def _make_section(
 def _span_residual(span_cols: np.ndarray, x: HermitianMatrix) -> float:
     vec = hvec(x)
     return float(np.linalg.norm(vec - span_cols @ (span_cols.T @ vec)))
+
+
+def _positive_definite(x: HermitianMatrix) -> bool:
+    """Smallest eigenvalue above FAITHFUL_EIG_TOL * max(1, largest)."""
+    w = eigenvalues(x)
+    return bool(w[-1] > FAITHFUL_EIG_TOL * max(1.0, float(w[0])))
 
 
 # -- membership ----------------------------------------------------------------
@@ -465,10 +443,8 @@ def singleton_section(b: HermitianMatrix) -> Section:
     """
     if not psd_check(b, 1e-9):
         raise ValidationError("singleton_section needs a PSD matrix")
-    s = eig(b)
-    cutoff = 1e-10 * max(1.0, float(s.eigenvalues[0]))
-    keep = s.eigenvalues > cutoff
-    rank = int(np.count_nonzero(keep))
+    v = support_basis(b)
+    rank = v.shape[1]
     if rank == 0:
         raise ValidationError("singleton_section needs a nonzero matrix")
     if rank == b.dim:
@@ -480,7 +456,6 @@ def singleton_section(b: HermitianMatrix) -> Section:
             subsystem_dims=b.subsystem_dims,
             interior_hint=b,
         )
-    v = s.eigenvectors[:, keep]
     bc = HermitianMatrix(v.conj().T @ b.entries @ v)
     return _make_section(
         _columns([bc / frobenius_norm(bc)]),
@@ -499,8 +474,7 @@ def full_slice_section(b: HermitianMatrix) -> Section:
     closed form |b^(1/2) x b^(1/2)|_1 and its dual section is the one-element
     section {b}.  The states section is the special case b = I.
     """
-    w = eig(b).eigenvalues
-    if w[-1] <= FAITHFUL_EIG_TOL * max(1.0, float(w[0])):
+    if not _positive_definite(b):
         raise ValidationError(
             "full_slice_section needs a positive-definite matrix (the slice "
             "through a singular matrix is unbounded)"
@@ -529,18 +503,12 @@ def dual_section(section: Section) -> Section:
     if got is not None:
         return got
     cols = np.column_stack([hvec(section.normalizer), section.complement_matrix()])
-    w = eig(section.normalizer).eigenvalues
-    hint = (
-        section.normalizer
-        if w[-1] > FAITHFUL_EIG_TOL * max(1.0, w[0])
-        else None
-    )
     dual = _make_section(
         _orthonormalize_columns(cols),
         section.interior_point,
         f"dual({section.label})",
         subsystem_dims=section.subsystem_dims,
-        interior_hint=hint,
+        interior_hint=section.normalizer,
         embedding=section.embedding,
         original_subsystem_dims=section.original_subsystem_dims,
     )

@@ -410,3 +410,12 @@ def test_exit_code_malformed_input(tmp_path, case):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("input error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_dmax_rejects_mismatched_dimension(tmp_path):
+    a = write_json(tmp_path / "a.json", matrix_to_json(identity(2)))
+    b = write_json(tmp_path / "b.json", matrix_to_json(identity(3)))
+    proc = run_cli("dmax", a, b)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: dimension mismatch")
+    assert "Traceback" not in proc.stderr

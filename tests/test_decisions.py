@@ -1,5 +1,6 @@
 """Experiments, payoffs, discrimination and optimality certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -536,3 +537,17 @@ def test_payoff_result_carries_solve_diagnostics():
         norm = max_payoff(e, problem, tol=1e-8).norm
         assert norm.method == "conic" and 0 < norm.best_iteration <= norm.iterations
         assert norm.rejected >= 0
+
+
+def test_quantum_experiment_json_round_trip_and_complement():
+    e = uniform_experiment(states_section(2), (KET0, PLUS))
+    w0 = herm(np.diag([1.0, 0.2]))
+    w1 = 0.45 * (identity(2) + herm(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    p = quantum_problem((w0, w1))
+    e2, p2 = experiment_from_json(json.loads(json.dumps(experiment_to_json(e, p))))
+    assert p2.kind == "quantum" and len(p2.operators) == 2
+    assert max_payoff(e2, p2, tol=1e-9).value == max_payoff(e, p, tol=1e-9).value
+    comp = p.complement()
+    assert comp.kind == "quantum"
+    for w, wc in zip(p.operators, comp.operators):
+        assert np.allclose(wc.entries, np.eye(2) - w.entries, atol=1e-15)

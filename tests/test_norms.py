@@ -661,3 +661,30 @@ def test_hmin_of_classical_quantum_state_is_helstrom_guessing(d):
     error, _ = helstrom(rho0, rho1, lam)
     value = hmin(sigma.with_dims((2, d)), tol=1e-9)
     assert value == pytest.approx(-math.log2(1.0 - error), abs=1e-7)
+
+
+def test_singleton_closed_forms_reject_mismatched_dims():
+    a2, b3 = identity(2), identity(3)
+    for call in (
+        lambda: base_norm_singleton(b3, a2),
+        lambda: order_unit_norm_singleton(b3, a2),
+        lambda: dmax(a2, b3),
+    ):
+        with pytest.raises(ShapeError, match="dimension mismatch: 3 vs 2"):
+            call()
+
+
+def test_base_norm_psd_off_restricted_support_is_infinite():
+    sec = singleton_section(outer([1.0, 0.0]))
+    res = base_norm_psd(sec, herm(np.diag([0.0, 1.0])))
+    assert res.value == math.inf
+    assert res.primal_witness is None and res.dual_witness is None
+
+
+def test_certify_extremal_member_missing_the_input_support_is_not_feasible():
+    cert = certify_extremal_psd(
+        states_section(2), outer([1.0, 0.0]), member_candidate=outer([0.0, 1.0])
+    )
+    assert not cert.feasible
+    assert cert.scale_t == math.inf and cert.witness_dual is None
+    assert cert.norm_value == pytest.approx(1.0, abs=1e-12)

@@ -24,7 +24,6 @@ from gnorm.sections import (
     contains,
     custom_section,
     dual_section,
-    dual_view,
     full_slice_section,
     generalized_section,
     id_tensor_section,
@@ -159,20 +158,6 @@ def test_span_columns_are_the_only_stored_span():
     ch = channels_section(2, 2)
     for j, jt in zip(ch.span_basis, transpose_section(ch).span_basis):
         assert np.max(np.abs(transpose_in_basis(j).entries - jt.entries)) <= 1e-15
-
-
-def test_dual_view_describes_dual_membership():
-    sec = channels_section(2, 2)
-    view = dual_view(sec)
-    rng = np.random.default_rng(101)
-    rho = rand_density(rng, 2)
-    target = tensor(identity(2), rho)
-    shift = target - view.base_point
-    coords = np.array([trace_pair(shift, z) for z in view.orth_basis])
-    recon = view.base_point + sum(
-        float(c) * z for c, z in zip(coords, view.orth_basis)
-    )
-    assert np.allclose(recon.entries, target.entries, atol=1e-9)
 
 
 def test_states_section_shape():
@@ -462,4 +447,14 @@ def test_povm_descriptor_roundtrip():
     ps = povm_section(states_section(2), 3)
     back = section_from_descriptor(section_to_descriptor(ps))
     for p in sample_section(ps, 4, seed=14).points:
+        assert contains(back, p, 1e-7)
+
+
+def test_generalized_descriptor_roundtrip():
+    gen = generalized_section(states_section(2), 2)
+    desc = section_to_descriptor(gen)
+    assert desc == {"kind": "generalized", "dims": [2], "base": {"kind": "states", "dims": [2]}}
+    back = section_from_descriptor(desc)
+    assert back.span_dim == gen.span_dim
+    for p in sample_section(gen, 4, seed=15).points:
         assert contains(back, p, 1e-7)
