@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .hermitian import HermitianMatrix, partial_trace
+from .hermitian import HermitianMatrix, identity, partial_trace, psd_check
 
 DEFAULT_CHANNEL_TOL = 1e-9
 
@@ -116,38 +116,29 @@ def apply_choi(x: ChoiMatrix | HermitianMatrix, a: HermitianMatrix) -> Hermitian
     return HermitianMatrix(out)
 
 
-def choi_tensor_id(x: ChoiMatrix | HermitianMatrix, ancilla_dim: int) -> ChoiMatrix:
-    """Choi matrix of Phi (x) id_L on (K L) (x) (H L)."""
-    xm = x.matrix if isinstance(x, ChoiMatrix) else x
-    dK, dH = xm.subsystem_dims
-    dL = int(ancilla_dim)
-    t = xm.entries.reshape(dK, dH, dK, dH)
-    eye = np.eye(dL)
-    # Z[(k,a,i,b), (k',a',j,b')] = X[(k,i),(k',j)] delta_{a b} delta_{a' b'}
-    z = np.einsum("uivj,ab,cd->uaibvcjd", t, eye, eye)
-    d = dK * dL * dH * dL
-    return ChoiMatrix(HermitianMatrix(z.reshape(d, d), (dK * dL, dH * dL)))
-
-
 def apply_choi_tensor_id(
     x: ChoiMatrix | HermitianMatrix, ancilla_dim: int, sigma: HermitianMatrix
 ) -> HermitianMatrix:
-    """(Phi (x) id_L)(sigma) for sigma on H (x) L, via the Choi matrix of
-    Phi (x) id_L."""
+    """(Phi (x) id_L)(sigma) for sigma on H (x) L, a matrix on K (x) L.
+
+    One contraction: entry ((k,a),(l,b)) is
+    sum_ij X[(k,i),(l,j)] sigma[(i,a),(j,b)], the Choi formula of
+    :func:`apply_choi` with the ancilla indices a, b carried along.
+    """
     xm = x.matrix if isinstance(x, ChoiMatrix) else x
     dK, dH = xm.subsystem_dims
     dL = int(ancilla_dim)
     if sigma.dim != dH * dL:
         raise ShapeError(f"sigma dim {sigma.dim} does not match H*L = {dH * dL}")
-    out = apply_choi(choi_tensor_id(xm, dL), sigma)
-    return out.with_dims((dK, dL))
+    t = xm.entries.reshape(dK, dH, dK, dH)
+    s = sigma.entries.reshape(dH, dL, dH, dL)
+    out = np.einsum("kilj,iajb->kalb", t, s).reshape(dK * dL, dK * dL)
+    return HermitianMatrix(out, (dK, dL))
 
 
 def is_channel_choi(x: ChoiMatrix | HermitianMatrix, tol: float = DEFAULT_CHANNEL_TOL) -> bool:
     """Choi characterization of trace-preserving cp maps: X >= 0, Tr_K X = I."""
     xm = x.matrix if isinstance(x, ChoiMatrix) else x
-    from .hermitian import identity, psd_check  # local to avoid cycle noise
-
     if len(xm.subsystem_dims) != 2:
         return False
     marg = partial_trace(xm, 0)

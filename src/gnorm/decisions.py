@@ -109,10 +109,10 @@ class DecisionProblem:
     def __post_init__(self):
         if self.kind == "classical":
             t = np.asarray(self.table, dtype=float)
-            if t.ndim != 2:
-                raise ValidationError("classical payoff table must be 2-d (theta, d)")
-            if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
-                raise ValidationError("payoff table entries must lie in [0, 1]")
+            if t.ndim != 2 or t.size == 0:
+                raise ValidationError("classical payoff table must be 2-d (theta, d) and nonempty")
+            if not np.all(np.isfinite(t)) or np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
+                raise ValidationError("payoff table entries must be finite and lie in [0, 1]")
             object.__setattr__(self, "table", np.clip(t, 0.0, 1.0))
         elif self.kind == "quantum":
             ops = tuple(self.operators)
@@ -131,10 +131,6 @@ class DecisionProblem:
     @property
     def n_outcomes(self) -> int:
         return self.table.shape[1] if self.kind == "classical" else self.operators[0].dim
-
-    @property
-    def n_hypotheses(self) -> int:
-        return self.table.shape[0] if self.kind == "classical" else len(self.operators)
 
     def complement(self) -> DecisionProblem:
         """Payoff <-> loss swap, W' = I - W."""
@@ -168,22 +164,16 @@ class GeneralizedPOVM:
         for idx, m in enumerate(effs):
             if not psd_check(m, tol):
                 raise ValidationError(f"effect {idx} is not PSD within {tol:.0e}")
-        total = effs[0]
-        for m in effs[1:]:
-            total = total + m
-        if not contains(dual_section(self.section), total, tol):
-            raise ValidationError("effects do not sum into the dual section")
         object.__setattr__(self, "effects", effs)
+        if not contains(dual_section(self.section), self.total(), tol):
+            raise ValidationError("effects do not sum into the dual section")
 
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
 
     def total(self) -> HermitianMatrix:
-        total = self.effects[0]
-        for m in self.effects[1:]:
-            total = total + m
-        return total
+        return sum(self.effects[1:], self.effects[0])
 
     def probabilities(self, b: HermitianMatrix) -> np.ndarray:
         return np.array([trace_pair(m, b) for m in self.effects])
@@ -233,19 +223,21 @@ def classical_xi_blocks(experiment: Experiment, problem: DecisionProblem):
     return blocks
 
 
+def _block_diagonal(blocks, h_dims: tuple[int, ...]) -> HermitianMatrix:
+    """sum_d |d><d| (x) blocks[d] on D (x) H."""
+    h = blocks[0].dim
+    out = np.zeros((len(blocks) * h, len(blocks) * h), dtype=complex)
+    for d, blk in enumerate(blocks):
+        out[d * h : (d + 1) * h, d * h : (d + 1) * h] = blk.entries
+    return HermitianMatrix(out, (len(blocks),) + h_dims)
+
+
 def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatrix:
     """Payoff-weighted block matrix sum_theta prior * W^T (x) b on D (x) H."""
     _require_unrestricted(experiment.section, "build_xi")
     h_dims = experiment.section.dims_tuple()
     if problem.kind == "classical":
-        blocks = classical_xi_blocks(experiment, problem)
-        n_d = len(blocks)
-        out = zeros((n_d,) + h_dims)
-        for d, blk in enumerate(blocks):
-            e = np.zeros((n_d, n_d))
-            e[d, d] = 1.0
-            out = out + tensor(herm(e), blk)
-        return out
+        return _block_diagonal(classical_xi_blocks(experiment, problem), h_dims)
     ops = problem.operators
     if len(ops) != experiment.size:
         raise ShapeError("one payoff operator per family element is required")
@@ -293,14 +285,8 @@ def max_payoff(
 
 def povm_to_choi(povm: GeneralizedPOVM) -> HermitianMatrix:
     """Block-diagonal Choi matrix with blocks M_d^T."""
-    n_d = povm.n_outcomes
-    dims = (n_d,) + povm.section.dims_tuple()
-    out = zeros(dims)
-    for d, m in enumerate(povm.effects):
-        e = np.zeros((n_d, n_d))
-        e[d, d] = 1.0
-        out = out + tensor(herm(e), transpose_in_basis(m))
-    return out
+    blocks = [transpose_in_basis(m) for m in povm.effects]
+    return _block_diagonal(blocks, povm.section.dims_tuple())
 
 
 def choi_to_povm(section: Section, choi: HermitianMatrix) -> GeneralizedPOVM:

@@ -59,12 +59,13 @@ class HermitianMatrix:
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
         if not math.isfinite(scale):
             raise ShapeError("matrix has non-finite (NaN or infinite) entries")
-        asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        if strict and asym > STRICT_HERMITICITY_TOL * max(1.0, scale):
-            raise ShapeError(
-                f"matrix is not hermitian: asymmetry {asym:.3e} exceeds "
-                f"{STRICT_HERMITICITY_TOL:.0e} * max(1, |entries|)"
-            )
+        if strict:
+            asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+            if asym > STRICT_HERMITICITY_TOL * max(1.0, scale):
+                raise ShapeError(
+                    f"matrix is not hermitian: asymmetry {asym:.3e} exceeds "
+                    f"{STRICT_HERMITICITY_TOL:.0e} * max(1, |entries|)"
+                )
         arr = (arr + arr.conj().T) / 2
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -164,8 +165,8 @@ def outer(vector, dims=None) -> HermitianMatrix:
     return herm(np.outer(v, v.conj()), dims)
 
 
-def diag(values, dims=None) -> HermitianMatrix:
-    return herm(np.diag(np.asarray(values, dtype=float)), dims)
+def diag(values) -> HermitianMatrix:
+    return herm(np.diag(np.asarray(values, dtype=float)))
 
 
 def trace_pair(a: HermitianMatrix, b: HermitianMatrix) -> float:

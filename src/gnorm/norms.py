@@ -40,7 +40,6 @@ from .hermitian import (
     hunvec_matrix,
     hvec,
     identity,
-    op_norm,
     pinv_sqrt,
     psd_check,
     sqrt_psd,
@@ -81,10 +80,6 @@ class NormResult:
     best_iteration: int = 0  # the iteration of the returned iterate
     rejected: int = 0  # safeguard rejections of the acceleration
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 def _infinite_result() -> NormResult:
     return NormResult(INF, INF, INF, 0.0, "closed_form", None, None, "unsupported", 0)
@@ -108,16 +103,23 @@ def base_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
     return trace_norm(HermitianMatrix(r.entries @ x.entries @ r.entries))
 
 
-def order_unit_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
-    """|b^(-1/2) x b^(-1/2)| on the support of b; +inf when x leaks outside."""
+def _order_unit(b: HermitianMatrix, x: HermitianMatrix):
+    """(|b^(-1/2) x b^(-1/2)|, b^(-1/2), the spectrum of b^(-1/2) x b^(-1/2)),
+    or (+inf, None, None) when x leaks outside the support of b."""
     if b.dim != x.dim:
         raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
     p = support_projection(b)
     leak = x.entries - p.entries @ x.entries @ p.entries
     if float(np.linalg.norm(leak)) > 1e-9 * (1.0 + frobenius_norm(x)):
-        return INF
+        return INF, None, None
     r = pinv_sqrt(b)
-    return op_norm(HermitianMatrix(r.entries @ x.entries @ r.entries))
+    s = eig(HermitianMatrix(r.entries @ x.entries @ r.entries))
+    return float(np.max(np.abs(s.eigenvalues))), r, s
+
+
+def order_unit_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
+    """|b^(-1/2) x b^(-1/2)| on the support of b; +inf when x leaks outside."""
+    return _order_unit(b, x)[0]
 
 
 def dmax(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -139,20 +141,16 @@ def _full_slice_norm(section: Section, x: HermitianMatrix) -> NormResult:
     n = section.normalizer
     r = sqrt_psd(n)
     rinv = pinv_sqrt(n)
-    z = HermitianMatrix(r.entries @ x.entries @ r.entries)
-    s = eig(z)
-    value = float(np.sum(np.abs(s.eigenvalues)))
-    cutoff = 1e-12 * max(1.0, float(np.max(np.abs(s.eigenvalues))) if s.eigenvalues.size else 0.0)
-    pos = s.eigenvalues > cutoff
-    neg = s.eigenvalues < -cutoff
-    u = s.eigenvectors
-    p_pos = (u[:, pos] @ u[:, pos].conj().T) if np.any(pos) else np.zeros_like(z.entries)
-    p_neg = (u[:, neg] @ u[:, neg].conj().T) if np.any(neg) else np.zeros_like(z.entries)
-    p_ker = np.eye(z.dim) - p_pos - p_neg
-    z_abs = (u * np.abs(s.eigenvalues)) @ u.conj().T
+    s = eig(HermitianMatrix(r.entries @ x.entries @ r.entries))
+    w, u = s.eigenvalues, s.eigenvectors
+    value = float(np.sum(np.abs(w)))
+    # y1 weighs the positive eigenspace 1 and the kernel 1/2; y2 = n - y1
+    cutoff = 1e-12 * max(1.0, float(np.max(np.abs(w))))
+    weight = np.where(w > cutoff, 1.0, np.where(w < -cutoff, 0.0, 0.5))
+    z_abs = (u * np.abs(w)) @ u.conj().T
     q = HermitianMatrix(rinv.entries @ z_abs @ rinv.entries, section.subsystem_dims)
-    y1 = HermitianMatrix(r.entries @ (p_pos + p_ker / 2) @ r.entries, section.subsystem_dims)
-    y2 = HermitianMatrix(r.entries @ (p_neg + p_ker / 2) @ r.entries, section.subsystem_dims)
+    y1 = HermitianMatrix(r.entries @ (u * weight) @ u.conj().T @ r.entries, section.subsystem_dims)
+    y2 = n - y1
     return NormResult(
         value, value, value, 0.0, "closed_form",
         section.lift(q), (section.lift(y1), section.lift(y2)),
@@ -160,13 +158,9 @@ def _full_slice_norm(section: Section, x: HermitianMatrix) -> NormResult:
 
 
 def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
+    # b is positive definite (the section's interior point): x never leaks
     b = section.interior_point
-    value = order_unit_norm_singleton(b, x)
-    if value == INF:
-        return _infinite_result()
-    rinv = pinv_sqrt(b)
-    m = HermitianMatrix(rinv.entries @ x.entries @ rinv.entries)
-    s = eig(m)
+    value, rinv, s = _order_unit(b, x)
     q = section.lift((value * b).with_dims(section.subsystem_dims))
     top = int(np.argmax(np.abs(s.eigenvalues)))
     u = s.eigenvectors[:, top : top + 1]

@@ -26,6 +26,7 @@ B; duality is an involution on sections with positive-definite members, and
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .hermitian import (
     hunvec_matrix,
     hvec,
     identity,
+    matrix_to_json,
     pinv,
     psd_check,
     support_basis,
@@ -216,10 +218,10 @@ def _zero_sum_columns(n: int) -> np.ndarray:
     return out
 
 
-def full_hermitian_basis(dim: int, subsystem_dims=()) -> tuple[HermitianMatrix, ...]:
+def full_hermitian_basis(dim: int) -> tuple[HermitianMatrix, ...]:
     """The hvec coordinate basis: an orthonormal basis of the whole space."""
     eye = np.eye(dim * dim)
-    return tuple(hunvec_matrix(eye[:, k], dim, subsystem_dims) for k in range(dim * dim))
+    return tuple(hunvec_matrix(eye[:, k], dim) for k in range(dim * dim))
 
 
 # -- interior points ----------------------------------------------------------
@@ -408,10 +410,7 @@ def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSH
     if xc is None:
         return False
     scale = 1.0 + frobenius_norm(xc)
-    vec = hvec(xc)
-    m = section.span_matrix()
-    coords = m.T @ vec
-    if float(np.linalg.norm(vec - m @ coords)) > tol * scale:
+    if _span_residual(section.span_matrix(), xc) > tol * scale:
         return False
     if abs(trace_pair(xc, section.normalizer) - 1.0) > tol * scale:
         return False
@@ -423,14 +422,12 @@ def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSH
 
 @lru_cache(maxsize=None)
 def states_section(d: int) -> Section:
-    """All density matrices on a d-dimensional space; normalizer is I."""
+    """All density matrices on a d-dimensional space: the full slice through I."""
     if d < 1:
         raise ShapeError("dimension must be positive")
-    return _make_section(
-        np.eye(d * d),
-        identity(d),
-        f"states({d})",
-        interior_hint=identity(d) / d,
+    return dataclasses.replace(
+        full_slice_section(identity(d)),
+        label=f"states({d})",
         descriptor={"kind": "states", "dims": [d]},
     )
 
@@ -447,23 +444,16 @@ def singleton_section(b: HermitianMatrix) -> Section:
     rank = v.shape[1]
     if rank == 0:
         raise ValidationError("singleton_section needs a nonzero matrix")
-    if rank == b.dim:
-        normalizer = pinv(b) / rank
-        return _make_section(
-            _columns([b / frobenius_norm(b)]),
-            normalizer,
-            "singleton",
-            subsystem_dims=b.subsystem_dims,
-            interior_hint=b,
-        )
-    bc = HermitianMatrix(v.conj().T @ b.entries @ v)
+    full = rank == b.dim
+    bc = b if full else HermitianMatrix(v.conj().T @ b.entries @ v)
     return _make_section(
         _columns([bc / frobenius_norm(bc)]),
         pinv(bc) / rank,
         "singleton",
+        subsystem_dims=b.subsystem_dims if full else (),
         interior_hint=bc,
-        embedding=v,
-        original_subsystem_dims=b.subsystem_dims,
+        embedding=None if full else v,
+        original_subsystem_dims=() if full else b.subsystem_dims,
     )
 
 
@@ -487,7 +477,7 @@ def full_slice_section(b: HermitianMatrix) -> Section:
         f"slice({d})",
         subsystem_dims=b.subsystem_dims,
         interior_hint=interior,
-        descriptor={"kind": "singleton", "matrix": None},  # matrix filled on dump
+        descriptor={"kind": "singleton", "matrix": matrix_to_json(b)},
     )
 
 
@@ -529,15 +519,19 @@ def transpose_section(section: Section) -> Section:
     )
 
 
-def _marginal_section(
-    section: Section, traceless: np.ndarray, dk: int, label: str, desc: dict | None
-) -> Section:
+def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: str) -> Section:
     """The section with span (traceless (x) Herm(H)) + (I_K/sqrt(dk) (x) dual^T)
-    for orthonormal hvec columns ``traceless`` on K: exact Kronecker lifts."""
+    for orthonormal hvec columns ``traceless`` on K: exact Kronecker lifts.
+    Labelled ``kind(base label,dk)``; its descriptor names ``kind`` and the
+    base's descriptor, when the base has one."""
+    label = f"{kind}({section.label},{dk})"
     if section.embedding is not None:
         raise ValidationError(
             f"{label}: a support-restricted base section is only defined on its carrier space"
         )
+    desc = None
+    if section.descriptor is not None:
+        desc = {"kind": kind, "dims": [dk], "base": section.descriptor}
     dual = dual_section(section)
     h = section.ambient_dim
     eye_k = identity(dk)
@@ -557,7 +551,7 @@ def _marginal_section(
     )
 
 
-def generalized_section(section: Section, dim_out: int, label: str | None = None) -> Section:
+def generalized_section(section: Section, dim_out: int) -> Section:
     """Choi matrices of completely positive maps sending the given section
     into density matrices.
 
@@ -575,21 +569,17 @@ def generalized_section(section: Section, dim_out: int, label: str | None = None
     traceless = np.zeros((dk * dk, dk * dk - 1))
     traceless[:dk, : dk - 1] = _zero_sum_columns(dk)
     traceless[dk:, dk - 1 :] = np.eye(dk * dk - dk)
-    desc = None
-    if section.descriptor is not None:
-        desc = {"kind": "generalized", "dims": [dk], "base": section.descriptor}
-    return _marginal_section(
-        section, traceless, dk, label or f"generalized({section.label},{dk})", desc
-    )
+    return _marginal_section(section, traceless, dk, "generalized")
 
 
 @lru_cache(maxsize=None)
 def channels_section(dim_in: int, dim_out: int) -> Section:
     """Choi matrices of channels from H (dim_in) to K (dim_out)."""
-    sec = generalized_section(
-        states_section(dim_in), dim_out, label=f"channels({dim_in},{dim_out})"
+    return dataclasses.replace(
+        generalized_section(states_section(dim_in), dim_out),
+        label=f"channels({dim_in},{dim_out})",
+        descriptor={"kind": "channels", "dims": [dim_in, dim_out]},
     )
-    return dataclasses.replace(sec, descriptor={"kind": "channels", "dims": [dim_in, dim_out]})
 
 
 @lru_cache(maxsize=None)
@@ -625,10 +615,7 @@ def povm_section(section: Section, outcomes: int) -> Section:
     n_d = int(outcomes)
     traceless = np.zeros((n_d * n_d, n_d - 1))
     traceless[:n_d] = _zero_sum_columns(n_d)
-    desc = None
-    if section.descriptor is not None:
-        desc = {"kind": "povm", "dims": [n_d], "base": section.descriptor}
-    return _marginal_section(section, traceless, n_d, f"povm({section.label},{n_d})", desc)
+    return _marginal_section(section, traceless, n_d, "povm")
 
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
@@ -655,16 +642,22 @@ def custom_section(basis, normalizer: HermitianMatrix, label: str = "custom") ->
     are dropped); faithfulness is established by solving for an interior point
     and the section is support-restricted if necessary.
     """
-    mats = [m if isinstance(m, HermitianMatrix) else herm(m) for m in basis]
+    mats = [herm(m) for m in basis]
     if not mats:
         raise ValidationError("custom_section needs a nonempty basis")
-    dims = mats[0].subsystem_dims
+    normalizer = herm(normalizer)
+    d = mats[0].dim
+    if any(m.dim != d for m in mats):
+        raise ShapeError(
+            f"custom_section basis matrices differ in dimension: {sorted({m.dim for m in mats})}"
+        )
+    if normalizer.dim != d:
+        raise ShapeError(f"custom_section normalizer has dimension {normalizer.dim}, basis {d}")
     return _make_section(
         _orthonormalize_columns(_columns(mats)),
-        normalizer if isinstance(normalizer, HermitianMatrix) else herm(normalizer),
+        normalizer,
         label,
-        subsystem_dims=dims,
-        descriptor=None,
+        subsystem_dims=mats[0].subsystem_dims,
     )
 
 
@@ -672,15 +665,10 @@ def custom_section(basis, normalizer: HermitianMatrix, label: str = "custom") ->
 
 
 def section_to_descriptor(section: Section) -> dict:
-    """Serializable descriptor; structured kinds round-trip, anything else is
-    dumped as a custom basis + normalizer."""
-    from .hermitian import matrix_to_json
-
-    desc = section.descriptor
-    if desc is not None and desc.get("kind") == "singleton":
-        return {"kind": "singleton", "matrix": matrix_to_json(section.normalizer)}
-    if desc is not None:
-        return desc
+    """Serializable descriptor, a copy the caller may change; structured kinds
+    round-trip, anything else is dumped as a custom basis + normalizer."""
+    if section.descriptor is not None:
+        return copy.deepcopy(section.descriptor)
     return {
         "kind": "custom",
         "dims": list(section.dims_tuple()),

@@ -126,6 +126,19 @@ def test_apply_choi_tensor_id_z_on_entangled():
     assert np.allclose(out.entries, expected)
 
 
+def test_apply_choi_tensor_id_matches_kraus_form():
+    # (Phi (x) id_L)(sigma) = sum_i (V_i (x) I) sigma (V_i (x) I)^*
+    rng = np.random.default_rng(13)
+    for d_k, d_h, d_l in ((2, 2, 2), (3, 2, 3), (2, 3, 2), (4, 2, 3)):
+        ops = [rng.normal(size=(d_k, d_h)) + 1j * rng.normal(size=(d_k, d_h)) for _ in range(3)]
+        sigma = rand_herm(rng, d_h * d_l, dims=(d_h, d_l))
+        lifted = [np.kron(v, np.eye(d_l)) for v in ops]
+        expected = sum(w @ sigma.entries @ w.conj().T for w in lifted)
+        out = apply_choi_tensor_id(choi_of_kraus(KrausMap(tuple(ops))), d_l, sigma)
+        assert out.subsystem_dims == (d_k, d_l)
+        assert np.max(np.abs(out.entries - expected)) <= 1e-12
+
+
 def test_kraus_roundtrip_against_direct_application():
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -412,6 +412,21 @@ def test_exit_code_malformed_input(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("basis_dims, normalizer_dim", [((2, 3), 2), ((2,), 3)])
+def test_norm_rejects_mismatched_custom_section(tmp_path, basis_dims, normalizer_dim):
+    section = {
+        "kind": "custom",
+        "basis": [matrix_to_json(identity(d)) for d in basis_dims],
+        "normalizer": matrix_to_json(identity(normalizer_dim)),
+    }
+    sec = write_json(tmp_path / "custom.json", section)
+    mat = write_json(tmp_path / "mat.json", matrix_to_json(identity(2)))
+    proc = run_cli("norm", sec, mat)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: custom_section")
+    assert "Traceback" not in proc.stderr
+
+
 def test_dmax_rejects_mismatched_dimension(tmp_path):
     a = write_json(tmp_path / "a.json", matrix_to_json(identity(2)))
     b = write_json(tmp_path / "b.json", matrix_to_json(identity(3)))

@@ -97,6 +97,17 @@ def test_experiment_rejects_non_finite_prior(bad):
         Experiment(states_section(2), (KET0, identity(2) / 2), [bad, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classical_problem_rejects_non_finite_table(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        classical_problem([[bad, 1.0], [0.0, 1.0]])
+
+
+def test_classical_problem_rejects_empty_table():
+    with pytest.raises(ValidationError, match="nonempty"):
+        classical_problem(np.zeros((2, 0)))
+
+
 def test_build_xi_single_hypothesis():
     s = states_section(2)
     e = Experiment(s, (KET0,), np.array([1.0]))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd
+from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd, rand_unitary
 from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection, max_entangled_state
 from gnorm.errors import DomainError, ShapeError
@@ -117,6 +117,42 @@ def test_full_slice_custom_matches_singleton_closed_form():
         # the dedicated constructor takes the same closed path
         built = full_slice_section(b)
         assert base_norm(built, x).value == pytest.approx(oracle, rel=1e-10)
+
+
+def test_singleton_closed_form_makes_three_eigendecompositions(monkeypatch):
+    rng = np.random.default_rng(6)
+    sec = singleton_section(rand_psd(rng, 3) + identity(3))
+    x = rand_herm(rng, 3)
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append(name)
+            return real(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    res = base_norm(sec, x)
+    assert res.method == "closed_form"
+    # support projection and pseudo-inverse root of b, spectrum of b^(-1/2) x b^(-1/2)
+    assert len(calls) == 3
+
+
+def test_full_slice_witnesses_on_rank_deficient_input():
+    rng = np.random.default_rng(7)
+    sec = full_slice_section(rand_psd(rng, 3) + 0.5 * identity(3))
+    u = rand_unitary(rng, 3)
+    x = herm((u * np.array([1.5, -0.7, 0.0])) @ u.conj().T)
+    res = base_norm(sec, x)
+    assert res.method == "closed_form"
+    y1, y2 = res.dual_witness
+    assert np.max(np.abs((y1 + y2 - sec.normalizer).entries)) <= 1e-12
+    assert psd_check(y1) and psd_check(y2)
+    assert trace_pair(x, y1 - y2) == pytest.approx(res.value, rel=1e-12, abs=1e-12)
 
 
 def test_full_slice_constructor_cli_example_value():

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd
 from gnorm.choi import kraus_channel, max_entangled_projection
-from gnorm.errors import EmptySectionError, ValidationError
+from gnorm.errors import EmptySectionError, ShapeError, ValidationError
 from gnorm.hermitian import (
     herm,
     hunvec_matrix,
     hvec,
     identity,
+    matrix_to_json,
     outer,
     partial_trace,
     tensor,
@@ -402,6 +403,13 @@ def test_custom_auto_restriction():
     assert not contains(sec, herm(np.diag([0.0, 0.0, 1.0])))
 
 
+def test_custom_section_rejects_mismatched_dimensions():
+    with pytest.raises(ShapeError, match="basis matrices differ"):
+        custom_section([identity(2), identity(3)], identity(2))
+    with pytest.raises(ShapeError, match="normalizer has dimension 3"):
+        custom_section([identity(2)], identity(3))
+
+
 def test_empty_section_raises():
     with pytest.raises(EmptySectionError):
         custom_section([herm(np.diag([1.0, -1.0]))], herm(np.diag([1.0, 0.0])))
@@ -441,6 +449,18 @@ def test_descriptor_roundtrip():
         back = section_from_descriptor(desc)
         for p in sample_section(sec, 4, seed=13).points:
             assert contains(back, p, 1e-7)
+
+
+def test_descriptor_is_a_copy():
+    desc = section_to_descriptor(channels_section(2, 2))
+    desc["dims"] = [3, 3]
+    assert channels_section(2, 2).descriptor == {"kind": "channels", "dims": [2, 2]}
+    gen = generalized_section(states_section(2), 2)
+    section_to_descriptor(gen)["base"]["dims"].append(5)
+    assert section_to_descriptor(gen)["base"] == {"kind": "states", "dims": [2]}
+    # the full slice records its matrix when it is built
+    b = herm(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert full_slice_section(b).descriptor == {"kind": "singleton", "matrix": matrix_to_json(b)}
 
 
 def test_povm_descriptor_roundtrip():
