@@ -13,6 +13,7 @@ positive.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -228,7 +229,10 @@ def _add_common(p, witness=True):
         p.add_argument("--witness-out", default=None, help="write optimizers to this JSON file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="gnorm",
         description="Base norms on sections of the PSD cone and their "

@@ -392,7 +392,10 @@ def certify_optimal(
     :func:`max_payoff` runs: xi <= I (x) q, and Tr(((I (x) q) - xi) X^T) = 0
     holds exactly when the candidate's payoff reaches that solve's optimum
     (the input marginal of X^T is a dual element, which pairs with q as the
-    normalizer does).  So ``feasible`` is decided by the payoff deficit.
+    normalizer does).  So ``feasible`` is decided by the payoff deficit.  A
+    measurement on another section is accepted only if it acts on the
+    experiment's dimension and its effects sum into the experiment's dual
+    section; otherwise ValidationError.
     """
     section = experiment.section
     _require_unrestricted(section, "certify_optimal")
@@ -402,6 +405,18 @@ def certify_optimal(
     if isinstance(candidate, GeneralizedPOVM):
         if candidate.n_outcomes != n_d:
             raise ValidationError("candidate outcome count does not match the problem")
+        if candidate.section is not section:
+            dim = candidate.effects[0].dim
+            if dim != section.ambient_dim:
+                raise ValidationError(
+                    f"candidate effects are {dim} x {dim}, the experiment's section "
+                    f"acts on dimension {section.ambient_dim}"
+                )
+            if not contains(dual_section(section), candidate.total(), MEMBER_TOL):
+                raise ValidationError(
+                    "candidate is not a measurement on this section "
+                    "(its effects do not sum into the experiment's dual section)"
+                )
         x = povm_to_choi(candidate)
     else:
         x = candidate.matrix if isinstance(candidate, ChoiMatrix) else candidate

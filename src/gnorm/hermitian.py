@@ -98,7 +98,8 @@ class HermitianMatrix:
         return self.subsystem_dims or other.subsystem_dims
 
     def __add__(self, other: HermitianMatrix) -> HermitianMatrix:
-        return HermitianMatrix(self.entries + other.entries, self._binary_dims(other))
+        dims = self._binary_dims(other)
+        return HermitianMatrix(self.entries + other.entries, dims)
 
     def __radd__(self, other) -> HermitianMatrix:
         if isinstance(other, (int, float)) and other == 0:  # supports sum()
@@ -106,7 +107,8 @@ class HermitianMatrix:
         return NotImplemented
 
     def __sub__(self, other: HermitianMatrix) -> HermitianMatrix:
-        return HermitianMatrix(self.entries - other.entries, self._binary_dims(other))
+        dims = self._binary_dims(other)
+        return HermitianMatrix(self.entries - other.entries, dims)
 
     def __neg__(self) -> HermitianMatrix:
         return HermitianMatrix(-self.entries, self.subsystem_dims)

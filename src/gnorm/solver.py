@@ -28,7 +28,12 @@ one run of a block per outcome) and projects each run as one stack: one
 ``hunvec``, one batched ``eigh``, one rebuild and one ``hvec``; a block
 without a negative eigenvalue keeps its coordinates.  On the small programs
 that dominate calls, an iteration is mostly numpy call overhead paid per
-block, so this halves the PSD projection of a diamond-norm iteration.
+block, so this halves the PSD projection of a diamond-norm iteration.  For
+the same reason the step calls the LAPACK kernels behind ``np.linalg.eigh``
+and ``np.linalg.solve`` directly: their per-call wrapper (type checks and an
+error-state context) costs about a third of a small ``eigh``, the kernels
+return the same bits, and one error state entered per solve turns a failed
+kernel into a :class:`NumericalError`.
 
 Neither affine projection depends on the penalty parameter, so
 residual-balancing updates of the penalty cost nothing.  Dual variables for
@@ -87,9 +92,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import DomainError, ShapeError, SolverError
-from .hermitian import HermitianMatrix, hunvec, hvec
+from .errors import DomainError, NumericalError, ShapeError, SolverError
+from .hermitian import HermitianMatrix, _hvec_layout, hunvec
 
 PSD = "psd"
 FREE = "free"
@@ -103,6 +109,13 @@ RHO_ADAPT_EVERY = 100
 ANDERSON_MEMORY = 20
 ANDERSON_MAX_WEIGHT = 1e4
 ANDERSON_REGULARIZATION = 1e-10
+
+# The LAPACK gufuncs behind np.linalg.eigh and np.linalg.solve (one
+# right-hand side), called without numpy's per-call wrapper.  A failure fills
+# NaN and raises the invalid flag, which _kernel_errors turns into
+# NumericalError.
+_eigh = _umath_linalg.eigh_lo
+_solve1 = _umath_linalg.solve1
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +299,7 @@ class _DenseRows:
 
     def __init__(self, a: np.ndarray):
         self.a = a
-        w, u = np.linalg.eigh(a @ a.T)
+        w, u = _eigh(a @ a.T, signature="d->dd")
         keep = w > 1e-12 * max(1.0, float(w[-1]))
         self._u, self._winv = u[:, keep], 1.0 / w[keep]
 
@@ -405,21 +418,37 @@ def _psd_runs(blocks) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _kernel_failed(err, flag):
+    """numpy's error-state callback for an invalid floating-point value."""
+    raise NumericalError(
+        f"conic solver: {err} in an ADMM step "
+        "(a failed eigendecomposition or Anderson solve)"
+    )
+
+
+def _kernel_errors() -> np.errstate:
+    """The error state under which a failed kernel, or any other invalid
+    floating-point operation, raises NumericalError."""
+    return np.errstate(call=_kernel_failed, invalid="call")
+
+
 def _positive_part(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and positive parts of hermitian matrices stacked
-    along leading axes: one batched ``eigh`` and one rebuild."""
-    w, u = np.linalg.eigh(mats)
+    """Ascending eigenvalues and positive parts of complex hermitian matrices
+    stacked along leading axes: one batched ``eigh`` and one rebuild."""
+    w, u = _eigh(mats, signature="D->dD")
     return w, (u * np.maximum(w, 0.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def _project_cone(z: np.ndarray, runs) -> None:
     """Project z onto the cone product in place.  Each run of PSD blocks is
-    projected as one stack; a block without a negative eigenvalue keeps its
-    coordinates."""
+    projected as one stack, through one lookup of its hvec layout; a block
+    without a negative eigenvalue keeps its coordinates."""
     for lo, hi, d in runs:
+        take, scale, src, coef = _hvec_layout(d)
         stack = z[lo:hi].reshape(-1, d * d)
-        w, pos = _positive_part(hunvec(stack, d))
-        np.copyto(stack, hvec(pos), where=w[:, :1] < 0.0)
+        w, pos = _positive_part((stack.take(src, axis=1) * coef).view(complex).reshape(-1, d, d))
+        back = pos.reshape(-1, d * d).view(float).take(take, axis=1) * scale
+        np.copyto(stack, back, where=w[:, :1] < 0.0)
 
 
 class _Anderson:
@@ -446,6 +475,9 @@ class _Anderson:
         self.slot = 0  # ring slot written next
         self.base = None  # (g, T(u)) at the current point, where the next differences start
         self.fallback = None  # (T(u), |g|) at the previous point, while u is extrapolated
+        # (dg, df, gram, eye) cut to the stored pairs; cut again only while
+        # the memory fills, so a full memory reads whole arrays
+        self.stored = None
 
     def next_point(self, g: np.ndarray, f: np.ndarray, key, g_norm: float) -> np.ndarray:
         """Record the current point's residual ``g`` (of norm ``g_norm``) and
@@ -457,27 +489,28 @@ class _Anderson:
         if key != self.key:
             self.clear()
             self.key = key
-        if self.base is not None:
-            j = self.slot
-            np.subtract(g, self.base[0], out=self.dg[j])
-            np.subtract(f, self.base[1], out=self.df[j])
-            self.size = min(self.size + 1, ANDERSON_MEMORY)
-            self.slot = (j + 1) % ANDERSON_MEMORY
-            col = self.dg[: self.size] @ self.dg[j]
-            self.gram[j, : self.size] = col
-            self.gram[: self.size, j] = col
-        self.base = (g, f)
-        k = self.size
-        if k == 0:
+        base, self.base = self.base, (g, f)
+        if base is None:  # a fresh memory: no differences yet
             return f
-        reg = ANDERSON_REGULARIZATION * float(self.gram[:k, :k].trace())
+        j = self.slot
+        np.subtract(g, base[0], out=self.dg[j])
+        np.subtract(f, base[1], out=self.df[j])
+        if self.size < ANDERSON_MEMORY:
+            k = self.size = self.size + 1
+            self.stored = (self.dg[:k], self.df[:k], self.gram[:k, :k], self.eye[:k, :k])
+        self.slot = (j + 1) % ANDERSON_MEMORY
+        dg, df, gram, eye = self.stored
+        col = dg @ dg[j]
+        gram[j] = col
+        gram[:, j] = col
+        reg = ANDERSON_REGULARIZATION * float(gram.trace())
         if not reg > 0.0:
             return f
-        gamma = np.linalg.solve(self.gram[:k, :k] + reg * self.eye[:k, :k], self.dg[:k] @ g)
+        gamma = _solve1(gram + reg * eye, dg @ g, signature="dd->d")
         if not float(gamma @ gamma) <= ANDERSON_MAX_WEIGHT**2:
             return f
         self.fallback = (f, g_norm)
-        return f - gamma @ self.df[:k]
+        return f - gamma @ df
 
     def safeguard(self, g_norm: float) -> np.ndarray | None:
         """Judge the current point by the norm of its residual.  None if it
@@ -494,7 +527,14 @@ class _Anderson:
 
 def project_psd(x: HermitianMatrix) -> HermitianMatrix:
     """Euclidean projection onto the PSD cone (the positive part x_+)."""
-    return HermitianMatrix(_positive_part(x.entries)[1], x.subsystem_dims)
+    with _kernel_errors():
+        pos = _positive_part(x.entries)[1]
+    return HermitianMatrix(pos, x.subsystem_dims)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real vector, the bits ``np.linalg.norm`` gives."""
+    return math.sqrt(x @ x)
 
 
 def _split(z: np.ndarray, blocks, slices) -> tuple:
@@ -524,6 +564,12 @@ def solve(
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    with _kernel_errors():
+        return _admm(program, tol, max_iter)
+
+
+def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> ConeSolution:
+    """The iteration of :func:`solve` on checked arguments."""
     rows = _rows(program)
     slices = _block_slices(program.blocks)
     runs = _psd_runs(program.blocks)
@@ -542,7 +588,7 @@ def solve(
         """One over-relaxed ADMM step: T(u) for u = (v, w), its affine
         projection z and the multiplier of that projection."""
         v, w = u[:n], u[n:]
-        z, mult = rows.project(v - w - c / rho, b)
+        z, mult = rows.project(v - w - c_rho, b)
         shifted = OVER_RELAXATION * z + (1.0 - OVER_RELAXATION) * v + w
         out = np.empty(2 * n)
         out[:n] = shifted
@@ -553,8 +599,9 @@ def solve(
     u = np.zeros(2 * n)
     accel = _Anderson(2 * n)
     rho = 1.0
-    b_scale = 1.0 + float(np.linalg.norm(b))
-    c_scale = 1.0 + float(np.linalg.norm(c))
+    c_rho = c / rho
+    b_scale = 1.0 + _norm(b)
+    c_scale = 1.0 + _norm(c)
 
     best = None
     best_res = np.inf
@@ -588,11 +635,11 @@ def solve(
         on_cadence = it % CHECK_EVERY == 0 or it == max_iter
         if on_cadence or (
             gap <= tol
-            and rho * float(np.linalg.norm(u[:n] - u[n:] - z + w)) / c_scale <= tol
+            and rho * _norm(u[:n] - u[n:] - z + w) / c_scale <= tol
         ):
             s = -rho * w
-            pres = float(np.linalg.norm(rows.apply(v) - b)) / b_scale
-            dres = float(np.linalg.norm(c - rows.adjoint(y) - s)) / c_scale
+            pres = _norm(rows.apply(v) - b) / b_scale
+            dres = _norm(c - rows.adjoint(y) - s) / c_scale
             res = max(pres, dres, gap)
             # A screened iterate the check refuses is dropped: the best
             # iterate and the plateau clock move on the cadence alone.
@@ -631,6 +678,7 @@ def solve(
                     w *= rho / new_rho
                     g[n:] *= rho / new_rho
                     rho = new_rho
+                    c_rho = c / rho
                     last_rho_change = it
 
         u = accel.next_point(g, f, rho, g_norm)

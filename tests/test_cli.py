@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import rand_kraus_channel
 from gnorm.choi import kraus_channel, max_entangled_projection
 from gnorm.decisions import Experiment, classical_problem, experiment_to_json, helstrom
 from gnorm.hermitian import herm, identity, matrix_to_json, outer
@@ -117,6 +118,16 @@ def test_helstrom_command(state_files):
     report = json.loads(proc.stdout)
     expected = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
     assert report["values"]["error"] == pytest.approx(expected, abs=1e-6)
+
+
+def test_helstrom_rejects_mismatched_dimensions(tmp_path, state_files):
+    zero, _ = state_files
+    eye3 = write_json(tmp_path / "eye3.json", matrix_to_json(identity(3) / 3.0))
+    for args in ((zero, eye3), (eye3, zero)):
+        proc = run_cli("helstrom", *args)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("input error: dimension mismatch")
+        assert "Traceback" not in proc.stderr
 
 
 def test_diamond_command(tmp_path):
@@ -434,3 +445,51 @@ def test_dmax_rejects_mismatched_dimension(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("input error: dimension mismatch")
     assert "Traceback" not in proc.stderr
+
+
+def test_main_in_process_matches_a_fresh_process(tmp_path, state_files, capsys):
+    # main builds its parser once per process; repeated in-process runs print
+    # the bytes, exit codes and witness files of a fresh process.
+    from gnorm import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    zero, plus = state_files
+    witness = tmp_path / "witness.json"
+
+    def written():
+        text = witness.read_text() if witness.exists() else None
+        witness.unlink(missing_ok=True)
+        return text
+
+    for argv in (
+        ["helstrom", zero, plus, "--witness-out", str(witness)],
+        ["helstrom", zero, str(tmp_path / "missing.json")],
+        ["dmax", zero, plus, "--tol", "1e-8"],
+    ):
+        fresh = run_cli(*argv)
+        fresh_witness = written()
+        for _ in range(2):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert written() == fresh_witness
+
+
+def test_failed_kernel_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
+    from gnorm import cli, solver
+
+    real = solver._eigh
+
+    def nan_eigh(a, signature):  # fails as LAPACK does: NaN out, invalid flag raised
+        return real(a * np.nan, signature=signature)
+
+    monkeypatch.setattr(solver, "_eigh", nan_eigh)
+    rng = np.random.default_rng(5)
+    chois = [kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(2)]
+    c0, c1 = (write_json(tmp_path / f"c{j}.json", matrix_to_json(x)) for j, x in enumerate(chois))
+    assert cli.main(["diamond", c0, c1]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: conic solver: invalid value in an ADMM step")

@@ -403,6 +403,29 @@ def test_certify_optimal_over_channel_section():
     assert cert.feasible
 
 
+def test_certify_optimal_rejects_a_measurement_on_another_section():
+    e = uniform_experiment(states_section(2), (KET0, PLUS))
+    p = classical_problem(np.eye(2))
+    three = GeneralizedPOVM(states_section(3), (herm(np.diag([1.0, 0.0, 0.0])),
+                                                herm(np.diag([0.0, 1.0, 1.0]))))
+    with pytest.raises(ValidationError, match="3 x 3"):
+        certify_optimal(three, e, p)
+    # same dimension, but the effects of a states(4) measurement sum to I_4,
+    # which is not in the dual of channels(2,2)
+    c = channels_section(2, 2)
+    psi = herm(max_entangled_projection(2).entries, (2, 2))
+    e4 = uniform_experiment(c, (psi, herm(np.eye(4) / 2, (2, 2))))
+    four = GeneralizedPOVM(states_section(4), (herm(np.diag([1.0, 0.0, 0.0, 0.0])),
+                                               herm(np.diag([0.0, 1.0, 1.0, 1.0]))))
+    with pytest.raises(ValidationError, match="dual section"):
+        certify_optimal(four, e4, p)
+    # an equal section built separately is accepted
+    halves = tuple(herm(np.diag(v), (2, 2)) for v in ([0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5]))
+    twin = certify_optimal(GeneralizedPOVM(channels_section.__wrapped__(2, 2), halves), e4, p)
+    same = certify_optimal(GeneralizedPOVM(c, halves), e4, p)
+    assert twin.candidate_payoff == same.candidate_payoff
+
+
 def test_certificate_optimum_is_the_payoff_value():
     rng = np.random.default_rng(71)
     c = channels_section(2, 2)

@@ -2,6 +2,7 @@
 property tests over random instances."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_non_finite_entries_rejected():
 def test_subsystem_dims_must_multiply():
     with pytest.raises(ShapeError):
         herm(np.eye(4), dims=(2, 3))
+
+
+def test_sum_and_difference_reject_mismatched_dimensions():
+    # the dimensions are compared before numpy broadcasts the entries
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
+            op(identity(2), identity(3))
+        with pytest.raises(ShapeError, match="dimension mismatch: 3 vs 1"):
+            op(identity(3), identity(1))
 
 
 def test_eig_identity_and_diagonal():

@@ -15,7 +15,7 @@ from gnorm.decisions import (
     max_payoff,
     quantum_problem,
 )
-from gnorm.errors import DomainError, ShapeError, SolverError
+from gnorm.errors import DomainError, NumericalError, ShapeError, SolverError
 from gnorm.hermitian import (
     herm,
     hunvec,
@@ -557,3 +557,54 @@ def test_screened_stop_matches_a_full_check_every_iteration(monkeypatch):
         for a, b in zip(shipped.primal_point + (shipped.dual_vector,),
                         every.primal_point + (every.dual_vector,)):
             assert np.array_equal(a, b)
+
+
+def test_direct_kernels_match_the_public_linalg_bitwise():
+    # The ADMM step calls the LAPACK gufuncs behind np.linalg.eigh and
+    # np.linalg.solve without their wrappers.  They are private numpy API: a
+    # numpy whose kernels stop returning the public functions' bits fails here.
+    rng = np.random.default_rng(61)
+    for copies in (1, 2, 3):
+        for d in range(1, 10):
+            g = rng.normal(size=(copies, d, d)) + 1j * rng.normal(size=(copies, d, d))
+            mats = (g + g.conj().swapaxes(-1, -2)) / 2
+            w, u = solver._eigh(mats, signature="D->dD")
+            w_ref, u_ref = np.linalg.eigh(mats)
+            assert w.dtype == w_ref.dtype and u.dtype == u_ref.dtype
+            assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+            assert np.array_equal(solver._positive_part(mats)[0], w_ref)
+    for k in range(1, 21):
+        a = rng.normal(size=(k, k))
+        spd = a @ a.T + 1e-3 * np.eye(k)
+        rhs = rng.normal(size=k)
+        got = solver._solve1(spd, rhs, signature="dd->d")
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.linalg.solve(spd, rhs))
+
+
+def test_failed_kernel_raises_numerical_error(monkeypatch):
+    # A failed LAPACK kernel returns NaN and raises the floating-point invalid
+    # flag, as the real kernels do on a NaN matrix (d >= 3) or a singular
+    # system.
+    real_eigh, real_solve = solver._eigh, solver._solve1
+
+    def nan_eigh(a, signature):
+        return real_eigh(a * np.nan, signature=signature)
+
+    def singular_solve(a, b, signature):
+        return real_solve(0.0 * a, b, signature=signature)
+
+    program = trace_norm_program(rand_herm(np.random.default_rng(62), 3))
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_eigh", nan_eigh)
+        with pytest.raises(NumericalError, match="conic solver"):
+            solve(program)
+        with pytest.raises(NumericalError):
+            project_psd(herm(np.diag([1.0, -1.0, 0.5])))
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_solve1", singular_solve)
+        with pytest.raises(NumericalError, match="conic solver"):
+            solve(program)
+    # the error state is the caller's again, and the kernels work as before
+    assert np.geterr()["invalid"] == "warn" and np.geterrcall() is None
+    assert solve(program).status == "optimal"
