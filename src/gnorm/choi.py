@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .hermitian import HermitianMatrix, identity, partial_trace, psd_check
+from .hermitian import (
+    HermitianMatrix,
+    complex_from_json,
+    complex_to_json,
+    identity,
+    partial_trace,
+    psd_check,
+)
 
 DEFAULT_CHANNEL_TOL = 1e-9
 
@@ -30,11 +37,7 @@ class ChoiMatrix:
     matrix: HermitianMatrix
 
     def __post_init__(self):
-        if len(self.matrix.subsystem_dims) != 2:
-            raise ShapeError(
-                "a Choi matrix needs exactly two subsystem dims (output, input), "
-                f"got {self.matrix.subsystem_dims}"
-            )
+        choi_matrix(self.matrix)
 
     @property
     def dim_out(self) -> int:
@@ -103,11 +106,21 @@ def choi_of_kraus(m: KrausMap) -> ChoiMatrix:
     return ChoiMatrix(HermitianMatrix(x, (dK, dH)))
 
 
+def choi_matrix(x, name: str = "Choi matrix") -> HermitianMatrix:
+    """The matrix of a :class:`ChoiMatrix`, or ``x`` itself when it is a
+    :class:`HermitianMatrix` with exactly two subsystem dims (output, input);
+    anything else is a ShapeError naming ``name``."""
+    if isinstance(x, ChoiMatrix):
+        return x.matrix
+    dims = x.subsystem_dims if isinstance(x, HermitianMatrix) else None
+    if dims is None or len(dims) != 2:
+        raise ShapeError(f"{name}: needs exactly two subsystem dims (output, input), got {dims}")
+    return x
+
+
 def apply_choi(x: ChoiMatrix | HermitianMatrix, a: HermitianMatrix) -> HermitianMatrix:
     """Phi_X(a) = Tr_H[(I_K (x) a^T) X]."""
-    xm = x.matrix if isinstance(x, ChoiMatrix) else x
-    if len(xm.subsystem_dims) != 2:
-        raise ShapeError("apply_choi needs a matrix with (output, input) subsystem dims")
+    xm = choi_matrix(x)
     dK, dH = xm.subsystem_dims
     if a.dim != dH:
         raise ShapeError(f"input dim {a.dim} does not match Choi input dim {dH}")
@@ -125,7 +138,7 @@ def apply_choi_tensor_id(
     sum_ij X[(k,i),(l,j)] sigma[(i,a),(j,b)], the Choi formula of
     :func:`apply_choi` with the ancilla indices a, b carried along.
     """
-    xm = x.matrix if isinstance(x, ChoiMatrix) else x
+    xm = choi_matrix(x)
     dK, dH = xm.subsystem_dims
     dL = int(ancilla_dim)
     if sigma.dim != dH * dL:
@@ -137,9 +150,10 @@ def apply_choi_tensor_id(
 
 
 def is_channel_choi(x: ChoiMatrix | HermitianMatrix, tol: float = DEFAULT_CHANNEL_TOL) -> bool:
-    """Choi characterization of trace-preserving cp maps: X >= 0, Tr_K X = I."""
-    xm = x.matrix if isinstance(x, ChoiMatrix) else x
-    if len(xm.subsystem_dims) != 2:
+    """X >= 0 and Tr_K X = I, the Choi test of a channel; False without (output, input) dims."""
+    try:
+        xm = choi_matrix(x)
+    except ShapeError:
         return False
     marg = partial_trace(xm, 0)
     ident = identity(marg.dim)
@@ -152,18 +166,11 @@ def is_channel_choi(x: ChoiMatrix | HermitianMatrix, tol: float = DEFAULT_CHANNE
 
 
 def kraus_to_json(m: KrausMap) -> list:
-    return [[[[float(z.real), float(z.imag)] for z in row] for row in v] for v in m.operators]
+    return complex_to_json(np.array(m.operators))
 
 
 def kraus_from_json(obj) -> KrausMap:
-    try:
-        ops = [
-            np.array([[complex(c[0], c[1]) for c in row] for row in v], dtype=complex)
-            for v in obj
-        ]
-    except (TypeError, IndexError) as exc:
-        raise ShapeError(f"Kraus JSON must be a list of [re, im] matrices: {exc}") from exc
-    return KrausMap(tuple(ops))
+    return KrausMap(tuple(complex_from_json(obj, "Kraus JSON", 3)))
 
 
 def kraus_channel(operators) -> ChoiMatrix:

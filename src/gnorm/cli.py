@@ -21,12 +21,14 @@ import os
 import sys
 
 from . import __version__, solver
+from .choi import choi_matrix
 from .decisions import (
     GeneralizedPOVM,
     certify_optimal,
     experiment_from_json,
     helstrom,
     max_entangled_tester_exists,
+    prior_weighted,
 )
 from .errors import (
     DomainError,
@@ -141,15 +143,12 @@ def _cmd_helstrom(args) -> int:
     return _emit(args, {"error": error, "lambda": args.lam}, summary, witness=witness)
 
 
+def _load_choi(args, name: str):
+    return choi_matrix(_load_matrix(getattr(args, name)), name)
+
+
 def _cmd_diamond(args) -> int:
-    x0 = _load_matrix(args.choi0)
-    x1 = _load_matrix(args.choi1)
-    for name, x in (("choi0", x0), ("choi1", x1)):
-        if len(x.subsystem_dims) != 2:
-            raise ShapeError(f"{name}: 'dims' must have length 2 (output, input)")
-    if not 0.0 <= args.lam <= 1.0:
-        raise DomainError("prior must lie in [0, 1]")
-    diff = args.lam * x0 - (1.0 - args.lam) * x1
+    diff = prior_weighted(args.lam, _load_choi(args, "choi0"), _load_choi(args, "choi1"))
     res = diamond_norm(diff, tol=args.tol, max_iter=args.max_iter)
     error = 0.5 * (1.0 - res.value)
     summary = f"channel-section norm = {res.value:.12g}, error = {error:.12g}"
@@ -206,8 +205,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_tester_check(args) -> int:
-    x0 = _load_matrix(args.choi0)
-    x1 = _load_matrix(args.choi1)
+    x0, x1 = _load_choi(args, "choi0"), _load_choi(args, "choi1")
     exists, residual = max_entangled_tester_exists(x0, x1, args.lam, tol=args.tol)
     summary = f"maximally entangled optimal tester exists: {exists} (residual {residual:.3e})"
     return _emit(args, {"exists": exists, "residual": residual, "lambda": args.lam}, summary)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .choi import ChoiMatrix, is_channel_choi
+from .choi import ChoiMatrix, choi_matrix, is_channel_choi
 from .errors import DomainError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
@@ -53,6 +53,7 @@ from .sections import (
     Section,
     contains,
     dual_section,
+    require_faithful,
     section_from_descriptor,
     section_to_descriptor,
     states_section,
@@ -62,11 +63,12 @@ MEMBER_TOL = 1e-6
 PRIOR_TOL = 1e-12
 
 
-def _require_unrestricted(section: Section, what: str):
-    if section.embedding is not None:
-        raise ValidationError(
-            f"{what} needs a faithful (unrestricted) section; rebuild on the support"
-        )
+def prior_weighted(lam: float, a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
+    """lam a - (1 - lam) b; DomainError unless the prior lam lies in [0, 1]."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError("prior must lie in [0, 1]")
+    return lam * a - (1.0 - lam) * b
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +236,7 @@ def _block_diagonal(blocks, h_dims: tuple[int, ...]) -> HermitianMatrix:
 
 def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatrix:
     """Payoff-weighted block matrix sum_theta prior * W^T (x) b on D (x) H."""
-    _require_unrestricted(experiment.section, "build_xi")
+    require_faithful(experiment.section, "build_xi")
     h_dims = experiment.section.dims_tuple()
     if problem.kind == "classical":
         return _block_diagonal(classical_xi_blocks(experiment, problem), h_dims)
@@ -251,7 +253,7 @@ def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatri
 def _payoff_norm(experiment, problem, tol, max_iter, context: str) -> NormResult:
     """The payoff's majorant solve: q >= xi_d, one block per outcome, for
     classical problems, and the one lifted I (x) q >= xi for quantum ones."""
-    _require_unrestricted(experiment.section, context)
+    require_faithful(experiment.section, context)
     if problem.kind == "classical":
         blocks = classical_xi_blocks(experiment, problem)
     else:
@@ -319,13 +321,10 @@ def bayes_error(
     Equals (1 - |lam b0 - (1-lam) b1|_B) / 2; the optimal two-outcome
     measurement is read off the norm's dual optimizer (M0 = y1, M1 = y2).
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("prior must lie in [0, 1]")
+    x = prior_weighted(lam, b0, b1)
     for name, b in (("b0", b0), ("b1", b1)):
         if not contains(section, b, MEMBER_TOL):
             raise ValidationError(f"{name} is not a member of the section")
-    x = lam * b0 - (1.0 - lam) * b1
     res = base_norm(section, x, tol=tol, max_iter=max_iter)
     error = 0.5 * (1.0 - res.value)
     y1, y2 = res.dual_witness
@@ -359,13 +358,10 @@ def helstrom(
     The first effect projects onto the strictly positive eigenspace of
     lam rho0 - (1-lam) rho1; the kernel is assigned to the second outcome.
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("prior must lie in [0, 1]")
+    x = prior_weighted(lam, rho0, rho1)
     for name, r in (("rho0", rho0), ("rho1", rho1)):
         if not psd_check(r, 1e-8) or abs(trace(r) - 1.0) > 1e-8:
             raise ValidationError(f"{name} must be a density matrix")
-    x = lam * rho0 - (1.0 - lam) * rho1
     error = 0.5 - 0.5 * trace_norm(x)
     _, x_pos, _ = abs_pos_neg(x)
     m0 = support_projection(x_pos)
@@ -393,42 +389,34 @@ def certify_optimal(
     holds exactly when the candidate's payoff reaches that solve's optimum
     (the input marginal of X^T is a dual element, which pairs with q as the
     normalizer does).  So ``feasible`` is decided by the payoff deficit.  A
-    measurement on another section is accepted only if it acts on the
-    experiment's dimension and its effects sum into the experiment's dual
-    section; otherwise ValidationError.
+    candidate not built on the experiment's own section (a Choi matrix, or a
+    measurement on another section) must be a procedure for it: its blocks
+    act on the section's dimension, it is PSD, and its transposed input
+    marginal lies in the dual section; otherwise ValidationError.
     """
     section = experiment.section
-    _require_unrestricted(section, "certify_optimal")
+    require_faithful(section, "certify_optimal")
     xi = build_xi(experiment, problem)
-    n_d = problem.n_outcomes
+    n_d, h = problem.n_outcomes, section.ambient_dim
 
     if isinstance(candidate, GeneralizedPOVM):
         if candidate.n_outcomes != n_d:
             raise ValidationError("candidate outcome count does not match the problem")
-        if candidate.section is not section:
-            dim = candidate.effects[0].dim
-            if dim != section.ambient_dim:
-                raise ValidationError(
-                    f"candidate effects are {dim} x {dim}, the experiment's section "
-                    f"acts on dimension {section.ambient_dim}"
-                )
-            if not contains(dual_section(section), candidate.total(), MEMBER_TOL):
-                raise ValidationError(
-                    "candidate is not a measurement on this section "
-                    "(its effects do not sum into the experiment's dual section)"
-                )
         x = povm_to_choi(candidate)
     else:
         x = candidate.matrix if isinstance(candidate, ChoiMatrix) else candidate
-        if x.dim != n_d * section.ambient_dim:
-            raise ValidationError("candidate Choi matrix has the wrong dimension")
+    # a measurement on the experiment's own section was validated when built
+    if getattr(candidate, "section", None) is not section:
+        if x.dim != n_d * h:
+            b = f"{x.dim / n_d:g}"
+            raise ValidationError(f"candidate blocks are {b} x {b}, the section's are {h} x {h}")
         if not psd_check(x, MEMBER_TOL):
-            raise ValidationError("candidate Choi matrix is not PSD")
-        marg = transpose_in_basis(partial_trace(x.with_dims((n_d, section.ambient_dim)), 0))
+            raise ValidationError("candidate procedure is not PSD")
+        marg = transpose_in_basis(partial_trace(x.with_dims((n_d, h)), 0))
         if not contains(dual_section(section), marg, MEMBER_TOL):
             raise ValidationError(
                 "candidate is not a decision procedure for this section "
-                "(its input marginal is not a transposed dual element)"
+                "(its transposed input marginal is not in the experiment's dual section)"
             )
 
     xt = transpose_in_basis(x)
@@ -471,15 +459,11 @@ def max_entangled_tester_exists(
     from that multiple.  A zero difference counts as True by convention
     (every tester is then optimal).
     """
-    m0 = x0.matrix if isinstance(x0, ChoiMatrix) else x0
-    m1 = x1.matrix if isinstance(x1, ChoiMatrix) else x1
+    m0, m1 = choi_matrix(x0, "x0"), choi_matrix(x1, "x1")
     for name, m in (("x0", m0), ("x1", m1)):
         if not is_channel_choi(m, 1e-6):
             raise ValidationError(f"{name} is not a channel Choi matrix")
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("prior must lie in [0, 1]")
-    diff = lam * m0 - (1.0 - lam) * m1
+    diff = prior_weighted(lam, m0, m1)
     d_h = m0.subsystem_dims[1]
     x_abs, _, _ = abs_pos_neg(diff)
     delta = partial_trace(x_abs, 0)

@@ -31,13 +31,6 @@ STRICT_HERMITICITY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 
 
-def _as_complex_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """An element of the real vector space of hermitian matrices.
@@ -55,7 +48,9 @@ class HermitianMatrix:
     strict: InitVar[bool] = False
 
     def __post_init__(self, strict: bool):
-        arr = _as_complex_matrix(self.entries)
+        arr = np.asarray(self.entries, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
         if not math.isfinite(scale):
             raise ShapeError("matrix has non-finite (NaN or infinite) entries")
@@ -229,7 +224,11 @@ def support_basis(x: HermitianMatrix, cutoff: float | None = None) -> np.ndarray
     """Orthonormal eigenvector columns with eigenvalue above cutoff, largest
     first.  Default cutoff is ``SUPPORT_CUTOFF * max(1, largest eigenvalue)``.
     """
-    s = eig(x)
+    return _support_columns(eig(x), cutoff)
+
+
+def _support_columns(s: Spectrum, cutoff: float | None = None) -> np.ndarray:
+    """:func:`support_basis` read off the eigendecomposition ``s``."""
     if cutoff is None:
         cutoff = _support_cutoff(s.eigenvalues)
     return s.eigenvectors[:, s.eigenvalues > cutoff]
@@ -253,10 +252,9 @@ def abs_pos_neg(x: HermitianMatrix) -> tuple[HermitianMatrix, HermitianMatrix, H
     return x_abs, x_pos, x_neg
 
 
-def _psd_eigenvalues(x: HermitianMatrix) -> Spectrum:
-    """The spectrum with eigenvalues clipped at zero; DomainError below
+def _psd_spectrum(s: Spectrum) -> Spectrum:
+    """The spectrum ``s`` with eigenvalues clipped at zero; DomainError below
     -1e-9 * (1 + |largest|)."""
-    s = eig(x)
     low = float(s.eigenvalues[-1])
     if low < -1e-9 * (1.0 + abs(float(s.eigenvalues[0]))):
         raise DomainError(f"matrix has negative eigenvalue {low:.3e}, not PSD within 1e-09")
@@ -265,7 +263,7 @@ def _psd_eigenvalues(x: HermitianMatrix) -> Spectrum:
 
 def sqrt_psd(x: HermitianMatrix) -> HermitianMatrix:
     """Principal square root of a PSD matrix."""
-    s = _psd_eigenvalues(x)
+    s = _psd_spectrum(eig(x))
     u = s.eigenvectors
     return HermitianMatrix((u * np.sqrt(s.eigenvalues)) @ u.conj().T, x.subsystem_dims)
 
@@ -273,16 +271,21 @@ def sqrt_psd(x: HermitianMatrix) -> HermitianMatrix:
 def pinv_sqrt(x: HermitianMatrix) -> HermitianMatrix:
     """Pseudo-inverse square root: eigenvalues above the support cutoff are
     mapped to 1/sqrt, the rest to zero."""
-    s = _psd_eigenvalues(x)
+    return _pinv_sqrt(eig(x), x.subsystem_dims)
+
+
+def _pinv_sqrt(s: Spectrum, dims: tuple[int, ...]) -> HermitianMatrix:
+    """:func:`pinv_sqrt` read off the eigendecomposition ``s``."""
+    s = _psd_spectrum(s)
     cutoff = _support_cutoff(s.eigenvalues)
     inv = np.where(s.eigenvalues > cutoff, 1.0 / np.sqrt(np.maximum(s.eigenvalues, cutoff)), 0.0)
     u = s.eigenvectors
-    return HermitianMatrix((u * inv) @ u.conj().T, x.subsystem_dims)
+    return HermitianMatrix((u * inv) @ u.conj().T, dims)
 
 
 def pinv(x: HermitianMatrix) -> HermitianMatrix:
     """Moore-Penrose inverse of a PSD matrix via the same cutoff rule."""
-    s = _psd_eigenvalues(x)
+    s = _psd_spectrum(eig(x))
     cutoff = _support_cutoff(s.eigenvalues)
     inv = np.where(s.eigenvalues > cutoff, 1.0 / np.maximum(s.eigenvalues, cutoff), 0.0)
     u = s.eigenvectors
@@ -375,13 +378,27 @@ def hunvec_matrix(v: np.ndarray, d: int, dims=()) -> HermitianMatrix:
 # -- JSON wire format --------------------------------------------------------
 
 
+def complex_to_json(arr: np.ndarray) -> list:
+    """A complex array as nested lists with one [re, im] pair per entry."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def complex_from_json(raw, where: str, ndim: int) -> np.ndarray:
+    """The complex array of ``ndim`` axes written by :func:`complex_to_json`:
+    a ShapeError naming ``where`` for ragged nesting, entries that are not
+    [re, im] pairs of numbers, or another depth."""
+    try:
+        arr = np.array(raw)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind not in "biuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ShapeError(f"{where} is not a nested array of [re, im] pairs, {ndim} levels deep")
+    return arr.astype(float).view(complex)[..., 0]
+
+
 def matrix_to_json(x: HermitianMatrix) -> dict:
     """Serialize as {"dims": [...], "matrix": [[[re, im], ...], ...]}."""
-    arr = x.entries
-    return {
-        "dims": list(x.dims),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in arr],
-    }
+    return {"dims": list(x.dims), "matrix": complex_to_json(x.entries)}
 
 
 def json_field(obj, key: str, where: str):
@@ -417,23 +434,18 @@ def json_floats(obj, key: str, where: str) -> np.ndarray:
 def json_dims(obj, where: str, least: int = 1) -> tuple[int, ...]:
     """The field ``dims`` of ``obj``: at least ``least`` integers, else a
     ShapeError naming ``where``."""
-    raw = json_field(obj, "dims", where)
-    try:
-        dims = tuple(int(d) for d in raw)
-    except (TypeError, ValueError):
-        raise ShapeError(f"{where}: field 'dims' must be a list of integers, got {raw!r}") from None
-    if len(dims) < least:
+    raw = json_list(obj, "dims", where)
+    integral = (type(d) is int or type(d) is float and d.is_integer() for d in raw)  # no bools
+    if not all(integral):
+        raise ShapeError(f"{where}: field 'dims' must be a list of integers, got {raw!r}")
+    if len(raw) < least:
         raise ShapeError(f"{where}: field 'dims' needs at least {least} entries, got {raw!r}")
-    return dims
+    return tuple(int(d) for d in raw)
 
 
 def matrix_from_json(obj, strict: bool = False) -> HermitianMatrix:
     dims = json_dims(obj, "matrix JSON", least=0)
-    rows = json_field(obj, "matrix", "matrix JSON")
-    try:
-        arr = np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ShapeError(f"field 'matrix' is not a nested [re, im] array: {exc}") from exc
+    arr = complex_from_json(json_field(obj, "matrix", "matrix JSON"), "field 'matrix'", 2)
     d = math.prod(dims)
     if arr.shape != (d, d):
         raise ShapeError(f"field 'matrix' has shape {arr.shape}, expected ({d}, {d})")

@@ -30,10 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .choi import ChoiMatrix
+from .choi import choi_matrix
 from .errors import DomainError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
+    _pinv_sqrt,
+    _support_columns,
     eig,
     frobenius_norm,
     herm,
@@ -43,7 +45,6 @@ from .hermitian import (
     pinv_sqrt,
     psd_check,
     sqrt_psd,
-    support_projection,
     trace_norm,
     trace_pair,
 )
@@ -108,11 +109,13 @@ def _order_unit(b: HermitianMatrix, x: HermitianMatrix):
     or (+inf, None, None) when x leaks outside the support of b."""
     if b.dim != x.dim:
         raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
-    p = support_projection(b)
-    leak = x.entries - p.entries @ x.entries @ p.entries
+    sb = eig(b)  # one decomposition gives the support test and b^(-1/2)
+    u = _support_columns(sb)
+    p = u @ u.conj().T
+    leak = x.entries - p @ x.entries @ p
     if float(np.linalg.norm(leak)) > 1e-9 * (1.0 + frobenius_norm(x)):
         return INF, None, None
-    r = pinv_sqrt(b)
+    r = _pinv_sqrt(sb, b.subsystem_dims)
     s = eig(HermitianMatrix(r.entries @ x.entries @ r.entries))
     return float(np.max(np.abs(s.eigenvalues))), r, s
 
@@ -317,13 +320,6 @@ def base_norm_psd(
 # -- named specializations -----------------------------------------------------
 
 
-def _as_choi_matrix(x) -> HermitianMatrix:
-    m = x.matrix if isinstance(x, ChoiMatrix) else x
-    if len(m.subsystem_dims) != 2:
-        raise ShapeError("expected a matrix with (output, input) subsystem dims")
-    return m
-
-
 def diamond_norm(
     x, tol: float = solver.DEFAULT_TOL, max_iter: int = solver.DEFAULT_MAX_ITER
 ) -> NormResult:
@@ -332,7 +328,7 @@ def diamond_norm(
     For a difference of channel Choi matrices this is the diamond norm of the
     difference map; the dual optimizer is an optimal two-outcome tester pair.
     """
-    m = _as_choi_matrix(x)
+    m = choi_matrix(x)
     d_out, d_in = m.subsystem_dims
     return base_norm(channels_section(d_in, d_out), m, tol=tol, max_iter=max_iter)
 
@@ -364,8 +360,7 @@ def hmin(
     the channel-section norm applied to sigma.  Returns +inf for sigma = 0
     (-log2 0, the mirror of :func:`dmax`'s -inf).
     """
-    if len(sigma.subsystem_dims) != 2:
-        raise ShapeError("hmin needs sigma with (K, H) subsystem dims")
+    sigma = choi_matrix(sigma, "hmin's sigma")
     if not psd_check(sigma, 1e-8):
         raise DomainError("hmin needs a PSD matrix")
     d_out, d_in = sigma.subsystem_dims

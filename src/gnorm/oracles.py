@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choi import choi_matrix
 from .errors import ShapeError
 from .hermitian import HermitianMatrix
 from .norms import base_norm_singleton, order_unit_norm_singleton
@@ -124,9 +125,9 @@ def grid_hmin(sigma: HermitianMatrix, resolution: int = 200) -> float:
     sigma <= t I (x) rho.  Converges to the entropy from below as the grid
     refines.
     """
-    if len(sigma.subsystem_dims) != 2 or sigma.subsystem_dims[1] != 2:
+    d_k, d_h = choi_matrix(sigma, "grid_hmin's sigma").subsystem_dims
+    if d_h != 2:
         raise ShapeError("grid_hmin supports only a 2-dimensional conditioning system")
-    d_k = sigma.subsystem_dims[0]
     res = int(resolution)
     pauli = np.array(
         [

@@ -404,6 +404,12 @@ def _positive_definite(x: HermitianMatrix) -> bool:
 # -- membership ----------------------------------------------------------------
 
 
+def require_faithful(section: Section, what: str) -> None:
+    """ValidationError naming ``what`` for a restricted section: it lives on its carrier space."""
+    if section.restricted:
+        raise ValidationError(f"{what} needs a faithful section, not one restricted to a support")
+
+
 def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Span membership + unit pairing with the normalizer + PSD, all within tol."""
     xc = section.compress(x, tol)
@@ -525,10 +531,7 @@ def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: st
     Labelled ``kind(base label,dk)``; its descriptor names ``kind`` and the
     base's descriptor, when the base has one."""
     label = f"{kind}({section.label},{dk})"
-    if section.embedding is not None:
-        raise ValidationError(
-            f"{label}: a support-restricted base section is only defined on its carrier space"
-        )
+    require_faithful(section, label)
     desc = None
     if section.descriptor is not None:
         desc = {"kind": kind, "dims": [dk], "base": section.descriptor}
@@ -620,8 +623,7 @@ def povm_section(section: Section, outcomes: int) -> Section:
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
     """The section {I_d (x) b : b in B} on the enlarged space."""
-    if section.embedding is not None:
-        raise ValidationError("id_tensor_section needs a faithful base section")
+    require_faithful(section, "id_tensor_section")
     d = int(d_left)
     eye = identity(d)
     return _make_section(

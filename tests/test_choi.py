@@ -181,6 +181,20 @@ def test_kraus_json_roundtrip():
         assert np.allclose(a, b)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[[[1, 0], [0, 0]], [[0, 0]]]],  # ragged rows
+        [[[[1, 0, 5], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]],  # not [re, im] pairs
+        [[[1, 0], [0, 0]]],  # one matrix, not a list of them
+        [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]],  # a string entry
+    ],
+)
+def test_kraus_json_rejects_malformed_arrays(obj):
+    with pytest.raises(ShapeError, match=r"\[re, im\] pairs"):
+        kraus_from_json(obj)
+
+
 def test_transpose_convention_in_apply():
     # Phi_X(a) uses a^T: for the Choi matrix of conjugation by a non-real
     # unitary this is what makes the round trip exact.

@@ -10,9 +10,24 @@ import numpy as np
 import pytest
 
 from conftest import rand_kraus_channel
-from gnorm.choi import kraus_channel, max_entangled_projection
-from gnorm.decisions import Experiment, classical_problem, experiment_to_json, helstrom
+from gnorm.choi import (
+    apply_choi,
+    apply_choi_tensor_id,
+    is_channel_choi,
+    kraus_channel,
+    max_entangled_projection,
+)
+from gnorm.decisions import (
+    Experiment,
+    bayes_error,
+    classical_problem,
+    experiment_to_json,
+    helstrom,
+    max_entangled_tester_exists,
+)
+from gnorm.errors import DomainError, ShapeError
 from gnorm.hermitian import herm, identity, matrix_to_json, outer
+from gnorm.norms import diamond_norm
 from gnorm.sections import states_section
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -149,6 +164,52 @@ def test_diamond_rejects_lambda_outside_unit_interval(tmp_path, lam):
     proc = run_cli("diamond", c0, c0, "--lambda", lam)
     assert proc.returncode == 1 and proc.stdout == ""
     assert "input error: prior must lie in [0, 1]" in proc.stderr
+    # the library's other prior callers share the rule
+    rho = identity(2) / 2
+    for call in (
+        lambda: bayes_error(states_section(2), rho, rho, float(lam)),
+        lambda: helstrom(rho, rho, float(lam)),
+        lambda: max_entangled_tester_exists(psi, psi, float(lam)),
+    ):
+        with pytest.raises(DomainError, match=r"prior must lie in \[0, 1\]"):
+            call()
+
+
+NO_CHOI_DIMS = herm(np.eye(4) / 2)  # 4 x 4, but no (output, input) dims
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "apply_choi",
+        "apply_choi_tensor_id",
+        "is_channel_choi",
+        "diamond_norm",
+        "max_entangled_tester_exists",
+        "cli diamond",
+        "cli tester-check",
+    ],
+)
+def test_every_choi_entry_point_rejects_a_matrix_without_output_input_dims(tmp_path, entry):
+    psi = herm(max_entangled_projection(2).entries, (2, 2))  # the identity channel
+    if entry.startswith("cli "):
+        bad = write_json(tmp_path / "bad.json", matrix_to_json(NO_CHOI_DIMS))
+        good = write_json(tmp_path / "good.json", matrix_to_json(psi))
+        proc = run_cli(entry[4:], bad, good)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("input error: choi0: needs exactly two subsystem dims")
+        return
+    if entry == "is_channel_choi":
+        assert is_channel_choi(NO_CHOI_DIMS) is False
+        return
+    calls = {
+        "apply_choi": lambda: apply_choi(NO_CHOI_DIMS, identity(2)),
+        "apply_choi_tensor_id": lambda: apply_choi_tensor_id(NO_CHOI_DIMS, 2, identity(4)),
+        "diamond_norm": lambda: diamond_norm(NO_CHOI_DIMS),
+        "max_entangled_tester_exists": lambda: max_entangled_tester_exists(NO_CHOI_DIMS, psi, 0.5),
+    }
+    with pytest.raises(ShapeError, match=r"\(output, input\)"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize(
@@ -369,6 +430,21 @@ def _malformed(tmp_path, case):
     if case == "non-integer dims":
         bad = write_json(tmp_path / "bad.json", {**diag, "dims": ["x"]})
         return ("norm", write_json(tmp_path / "sec.json", {"kind": "states", "dims": [4]}), bad)
+    states2 = {"kind": "states", "dims": [2]}
+    two = matrix_to_json(herm(np.diag([1.0, -1.0])))
+    if case == "ragged matrix rows":
+        bad = write_json(tmp_path / "bad.json", {**two, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]})
+        return ("norm", write_json(tmp_path / "sec.json", states2), bad)
+    if case == "entry not an [re, im] pair":
+        rows = [[[1, 0, 5], [0, 0, 0]], [[0, 0, 0], [-1, 0, 0]]]
+        bad = write_json(tmp_path / "bad.json", {**two, "matrix": rows})
+        return ("norm", write_json(tmp_path / "sec.json", states2), bad)
+    if case == "non-integral dims":
+        bad = write_json(tmp_path / "bad.json", {**two, "dims": [2.7]})
+        return ("norm", write_json(tmp_path / "sec.json", states2), bad)
+    if case == "boolean dims":
+        bad = write_json(tmp_path / "bad.json", {**two, "dims": [True, 2]})
+        return ("norm", write_json(tmp_path / "sec.json", states2), bad)
     identity_povm = {"kind": "povm", "effects": [matrix_to_json(identity(2))] * 2}
     if case == "classical payoff without table":
         return ("certify", *_certify_files(tmp_path, identity_povm, payoff={"kind": "classical"}))
@@ -414,6 +490,10 @@ def _malformed(tmp_path, case):
         "classical table a string",
         "comb-norm non-integer dims",
         "hmin one dim",
+        "ragged matrix rows",
+        "entry not an [re, im] pair",
+        "non-integral dims",
+        "boolean dims",
     ],
 )
 def test_exit_code_malformed_input(tmp_path, case):
