@@ -250,16 +250,14 @@ def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatri
     return out
 
 
-def _payoff_norm(experiment, problem, tol, max_iter, context: str) -> NormResult:
-    """The payoff's majorant solve: q >= xi_d, one block per outcome, for
-    classical problems, and the one lifted I (x) q >= xi for quantum ones."""
+def _payoff_blocks(experiment, problem, context: str) -> tuple[HermitianMatrix, ...]:
+    """The blocks of the payoff's majorant program: q >= xi_d, one block per
+    outcome, for classical problems, and the one lifted I (x) q >= xi for
+    quantum ones."""
     require_faithful(experiment.section, context)
     if problem.kind == "classical":
-        blocks = classical_xi_blocks(experiment, problem)
-    else:
-        blocks = (build_xi(experiment, problem),)
-    context = f"{context} ({problem.kind})"
-    return majorant_norm(experiment.section, blocks, 1.0, tol, max_iter, context)
+        return tuple(classical_xi_blocks(experiment, problem))
+    return (build_xi(experiment, problem),)
 
 
 def max_payoff(
@@ -277,8 +275,9 @@ def max_payoff(
     problems use the one lifted constraint I (x) q >= xi, whose multiplier Y
     is the transposed Choi matrix of an optimal procedure.
     """
-    norm = _payoff_norm(experiment, problem, tol, max_iter, "max_payoff")
     section = experiment.section
+    blocks = _payoff_blocks(experiment, problem, "max_payoff")
+    norm = majorant_norm(section, blocks, 1.0, tol, max_iter, f"max_payoff ({problem.kind})")
     if problem.kind == "classical":
         povm = GeneralizedPOVM(section, norm.dual_witness, validation_tol=max(1e-5, 100 * tol))
         return PayoffResult(norm.value, norm, povm_to_choi(povm), povm)
@@ -395,8 +394,8 @@ def certify_optimal(
     marginal lies in the dual section; otherwise ValidationError.
     """
     section = experiment.section
-    require_faithful(section, "certify_optimal")
-    xi = build_xi(experiment, problem)
+    blocks = _payoff_blocks(experiment, problem, "certify_optimal")
+    xi = _block_diagonal(blocks, section.dims_tuple()) if problem.kind == "classical" else blocks[0]
     n_d, h = problem.n_outcomes, section.ambient_dim
 
     if isinstance(candidate, GeneralizedPOVM):
@@ -421,7 +420,9 @@ def certify_optimal(
 
     xt = transpose_in_basis(x)
     payoff = trace_pair(xi, xt)
-    norm = _payoff_norm(experiment, problem, solve_tol, max_iter, "certify_optimal")
+    norm = majorant_norm(
+        section, blocks, 1.0, solve_tol, max_iter, f"certify_optimal ({problem.kind})"
+    )
     q = norm.primal_witness
     big_q = tensor(identity(n_d), q)
     slack = float(np.linalg.norm((big_q.entries - xi.entries) @ xt.entries))

@@ -35,6 +35,7 @@ from .errors import DomainError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
+    _psd_spectrum,
     _support_columns,
     eig,
     frobenius_norm,
@@ -106,10 +107,12 @@ def base_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
 
 def _order_unit(b: HermitianMatrix, x: HermitianMatrix):
     """(|b^(-1/2) x b^(-1/2)|, b^(-1/2), the spectrum of b^(-1/2) x b^(-1/2)),
-    or (+inf, None, None) when x leaks outside the support of b."""
+    or (+inf, None, None) when x leaks outside the support of b; DomainError
+    when b is not PSD, wherever x lies."""
     if b.dim != x.dim:
         raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
-    sb = eig(b)  # one decomposition gives the support test and b^(-1/2)
+    # one decomposition gives the PSD test, the support test and b^(-1/2)
+    sb = _psd_spectrum(eig(b))
     u = _support_columns(sb)
     p = u @ u.conj().T
     leak = x.entries - p @ x.entries @ p

@@ -8,19 +8,32 @@ Euclidean one) or a free real vector block.  The problem solved is
     minimize    c . z
     subject to  A z = b,   z in K = (product of PSD cones and free spaces).
 
-Algorithm: over-relaxed ADMM, alternating a projection onto the affine set
-{A z = b} with a projection onto the cone product.  How the affine
-projection is done follows from the program's structure:
+Algorithm: over-relaxed ADMM on the PSD coordinates alone, alternating a
+projection onto the affine set of PSD coordinates that some free blocks
+make feasible with a projection onto the product of PSD cones.  The free
+blocks are eliminated before the loop, the classic move in ADMM for SDPs
+(Wen, Goldfarb and Yin, Math. Prog. Comp. 2, 2010): given the PSD
+coordinates z_K, the free blocks z_F are fixed up to the null space of their
+columns, and the free objective c_F becomes a shift of the PSD objective by
+A_K^T y_F, y_F the part of the dual vector with A_F^T y_F = c_F.  Free
+blocks are recovered from the PSD coordinates at full checks and on return.
+How the projection is done follows from the program's structure:
 
 * a :class:`MajorantProgram` (rows L_j s - P_j = b_j with
   sum_j L_j^T L_j = sigma I, the shape of every program the library solves:
   norms of any input, payoffs, certificates, interior points and recession
-  searches) is projected in closed form, with products by the lifts L_j
-  only: A A^T = I + L L^T has the inverse I - L L^T / (1 + sigma), and
-  neither A nor A A^T is ever formed;
-* a generic :class:`ConeProgram`, which only a caller states, keeps its
-  dense A and a cached eigen pseudo-inverse of A A^T (which also covers
-  dependent rows).
+  searches) is projected in closed form, with one pull L^T and one lift L
+  per run of blocks: the feasible slacks are V = {L s - b}, projecting onto
+  V is P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma;
+  neither A nor a Gram matrix is ever formed;
+* a generic :class:`ConeProgram`, which only a caller states, splits its
+  dense A = [A_K | A_F] into PSD and free columns.  One SVD of A_F gives an
+  orthonormal basis N of null(A_F^T) and pinv(A_F); the PSD coordinates
+  range over the reduced rows N^T A_K z_K = N^T b, projected through a
+  cached eigen pseudo-inverse of their Gram matrix (which also covers
+  dependent rows), and z_F = pinv(A_F)(b - A_K z_K).  Without free blocks
+  N = I and the reduced rows are A itself.  On a majorant program stated
+  densely this is the closed-form projection.
 
 The cone projection groups consecutive PSD blocks of one dimension into
 runs (a base or diamond norm has one run of two blocks, a classical payoff
@@ -38,8 +51,10 @@ kernel into a :class:`NumericalError`.
 Neither affine projection depends on the penalty parameter, so
 residual-balancing updates of the penalty cost nothing.  Dual variables for
 the equality constraints are recovered from the first-order conditions of
-the affine step; the cone-side scaled dual ``w`` furnishes an exactly
-dual-cone-feasible slack s = -rho w.
+the affine step, y = y_F - rho * (multiplier of the projection), so that
+A_F^T y = c_F holds by construction; the cone-side scaled dual ``w``
+furnishes an exactly dual-cone-feasible slack s = -rho w on the PSD blocks,
+and the free blocks' slack is zero.
 
 Acceleration: one ADMM step is a fixed-point map T: u = (v, w) -> (v+, w+),
 and the iteration is safeguarded type-II Anderson acceleration of T
@@ -199,11 +214,13 @@ class MajorantProgram(_ProgramData):
         subject to  L_j s - P_j = b_j,   P_j PSD,   s a free vector,
 
     for lifts L_j (d_j^2 x k) with sum_j L_j^T L_j = sigma I, checked on
-    construction.  ``eq_rhs`` stacks the b_j.  Consecutive blocks that share
-    one lift array share its products in the solve.  ``eq_matrix``, the dense
-    A = [-I | L], is built on first read for :func:`dump_program` and other
-    outside readers; :func:`solve` never reads it.  Every program the library
-    solves has this shape.
+    construction.  ``eq_rhs`` stacks the b_j.  The solve iterates on the
+    slacks P_j alone: they fix s = sum_j L_j^T (P_j + b_j) / sigma, which is
+    the free block it returns.  Consecutive blocks that share one lift array
+    share its products in the solve.  ``eq_matrix``, the dense A = [-I | L],
+    is built on first read for :func:`dump_program` and other outside
+    readers; :func:`solve` never reads it.  Every program the library solves
+    has this shape.
     """
 
     lifts: tuple[np.ndarray, ...]
@@ -293,24 +310,60 @@ def _block_slices(blocks: tuple[Block, ...]) -> list[slice]:
     return out
 
 
-class _DenseRows:
-    """The rows A z = b of a generic program: dense products with A and an
-    eigen pseudo-inverse of A A^T (dependent rows are allowed)."""
+def _kept(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of a Gram matrix a pseudo-inverse keeps: those above
+    1e-12 * max(1, largest)."""
+    return w > 1e-12 * max(1.0, float(w.max(initial=0.0)))
 
-    def __init__(self, a: np.ndarray):
+
+class _DenseRows:
+    """The rows A z = b of a generic program, free blocks eliminated.
+
+    A = [A_K | A_F] splits into the PSD and the free columns, wherever the
+    free blocks sit.  One SVD of A_F gives N, an orthonormal basis of
+    null(A_F^T), and pinv(A_F).  The PSD coordinates z_K then range over the
+    reduced rows N^T A_K z_K = N^T b, projected through an eigen
+    pseudo-inverse of their Gram matrix (dependent rows are allowed), and
+    z_F = pinv(A_F)(b - A_K z_K).  Without free blocks N = I and the reduced
+    rows are A itself.
+    """
+
+    def __init__(self, a: np.ndarray, blocks: tuple[Block, ...]):
+        free = np.concatenate([np.full(blk.real_dim, blk.cone == FREE) for blk in blocks])
         self.a = a
-        w, u = _eigh(a @ a.T, signature="d->dd")
-        keep = w > 1e-12 * max(1.0, float(w[-1]))
+        self.cone, self.free = np.flatnonzero(~free), np.flatnonzero(free)
+        self._a_k = reduced = a[:, self.cone]
+        self._null = self._pinv = None
+        if self.free.size:
+            u, sv, vt = np.linalg.svd(a[:, self.free])
+            r = int(np.count_nonzero(_kept(sv * sv)))
+            self._null = u[:, r:]
+            self._pinv = (vt[:r].T / sv[:r]) @ u[:, :r].T
+            reduced = self._null.T @ reduced
+        self._reduced = reduced
+        w, u = _eigh(reduced @ reduced.T, signature="d->dd")
+        keep = _kept(w)
         self._u, self._winv = u[:, keep], 1.0 / w[keep]
 
     def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._u @ (self._winv * (self._u.T @ rhs))
 
-    def consistent(self, b: np.ndarray) -> bool:
-        """Whether A z = b has a solution at all."""
-        y_ls = self._gram_solve(b)
-        miss = float(np.linalg.norm(self.a @ (self.a.T @ y_ls) - b))
-        return miss <= 1e-8 * (1.0 + float(np.linalg.norm(b)))
+    def eliminate(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reduced objective C = c_K - A_K^T y_F over the PSD coordinates,
+        the part y_F = pinv(A_F)^T c_F of the dual vector (A_F^T y_F = c_F
+        when c_F is in range(A_F^T); otherwise the program is unbounded or
+        infeasible and the free part of the dual residual never vanishes),
+        and the reduced right-hand side."""
+        if self._null is None:
+            return c[self.cone], np.zeros(b.shape[0]), b
+        y_free = self._pinv.T @ c[self.free]
+        return c[self.cone] - self._a_k.T @ y_free, y_free, self._null.T @ b
+
+    def consistent(self, b_red: np.ndarray) -> bool:
+        """Whether the reduced rows, and so A z = b, have a solution at all."""
+        y_ls = self._gram_solve(b_red)
+        miss = float(np.linalg.norm(self._reduced @ (self._reduced.T @ y_ls) - b_red))
+        return miss <= 1e-8 * (1.0 + float(np.linalg.norm(b_red)))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.a @ z
@@ -318,20 +371,33 @@ class _DenseRows:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.a.T @ y
 
-    def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Projection of zeta onto {A z = b} and its multiplier (A A^T)^-1 (A zeta - b)."""
-        mult = self._gram_solve(self.a @ zeta - b)
-        return zeta - self.a.T @ mult, mult
+    def project(self, zeta: np.ndarray, b_red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Projection z of the PSD coordinates zeta onto the reduced rows, and
+        the multiplier of the rows A z = b: z = zeta - A_K^T multiplier."""
+        mult = self._gram_solve(self._reduced @ zeta - b_red)
+        z = zeta - self._reduced.T @ mult
+        return z, mult if self._null is None else self._null @ mult
+
+    def free_part(self, z_k: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The free blocks pinv(A_F)(b - A_K z_K) that go with z_K."""
+        if self._pinv is None:
+            return np.empty(0)
+        return self._pinv @ (b - self._a_k @ z_k)
 
 
 class _MajorantRows:
-    """The rows L_j s - P_j = b_j of a :class:`MajorantProgram`.
+    """The rows L_j s - P_j = b_j of a :class:`MajorantProgram`, the free
+    block s eliminated.
 
-    With L the stacked lifts, A A^T = I + L L^T and L^T L = sigma I, so
-    (A A^T)^-1 = I - L L^T / (1 + sigma).  Projecting zeta = (P~, s~) is then,
-    with e_j = L_j s~ - P~_j - b_j and u = sum_j L_j^T e_j / (1 + sigma),
+    With L the stacked lifts and L^T L = sigma I, the slacks that some s
+    makes feasible form the affine set V = {L s - b}, and a P in V fixes
+    s = L^T (P + b) / sigma.  Projecting zeta onto V is then
 
-        s = s~ - u,   P_j = L_j s - b_j,   multiplier_j = e_j - L_j u = P_j - P~_j.
+        P = L L^T (zeta + b) / sigma - b,   multiplier = P - zeta,
+
+    one pull L^T and one lift per run of blocks.  The free objective c_s
+    enters as L c_s / sigma, both in the slacks' objective and in the dual
+    vector, whose pull is then c_s by construction.
     """
 
     def __init__(self, lifts: tuple[np.ndarray, ...]):
@@ -348,15 +414,23 @@ class _MajorantRows:
                 self.runs.append((m, slice(lo, hi), 1))
             lo = hi
         self.n_rows = lo
+        self.cone, self.free = slice(0, lo), slice(lo, None)
         k = lifts[0].shape[1]
         gram = sum(copies * (m.T @ m) for m, _, copies in self.runs)
         sigma = float(np.trace(gram)) / k
         if not sigma > 0.0 or float(np.max(np.abs(gram - sigma * np.eye(k)))) > 1e-9 * sigma:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
         self.sigma = sigma
-        self.shrink = 1.0 / (1.0 + sigma)
 
-    def consistent(self, b: np.ndarray) -> bool:
+    def eliminate(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slacks' objective C = c_P + L c_s / sigma, the part L c_s / sigma
+        of the dual vector, and the right-hand side, which needs no reduction."""
+        n = self.n_rows
+        y_free = np.empty(n)
+        self._lift_minus(c[n:] / self.sigma, np.zeros(n), y_free)
+        return c[:n] + y_free, y_free, b
+
+    def consistent(self, b_red: np.ndarray) -> bool:
         """Always: the -I columns give A full row rank."""
         return True
 
@@ -382,15 +456,12 @@ class _MajorantRows:
         return np.concatenate([-y, self._pull(y)])
 
     def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_rows
-        s_t = zeta[n:]
-        out = np.empty_like(zeta)
-        e = self._lift_minus(s_t, zeta[:n], out[:n])
-        e -= b
-        s = out[n:]
-        np.subtract(s_t, self.shrink * self._pull(e), out=s)
-        p = self._lift_minus(s, b, out[:n])
-        return out, p - zeta[:n]
+        p = self._lift_minus(self.free_part(zeta, b), b, np.empty_like(zeta))
+        return p, p - zeta
+
+    def free_part(self, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """s = sum_j L_j^T (P_j + b_j) / sigma."""
+        return self._pull(p + b) / self.sigma
 
 
 def _rows(program) -> _DenseRows | _MajorantRows:
@@ -399,7 +470,7 @@ def _rows(program) -> _DenseRows | _MajorantRows:
     ``with_rhs`` / ``with_objective`` copies."""
     cache = program._shared
     if "rows" not in cache:
-        cache["rows"] = _DenseRows(program.eq_matrix)
+        cache["rows"] = _DenseRows(program.eq_matrix, program.blocks)
     return cache["rows"]
 
 
@@ -572,15 +643,25 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     """The iteration of :func:`solve` on checked arguments."""
     rows = _rows(program)
     slices = _block_slices(program.blocks)
-    runs = _psd_runs(program.blocks)
+    runs = _psd_runs(tuple(blk for blk in program.blocks if blk.cone == PSD))
     b, c = program.eq_rhs, program.objective
-    m, n = b.shape[0], c.shape[0]
+    # The loop runs on the PSD coordinates alone: objective c_red, and y_free
+    # the part of the dual vector that the free objective fixes.
+    c_red, y_free, b_red = rows.eliminate(c, b)
+    n = c_red.shape[0]
+
+    def whole(cone_part: np.ndarray, free_part) -> np.ndarray:
+        """A point over all blocks from its PSD coordinates and free blocks."""
+        out = np.empty(c.shape[0])
+        out[rows.cone] = cone_part
+        out[rows.free] = free_part
+        return out
 
     # Unsolvable affine rows mean the program is infeasible outright.
-    if not rows.consistent(b):
+    if not rows.consistent(b_red):
+        zero = _split(np.zeros(c.shape[0]), program.blocks, slices)
         return ConeSolution(
-            "infeasible", np.nan, np.nan, _split(np.zeros(n), program.blocks, slices),
-            np.zeros(m), _split(np.zeros(n), program.blocks, slices),
+            "infeasible", np.nan, np.nan, zero, np.zeros(b.shape[0]), zero,
             np.inf, np.inf, np.inf, 0, 0, 0,
         )
 
@@ -588,7 +669,7 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
         """One over-relaxed ADMM step: T(u) for u = (v, w), its affine
         projection z and the multiplier of that projection."""
         v, w = u[:n], u[n:]
-        z, mult = rows.project(v - w - c_rho, b)
+        z, mult = rows.project(v - w - c_rho, b_red)
         shifted = OVER_RELAXATION * z + (1.0 - OVER_RELAXATION) * v + w
         out = np.empty(2 * n)
         out[:n] = shifted
@@ -599,7 +680,8 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     u = np.zeros(2 * n)
     accel = _Anderson(2 * n)
     rho = 1.0
-    c_rho = c / rho
+    c_rho = c_red / rho
+    offset = float(y_free @ b)  # c . z = c_red . z_K + offset on every z_K
     b_scale = 1.0 + _norm(b)
     c_scale = 1.0 + _norm(c)
 
@@ -624,8 +706,8 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
         # Checks and the best iterate read the plain image T(u), never an
         # extrapolated point: v is in the cone and s = -rho w in its dual.
         v, w = f[:n], f[n:]
-        y = -rho * mult
-        pobj = float(c @ v)
+        y = y_free - rho * mult
+        pobj = float(c_red @ v) + offset
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
@@ -637,14 +719,15 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
             gap <= tol
             and rho * _norm(u[:n] - u[n:] - z + w) / c_scale <= tol
         ):
-            s = -rho * w
-            pres = _norm(rows.apply(v) - b) / b_scale
+            point = whole(v, rows.free_part(v, b))
+            s = whole(-rho * w, 0.0)
+            pres = _norm(rows.apply(point) - b) / b_scale
             dres = _norm(c - rows.adjoint(y) - s) / c_scale
             res = max(pres, dres, gap)
             # A screened iterate the check refuses is dropped: the best
             # iterate and the plateau clock move on the cadence alone.
             if res <= tol or (on_cadence and res < best_res):
-                best = (v.copy(), y.copy(), s.copy(), pres, dres, gap, pobj, dobj, it)
+                best = (point, y, s, pres, dres, gap, pobj, dobj, it)
             if res <= tol:
                 status = "optimal"
                 break
@@ -678,7 +761,7 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
                     w *= rho / new_rho
                     g[n:] *= rho / new_rho
                     rho = new_rho
-                    c_rho = c / rho
+                    c_rho = c_red / rho
                     last_rho_change = it
 
         u = accel.next_point(g, f, rho, g_norm)

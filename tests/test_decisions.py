@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_kraus_channel, rand_psd
+from gnorm import decisions
 from gnorm.choi import kraus_channel, max_entangled_projection
 from gnorm.decisions import (
     Experiment,
@@ -438,6 +439,31 @@ def test_certificate_optimum_is_the_payoff_value():
         assert cert.feasible
         assert cert.payoff_at_optimum == res.value
         assert np.array_equal(cert.witness_q.entries, res.norm.primal_witness.entries)
+
+
+def test_certify_optimal_builds_the_payoff_blocks_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(decisions, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("build_xi", "classical_xi_blocks"):
+        monkeypatch.setattr(decisions, name, counted(name))
+    e = uniform_experiment(states_section(2), (KET0, PLUS))
+    ops = (herm(np.diag([1.0, 0.2])), herm(np.diag([0.1, 0.9])))
+    for p, built in ((classical_problem(np.eye(2)), "classical_xi_blocks"),
+                     (quantum_problem(ops), "build_xi")):
+        res = max_payoff(e, p, tol=1e-8)
+        calls.clear()
+        cert = certify_optimal(res.choi, e, p, tol=1e-5)
+        assert cert.feasible
+        assert calls == [built]
 
 
 def test_decompose_povm_ordinary():

@@ -72,6 +72,15 @@ def test_order_unit_closed_forms():
     assert order_unit_norm_singleton(herm(np.diag([1.0, 0.0])), herm(np.diag([0.0, 1.0]))) == math.inf
 
 
+def test_order_unit_rejects_a_non_psd_b_wherever_x_lies():
+    # x inside and x outside the support of b: both are DomainError, the
+    # PSD test coming before the leak test
+    b = herm(np.diag([1.0, -0.5, 0.0]))
+    for x in (herm(np.diag([0.0, 0.0, 1.0])), herm(np.diag([1.0, 0.0, 0.0]))):
+        with pytest.raises(DomainError):
+            order_unit_norm_singleton(b, x)
+
+
 def test_dmax_examples():
     rng = np.random.default_rng(1)
     a = rand_psd(rng, 3)

@@ -247,25 +247,50 @@ def majorant_cases():
     return out
 
 
+def reduced_projection_reference(program, zeta, b):
+    """The projection of the PSD coordinates zeta onto {z_K : A_K z_K + A_F z_F = b
+    for some z_F}, by a dense least-squares solve of the optimality system of
+    min |z_K - zeta|^2 over [A_K | A_F] z = b, A split into its PSD and free
+    columns: (z_K, z_F, multiplier) with z_K = zeta - A_K^T multiplier."""
+    a = program.eq_matrix
+    free = np.concatenate([np.full(blk.real_dim, blk.cone == FREE) for blk in program.blocks])
+    a_k, a_f = a[:, ~free], a[:, free]
+    m, n_k, n_f = a.shape[0], a_k.shape[1], a_f.shape[1]
+    kkt = np.block([
+        [np.eye(n_k), np.zeros((n_k, n_f)), a_k.T],
+        [np.zeros((n_f, n_k)), np.zeros((n_f, n_f)), a_f.T],
+        [a_k, a_f, np.zeros((m, m))],
+    ])
+    got = np.linalg.lstsq(kkt, np.concatenate([zeta, np.zeros(n_f), b]), rcond=None)[0]
+    return got[:n_k], got[n_k : n_k + n_f], got[n_k + n_f :]
+
+
 def test_majorant_projection_matches_dense():
+    # the closed form and the dense elimination of the free block, against
+    # the dense least-squares reference
     rng = np.random.default_rng(49)
     for program in majorant_cases():
-        b = program.eq_rhs
-        rows = solver._rows(program)
-        dense = solver._DenseRows(program.eq_matrix)
-        zeta = rng.normal(size=program.total_dim)
-        z, mult = rows.project(zeta, b)
-        z_ref, mult_ref = dense.project(zeta, b)
-        assert np.max(np.abs(z - z_ref)) <= 1e-10
-        assert np.max(np.abs(mult - mult_ref)) <= 1e-10
+        b, c = program.eq_rhs, program.objective
+        a = program.eq_matrix
+        zeta = rng.normal(size=b.shape[0])
+        z_ref, s_ref, mult_ref = reduced_projection_reference(program, zeta, b)
+        for rows in (solver._rows(program), solver._DenseRows(a, program.blocks)):
+            b_red = rows.eliminate(c, b)[2]
+            z, mult = rows.project(zeta, b_red)
+            assert np.max(np.abs(z - z_ref)) <= 1e-10
+            assert np.max(np.abs(mult - mult_ref)) <= 1e-10
+            assert np.max(np.abs(rows.free_part(z, b) - s_ref)) <= 1e-10
+        full = rng.normal(size=program.total_dim)
         y = rng.normal(size=b.shape[0])
-        assert np.max(np.abs(rows.apply(zeta) - dense.apply(zeta))) <= 1e-10
-        assert np.max(np.abs(rows.adjoint(y) - dense.adjoint(y))) <= 1e-10
+        rows = solver._rows(program)
+        assert np.max(np.abs(rows.apply(full) - a @ full)) <= 1e-10
+        assert np.max(np.abs(rows.adjoint(y) - a.T @ y)) <= 1e-10
 
 
 def test_majorant_projection_runs_match_dense_solve():
     # one-, two- and three-copy runs of one lift, and two distinct lift runs
-    # (one copy, then the lift by I(2)), against the dense normal equations
+    # (one copy, then the lift by I(2)), against the dense least-squares
+    # reference
     rng = np.random.default_rng(57)
     ch = channels_section(2, 2)
     for copies, lifted in ((1, 0), (2, 0), (3, 0), (1, 2)):
@@ -275,12 +300,77 @@ def test_majorant_projection_runs_match_dense_solve():
         a = program.eq_matrix
         for _ in range(3):
             b = rng.normal(size=a.shape[0])
-            zeta = rng.normal(size=a.shape[1])
-            mult_ref = np.linalg.solve(a @ a.T, a @ zeta - b)
+            zeta = rng.normal(size=a.shape[0])
+            z_ref, s_ref, mult_ref = reduced_projection_reference(program, zeta, b)
             z, mult = rows.project(zeta, b)
-            assert np.max(np.abs(z - (zeta - a.T @ mult_ref))) <= 1e-12
+            assert np.max(np.abs(z - z_ref)) <= 1e-12
             assert np.max(np.abs(mult - mult_ref)) <= 1e-12
-            assert np.max(np.abs(rows.apply(zeta) - a @ zeta)) <= 1e-12
+            assert np.max(np.abs(rows.free_part(z, b) - s_ref)) <= 1e-12
+            full = rng.normal(size=a.shape[1])
+            assert np.max(np.abs(rows.apply(full) - a @ full)) <= 1e-12
+
+
+def test_majorant_solve_returns_recovered_free_block_and_exact_free_dual():
+    # the free block is s = sum_j L_j^T (P_j + b_j) / sigma of the returned
+    # slacks, and the dual vector pulls back to the free objective exactly
+    for program in majorant_cases():
+        sol = solve(program, tol=1e-8)
+        assert sol.status == "optimal"
+        k = program.lifts[0].shape[1]
+        sigma = sum(np.trace(m.T @ m) for m in program.lifts) / k
+        c_s = program.objective[-k:]
+        s, lo = sol.primal_point[-1], 0
+        recovered, dual_pull = np.zeros(k), np.zeros(k)
+        for m, p in zip(program.lifts, sol.primal_point[:-1]):
+            hi = lo + m.shape[0]
+            recovered += m.T @ (hvec(p) + program.eq_rhs[lo:hi])
+            dual_pull += m.T @ sol.dual_vector[lo:hi]
+            lo = hi
+        assert np.linalg.norm(s - recovered / sigma) <= 1e-12 * (1.0 + np.linalg.norm(s))
+        assert np.linalg.norm(dual_pull - c_s) <= 1e-12 * (1.0 + np.linalg.norm(c_s))
+        assert not np.any(sol.dual_slack[-1])
+
+
+def test_dense_program_with_interleaved_free_block():
+    # the trace-norm majorant program min Tr q over q >= x, q >= -x and
+    # q >= -I, stated densely with the free block q second among the
+    # blocks (3, free, 3, 3), solves to the majorant program's value
+    rng = np.random.default_rng(63)
+    x = rand_herm(rng, 3)
+    eye = np.eye(9)
+    rhs = np.concatenate([hvec(x), -hvec(x), -hvec(identity(3))])
+    majorant = MajorantProgram(
+        (eye, eye, eye), np.concatenate([np.zeros(27), hvec(identity(3))]), rhs
+    )
+    zero = np.zeros((9, 9))
+    a = np.block([[-eye, eye, zero, zero], [zero, eye, -eye, zero], [zero, eye, zero, -eye]])
+    c = np.concatenate([np.zeros(9), hvec(identity(3)), np.zeros(18)])
+    blocks = (Block(3, PSD), Block(9, FREE), Block(3, PSD), Block(3, PSD))
+    dense = ConeProgram(blocks, c, a, rhs, "interleaved trace norm")
+    ref = solve(majorant, tol=1e-9)
+    sol = solve(dense, tol=1e-9)
+    assert sol.status == ref.status == "optimal"
+    assert abs(sol.primal_value - trace_norm(x)) <= 1e-7
+    assert abs(sol.primal_value - ref.primal_value) <= 1e-7
+    assert abs(sol.dual_value - ref.dual_value) <= 1e-7
+    assert [np.shape(p) for p in sol.primal_point] == [(3, 3), (9,), (3, 3), (3, 3)]
+    assert np.max(np.abs(sol.primal_point[1] - ref.primal_point[-1])) <= 1e-6
+    assert not np.any(sol.dual_slack[1]) and sol.dual_vector.shape == (27,)
+    # the dual vector pulls back to the free objective
+    assert np.max(np.abs(a[:, 9:18].T @ sol.dual_vector - hvec(identity(3)))) <= 1e-12
+
+
+def test_unbounded_free_objective_never_reports_optimal():
+    # Tr u + t_1 + t_2 = 1 with u PSD and t free; minimizing t_1 is
+    # unbounded (t_1 -> -inf, t_2 -> +inf): the free objective (1, 0) is not
+    # in the range of the free columns' transpose, span (1, 1).
+    d = 2
+    a = np.concatenate([hvec(identity(d)), [1.0, 1.0]]).reshape(1, -1)
+    c = np.concatenate([np.zeros(d * d), [1.0, 0.0]])
+    prog = ConeProgram((Block(d, PSD), Block(2, FREE)), c, a, np.array([1.0]), "unbounded")
+    sol = solve(prog, tol=1e-9, max_iter=5000)
+    assert sol.status != "optimal"
+    assert sol.dual_residual >= 0.1
 
 
 def per_block_cone_projection(z, blocks):
@@ -466,11 +556,14 @@ def test_solver_clears_memory_on_rejection_and_rho_change(monkeypatch):
     rng = np.random.default_rng(52)
     family = majorant_program(channels_section(3, 3), 2)
     rejected = 0
-    for _ in range(4):
+    # at least four solves of the stream, and on until one changes rho
+    for solves in range(1, 17):
         x = hvec(rand_herm(rng, 9))
         sol = solve(family.with_rhs(np.concatenate([x, -x])))
         assert sol.status == "optimal"
         rejected += sol.rejected
+        if solves >= 4 and any(kind == "rho" for kind, _, _ in events):
+            break
     kinds = [kind for kind, _, _ in events]
     assert "rho" in kinds and kinds.count("rejection") == rejected > 0
     # the memory is empty afterwards, and the next point is the plain image
