@@ -27,8 +27,11 @@ from .choi import ChoiMatrix, choi_matrix, is_channel_choi
 from .errors import DomainError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
+    _psd_values,
+    _support_columns,
     abs_pos_neg,
     eig,
+    eigenvalues,
     herm,
     identity,
     json_field,
@@ -40,10 +43,8 @@ from .hermitian import (
     partial_trace,
     pinv_sqrt,
     psd_check,
-    support_projection,
     tensor,
     trace,
-    trace_norm,
     trace_pair,
     transpose_in_basis,
     zeros,
@@ -124,7 +125,8 @@ class DecisionProblem:
             for idx, w in enumerate(ops):
                 if w.dim != d:
                     raise ValidationError("payoff operators must share one dimension")
-                if not psd_check(w, 1e-9) or op_norm(w) > 1 + 1e-10:
+                ev = eigenvalues(w)  # one spectrum for both tests
+                if not _psd_values(ev, 1e-9) or float(np.max(np.abs(ev))) > 1 + 1e-10:
                     raise ValidationError(f"payoff operator {idx} must satisfy 0 <= W <= I")
             object.__setattr__(self, "operators", ops)
         else:
@@ -361,9 +363,10 @@ def helstrom(
     for name, r in (("rho0", rho0), ("rho1", rho1)):
         if not psd_check(r, 1e-8) or abs(trace(r) - 1.0) > 1e-8:
             raise ValidationError(f"{name} must be a density matrix")
-    error = 0.5 - 0.5 * trace_norm(x)
-    _, x_pos, _ = abs_pos_neg(x)
-    m0 = support_projection(x_pos)
+    s = eig(x)  # the error and the projector from one spectrum
+    error = 0.5 - 0.5 * float(np.sum(np.abs(s.eigenvalues)))
+    u = _support_columns(s)
+    m0 = HermitianMatrix(u @ u.conj().T, x.subsystem_dims)
     m1 = identity(rho0.dims if rho0.subsystem_dims else rho0.dim) - m0
     povm = GeneralizedPOVM(states_section(rho0.dim), (m0, m1))
     return error, povm

@@ -211,7 +211,11 @@ def op_norm(x: HermitianMatrix) -> float:
 
 def psd_check(x: HermitianMatrix, tol: float = 1e-9) -> bool:
     """True iff the smallest eigenvalue is >= -tol * (1 + op_norm(x))."""
-    w = eigenvalues(x)
+    return _psd_values(eigenvalues(x), tol)
+
+
+def _psd_values(w: np.ndarray, tol: float) -> bool:
+    """:func:`psd_check` read off the descending eigenvalues ``w``."""
     return bool(w[-1] >= -tol * (1.0 + float(np.max(np.abs(w)))))
 
 
@@ -220,23 +224,18 @@ def _support_cutoff(w: np.ndarray) -> float:
     return SUPPORT_CUTOFF * max(1.0, top)
 
 
-def support_basis(x: HermitianMatrix, cutoff: float | None = None) -> np.ndarray:
-    """Orthonormal eigenvector columns with eigenvalue above cutoff, largest
-    first.  Default cutoff is ``SUPPORT_CUTOFF * max(1, largest eigenvalue)``.
-    """
-    return _support_columns(eig(x), cutoff)
-
-
 def _support_columns(s: Spectrum, cutoff: float | None = None) -> np.ndarray:
-    """:func:`support_basis` read off the eigendecomposition ``s``."""
+    """Orthonormal eigenvector columns of ``s`` with eigenvalue above cutoff,
+    largest first.  Default cutoff is ``SUPPORT_CUTOFF * max(1, largest eigenvalue)``."""
     if cutoff is None:
         cutoff = _support_cutoff(s.eigenvalues)
     return s.eigenvectors[:, s.eigenvalues > cutoff]
 
 
 def support_projection(x: HermitianMatrix, cutoff: float | None = None) -> HermitianMatrix:
-    """Orthogonal projection onto the span of :func:`support_basis`."""
-    u = support_basis(x, cutoff)
+    """Orthogonal projection onto the eigenvectors of x with eigenvalue above
+    cutoff (default as in :func:`_support_columns`)."""
+    u = _support_columns(eig(x), cutoff)
     return HermitianMatrix(u @ u.conj().T, x.subsystem_dims)
 
 
@@ -263,9 +262,14 @@ def _psd_spectrum(s: Spectrum) -> Spectrum:
 
 def sqrt_psd(x: HermitianMatrix) -> HermitianMatrix:
     """Principal square root of a PSD matrix."""
-    s = _psd_spectrum(eig(x))
+    return _sqrt_psd(eig(x), x.subsystem_dims)
+
+
+def _sqrt_psd(s: Spectrum, dims: tuple[int, ...]) -> HermitianMatrix:
+    """:func:`sqrt_psd` read off the eigendecomposition ``s``."""
+    s = _psd_spectrum(s)
     u = s.eigenvectors
-    return HermitianMatrix((u * np.sqrt(s.eigenvalues)) @ u.conj().T, x.subsystem_dims)
+    return HermitianMatrix((u * np.sqrt(s.eigenvalues)) @ u.conj().T, dims)
 
 
 def pinv_sqrt(x: HermitianMatrix) -> HermitianMatrix:
@@ -281,15 +285,6 @@ def _pinv_sqrt(s: Spectrum, dims: tuple[int, ...]) -> HermitianMatrix:
     inv = np.where(s.eigenvalues > cutoff, 1.0 / np.sqrt(np.maximum(s.eigenvalues, cutoff)), 0.0)
     u = s.eigenvectors
     return HermitianMatrix((u * inv) @ u.conj().T, dims)
-
-
-def pinv(x: HermitianMatrix) -> HermitianMatrix:
-    """Moore-Penrose inverse of a PSD matrix via the same cutoff rule."""
-    s = _psd_spectrum(eig(x))
-    cutoff = _support_cutoff(s.eigenvalues)
-    inv = np.where(s.eigenvalues > cutoff, 1.0 / np.maximum(s.eigenvalues, cutoff), 0.0)
-    u = s.eigenvectors
-    return HermitianMatrix((u * inv) @ u.conj().T, x.subsystem_dims)
 
 
 # -- tensor algebra ----------------------------------------------------------

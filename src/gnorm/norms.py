@@ -36,6 +36,7 @@ from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
     _psd_spectrum,
+    _sqrt_psd,
     _support_columns,
     eig,
     frobenius_norm,
@@ -43,7 +44,6 @@ from .hermitian import (
     hunvec_matrix,
     hvec,
     identity,
-    pinv_sqrt,
     psd_check,
     sqrt_psd,
     trace_norm,
@@ -131,9 +131,9 @@ def order_unit_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
 def dmax(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """Max-relative entropy log2 inf{t : a <= t b}; +inf off-support.
 
-    Returns -inf for a = 0 (every positive t works).
+    Returns -inf for a = 0 (every positive t works); DomainError unless a, b are PSD.
     """
-    if not psd_check(a, 1e-8) or not psd_check(b, 1e-8):
+    if not psd_check(a, 1e-8):
         raise DomainError("dmax is defined for PSD arguments")
     t = order_unit_norm_singleton(b, a)
     if t == INF:
@@ -145,8 +145,8 @@ def dmax(a: HermitianMatrix, b: HermitianMatrix) -> float:
 
 def _full_slice_norm(section: Section, x: HermitianMatrix) -> NormResult:
     n = section.normalizer
-    r = sqrt_psd(n)
-    rinv = pinv_sqrt(n)
+    sn = eig(n)
+    r, rinv = _sqrt_psd(sn, n.subsystem_dims), _pinv_sqrt(sn, n.subsystem_dims)
     s = eig(HermitianMatrix(r.entries @ x.entries @ r.entries))
     w, u = s.eigenvalues, s.eigenvectors
     value = float(np.sum(np.abs(w)))

@@ -1,8 +1,8 @@
 """Independent sampling-based references for the conic machinery.
 
 Nothing here touches the solver: members are generated by mixing the stored
-interior point with random span directions pushed to the cone boundary by
-bisection, and the norm bounds are the elementary sandwich
+interior point with random span directions scaled inside the cone boundary,
+which has a closed form, and the norm bounds are the elementary sandwich
 
     max over sampled dual members y of |y^(1/2) x y^(1/2)|_1
         <=  |x|_B  <=
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import choi_matrix
-from .errors import ShapeError
-from .hermitian import HermitianMatrix
+from .errors import DomainError, ShapeError
+from .hermitian import HermitianMatrix, eigenvalues, pinv_sqrt
 from .norms import base_norm_singleton, order_unit_norm_singleton
 from .sections import Section, dual_section
 
@@ -38,13 +38,15 @@ class SampleSet:
 
 
 def sample_section(section: Section, n: int, seed: int = 0) -> SampleSet:
-    """Draw n members: interior point plus a random in-slice direction,
-    scaled by bisection to stay inside the cone, then a random convex pull
-    back toward the interior."""
+    """Draw n members: interior point b0 plus a random in-slice direction D,
+    scaled by a uniform fraction of BOUNDARY_BACKOFF times the distance to the
+    cone boundary in closed form (:func:`_boundary`).  DomainError for n < 0."""
+    if n < 0:
+        raise DomainError(f"sample count must be non-negative, got {n}")
     rng = np.random.default_rng(seed)
     b0 = section.interior_point
-    m = section.span_matrix()
-    k = m.shape[1]
+    r = pinv_sqrt(b0).entries  # b0 is positive definite
+    k = section.span_dim
     # Span directions tangent to the slice: coefficients orthogonal to the
     # pairing row Tr(J_i n).
     pairing = section.span_coords(section.normalizer)
@@ -59,31 +61,18 @@ def sample_section(section: Section, n: int, seed: int = 0) -> SampleSet:
             points.append(section.lift(b0))
             continue
         direction = section.from_span_coords(g / nrm)
-        t_max = _bisect_to_boundary(b0, direction)
+        t_max = _boundary(r, direction)
         t = float(rng.uniform(0.0, BOUNDARY_BACKOFF)) * t_max
         points.append(section.lift(b0 + t * direction))
     return SampleSet(section, tuple(points), seed)
 
 
-def _bisect_to_boundary(b0: HermitianMatrix, direction: HermitianMatrix) -> float:
-    def min_eig(t: float) -> float:
-        return float(np.linalg.eigvalsh(b0.entries + t * direction.entries)[0])
-
-    hi = 1.0
-    for _ in range(60):
-        if min_eig(hi) < 0:
-            break
-        hi *= 2.0
-        if hi > 1e12:
-            return 1e12
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _boundary(r: np.ndarray, direction: HermitianMatrix) -> float:
+    """The largest t with b0 + t D >= 0, for r = b0^(-1/2): b0 + t D =
+    b0^(1/2) (I + t r D r) b0^(1/2) leaves the cone at t = -1/lambda_min(r D r).
+    Capped at 1e12, which also stands for a direction that never leaves it."""
+    low = float(eigenvalues(HermitianMatrix(r @ direction.entries @ r))[-1])
+    return min(-1.0 / low, 1e12) if low < 0.0 else 1e12
 
 
 def norm_lower_bound(section: Section, x: HermitianMatrix, dual_samples: SampleSet) -> float:
@@ -123,8 +112,10 @@ def grid_hmin(sigma: HermitianMatrix, resolution: int = 200) -> float:
     Scans conditioning states over a Bloch-ball grid (Fibonacci directions x
     radii, center included) and minimizes log2 of the smallest t with
     sigma <= t I (x) rho.  Converges to the entropy from below as the grid
-    refines.
+    refines.  DomainError for a resolution below 1.
     """
+    if resolution < 1:
+        raise DomainError(f"grid resolution must be at least 1, got {resolution}")
     d_k, d_h = choi_matrix(sigma, "grid_hmin's sigma").subsystem_dims
     if d_h != 2:
         raise ShapeError("grid_hmin supports only a 2-dimensional conditioning system")

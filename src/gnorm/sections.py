@@ -38,6 +38,9 @@ from . import solver
 from .errors import EmptySectionError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
+    _psd_values,
+    _support_columns,
+    eig,
     eigenvalues,
     frobenius_norm,
     herm,
@@ -46,9 +49,7 @@ from .hermitian import (
     hvec,
     identity,
     matrix_to_json,
-    pinv,
     psd_check,
-    support_basis,
     tensor,
     trace_pair,
     transpose_in_basis,
@@ -317,9 +318,10 @@ def _make_section(
     dim = normalizer.dim
     if span_cols.shape[1] == 0:
         raise EmptySectionError(f"section {label!r} has an empty span")
-    if not psd_check(normalizer, DEFAULT_MEMBERSHIP_TOL):
+    w = eigenvalues(normalizer)
+    if not _psd_values(w, DEFAULT_MEMBERSHIP_TOL):
         raise ValidationError(f"normalizer of section {label!r} is not PSD")
-    if not _positive_definite(normalizer):
+    if not _positive_definite(w):
         # A singular normalizer can leave the slice unbounded; reject that
         # outright (a positive-definite normalizer makes it compact for free).
         if _recession_direction_exists(span_cols, normalizer):
@@ -336,7 +338,7 @@ def _make_section(
             and _span_residual(span_cols, cand)
             <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(cand))
         )
-        if member_ok and _positive_definite(cand):
+        if member_ok and _positive_definite(eigenvalues(cand)):
             interior = cand
 
     if interior is None:
@@ -352,7 +354,7 @@ def _make_section(
             interior = b_star.with_dims(tuple(subsystem_dims))
         else:
             # Restrict to the support of the best achievable member.
-            v = support_basis(b_star, 1e-7 * scale)
+            v = _support_columns(eig(b_star), 1e-7 * scale)
             rank = v.shape[1]
             if rank == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
@@ -395,9 +397,8 @@ def _span_residual(span_cols: np.ndarray, x: HermitianMatrix) -> float:
     return float(np.linalg.norm(vec - span_cols @ (span_cols.T @ vec)))
 
 
-def _positive_definite(x: HermitianMatrix) -> bool:
-    """Smallest eigenvalue above FAITHFUL_EIG_TOL * max(1, largest)."""
-    w = eigenvalues(x)
+def _positive_definite(w: np.ndarray) -> bool:
+    """Smallest of the descending eigenvalues ``w`` above FAITHFUL_EIG_TOL * max(1, largest)."""
     return bool(w[-1] > FAITHFUL_EIG_TOL * max(1.0, float(w[0])))
 
 
@@ -444,17 +445,21 @@ def singleton_section(b: HermitianMatrix) -> Section:
     When b is rank deficient the section is restricted to its support,
     where the normalized pseudo-inverse is the normalizer.
     """
-    if not psd_check(b, 1e-9):
+    # one decomposition gives the PSD test, the support and the normalizer,
+    # the pseudo-inverse (diagonal in v's coordinates when restricted)
+    s = eig(b)
+    if not _psd_values(s.eigenvalues, 1e-9):
         raise ValidationError("singleton_section needs a PSD matrix")
-    v = support_basis(b)
+    v = _support_columns(s)
     rank = v.shape[1]
     if rank == 0:
         raise ValidationError("singleton_section needs a nonzero matrix")
     full = rank == b.dim
     bc = b if full else HermitianMatrix(v.conj().T @ b.entries @ v)
+    inv = 1.0 / s.eigenvalues[:rank]
     return _make_section(
         _columns([bc / frobenius_norm(bc)]),
-        pinv(bc) / rank,
+        HermitianMatrix((v * inv) @ v.conj().T if full else np.diag(inv)) / rank,
         "singleton",
         subsystem_dims=b.subsystem_dims if full else (),
         interior_hint=bc,
@@ -470,7 +475,7 @@ def full_slice_section(b: HermitianMatrix) -> Section:
     closed form |b^(1/2) x b^(1/2)|_1 and its dual section is the one-element
     section {b}.  The states section is the special case b = I.
     """
-    if not _positive_definite(b):
+    if not _positive_definite(eigenvalues(b)):
         raise ValidationError(
             "full_slice_section needs a positive-definite matrix (the slice "
             "through a singular matrix is unbounded)"

@@ -89,12 +89,12 @@ iterate that passes gets the full check, products by A and A^T included,
 which alone decides.  The full check also runs every ``CHECK_EVERY``
 iterations, and only those checks keep the best iterate and drive residual
 balancing and the plateau ladder, so the screen changes nothing but the
-iteration the run stops at.  Inconsistent affine rows are reported
-as infeasible before the loop.  Balanced residuals that stop improving for
-``PLATEAU_WINDOW`` iterations walk the penalty up a ladder of six bumps; a
-plateau after the last bump ends the run with the best iterate found and
-status "stagnated" (first-order methods carry no exact infeasibility
-certificates).
+iteration the run stops at.  Inconsistent affine rows, and a free objective
+that no dual vector matches, are reported as infeasible before the loop.
+Balanced residuals that stop improving for ``PLATEAU_WINDOW`` iterations
+walk the penalty up a ladder of six bumps; a plateau after the last bump
+ends the run with the best iterate found and status "stagnated"
+(first-order methods carry no exact infeasibility certificates).
 
 A solve is single-threaded and owns its iterate workspace; concurrent solves
 on independent programs are safe (the per-program caches are written once).
@@ -283,7 +283,7 @@ class ConeSolution:
 
     # optimal | max_iter (the iteration cap) | stagnated (a residual plateau
     # after the last penalty ladder bump) | infeasible (inconsistent affine
-    # rows)
+    # rows, or no dual vector matches the free objective)
     status: str
     primal_value: float
     dual_value: float
@@ -352,8 +352,8 @@ class _DenseRows:
         """The reduced objective C = c_K - A_K^T y_F over the PSD coordinates,
         the part y_F = pinv(A_F)^T c_F of the dual vector (A_F^T y_F = c_F
         when c_F is in range(A_F^T); otherwise the program is unbounded or
-        infeasible and the free part of the dual residual never vanishes),
-        and the reduced right-hand side."""
+        infeasible, and the solve stops before its loop), and the reduced
+        right-hand side."""
         if self._null is None:
             return c[self.cone], np.zeros(b.shape[0]), b
         y_free = self._pinv.T @ c[self.free]
@@ -657,12 +657,17 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
         out[rows.free] = free_part
         return out
 
-    # Unsolvable affine rows mean the program is infeasible outright.
-    if not rows.consistent(b_red):
+    # Unsolvable affine rows, or a free objective c_F outside range(A_F^T)
+    # (the rule of ``consistent``), leave the program infeasible outright.
+    c_free = c[rows.free]
+    miss = _norm(c_free - rows.adjoint(y_free)[rows.free])
+    solvable = rows.consistent(b_red)
+    if not solvable or miss > 1e-8 * (1.0 + _norm(c_free)):
         zero = _split(np.zeros(c.shape[0]), program.blocks, slices)
+        dres = miss / (1.0 + _norm(c)) if solvable else np.inf
         return ConeSolution(
             "infeasible", np.nan, np.nan, zero, np.zeros(b.shape[0]), zero,
-            np.inf, np.inf, np.inf, 0, 0, 0,
+            np.inf, dres, np.inf, 0, 0, 0,
         )
 
     def step(u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

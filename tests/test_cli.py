@@ -573,3 +573,12 @@ def test_failed_kernel_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys
     assert cli.main(["diamond", c0, c1]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: conic solver: invalid value in an ADMM step")
+
+
+def test_dmax_rejects_a_non_psd_b(tmp_path):
+    a = write_json(tmp_path / "a.json", matrix_to_json(identity(2) / 2))
+    b = write_json(tmp_path / "b.json", matrix_to_json(herm(np.diag([1.0, -1.0]))))
+    proc = run_cli("dmax", a, b)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: matrix has negative eigenvalue")
+    assert "Traceback" not in proc.stderr

@@ -733,3 +733,12 @@ def test_certify_extremal_member_missing_the_input_support_is_not_feasible():
     assert not cert.feasible
     assert cert.scale_t == math.inf and cert.witness_dual is None
     assert cert.norm_value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dmax_rejects_a_non_psd_b_wherever_a_lies():
+    # b's PSD test is the order-unit norm's: -5e-9 passes psd_check at 1e-8
+    # but not the 1e-9 rule, so that b is rejected as well
+    for b in (np.diag([1.0, -1.0]), np.diag([1.0, -5e-9])):
+        for a in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+            with pytest.raises(DomainError):
+                dmax(herm(a), herm(b))

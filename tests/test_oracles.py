@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rand_herm
 from gnorm.choi import max_entangled_state
-from gnorm.errors import ShapeError
+from gnorm.errors import DomainError, ShapeError
 from gnorm.hermitian import herm, identity, partial_trace, tensor, trace_norm
 from gnorm.norms import base_norm, hmin
 from gnorm.oracles import grid_hmin, norm_lower_bound, norm_upper_bound, sample_section
@@ -101,3 +101,15 @@ def test_grid_hmin_tracks_solver():
 def test_grid_hmin_rejects_other_dims():
     with pytest.raises(ShapeError):
         grid_hmin(identity((2, 3)) / 6, 50)
+
+
+def test_sampling_and_grid_reject_bad_counts():
+    s = states_section(2)
+    assert sample_section(s, 0).points == ()
+    with pytest.raises(DomainError):
+        sample_section(s, -1)
+    phi = herm(max_entangled_state(2).entries, (2, 2))
+    for resolution in (0, -3, 0.5):
+        with pytest.raises(DomainError):
+            grid_hmin(phi, resolution)
+    assert grid_hmin(phi, 1) >= -1.0 - 1e-9

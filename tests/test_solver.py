@@ -1,6 +1,8 @@
 """Conic solver tests: closed-form norm programs as oracles, duality and
 scaling properties, and degenerate statuses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -701,3 +703,16 @@ def test_failed_kernel_raises_numerical_error(monkeypatch):
     # the error state is the caller's again, and the kernels work as before
     assert np.geterr()["invalid"] == "warn" and np.geterrcall() is None
     assert solve(program).status == "optimal"
+
+
+def test_free_objective_outside_range_stops_before_the_loop():
+    # The program of the test above: c_F = (1, 0) misses A_F^T y_F = (1/2, 1/2)
+    # by |(1/2, -1/2)| = 1/sqrt(2), reported over 1 + |c| = 2.
+    d = 2
+    a = np.concatenate([hvec(identity(d)), [1.0, 1.0]]).reshape(1, -1)
+    c = np.concatenate([np.zeros(d * d), [1.0, 0.0]])
+    prog = ConeProgram((Block(d, PSD), Block(2, FREE)), c, a, np.array([1.0]), "unbounded")
+    sol = solve(prog)
+    assert sol.status == "infeasible" and sol.iterations == 0
+    assert sol.dual_residual == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
+    assert sol.primal_residual == math.inf
