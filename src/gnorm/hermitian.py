@@ -252,10 +252,10 @@ def abs_pos_neg(x: HermitianMatrix) -> tuple[HermitianMatrix, HermitianMatrix, H
 
 
 def _psd_spectrum(s: Spectrum) -> Spectrum:
-    """The spectrum ``s`` with eigenvalues clipped at zero; DomainError below
-    -1e-9 * (1 + |largest|)."""
-    low = float(s.eigenvalues[-1])
-    if low < -1e-9 * (1.0 + abs(float(s.eigenvalues[0]))):
+    """The spectrum ``s`` with eigenvalues clipped at zero; DomainError unless
+    it passes :func:`psd_check` at 1e-9."""
+    if not _psd_values(s.eigenvalues, 1e-9):
+        low = float(s.eigenvalues[-1])
         raise DomainError(f"matrix has negative eigenvalue {low:.3e}, not PSD within 1e-09")
     return Spectrum(np.clip(s.eigenvalues, 0.0, None), s.eigenvectors)
 

@@ -83,18 +83,12 @@ class NormResult:
     rejected: int = 0  # safeguard rejections of the acceleration
 
 
-def _infinite_result() -> NormResult:
-    return NormResult(INF, INF, INF, 0.0, "closed_form", None, None, "unsupported", 0)
-
-
-def _zero_result(section: Section) -> NormResult:
-    d = section.ambient_dim
-    q = section.lift(herm(np.zeros((d, d))))
-    half = section.lift(section.normalizer / 2.0)
-    return NormResult(0.0, 0.0, 0.0, 0.0, "closed_form", q, (half, half), "optimal", 0)
-
-
 # -- closed forms -------------------------------------------------------------
+
+
+def _closed_form(value: float, q, ys, status: str = "optimal") -> NormResult:
+    """The one closed-form NormResult: both sides equal ``value``, gap 0."""
+    return NormResult(value, value, value, 0.0, "closed_form", q, ys, status)
 
 
 def base_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
@@ -131,9 +125,9 @@ def order_unit_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
 def dmax(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """Max-relative entropy log2 inf{t : a <= t b}; +inf off-support.
 
-    Returns -inf for a = 0 (every positive t works); DomainError unless a, b are PSD.
+    Returns -inf for a = 0 (every positive t works); DomainError unless a, b pass psd_check.
     """
-    if not psd_check(a, 1e-8):
+    if not psd_check(a, 1e-9):  # the PSD rule _order_unit applies to b
         raise DomainError("dmax is defined for PSD arguments")
     t = order_unit_norm_singleton(b, a)
     if t == INF:
@@ -157,10 +151,7 @@ def _full_slice_norm(section: Section, x: HermitianMatrix) -> NormResult:
     q = HermitianMatrix(rinv.entries @ z_abs @ rinv.entries, section.subsystem_dims)
     y1 = HermitianMatrix(r.entries @ (u * weight) @ u.conj().T @ r.entries, section.subsystem_dims)
     y2 = n - y1
-    return NormResult(
-        value, value, value, 0.0, "closed_form",
-        section.lift(q), (section.lift(y1), section.lift(y2)),
-    )
+    return _closed_form(value, section.lift(q), (section.lift(y1), section.lift(y2)))
 
 
 def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
@@ -173,10 +164,7 @@ def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
     y = HermitianMatrix(rinv.entries @ (u @ u.conj().T) @ rinv.entries, section.subsystem_dims)
     zero = herm(np.zeros_like(y.entries), section.subsystem_dims)
     pair = (y, zero) if s.eigenvalues[top] >= 0 else (zero, y)
-    return NormResult(
-        value, value, value, 0.0, "closed_form",
-        q, (section.lift(pair[0]), section.lift(pair[1])),
-    )
+    return _closed_form(value, q, (section.lift(pair[0]), section.lift(pair[1])))
 
 
 # -- conic programs ------------------------------------------------------------
@@ -246,11 +234,12 @@ def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: 
     (result, None) when answered, else (None, compressed x)."""
     xc = section.compress(x)
     if xc is None:
-        return _infinite_result(), None
+        return _closed_form(INF, None, None, "unsupported"), None
     if psd and not psd_check(xc, 1e-8):
         raise DomainError("base_norm_psd needs a PSD input")
     if frobenius_norm(xc) == 0.0:
-        return _zero_result(section), None
+        d, half = section.ambient_dim, section.lift(section.normalizer / 2.0)
+        return _closed_form(0.0, section.lift(herm(np.zeros((d, d)))), (half, half)), None
     if prefer_closed and section.span_dim == section.ambient_dim ** 2:
         return _full_slice_norm(section, xc), None
     if prefer_closed and section.span_dim == 1:

@@ -250,6 +250,7 @@ def _solve_interior(span_cols, normalizer):
     Split hvec(I) = M N g + rho with rho orthogonal to M N (rho != 0 since
     Tr n > 0); in u' = u - t g the rows read b - t I = [M N, -rho/|rho|]
     (u', t |rho|) + M s0, a majorant program with one orthonormal lift.
+    Returns (t*, b*) of a converged solve; SolverError otherwise.
     """
     d = normalizer.dim
     m_s0, m_n = _pairing_complement(span_cols, normalizer)
@@ -261,11 +262,10 @@ def _solve_interior(span_cols, normalizer):
     c = np.zeros(d * d + lift.shape[1])
     c[-1] = -1.0 / norm_rho
     program = solver.MajorantProgram((lift,), c, -m_s0, "interior point (max min-eigenvalue)")
-    sol = solver.solve(program, tol=1e-8)
+    sol = solver.require_optimal(solver.solve(program, tol=1e-8), "interior point")
     z = sol.primal_point[1]
     t_star = float(z[-1]) / norm_rho
-    b_star = hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
-    return t_star, b_star, sol
+    return t_star, hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
 
 
 def _recession_direction_exists(span_cols, normalizer) -> bool:
@@ -296,8 +296,7 @@ def interior_element(section: Section) -> HermitianMatrix:
     Positive definite exactly when the section is faithful; raises
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
-    _, b_star, sol = _solve_interior(section.span_matrix(), section.normalizer)
-    solver.require_optimal(sol, "interior_element")
+    b_star = _solve_interior(section.span_matrix(), section.normalizer)[1]
     return section.lift(b_star.with_dims(section.subsystem_dims))
 
 
@@ -342,7 +341,7 @@ def _make_section(
             interior = cand
 
     if interior is None:
-        t_star, b_star, _ = _solve_interior(span_cols, normalizer)
+        t_star, b_star = _solve_interior(span_cols, normalizer)
         scale = max(1.0, frobenius_norm(b_star))
         if t_star < -1e-6 * scale:
             # Even the best slice point has a negative eigenvalue.

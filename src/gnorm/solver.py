@@ -89,8 +89,9 @@ iterate that passes gets the full check, products by A and A^T included,
 which alone decides.  The full check also runs every ``CHECK_EVERY``
 iterations, and only those checks keep the best iterate and drive residual
 balancing and the plateau ladder, so the screen changes nothing but the
-iteration the run stops at.  Inconsistent affine rows, and a free objective
-that no dual vector matches, are reported as infeasible before the loop.
+iteration the run stops at.  The row reduction decides infeasibility: when
+A z = b has no solution, or no dual vector matches the free objective, the
+solve returns status "infeasible" without running an iteration.
 Balanced residuals that stop improving for ``PLATEAU_WINDOW`` iterations
 walk the penalty up a ladder of six bumps; a plateau after the last bump
 ends the run with the best iterate found and status "stagnated"
@@ -173,6 +174,21 @@ class _ProgramData:
     def with_objective(self, objective):
         return dataclasses.replace(self, objective=objective)
 
+    def _set_vectors(self, n_rows: int, *arrays) -> None:
+        """Store the objective and the right-hand side as float vectors,
+        checked against the blocks and ``n_rows`` rows and, with ``arrays``,
+        for non-finite entries."""
+        n = self.total_dim
+        c = np.asarray(self.objective, dtype=float).reshape(-1)
+        rhs = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
+        if c.shape[0] != n:
+            raise ShapeError(f"objective length {c.shape[0]} != total block dim {n}")
+        if rhs.shape[0] != n_rows:
+            raise ShapeError(f"rhs length {rhs.shape[0]} != row count {n_rows}")
+        _require_finite(c, rhs, *arrays)
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "eq_rhs", rhs)
+
 
 @dataclass(frozen=True, eq=False)
 class ConeProgram(_ProgramData):
@@ -190,20 +206,11 @@ class ConeProgram(_ProgramData):
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        n = sum(b.real_dim for b in self.blocks)
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        a = np.asarray(self.eq_matrix, dtype=float)
-        rhs = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
-        if c.shape[0] != n:
-            raise ShapeError(f"objective length {c.shape[0]} != total block dim {n}")
+        n, a = self.total_dim, np.asarray(self.eq_matrix, dtype=float)
         if a.ndim != 2 or a.shape[1] != n:
             raise ShapeError(f"constraint matrix shape {a.shape} incompatible with n={n}")
-        if rhs.shape[0] != a.shape[0]:
-            raise ShapeError(f"rhs length {rhs.shape[0]} != row count {a.shape[0]}")
-        _require_finite(c, a, rhs)
-        object.__setattr__(self, "objective", c)
+        self._set_vectors(a.shape[0], a)
         object.__setattr__(self, "eq_matrix", a)
-        object.__setattr__(self, "eq_rhs", rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,19 +246,9 @@ class MajorantProgram(_ProgramData):
         for m, d in zip(lifts, dims):
             if m.shape[1] != k or d < 1 or d * d != m.shape[0]:
                 raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
-        blocks = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
-        n_rows = sum(m.shape[0] for m in lifts)
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        rhs = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
-        if c.shape[0] != n_rows + k:
-            raise ShapeError(f"objective length {c.shape[0]} != total block dim {n_rows + k}")
-        if rhs.shape[0] != n_rows:
-            raise ShapeError(f"rhs length {rhs.shape[0]} != row count {n_rows}")
-        _require_finite(c, rhs)
         object.__setattr__(self, "lifts", lifts)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_rhs", rhs)
+        object.__setattr__(self, "blocks", tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),))
+        self._set_vectors(sum(m.shape[0] for m in lifts))
         if "rows" not in self._shared:
             # once per program family: with_rhs / with_objective share the lifts
             _require_finite(*lifts)
@@ -282,8 +279,8 @@ class ConeSolution:
     """
 
     # optimal | max_iter (the iteration cap) | stagnated (a residual plateau
-    # after the last penalty ladder bump) | infeasible (inconsistent affine
-    # rows, or no dual vector matches the free objective)
+    # after the last penalty ladder bump) | infeasible (A z = b has no
+    # solution, or no dual vector matches the free objective; no iteration)
     status: str
     primal_value: float
     dual_value: float
@@ -348,22 +345,28 @@ class _DenseRows:
     def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._u @ (self._winv * (self._u.T @ rhs))
 
-    def eliminate(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eliminate(self, c: np.ndarray, b: np.ndarray):
         """The reduced objective C = c_K - A_K^T y_F over the PSD coordinates,
-        the part y_F = pinv(A_F)^T c_F of the dual vector (A_F^T y_F = c_F
-        when c_F is in range(A_F^T); otherwise the program is unbounded or
-        infeasible, and the solve stops before its loop), and the reduced
-        right-hand side."""
+        the part y_F = pinv(A_F)^T c_F of the dual vector, the reduced
+        right-hand side, and whether the program has a solution: None, or
+        the dual residual reported for it.  That is inf when A z = b has no
+        solution (the reduced rows miss b_red by more than
+        1e-8 (1 + |b_red|)), and |c_F - A_F^T y_F| / (1 + |c|) when c_F
+        lies outside range(A_F^T) (a miss above 1e-8 (1 + |c_F|)): then no
+        dual vector matches the free objective."""
         if self._null is None:
-            return c[self.cone], np.zeros(b.shape[0]), b
-        y_free = self._pinv.T @ c[self.free]
-        return c[self.cone] - self._a_k.T @ y_free, y_free, self._null.T @ b
-
-    def consistent(self, b_red: np.ndarray) -> bool:
-        """Whether the reduced rows, and so A z = b, have a solution at all."""
-        y_ls = self._gram_solve(b_red)
-        miss = float(np.linalg.norm(self._reduced @ (self._reduced.T @ y_ls) - b_red))
-        return miss <= 1e-8 * (1.0 + float(np.linalg.norm(b_red)))
+            c_red, y_free, b_red = c[self.cone], np.zeros(b.shape[0]), b
+        else:
+            y_free = self._pinv.T @ c[self.free]
+            c_red, b_red = c[self.cone] - self._a_k.T @ y_free, self._null.T @ b
+        miss = np.linalg.norm(self._reduced @ (self._reduced.T @ self._gram_solve(b_red)) - b_red)
+        if miss > 1e-8 * (1.0 + np.linalg.norm(b_red)):
+            return c_red, y_free, b_red, np.inf
+        c_free = c[self.free]
+        miss = _norm(c_free - self.adjoint(y_free)[self.free])
+        if miss > 1e-8 * (1.0 + _norm(c_free)):
+            return c_red, y_free, b_red, miss / (1.0 + _norm(c))
+        return c_red, y_free, b_red, None
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.a @ z
@@ -422,17 +425,16 @@ class _MajorantRows:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
         self.sigma = sigma
 
-    def eliminate(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eliminate(self, c: np.ndarray, b: np.ndarray):
         """The slacks' objective C = c_P + L c_s / sigma, the part L c_s / sigma
-        of the dual vector, and the right-hand side, which needs no reduction."""
+        of the dual vector, whose pull is c_s, the right-hand side, which
+        needs no reduction, and None: every majorant program has a solution
+        and a dual vector matching its free objective, since the -I columns
+        give A full row rank and L^T L = sigma I."""
         n = self.n_rows
         y_free = np.empty(n)
         self._lift_minus(c[n:] / self.sigma, np.zeros(n), y_free)
-        return c[:n] + y_free, y_free, b
-
-    def consistent(self, b_red: np.ndarray) -> bool:
-        """Always: the -I columns give A full row rank."""
-        return True
+        return c[:n] + y_free, y_free, b, None
 
     def _lift_minus(self, s: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The stacked L_j s - y_j written into ``out``: one product per run,
@@ -647,7 +649,7 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     b, c = program.eq_rhs, program.objective
     # The loop runs on the PSD coordinates alone: objective c_red, and y_free
     # the part of the dual vector that the free objective fixes.
-    c_red, y_free, b_red = rows.eliminate(c, b)
+    c_red, y_free, b_red, no_solution = rows.eliminate(c, b)
     n = c_red.shape[0]
 
     def whole(cone_part: np.ndarray, free_part) -> np.ndarray:
@@ -656,19 +658,6 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
         out[rows.cone] = cone_part
         out[rows.free] = free_part
         return out
-
-    # Unsolvable affine rows, or a free objective c_F outside range(A_F^T)
-    # (the rule of ``consistent``), leave the program infeasible outright.
-    c_free = c[rows.free]
-    miss = _norm(c_free - rows.adjoint(y_free)[rows.free])
-    solvable = rows.consistent(b_red)
-    if not solvable or miss > 1e-8 * (1.0 + _norm(c_free)):
-        zero = _split(np.zeros(c.shape[0]), program.blocks, slices)
-        dres = miss / (1.0 + _norm(c)) if solvable else np.inf
-        return ConeSolution(
-            "infeasible", np.nan, np.nan, zero, np.zeros(b.shape[0]), zero,
-            np.inf, dres, np.inf, 0, 0, 0,
-        )
 
     def step(u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One over-relaxed ADMM step: T(u) for u = (v, w), its affine
@@ -697,17 +686,20 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     plateau_bumps = 0
     status = "max_iter"
     it = 0
+    if no_solution is not None:
+        # No iteration: the zero point, with the residuals of no solution.
+        status, max_iter = "infeasible", 0
+        zero = np.zeros(c.shape[0])
+        best = (zero, np.zeros(b.shape[0]), zero, np.inf, no_solution, np.inf, np.nan, np.nan, 0)
 
     for it in range(1, max_iter + 1):
-        f, z, mult = step(u, rho)
-        g = u - f
-        g_norm = math.sqrt(g @ g)
-        back = accel.safeguard(g_norm)
-        if back is not None:
+        back = u
+        while back is not None:  # a second step only when the safeguard rejects u
             u = back
             f, z, mult = step(u, rho)
             g = u - f
             g_norm = math.sqrt(g @ g)
+            back = accel.safeguard(g_norm)
         # Checks and the best iterate read the plain image T(u), never an
         # extrapolated point: v is in the cone and s = -rho w in its dual.
         v, w = f[:n], f[n:]

@@ -742,3 +742,11 @@ def test_dmax_rejects_a_non_psd_b_wherever_a_lies():
         for a in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
             with pytest.raises(DomainError):
                 dmax(herm(a), herm(b))
+
+
+def test_dmax_tests_both_arguments_by_one_psd_rule():
+    # diag(1, -5e-9) fails the 1e-9 PSD rule as either argument
+    nearly = herm(np.diag([1.0, -5e-9]))
+    for a, b in ((nearly, identity(2)), (identity(2), nearly)):
+        with pytest.raises(DomainError):
+            dmax(a, b)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd
+from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection
-from gnorm.errors import EmptySectionError, ShapeError, ValidationError
+from gnorm.errors import EmptySectionError, ShapeError, SolverError, ValidationError
 from gnorm.hermitian import (
     herm,
     hunvec_matrix,
@@ -387,6 +388,21 @@ def test_interior_element_is_scaled_identity_when_span_holds_it():
         b = interior_element(sec)
         expected = np.eye(d) / np.trace(normalizer.entries).real
         assert np.max(np.abs(b.entries - expected)) <= 1e-6
+
+
+def test_interior_point_comes_only_from_a_converged_solve(monkeypatch):
+    # a section is judged empty, restricted or faithful by its interior
+    # point, so a solve stopped at its iteration cap builds no section
+    rng = np.random.default_rng(12)
+    basis = [rand_psd(rng, 3) for _ in range(5)]
+    real_solve = solver.solve
+    monkeypatch.setattr(
+        solver, "solve", lambda program, tol, max_iter=3: real_solve(program, tol, max_iter=3)
+    )
+    with pytest.raises(SolverError, match="interior point"):
+        custom_section(basis, identity(3))
+    monkeypatch.undo()
+    assert not custom_section(basis, identity(3)).restricted
 
 
 def test_custom_auto_restriction():

@@ -24,6 +24,7 @@ from gnorm.hermitian import (
     hvec,
     identity,
     op_norm,
+    outer,
     partial_trace,
     tensor,
     trace_norm,
@@ -716,3 +717,24 @@ def test_free_objective_outside_range_stops_before_the_loop():
     assert sol.status == "infeasible" and sol.iterations == 0
     assert sol.dual_residual == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
     assert sol.primal_residual == math.inf
+
+
+def test_residual_balancing_raises_rho_when_the_primal_residual_lags(monkeypatch):
+    # Three random rows through a rank-one PSD point: at iteration 200 the
+    # primal residual exceeds ten times the dual one, so the penalty doubles.
+    # The acceleration memory is keyed by the penalty, which shows the change.
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 4))
+    b = a @ hvec(outer(rng.normal(size=2)))
+    prog = ConeProgram((Block(2, PSD),), rng.normal(size=4), a, b)
+    keys = []
+    next_point = solver._Anderson.next_point
+
+    def spy(self, g, f, key, g_norm):
+        keys.append(key)
+        return next_point(self, g, f, key, g_norm)
+
+    monkeypatch.setattr(solver._Anderson, "next_point", spy)
+    sol = solve(prog, tol=1e-10, max_iter=300)
+    assert sol.status == "max_iter"
+    assert keys[:199] == [1.0] * 199 and keys[199] == 2.0
