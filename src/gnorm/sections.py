@@ -132,13 +132,10 @@ class Section:
         return hunvec_matrix(vec, self.ambient_dim, self.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:
-        """hvec basis of the orthogonal complement of the span."""
-        got = self._cache.get("complement")
-        if got is None:
-            m = self.span_matrix()
-            got = _orthonormalize_columns(np.eye(m.shape[0]) - m @ m.T)
-            self._cache["complement"] = got
-        return got
+        """Orthonormal hvec basis of the span's orthogonal complement: the trailing
+        columns of one complete QR, copied so as not to keep the d^2 x d^2 Q alive."""
+        m = self.span_matrix()
+        return np.linalg.qr(m, mode="complete")[0][:, m.shape[1] :].copy()
 
     def compress(self, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL):
         """Map a caller-space matrix into the carrier space.
@@ -357,11 +354,6 @@ def _make_section(
             rank = v.shape[1]
             if rank == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
-            if rank == dim:
-                raise EmptySectionError(
-                    f"section {label!r} admits no positive-definite member and no "
-                    "proper support to restrict to"
-                )
             comp = embedding @ v if embedding is not None else v
             compressed = (hunvec(col, dim) for col in span_cols.T)
             return _make_section(
@@ -494,17 +486,18 @@ def full_slice_section(b: HermitianMatrix) -> Section:
 def dual_section(section: Section) -> Section:
     """All PSD matrices pairing to one with every member.
 
-    The span is the normalizer joined with the orthogonal complement of the
-    section's span; the returned section is normalized by the interior point
-    of the input, so duality applied twice reproduces the original
-    membership.
+    The span is the normalizer n joined with the orthogonal complement of the
+    span columns M: span{M p} (+) M-perp for p = M^T hvec(n), with the basis
+    [M p / |p| | ``complement_matrix()``], orthonormal as built.  Normalized by
+    the input's interior point, duality twice reproduces the original membership.
     """
     got = section._cache.get("dual")
     if got is not None:
         return got
-    cols = np.column_stack([hvec(section.normalizer), section.complement_matrix()])
+    m = section.span_matrix()
+    p = m.T @ hvec(section.normalizer)
     dual = _make_section(
-        _orthonormalize_columns(cols),
+        np.column_stack([m @ (p / np.linalg.norm(p)), section.complement_matrix()]),
         section.interior_point,
         f"dual({section.label})",
         subsystem_dims=section.subsystem_dims,

@@ -2,8 +2,9 @@
 sampling boundary against the bisection it replaced.
 
 Every closed form, validator and oracle reads one eigendecomposition per
-matrix; the counts below are np.linalg.eigh, eigvalsh and svd calls made by
-the second of two identical calls, so cached sections are warm.
+matrix, and a dual section reads its span off one QR; the counts below are
+np.linalg.eigh, eigvalsh, svd and qr calls made by the second of two
+identical calls, so cached sections are warm.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from gnorm.sections import (
 def decompositions(monkeypatch):
     """count(fn): calls fn twice and returns the decompositions the second call makes."""
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
         def counted(*args, _real=getattr(np.linalg, name), **kwargs):
             calls.append(1)
             return _real(*args, **kwargs)
@@ -65,6 +66,9 @@ CASES = {
     "generalized_section(states(2), 2)": (lambda: generalized_section(states_section(2), 2), 2),
     "custom_section, 2 matrices": (
         lambda: custom_section([identity(2), diag([1.0, -1.0])], identity(2)), 2
+    ),
+    "dual_section(generalized_section(states(2), 3))": (
+        lambda: dual_section(generalized_section(states_section(2), 3)), 5
     ),
 }
 

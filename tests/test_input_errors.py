@@ -1,14 +1,8 @@
 """Every malformed input of the library raises its own error type.
 
 One row per check that the rest of the suite does not reach, grouped by
-module: the call, the exception type and a fragment of its message.  One
-check cannot be reached: ``_make_section``'s "no proper support to restrict
-to".  It needs the smallest eigenvalue of the interior point b* to exceed
-1e-7 * scale while the converged max-min eigenvalue t* stays below
-1e-8 * scale, but t* is the largest smallest eigenvalue on the slice, so
-that would take a solve error above the 1e-8 tolerance the interior solve
-must meet.  The console script's own checks run in a subprocess; the CLI
-tests cover them.
+module: the call, the exception type and a fragment of its message.  The
+console script's own checks run in a subprocess; the CLI tests cover them.
 """
 
 import math

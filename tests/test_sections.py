@@ -249,6 +249,44 @@ def test_dual_of_channels_is_identity_tensor_states():
     assert not contains(dc, tensor(rand_density(rng, 2), rand_density(rng, 2)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: channels_section(3, 3),
+        lambda: comb_section((2, 2, 2, 2)),
+        lambda: custom_section(
+            [herm(np.diag([1.0, 0.0, 0.0])), herm(np.diag([0.0, 1.0, 0.0])),
+             herm(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))],
+            identity(3),
+        ),
+        lambda: states_section(3),
+        lambda: dual_section(channels_section(2, 2)),
+        lambda: custom_section([identity(2)], herm(np.diag([1.0, 0.0]))),
+        lambda: comb_section((2,) * 5),
+    ],
+    ids=[
+        "channels(3,3)", "comb(2,2,2,2)", "restricted", "states(3)",
+        "dual(channels(2,2))", "singular normalizer", "comb((2,)*5)",
+    ],
+)
+def test_complement_and_dual_span_are_exact(build):
+    sec = build()
+    m = sec.span_matrix()
+    n = sec.complement_matrix()
+    d2, k = m.shape
+    # [M | N] is orthogonal; N is a copy, not a view keeping the Q factor alive
+    assert n.shape == (d2, d2 - k)
+    assert n.base is None
+    q = np.hstack([m, n])
+    assert np.max(np.abs(q.T @ q - np.eye(d2))) <= 1e-12
+    # the dual span is orthonormal and equals span{M M^T n} (+) M-perp
+    dual = dual_section(sec).span_matrix()
+    assert np.max(np.abs(dual.T @ dual - np.eye(dual.shape[1]))) <= 1e-12
+    pn = m @ (m.T @ hvec(sec.normalizer))
+    want = np.eye(d2) - m @ m.T + np.outer(pn, pn) / (pn @ pn)
+    assert np.max(np.abs(dual @ dual.T - want)) <= 1e-12
+
+
 def test_duality_pairing_on_samples():
     rng = np.random.default_rng(4)
     sections = [
