@@ -87,15 +87,17 @@ step already holds (the dual residual by the affine step's first-order
 identity, Boyd et al., Found. Trends Mach. Learn. 3, 2011, section 3.3); an
 iterate that passes gets the full check, products by A and A^T included,
 which alone decides.  The full check also runs every ``CHECK_EVERY``
-iterations, and only those checks keep the best iterate and drive residual
-balancing and the plateau ladder, so the screen changes nothing but the
-iteration the run stops at.  The row reduction decides infeasibility: when
-A z = b has no solution, or no dual vector matches the free objective, the
-solve returns status "infeasible" without running an iteration.
-Balanced residuals that stop improving for ``PLATEAU_WINDOW`` iterations
-walk the penalty up a ladder of six bumps; a plateau after the last bump
-ends the run with the best iterate found and status "stagnated"
-(first-order methods carry no exact infeasibility certificates).
+iterations, and only those checks keep the best iterate and move the
+penalty, so the screen changes nothing but the iteration the run stops at.
+The row reduction decides infeasibility: when A z = b has no solution, or
+no dual vector matches the free objective, the solve returns status
+"infeasible" without running an iteration.  One rule moves the penalty, on
+a full check at least 200 iterations after its last change: residuals
+over a factor 10 apart halve or double it (residual balancing, Boyd et al.,
+section 3.4.1, within [1e-4, 1e4]); balanced residuals whose best has not
+improved by 0.1% in the last 200 iterations are a stall and multiply it by
+4.  The seventh stall ends the run with the best iterate found and status
+"stagnated" (first-order methods carry no exact infeasibility certificates).
 
 A solve is single-threaded and owns its iterate workspace; concurrent solves
 on independent programs are safe (the per-program caches are written once).
@@ -119,9 +121,7 @@ FREE = "free"
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 50000
 OVER_RELAXATION = 1.5
-PLATEAU_WINDOW = 1200
 CHECK_EVERY = 25
-RHO_ADAPT_EVERY = 100
 ANDERSON_MEMORY = 20
 ANDERSON_MAX_WEIGHT = 1e4
 ANDERSON_REGULARIZATION = 1e-10
@@ -278,9 +278,10 @@ class ConeSolution:
     multiplier y and ``dual_slack`` the per-block slack of c - A^T y.
     """
 
-    # optimal | max_iter (the iteration cap) | stagnated (a residual plateau
-    # after the last penalty ladder bump) | infeasible (A z = b has no
-    # solution, or no dual vector matches the free objective; no iteration)
+    # optimal | max_iter (the iteration cap) | stagnated (the seventh stall:
+    # balanced residuals with no progress in 200 iterations) | infeasible
+    # (A z = b has no solution, or no dual vector matches the free
+    # objective; no iteration)
     status: str
     primal_value: float
     dual_value: float
@@ -630,8 +631,8 @@ def solve(
     Deterministic for fixed inputs.  Returns the best iterate seen;
     ``status`` is "optimal" only if all residuals and the gap met ``tol``.
     ``max_iter`` must be at least 1 and ``tol`` finite and non-negative
-    (``tol`` = 0 never stops early: the run ends at ``max_iter`` or on a
-    plateau).
+    (``tol`` = 0 never stops early: the run ends at ``max_iter`` or on its
+    seventh stall).
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
@@ -683,7 +684,7 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     best_res = np.inf
     best_res_iter = 0
     last_rho_change = 0
-    plateau_bumps = 0
+    stalls = 0
     status = "max_iter"
     it = 0
     if no_solution is not None:
@@ -722,7 +723,7 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
             dres = _norm(c - rows.adjoint(y) - s) / c_scale
             res = max(pres, dres, gap)
             # A screened iterate the check refuses is dropped: the best
-            # iterate and the plateau clock move on the cadence alone.
+            # iterate and the stall clock move on the cadence alone.
             if res <= tol or (on_cadence and res < best_res):
                 best = (point, y, s, pres, dres, gap, pobj, dobj, it)
             if res <= tol:
@@ -734,23 +735,20 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
             best_res = min(best_res, res)
             # Residual balancing: a lopsided primal/dual residual ratio means
             # the penalty is off; rescaling it (and the scaled dual w with it)
-            # does not touch the affine projection.
-            if it % RHO_ADAPT_EVERY == 0 and it - last_rho_change >= 200:
+            # does not touch the affine projection.  Balanced residuals with
+            # no progress in 200 iterations are a stall; the seventh ends it.
+            if it - last_rho_change >= 200:
                 new_rho = rho
                 if dres > 10.0 * pres and rho > 1e-4:
                     new_rho = rho / 2.0
                 elif pres > 10.0 * dres and rho < 1e4:
                     new_rho = rho * 2.0
-                elif it - max(best_res_iter, last_rho_change) >= PLATEAU_WINDOW:
-                    # Balanced residuals that stopped improving: walk the
-                    # penalty up an exploration ladder (wrapping around).
-                    # The ladder has six rungs; a plateau after the last
-                    # one ends the run.
-                    if plateau_bumps == 6:
+                elif it - best_res_iter >= 200:
+                    if stalls == 6:
                         status = "stagnated"
                         break
-                    new_rho = rho * 4.0 if rho < 1e3 else 1e-2
-                    plateau_bumps += 1
+                    new_rho = rho * 4.0
+                    stalls += 1
                 if new_rho != rho:
                     # w (and the w-part of g = u - T(u)) follows the
                     # penalty; the new key restarts the acceleration memory,

@@ -278,6 +278,25 @@ def test_bayes_error_symmetry():
         assert e1 == pytest.approx(e2, abs=1e-6)
 
 
+def rand_channel(rng, d_in, d_out):
+    n_kraus = int(rng.integers(1, d_in * d_out + 1))
+    g = rng.normal(size=(d_out * n_kraus, d_in)) + 1j * rng.normal(size=(d_out * n_kraus, d_in))
+    q, _ = np.linalg.qr(g)
+    return kraus_channel([q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus)]).matrix
+
+
+def test_bayes_error_escapes_a_balanced_stall():
+    # At this prior the residuals sit balanced, with no progress after
+    # iteration 50; stalls at 250 and 450 raise the penalty (603 iterations).
+    rng = np.random.default_rng([0, 1])
+    ch3 = channels_section(3, 3)
+    b0, b1 = rand_channel(rng, 3, 3), rand_channel(rng, 3, 3)
+    _, _, res = bayes_error(ch3, b0, b1, 0.8, tol=1e-7)
+    assert res.status == "optimal"
+    assert abs(res.value - 0.7961722) <= 1e-6
+    assert res.iterations < 1000
+
+
 def test_helstrom_matches_bayes_error():
     rng = np.random.default_rng(10)
     for _ in range(5):
