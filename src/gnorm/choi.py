@@ -119,14 +119,12 @@ def choi_matrix(x, name: str = "Choi matrix") -> HermitianMatrix:
 
 
 def apply_choi(x: ChoiMatrix | HermitianMatrix, a: HermitianMatrix) -> HermitianMatrix:
-    """Phi_X(a) = Tr_H[(I_K (x) a^T) X]."""
+    """Phi_X(a) = Tr_H[(I_K (x) a^T) X]: :func:`apply_choi_tensor_id` with L = 1."""
     xm = choi_matrix(x)
-    dK, dH = xm.subsystem_dims
+    dH = xm.subsystem_dims[1]
     if a.dim != dH:
         raise ShapeError(f"input dim {a.dim} does not match Choi input dim {dH}")
-    t = xm.entries.reshape(dK, dH, dK, dH)
-    out = np.einsum("kilj,ji->kl", t, a.entries.T)
-    return HermitianMatrix(out)
+    return HermitianMatrix(apply_choi_tensor_id(xm, 1, a).entries)
 
 
 def apply_choi_tensor_id(

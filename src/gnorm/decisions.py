@@ -429,7 +429,7 @@ def certify_optimal(
     q = norm.primal_witness
     big_q = tensor(identity(n_d), q)
     slack = float(np.linalg.norm((big_q.entries - xi.entries) @ xt.entries))
-    w_min = float(eig(big_q - xi).eigenvalues[-1])
+    w_min = float(eigenvalues(big_q - xi)[-1])
     gap = norm.value - payoff
     return Certificate(
         feasible=bool(gap <= tol * max(1.0, abs(payoff))),

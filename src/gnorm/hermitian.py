@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -321,29 +322,25 @@ def transpose_in_basis(x: HermitianMatrix) -> HermitianMatrix:
 
 # -- real parametrization ----------------------------------------------------
 
-_LAYOUT_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
 _SQRT2 = math.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
 def _hvec_layout(d: int) -> tuple[np.ndarray, ...]:
     """For a d x d matrix: the float-view positions and scales of the hvec
     coordinates (read by hvec) and, for every float-view entry, the hvec
     coordinate it is rebuilt from and its coefficient (read by hunvec)."""
-    got = _LAYOUT_CACHE.get(d)
-    if got is None:
-        iu, ju = np.triu_indices(d, k=1)
-        up, low = 2 * (iu * d + ju), 2 * (ju * d + iu)
-        take = np.concatenate([2 * (d + 1) * np.arange(d), up, up + 1])
-        scale = np.concatenate([np.ones(d), np.full(2 * up.shape[0], _SQRT2)])
-        src = np.zeros(2 * d * d, dtype=np.intp)
-        coef = np.zeros(2 * d * d)  # the diagonal's imaginary parts stay zero
-        src[take] = np.arange(d * d)
-        coef[take] = 1.0 / scale
-        src[low], src[low + 1] = src[up], src[up + 1]
-        coef[low], coef[low + 1] = coef[up], -coef[up + 1]
-        got = (take, scale, src, coef)
-        _LAYOUT_CACHE[d] = got
-    return got
+    iu, ju = np.triu_indices(d, k=1)
+    up, low = 2 * (iu * d + ju), 2 * (ju * d + iu)
+    take = np.concatenate([2 * (d + 1) * np.arange(d), up, up + 1])
+    scale = np.concatenate([np.ones(d), np.full(2 * up.shape[0], _SQRT2)])
+    src = np.zeros(2 * d * d, dtype=np.intp)
+    coef = np.zeros(2 * d * d)  # the diagonal's imaginary parts stay zero
+    src[take] = np.arange(d * d)
+    coef[take] = 1.0 / scale
+    src[low], src[low + 1] = src[up], src[up + 1]
+    coef[low], coef[low + 1] = coef[up], -coef[up + 1]
+    return take, scale, src, coef
 
 
 def hvec(x: HermitianMatrix | np.ndarray) -> np.ndarray:
@@ -368,6 +365,14 @@ def hunvec(v: np.ndarray, d: int) -> np.ndarray:
 
 def hunvec_matrix(v: np.ndarray, d: int, dims=()) -> HermitianMatrix:
     return HermitianMatrix(hunvec(v, d), tuple(dims))
+
+
+def _transpose_columns(cols: np.ndarray, d: int) -> np.ndarray:
+    """hvec columns of the entrywise transposes: an isometry that flips the
+    sign of the imaginary hvec coordinates."""
+    out = cols.copy()
+    out[d + d * (d - 1) // 2 :] *= -1.0
+    return out
 
 
 # -- JSON wire format --------------------------------------------------------

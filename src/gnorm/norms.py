@@ -236,7 +236,7 @@ def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: 
     if xc is None:
         return _closed_form(INF, None, None, "unsupported"), None
     if psd and not psd_check(xc, 1e-8):
-        raise DomainError("base_norm_psd needs a PSD input")
+        raise DomainError("this norm needs PSD input")
     if frobenius_norm(xc) == 0.0:
         d, half = section.ambient_dim, section.lift(section.normalizer / 2.0)
         return _closed_form(0.0, section.lift(herm(np.zeros((d, d)))), (half, half)), None
@@ -348,15 +348,16 @@ def hmin(
 ) -> float:
     """Conditional min-entropy of K given H for PSD sigma on K (x) H.
 
-    Computed as -log2 of the order-unit norm over {I_K (x) rho}: the dual of
-    the channel-section norm applied to sigma.  Returns +inf for sigma = 0
-    (-log2 0, the mirror of :func:`dmax`'s -inf).
+    Computed as -log2 of the order-unit norm over {I_K (x) rho}, which on
+    PSD sigma is the one-block program min { Tr tau : I_K (x) tau >= sigma }:
+    :func:`base_norm_psd` over the dual of the channel section, which also
+    checks that sigma is PSD.  Returns +inf for sigma = 0 (-log2 0, the
+    mirror of :func:`dmax`'s -inf).
     """
     sigma = choi_matrix(sigma, "hmin's sigma")
-    if not psd_check(sigma, 1e-8):
-        raise DomainError("hmin needs a PSD matrix")
     d_out, d_in = sigma.subsystem_dims
-    res = dual_base_norm(channels_section(d_in, d_out), sigma, tol=tol, max_iter=max_iter)
+    dual = dual_section(channels_section(d_in, d_out))
+    res = base_norm_psd(dual, sigma, tol=tol, max_iter=max_iter)
     return -math.log2(res.value) if res.value > 0.0 else INF
 
 
@@ -399,15 +400,17 @@ def certify_extremal_psd(
     :func:`base_norm_psd` result, which decides ``feasible`` by the gap.  A
     dual candidate y0 falls short by value - Tr(a y0), with the norm's q as
     witness (every dual element pairs with q as n does); a member b0
-    overshoots by t - value, t the least scale with a <= t b0.
+    overshoots by t - value, t the least scale with a <= t b0.  ``a`` is
+    checked once, by :func:`base_norm_psd`, after the carrier test and
+    before the candidate tests, so an input that is not PSD is a DomainError
+    whatever the candidate.
     """
     if (dual_candidate is None) == (member_candidate is None):
         raise ValidationError("pass exactly one of dual_candidate / member_candidate")
     ac = section.compress(a)
     if ac is None:
         raise ValidationError("input has weight outside the section's carrier space")
-    if not psd_check(ac, 1e-8):
-        raise DomainError("certify_extremal_psd needs PSD input")
+    norm = base_norm_psd(section, a, tol=solve_tol, max_iter=max_iter)
     check_tol = max(1e-6, 10 * tol)
     if dual_candidate is not None:
         if not contains(dual_section(section), dual_candidate, check_tol):
@@ -415,7 +418,6 @@ def certify_extremal_psd(
     elif not contains(section, member_candidate, check_tol):
         raise ValidationError("member candidate is not a member of the section")
 
-    norm = base_norm_psd(section, a, tol=solve_tol, max_iter=max_iter)
     if dual_candidate is not None:
         y0 = section.compress(dual_candidate, check_tol)
         q = section.compress(norm.primal_witness)

@@ -40,6 +40,7 @@ from .hermitian import (
     HermitianMatrix,
     _psd_values,
     _support_columns,
+    _transpose_columns,
     eig,
     eigenvalues,
     frobenius_norm,
@@ -196,14 +197,6 @@ def _kron_columns(left: np.ndarray, d_left: int, right: np.ndarray, d_right: int
     for i, col in enumerate(left.T):
         prod = np.einsum("ik,bjl->bijkl", hunvec(col, d_left), rights).reshape(k, d, d)
         out[:, i * k : (i + 1) * k] = hvec(prod).T
-    return out
-
-
-def _transpose_columns(cols: np.ndarray, d: int) -> np.ndarray:
-    """hvec columns of the entrywise transposes: an isometry that flips the
-    sign of the imaginary hvec coordinates."""
-    out = cols.copy()
-    out[d + d * (d - 1) // 2 :] *= -1.0
     return out
 
 

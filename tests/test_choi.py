@@ -99,6 +99,23 @@ def test_apply_choi_dimension_mismatch():
         apply_choi(x, identity(3))
 
 
+def test_apply_choi_is_the_ancilla_free_contraction_bit_for_bit():
+    # apply_choi reads Phi_X(a) off apply_choi_tensor_id with a one-dimensional
+    # ancilla; on random channels that equals the direct contraction
+    # Tr_H[(I_K (x) a^T) X] bit for bit, and carries no subsystem dims
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        d_in, d_out = (int(v) for v in rng.integers(1, 5, size=2))
+        x = kraus_channel(rand_kraus_channel(rng, d_in, d_out, d_in))
+        a = rand_herm(rng, d_in)
+        t = x.matrix.entries.reshape(d_out, d_in, d_out, d_in)
+        direct = herm(np.einsum("kilj,ji->kl", t, a.entries.T))
+        out = apply_choi(x, a)
+        assert out.subsystem_dims == ()
+        assert np.array_equal(out.entries, direct.entries)
+        assert np.array_equal(out.entries, apply_choi_tensor_id(x, 1, a).entries)
+
+
 def test_apply_choi_tensor_id_identity():
     rng = np.random.default_rng(11)
     sigma = rand_herm(rng, 4, dims=(2, 2))

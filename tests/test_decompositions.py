@@ -4,16 +4,19 @@ sampling boundary against the bisection it replaced.
 Every closed form, validator and oracle reads one eigendecomposition per
 matrix, and a dual section reads its span off one QR; the counts below are
 np.linalg.eigh, eigvalsh, svd and qr calls made by the second of two
-identical calls, so cached sections are warm.
+identical calls, so cached sections are warm.  A PSD-input norm checks its
+input once, however it is reached.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from gnorm import oracles
 from gnorm.decisions import helstrom, quantum_problem
-from gnorm.hermitian import diag, herm, identity, pinv_sqrt
-from gnorm.norms import base_norm, dmax
+from gnorm.hermitian import diag, herm, identity, pinv_sqrt, tensor
+from gnorm.norms import base_norm, base_norm_psd, certify_extremal_psd, dmax, hmin
 from gnorm.sections import (
     channels_section,
     comb_section,
@@ -51,6 +54,16 @@ B3 = herm([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
 RHO0 = herm([[0.7, 0.2], [0.2, 0.3]])
 RHO1 = herm([[0.5, -0.5j], [0.5j, 0.5]])
 W = herm([[0.9, 0.1], [0.1, 0.2]])
+SIGMA = tensor(RHO0, RHO1).with_dims((2, 2))
+
+
+@functools.cache
+def channels_optimizers():
+    """A dual and a member optimizer of the PSD norm of SIGMA over
+    channels(2,2), solved on the first (uncounted) call."""
+    res = base_norm_psd(channels_section(2, 2), SIGMA, tol=1e-9)
+    return res.dual_witness[0], res.primal_witness / res.value
+
 
 CASES = {
     "sample_section(channels(2,2), 40)": (
@@ -70,6 +83,21 @@ CASES = {
     "dual_section(generalized_section(states(2), 3))": (
         lambda: dual_section(generalized_section(states_section(2), 3)), 5
     ),
+    # base_norm_psd decomposes the PSD input once, for the input rule
+    "certify_extremal_psd(channels(2,2)), dual candidate": (
+        lambda: certify_extremal_psd(
+            channels_section(2, 2), SIGMA, dual_candidate=channels_optimizers()[0]
+        ), 2
+    ),
+    "certify_extremal_psd(channels(2,2)), member candidate": (
+        lambda: certify_extremal_psd(
+            channels_section(2, 2), SIGMA, member_candidate=channels_optimizers()[1]
+        ), 4
+    ),
+    "certify_extremal_psd(states(2)), dual candidate": (
+        lambda: certify_extremal_psd(states_section(2), RHO0, dual_candidate=identity(2)), 4
+    ),
+    "hmin": (lambda: hmin(SIGMA), 1),
 }
 
 

@@ -391,6 +391,24 @@ def test_hmin_of_zero_is_infinite():
     assert hmin(herm(np.zeros((4, 4)), (2, 2))) == math.inf
 
 
+def test_hmin_solves_one_psd_block(monkeypatch):
+    # hmin is the PSD-input norm over the dual channel section: each solve
+    # states I_K (x) tau >= sigma once, with no second block for -sigma
+    programs = []
+    real_solve = solver.solve
+
+    def recorded(program, *args, **kwargs):
+        programs.append(program)
+        return real_solve(program, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", recorded)
+    rng = np.random.default_rng(81)
+    for d_k, d_h in ((2, 2), (3, 2), (2, 3)):
+        hmin(rand_density(rng, d_k * d_h, dims=(d_k, d_h)), tol=1e-7)
+    assert len(programs) == 3
+    assert all(len(p.lifts) == 1 for p in programs)
+
+
 def test_ncomb_norm_examples():
     psi = herm(max_entangled_projection(2).entries, (2, 2))
     member = tensor(psi, psi)
@@ -599,6 +617,17 @@ def test_certify_extremal_reads_the_norm_solve():
     assert np.array_equal(cert.witness_q.entries, res.primal_witness.entries)
     member = res.primal_witness / res.value
     assert certify_extremal_psd(c, a, member_candidate=member, solve_tol=1e-9).norm_value == res.value
+
+
+def test_certify_extremal_rejects_input_before_the_candidate():
+    # base_norm_psd checks a before the candidate tests: an a that is not
+    # PSD is a DomainError even with a candidate outside the dual section
+    c = channels_section(2, 2)
+    a = herm(np.diag([1.0, -1.0, 0.5, 0.5]), (2, 2))
+    outside = -identity((2, 2))
+    assert not contains(dual_section(c), outside)
+    with pytest.raises(DomainError, match="needs PSD input"):
+        certify_extremal_psd(c, a, dual_candidate=outside)
 
 
 def test_certify_extremal_closed_forms_need_no_solve(monkeypatch):
