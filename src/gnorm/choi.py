@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ShapeError
 from .hermitian import (
     HermitianMatrix,
+    as_dim,
     complex_from_json,
     complex_to_json,
     identity,
@@ -79,7 +80,8 @@ class KrausMap:
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
-    """Unnormalized |psi> = sum_i |i>|i>, norm^2 = d."""
+    """Unnormalized |psi> = sum_i |i>|i>, norm^2 = d (:func:`~gnorm.hermitian.as_dim`)."""
+    d = as_dim(d, "dimension d")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0
     return v
@@ -120,11 +122,7 @@ def choi_matrix(x, name: str = "Choi matrix") -> HermitianMatrix:
 
 def apply_choi(x: ChoiMatrix | HermitianMatrix, a: HermitianMatrix) -> HermitianMatrix:
     """Phi_X(a) = Tr_H[(I_K (x) a^T) X]: :func:`apply_choi_tensor_id` with L = 1."""
-    xm = choi_matrix(x)
-    dH = xm.subsystem_dims[1]
-    if a.dim != dH:
-        raise ShapeError(f"input dim {a.dim} does not match Choi input dim {dH}")
-    return HermitianMatrix(apply_choi_tensor_id(xm, 1, a).entries)
+    return HermitianMatrix(apply_choi_tensor_id(x, 1, a).entries)
 
 
 def apply_choi_tensor_id(
@@ -135,12 +133,13 @@ def apply_choi_tensor_id(
     One contraction: entry ((k,a),(l,b)) is
     sum_ij X[(k,i),(l,j)] sigma[(i,a),(j,b)], the Choi formula of
     :func:`apply_choi` with the ancilla indices a, b carried along.
+    ``ancilla_dim`` is a dimension (:func:`~gnorm.hermitian.as_dim`).
     """
     xm = choi_matrix(x)
     dK, dH = xm.subsystem_dims
-    dL = int(ancilla_dim)
+    dL = as_dim(ancilla_dim, "ancilla_dim")
     if sigma.dim != dH * dL:
-        raise ShapeError(f"sigma dim {sigma.dim} does not match H*L = {dH * dL}")
+        raise ShapeError(f"input dim {sigma.dim} does not match H*L = {dH * dL}")
     t = xm.entries.reshape(dK, dH, dK, dH)
     s = sigma.entries.reshape(dH, dL, dH, dL)
     out = np.einsum("kilj,iajb->kalb", t, s).reshape(dK * dL, dK * dL)

@@ -27,6 +27,7 @@ from .choi import ChoiMatrix, choi_matrix, is_channel_choi
 from .errors import DomainError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
+    _pinv_sqrt,
     _psd_values,
     _support_columns,
     abs_pos_neg,
@@ -41,7 +42,6 @@ from .hermitian import (
     matrix_to_json,
     op_norm,
     partial_trace,
-    pinv_sqrt,
     psd_check,
     tensor,
     trace,
@@ -252,6 +252,11 @@ def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatri
     return out
 
 
+def _solved_povm(section: Section, effects, tol: float) -> GeneralizedPOVM:
+    """The measurement read off a solve at ``tol``: validated at max(1e-5, 100 tol)."""
+    return GeneralizedPOVM(section, tuple(effects), validation_tol=max(1e-5, 100 * tol))
+
+
 def _payoff_blocks(experiment, problem, context: str) -> tuple[HermitianMatrix, ...]:
     """The blocks of the payoff's majorant program: q >= xi_d, one block per
     outcome, for classical problems, and the one lifted I (x) q >= xi for
@@ -281,7 +286,7 @@ def max_payoff(
     blocks = _payoff_blocks(experiment, problem, "max_payoff")
     norm = majorant_norm(section, blocks, 1.0, tol, max_iter, f"max_payoff ({problem.kind})")
     if problem.kind == "classical":
-        povm = GeneralizedPOVM(section, norm.dual_witness, validation_tol=max(1e-5, 100 * tol))
+        povm = _solved_povm(section, norm.dual_witness, tol)
         return PayoffResult(norm.value, norm, povm_to_choi(povm), povm)
     return PayoffResult(norm.value, norm, transpose_in_basis(norm.dual_witness[0]), None)
 
@@ -328,9 +333,7 @@ def bayes_error(
             raise ValidationError(f"{name} is not a member of the section")
     res = base_norm(section, x, tol=tol, max_iter=max_iter)
     error = 0.5 * (1.0 - res.value)
-    y1, y2 = res.dual_witness
-    povm = GeneralizedPOVM(section, (y1, y2), validation_tol=max(1e-5, 100 * tol))
-    return error, povm, res
+    return error, _solved_povm(section, res.dual_witness, tol), res
 
 
 def multi_hypothesis_error(
@@ -443,9 +446,11 @@ def certify_optimal(
 
 def decompose_povm(povm: GeneralizedPOVM) -> tuple[HermitianMatrix, tuple[HermitianMatrix, ...]]:
     """Split a measurement into its dual-section total c and an ordinary
-    measurement on the support of c: M_d = c^(1/2) L_d c^(1/2)."""
+    measurement on the support P of c: c^(1/2) L_d c^(1/2) = P M_d P.  The
+    total was validated with the measurement: its eigenvalues at or below
+    the support cutoff, negative ones included, fall outside P."""
     c = povm.total()
-    r = pinv_sqrt(c)
+    r = _pinv_sqrt(eig(c), c.subsystem_dims)
     lams = tuple(
         herm(r.entries @ m.entries @ r.entries, m.subsystem_dims) for m in povm.effects
     )

@@ -17,6 +17,7 @@ Euclidean one; the conic solver and the section machinery are built on it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
@@ -32,6 +33,30 @@ STRICT_HERMITICITY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 
 
+def as_dim(value, name: str) -> int:
+    """The dimension rule: a dimension argument is an int, a numpy integer or
+    an integral float (never a bool or a string) of at least 1.  Returns it
+    as a Python int, else raises a ShapeError naming ``name``."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and value.is_integer())
+    if integral and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise ShapeError(f"{name} must be positive, an integer of at least one; got {value!r}")
+
+
+def as_dims(value, name: str) -> tuple[int, ...]:
+    """Any sequence (list, tuple or 1-d array) of dimensions by :func:`as_dim`'s
+    rule as a tuple of Python ints, else a ShapeError naming ``name``."""
+    if type(value) is tuple and all(type(d) is int and d > 0 for d in value):
+        return value  # the common case, checked as cheaply as int() converted it
+    try:
+        if isinstance(value, Sequence) or getattr(value, "ndim", 0) == 1:
+            return tuple(as_dim(d, name) for d in value)
+    except ShapeError:
+        pass
+    raise ShapeError(f"{name} must be positive, a list of integers of at least one; got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """An element of the real vector space of hermitian matrices.
@@ -41,7 +66,7 @@ class HermitianMatrix:
     ``STRICT_HERMITICITY_TOL`` (relative to the largest entry) raises
     instead.  ``subsystem_dims`` is an ordered tuple of factor dimensions
     whose product must equal ``dim``; the empty tuple means a single
-    unstructured system.
+    unstructured system; any sequence passing :func:`as_dims` is accepted.
     """
 
     entries: np.ndarray
@@ -65,13 +90,9 @@ class HermitianMatrix:
         arr = (arr + arr.conj().T) / 2
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        dims = tuple(int(d) for d in self.subsystem_dims)
-        if any(d < 1 for d in dims):
-            raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
+        dims = as_dims(self.subsystem_dims, "subsystem dims")
         if dims and math.prod(dims) != arr.shape[0]:
-            raise ShapeError(
-                f"product of subsystem dims {dims} does not match dim {arr.shape[0]}"
-            )
+            raise ShapeError(f"product of dims {dims} does not match dim {arr.shape[0]}")
         object.__setattr__(self, "subsystem_dims", dims)
 
     @property
@@ -84,7 +105,7 @@ class HermitianMatrix:
         return self.subsystem_dims if self.subsystem_dims else (self.dim,)
 
     def with_dims(self, subsystem_dims) -> HermitianMatrix:
-        return HermitianMatrix(self.entries, tuple(subsystem_dims))
+        return HermitianMatrix(self.entries, subsystem_dims)
 
     # -- arithmetic (real linear structure of the hermitian space) ----------
 
@@ -140,19 +161,27 @@ class Spectrum:
 
 
 def herm(data, dims=None, strict: bool = False) -> HermitianMatrix:
-    """Build a :class:`HermitianMatrix` from any array-like."""
+    """Build a :class:`HermitianMatrix` from any array-like; ``dims`` by :func:`as_dims`."""
     if isinstance(data, HermitianMatrix):
         return data.with_dims(dims) if dims is not None else data
-    return HermitianMatrix(np.asarray(data, dtype=complex), tuple(dims or ()), strict)
+    return HermitianMatrix(np.asarray(data, dtype=complex), () if dims is None else dims, strict)
+
+
+def _factor_dims(dims) -> tuple[int, ...]:
+    """The factor dims of one space given by one dimension or a sequence of them."""
+    seq = isinstance(dims, (Sequence, np.ndarray))
+    return as_dims(dims, "dims") if seq else (as_dim(dims, "dims"),)
 
 
 def identity(dims) -> HermitianMatrix:
-    dims = (dims,) if isinstance(dims, int) else tuple(dims)
+    """The identity on a space of dimension ``dims`` or on the product of a sequence of them."""
+    dims = _factor_dims(dims)
     return HermitianMatrix(np.eye(math.prod(dims)), dims if len(dims) > 1 else ())
 
 
 def zeros(dims) -> HermitianMatrix:
-    dims = (dims,) if isinstance(dims, int) else tuple(dims)
+    """The zero matrix on the space of :func:`identity`."""
+    dims = _factor_dims(dims)
     d = math.prod(dims)
     return HermitianMatrix(np.zeros((d, d)), dims if len(dims) > 1 else ())
 
@@ -276,12 +305,11 @@ def _sqrt_psd(s: Spectrum, dims: tuple[int, ...]) -> HermitianMatrix:
 def pinv_sqrt(x: HermitianMatrix) -> HermitianMatrix:
     """Pseudo-inverse square root: eigenvalues above the support cutoff are
     mapped to 1/sqrt, the rest to zero."""
-    return _pinv_sqrt(eig(x), x.subsystem_dims)
+    return _pinv_sqrt(_psd_spectrum(eig(x)), x.subsystem_dims)
 
 
 def _pinv_sqrt(s: Spectrum, dims: tuple[int, ...]) -> HermitianMatrix:
-    """:func:`pinv_sqrt` read off the eigendecomposition ``s``."""
-    s = _psd_spectrum(s)
+    """:func:`pinv_sqrt` read off the eigendecomposition ``s``, with no PSD test."""
     cutoff = _support_cutoff(s.eigenvalues)
     inv = np.where(s.eigenvalues > cutoff, 1.0 / np.sqrt(np.maximum(s.eigenvalues, cutoff)), 0.0)
     u = s.eigenvectors
@@ -364,7 +392,7 @@ def hunvec(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def hunvec_matrix(v: np.ndarray, d: int, dims=()) -> HermitianMatrix:
-    return HermitianMatrix(hunvec(v, d), tuple(dims))
+    return HermitianMatrix(hunvec(v, d), dims)
 
 
 def _transpose_columns(cols: np.ndarray, d: int) -> np.ndarray:
@@ -432,15 +460,12 @@ def json_floats(obj, key: str, where: str) -> np.ndarray:
 
 
 def json_dims(obj, where: str, least: int = 1) -> tuple[int, ...]:
-    """The field ``dims`` of ``obj``: at least ``least`` integers, else a
-    ShapeError naming ``where``."""
-    raw = json_list(obj, "dims", where)
-    integral = (type(d) is int or type(d) is float and d.is_integer() for d in raw)  # no bools
-    if not all(integral):
-        raise ShapeError(f"{where}: field 'dims' must be a list of integers, got {raw!r}")
-    if len(raw) < least:
-        raise ShapeError(f"{where}: field 'dims' needs at least {least} entries, got {raw!r}")
-    return tuple(int(d) for d in raw)
+    """The field ``dims`` of ``obj``: a list of at least ``least`` dimensions
+    (:func:`as_dims`), else a ShapeError naming ``where``."""
+    dims = as_dims(json_list(obj, "dims", where), f"{where}: field 'dims'")
+    if len(dims) < least:
+        raise ShapeError(f"{where}: field 'dims' needs at least {least} entries, got {list(dims)}")
+    return dims
 
 
 def matrix_from_json(obj, strict: bool = False) -> HermitianMatrix:

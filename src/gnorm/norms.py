@@ -36,8 +36,10 @@ from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
     _psd_spectrum,
+    _psd_values,
     _sqrt_psd,
     _support_columns,
+    as_dims,
     eig,
     frobenius_norm,
     herm,
@@ -99,27 +101,27 @@ def base_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
     return trace_norm(HermitianMatrix(r.entries @ x.entries @ r.entries))
 
 
-def _order_unit(b: HermitianMatrix, x: HermitianMatrix):
+def _order_unit(sb, x: HermitianMatrix):
     """(|b^(-1/2) x b^(-1/2)|, b^(-1/2), the spectrum of b^(-1/2) x b^(-1/2)),
-    or (+inf, None, None) when x leaks outside the support of b; DomainError
-    when b is not PSD, wherever x lies."""
-    if b.dim != x.dim:
-        raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
-    # one decomposition gives the PSD test, the support test and b^(-1/2)
-    sb = _psd_spectrum(eig(b))
+    or (+inf, None, None) when x leaks outside the support of b, all read
+    off the spectrum ``sb`` of b; the caller decides b's PSD rule."""
     u = _support_columns(sb)
     p = u @ u.conj().T
     leak = x.entries - p @ x.entries @ p
     if float(np.linalg.norm(leak)) > 1e-9 * (1.0 + frobenius_norm(x)):
         return INF, None, None
-    r = _pinv_sqrt(sb, b.subsystem_dims)
+    r = _pinv_sqrt(sb, ())
     s = eig(HermitianMatrix(r.entries @ x.entries @ r.entries))
     return float(np.max(np.abs(s.eigenvalues))), r, s
 
 
 def order_unit_norm_singleton(b: HermitianMatrix, x: HermitianMatrix) -> float:
-    """|b^(-1/2) x b^(-1/2)| on the support of b; +inf when x leaks outside."""
-    return _order_unit(b, x)[0]
+    """|b^(-1/2) x b^(-1/2)| on the support of b; +inf when x leaks outside.
+    DomainError when b is not PSD, wherever x lies."""
+    if b.dim != x.dim:
+        raise ShapeError(f"dimension mismatch: {b.dim} vs {x.dim}")
+    # one decomposition gives the PSD test, the support test and b^(-1/2)
+    return _order_unit(_psd_spectrum(eig(b)), x)[0]
 
 
 def dmax(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -127,7 +129,7 @@ def dmax(a: HermitianMatrix, b: HermitianMatrix) -> float:
 
     Returns -inf for a = 0 (every positive t works); DomainError unless a, b pass psd_check.
     """
-    if not psd_check(a, 1e-9):  # the PSD rule _order_unit applies to b
+    if not psd_check(a, 1e-9):  # the PSD rule order_unit_norm_singleton applies to b
         raise DomainError("dmax is defined for PSD arguments")
     t = order_unit_norm_singleton(b, a)
     if t == INF:
@@ -157,7 +159,7 @@ def _full_slice_norm(section: Section, x: HermitianMatrix) -> NormResult:
 def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
     # b is positive definite (the section's interior point): x never leaks
     b = section.interior_point
-    value, rinv, s = _order_unit(b, x)
+    value, rinv, s = _order_unit(eig(b), x)
     q = section.lift((value * b).with_dims(section.subsystem_dims))
     top = int(np.argmax(np.abs(s.eigenvalues)))
     u = s.eigenvectors[:, top : top + 1]
@@ -332,13 +334,10 @@ def ncomb_norm(
     """Network-section norm over the spaces H_0, ..., H_n (dims in that order).
 
     With an even count 2N of spaces this is the N-round network
-    distinguishability norm.
+    distinguishability norm.  ``dims`` is any sequence of dimensions.
     """
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if x.dim != total:
-        raise ShapeError(f"matrix dim {x.dim} != product of dims {dims}")
-    xm = x.with_dims(tuple(reversed(dims)))
+    dims = as_dims(dims, "network dims")
+    xm = x.with_dims(dims[::-1])
     return base_norm(comb_section(dims), xm, tol=tol, max_iter=max_iter)
 
 
@@ -403,7 +402,8 @@ def certify_extremal_psd(
     overshoots by t - value, t the least scale with a <= t b0.  ``a`` is
     checked once, by :func:`base_norm_psd`, after the carrier test and
     before the candidate tests, so an input that is not PSD is a DomainError
-    whatever the candidate.
+    whatever the candidate.  A member candidate's one spectrum decides its
+    PSD rule at ``check_tol``, as :func:`contains` would, and gives t.
     """
     if (dual_candidate is None) == (member_candidate is None):
         raise ValidationError("pass exactly one of dual_candidate / member_candidate")
@@ -415,10 +415,6 @@ def certify_extremal_psd(
     if dual_candidate is not None:
         if not contains(dual_section(section), dual_candidate, check_tol):
             raise ValidationError("dual candidate is not a member of the dual section")
-    elif not contains(section, member_candidate, check_tol):
-        raise ValidationError("member candidate is not a member of the section")
-
-    if dual_candidate is not None:
         y0 = section.compress(dual_candidate, check_tol)
         q = section.compress(norm.primal_witness)
         paired = trace_pair(ac, y0)
@@ -434,8 +430,11 @@ def certify_extremal_psd(
             norm_value=norm.value,
         )
 
-    b0 = section.compress(member_candidate, check_tol)
-    t_min = order_unit_norm_singleton(b0, ac)
+    b0 = section.slice_point(member_candidate, check_tol)
+    sb = None if b0 is None else eig(b0)
+    if sb is None or not _psd_values(sb.eigenvalues, check_tol):
+        raise ValidationError("member candidate is not a member of the section")
+    t_min = _order_unit(sb, ac)[0]
     if t_min == INF:
         return ExtremalCertificate(False, norm.primal_witness, None, INF, INF, INF, norm.value)
     y_star = section.compress(norm.dual_witness[0])

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .hermitian import (
     _psd_values,
     _support_columns,
     _transpose_columns,
+    as_dim,
+    as_dims,
     eig,
     eigenvalues,
     frobenius_norm,
@@ -154,6 +156,19 @@ class Section:
         xc = HermitianMatrix(v.conj().T @ x.entries @ v)
         back = v @ xc.entries @ v.conj().T
         if float(np.linalg.norm(x.entries - back)) > tol * (1.0 + frobenius_norm(x)):
+            return None
+        return xc
+
+    def slice_point(self, x: HermitianMatrix, tol: float) -> HermitianMatrix | None:
+        """:meth:`compress` of ``x`` when it passes every test of
+        :func:`contains` but the PSD test, else None."""
+        xc = self.compress(x, tol)
+        if xc is None:
+            return None
+        scale = 1.0 + frobenius_norm(xc)
+        if _span_residual(self.span_matrix(), xc) > tol * scale:
+            return None
+        if abs(trace_pair(xc, self.normalizer) - 1.0) > tol * scale:
             return None
         return xc
 
@@ -397,25 +412,28 @@ def require_faithful(section: Section, what: str) -> None:
 
 def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Span membership + unit pairing with the normalizer + PSD, all within tol."""
-    xc = section.compress(x, tol)
-    if xc is None:
-        return False
-    scale = 1.0 + frobenius_norm(xc)
-    if _span_residual(section.span_matrix(), xc) > tol * scale:
-        return False
-    if abs(trace_pair(xc, section.normalizer) - 1.0) > tol * scale:
-        return False
-    return psd_check(xc, tol)
+    xc = section.slice_point(x, tol)
+    return xc is not None and psd_check(xc, tol)
 
 
 # -- concrete families ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _cached_after(check):
+    """The builder behind an ``lru_cache`` keyed on what ``check`` makes of the
+    arguments: the dimension rule runs first.  ``__wrapped__`` is the builder."""
+
+    def decorate(build):
+        cached = functools.lru_cache(maxsize=None)(build)
+        return functools.wraps(build)(lambda *args, **kw: cached(*check(*args, **kw)))
+
+    return decorate
+
+
+@_cached_after(lambda d: (as_dim(d, "dimension d"),))
 def states_section(d: int) -> Section:
-    """All density matrices on a d-dimensional space: the full slice through I."""
-    if d < 1:
-        raise ShapeError("dimension must be positive")
+    """All density matrices on a d-dimensional space: the full slice through I.
+    ``d`` is a dimension (:func:`~gnorm.hermitian.as_dim`)."""
     return dataclasses.replace(
         full_slice_section(identity(d)),
         label=f"states({d})",
@@ -554,10 +572,9 @@ def generalized_section(section: Section, dim_out: int) -> Section:
     transposed dual basis, both exact Kronecker products of orthonormal
     bases.  The normalizer is I_K (x) b0^T for the interior member b0, and
     I_K/dim_out (x) n^T (n the dual interior point) is an interior point.
+    ``dim_out`` is a dimension (:func:`~gnorm.hermitian.as_dim`).
     """
-    if dim_out < 1:
-        raise ShapeError("output dimension must be positive")
-    dk = int(dim_out)
+    dk = as_dim(dim_out, "output dimension dim_out")
     # off-diagonal hvec coordinates are traceless already
     traceless = np.zeros((dk * dk, dk * dk - 1))
     traceless[:dk, : dk - 1] = _zero_sum_columns(dk)
@@ -565,9 +582,9 @@ def generalized_section(section: Section, dim_out: int) -> Section:
     return _marginal_section(section, traceless, dk, "generalized")
 
 
-@lru_cache(maxsize=None)
+@_cached_after(lambda dim_in, dim_out: (as_dim(dim_in, "dim_in"), as_dim(dim_out, "dim_out")))
 def channels_section(dim_in: int, dim_out: int) -> Section:
-    """Choi matrices of channels from H (dim_in) to K (dim_out)."""
+    """Choi matrices of channels from H (dim_in) to K (dim_out), two dimensions."""
     return dataclasses.replace(
         generalized_section(states_section(dim_in), dim_out),
         label=f"channels({dim_in},{dim_out})",
@@ -575,16 +592,15 @@ def channels_section(dim_in: int, dim_out: int) -> Section:
     )
 
 
-@lru_cache(maxsize=None)
+@_cached_after(lambda dims: (as_dims(dims, "comb dims"),))
 def comb_section(dims: tuple[int, ...]) -> Section:
     """Choi matrices of sequential networks over spaces H_0, ..., H_n.
 
-    Built recursively: the base case is the channel section for
-    (H_0, H_1); each further space wraps the previous section in
-    ``generalized_section``.
+    ``dims`` is any sequence of at least two dimensions.  Built recursively:
+    the base case is the channel section for (H_0, H_1); each further space
+    wraps the previous section in ``generalized_section``.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
+    if len(dims) < 2:
         raise ShapeError(f"comb_section needs at least two positive dims, got {dims}")
     sec = channels_section(dims[0], dims[1])
     for d in dims[2:]:
@@ -601,20 +617,18 @@ def povm_section(section: Section, outcomes: int) -> Section:
 
     The span is (traceless diagonal on D) (x) Herm(H) plus
     I_D/sqrt(outcomes) (x) (dual span)^T, exact Kronecker products of
-    orthonormal bases.
+    orthonormal bases.  ``outcomes`` is a dimension.
     """
-    if outcomes < 1:
-        raise ShapeError("need at least one outcome")
-    n_d = int(outcomes)
+    n_d = as_dim(outcomes, "outcomes")
     traceless = np.zeros((n_d * n_d, n_d - 1))
     traceless[:n_d] = _zero_sum_columns(n_d)
     return _marginal_section(section, traceless, n_d, "povm")
 
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
-    """The section {I_d (x) b : b in B} on the enlarged space."""
+    """The section {I_d (x) b : b in B} on the enlarged space; d = ``d_left``, a dimension."""
+    d = as_dim(d_left, "d_left")
     require_faithful(section, "id_tensor_section")
-    d = int(d_left)
     eye = identity(d)
     return _make_section(
         _kron_columns(

@@ -113,7 +113,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NumericalError, ShapeError, SolverError
-from .hermitian import HermitianMatrix, _hvec_layout, hunvec
+from .hermitian import HermitianMatrix, _hvec_layout, as_dim, hunvec
 
 PSD = "psd"
 FREE = "free"
@@ -136,7 +136,7 @@ _solve1 = _umath_linalg.solve1
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One variable block: a PSD matrix of size ``dim`` or a free vector."""
+    """One variable block: a PSD matrix of size ``dim`` (a dimension) or a free vector."""
 
     dim: int
     cone: str = PSD
@@ -144,8 +144,7 @@ class Block:
     def __post_init__(self):
         if self.cone not in (PSD, FREE):
             raise ShapeError(f"unknown cone kind {self.cone!r}")
-        if self.dim < 1:
-            raise ShapeError("block dimension must be positive")
+        object.__setattr__(self, "dim", as_dim(self.dim, "block dimension"))
 
     @property
     def real_dim(self) -> int:
@@ -244,7 +243,7 @@ class MajorantProgram(_ProgramData):
         k = lifts[0].shape[1]
         dims = [math.isqrt(m.shape[0]) for m in lifts]
         for m, d in zip(lifts, dims):
-            if m.shape[1] != k or d < 1 or d * d != m.shape[0]:
+            if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
                 raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
         object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "blocks", tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),))

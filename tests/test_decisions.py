@@ -37,6 +37,7 @@ from gnorm.hermitian import (
 
     partial_trace,
     psd_check,
+    sqrt_psd,
     support_projection,
     tensor,
     trace,
@@ -511,6 +512,29 @@ def test_decompose_povm_tester_reconstruction():
         assert np.linalg.norm(recon.entries - m.entries) <= 1e-9 * (1 + np.linalg.norm(m.entries))
     total_lam = sum(lams)
     assert np.allclose(total_lam.entries, support_projection(c).entries, atol=1e-8)
+
+
+def test_decompose_povm_reads_rank_deficient_solver_totals():
+    """Bayes-optimal testers between random channels: the optimal inputs are
+    often rank deficient, so the solver-built total, validated at the
+    measurement's own tolerance, can have eigenvalues just below -1e-9.  Its
+    support still carries an ordinary measurement: c^(1/2) L_d c^(1/2) is
+    M_d compressed to the support P of c, and the L_d sum to P."""
+    rng = np.random.default_rng(1)
+    below = 0
+    for _ in range(60):
+        d = int(rng.integers(2, 4))
+        b0, b1 = rand_channel(rng, d, d), rand_channel(rng, d, d)
+        lam = rng.uniform(0.2, 0.8)
+        povm = bayes_error(channels_section(d, d), b0, b1, lam)[1]
+        below += not psd_check(povm.total(), 1e-9)
+        c, lams = decompose_povm(povm)
+        p = support_projection(c).entries
+        r = sqrt_psd(abs_pos_neg(c)[1]).entries
+        for m, lam_d in zip(povm.effects, lams):
+            assert np.max(np.abs(r @ lam_d.entries @ r - p @ m.entries @ p)) <= 1e-10
+        assert np.max(np.abs(sum(lams).entries - p)) <= 1e-6
+    assert below > 0
 
 
 def test_decompose_povm_single_outcome():

@@ -92,7 +92,7 @@ CASES = {
     "certify_extremal_psd(channels(2,2)), member candidate": (
         lambda: certify_extremal_psd(
             channels_section(2, 2), SIGMA, member_candidate=channels_optimizers()[1]
-        ), 4
+        ), 3
     ),
     "certify_extremal_psd(states(2)), dual candidate": (
         lambda: certify_extremal_psd(states_section(2), RHO0, dual_candidate=identity(2)), 4

@@ -11,7 +11,10 @@ from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection, max_entangled_state
 from gnorm.errors import DomainError, ShapeError
 from gnorm.hermitian import (
+    eigenvalues,
     herm,
+    hunvec_matrix,
+    hvec,
     identity,
     op_norm,
     outer,
@@ -591,6 +594,36 @@ def test_certify_extremal_rejects_suboptimal_member():
     assert not bad.feasible
     assert bad.scale_t == pytest.approx(4.0, abs=1e-8)
     assert bad.optimum_gap == pytest.approx(3.0, abs=1e-5)
+
+
+def test_certify_extremal_member_at_its_own_membership_tolerance():
+    """A member candidate is judged by contains at the certificate's check
+    tolerance (1e-5 here), not again by the 1e-9 PSD rule of the order-unit
+    norm: one just outside the PSD cone gets a certificate."""
+    c = channels_section(2, 2)
+    a = herm(np.diag([1.0, 0.5, 0.2, 0.1]), (2, 2))
+    res = base_norm_psd(c, a)
+    b0 = res.primal_witness / res.value
+    m = c.span_matrix()
+    p = m.T @ hvec(c.normalizer)
+    z = np.random.default_rng(0).normal(size=m.shape[1])
+    tangent = hunvec_matrix(m @ (z - (z @ p) / (p @ p) * p), 4, (2, 2))  # keeps Tr(b n) = 1
+
+    def low(t):
+        return eigenvalues(b0 + t * tangent)[-1]
+
+    lo, hi = 0.0, 1.0
+    while low(hi) > -1e-8:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if low(mid) < -1e-8 else (mid, hi)
+    member = b0 + hi * tangent
+    assert low(hi) == pytest.approx(-1e-8, abs=1e-12)
+    assert contains(c, member, 1e-5) and not psd_check(member, 1e-9)
+    cert = certify_extremal_psd(c, a, member_candidate=member)
+    # a is positive definite and leaks off the member's support: no finite scale
+    assert not cert.feasible and cert.scale_t == math.inf
 
 
 def test_certify_extremal_rejects_suboptimal_dual():
