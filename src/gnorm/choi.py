@@ -81,10 +81,7 @@ class KrausMap:
 
 def max_entangled_vector(d: int) -> np.ndarray:
     """Unnormalized |psi> = sum_i |i>|i>, norm^2 = d (:func:`~gnorm.hermitian.as_dim`)."""
-    d = as_dim(d, "dimension d")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0
-    return v
+    return np.eye(as_dim(d, "dimension d"), dtype=complex).reshape(-1)
 
 
 def max_entangled_projection(d: int) -> HermitianMatrix:
@@ -132,8 +129,7 @@ def apply_choi_tensor_id(
 
     One contraction: entry ((k,a),(l,b)) is
     sum_ij X[(k,i),(l,j)] sigma[(i,a),(j,b)], the Choi formula of
-    :func:`apply_choi` with the ancilla indices a, b carried along.
-    ``ancilla_dim`` is a dimension (:func:`~gnorm.hermitian.as_dim`).
+    :func:`apply_choi` with the ancilla indices a, b carried along; L = ``ancilla_dim``.
     """
     xm = choi_matrix(x)
     dK, dH = xm.subsystem_dims

@@ -446,9 +446,8 @@ def certify_optimal(
 
 def decompose_povm(povm: GeneralizedPOVM) -> tuple[HermitianMatrix, tuple[HermitianMatrix, ...]]:
     """Split a measurement into its dual-section total c and an ordinary
-    measurement on the support P of c: c^(1/2) L_d c^(1/2) = P M_d P.  The
-    total was validated with the measurement: its eigenvalues at or below
-    the support cutoff, negative ones included, fall outside P."""
+    measurement on the support P of c: c^(1/2) L_d c^(1/2) = P M_d P.  c was
+    validated with the measurement, so eigenvalues at the cutoff or below leave P."""
     c = povm.total()
     r = _pinv_sqrt(eig(c), c.subsystem_dims)
     lams = tuple(

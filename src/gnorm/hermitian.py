@@ -33,28 +33,25 @@ STRICT_HERMITICITY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 
 
-def as_dim(value, name: str) -> int:
-    """The dimension rule: a dimension argument is an int, a numpy integer or
-    an integral float (never a bool or a string) of at least 1.  Returns it
-    as a Python int, else raises a ShapeError naming ``name``."""
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and value.is_integer())
-    if integral and not isinstance(value, bool) and value >= 1:
-        return int(value)
-    raise ShapeError(f"{name} must be positive, an integer of at least one; got {value!r}")
-
-
 def as_dims(value, name: str) -> tuple[int, ...]:
-    """Any sequence (list, tuple or 1-d array) of dimensions by :func:`as_dim`'s
-    rule as a tuple of Python ints, else a ShapeError naming ``name``."""
-    if type(value) is tuple and all(type(d) is int and d > 0 for d in value):
-        return value  # the common case, checked as cheaply as int() converted it
-    try:
-        if isinstance(value, Sequence) or getattr(value, "ndim", 0) == 1:
-            return tuple(as_dim(d, name) for d in value)
-    except ShapeError:
-        pass
-    raise ShapeError(f"{name} must be positive, a list of integers of at least one; got {value!r}")
+    """The dimension rule.  A dims argument is a sequence (list, tuple or 1-d
+    array, never a string) of dimensions, and a dimension is an int, a numpy
+    integer or an integral float, never a bool, of at least 1.  Returns the
+    dims as Python ints, else raises a ShapeError naming ``name``."""
+    # tuple and list first: the Sequence ABC check costs more than the rest
+    seq = isinstance(value, (tuple, list, Sequence)) and not isinstance(value, (str, bytes))
+    if (seq or getattr(value, "ndim", 0) == 1) and all(
+        (type(d) is int or isinstance(d, np.integer)  # type(True) is bool
+         or isinstance(d, (float, np.floating)) and d.is_integer()) and d >= 1
+        for d in value
+    ):
+        return tuple(map(int, value))
+    raise ShapeError(f"{name} must be positive: a list of integers of at least one; got {value!r}")
+
+
+def as_dim(value, name: str) -> int:
+    """One dimension by the rule of :func:`as_dims`, as a Python int."""
+    return as_dims((value,), name)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,23 +164,15 @@ def herm(data, dims=None, strict: bool = False) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(data, dtype=complex), () if dims is None else dims, strict)
 
 
-def _factor_dims(dims) -> tuple[int, ...]:
-    """The factor dims of one space given by one dimension or a sequence of them."""
-    seq = isinstance(dims, (Sequence, np.ndarray))
-    return as_dims(dims, "dims") if seq else (as_dim(dims, "dims"),)
-
-
 def identity(dims) -> HermitianMatrix:
     """The identity on a space of dimension ``dims`` or on the product of a sequence of them."""
-    dims = _factor_dims(dims)
+    dims = as_dims(dims if isinstance(dims, (Sequence, np.ndarray)) else (dims,), "dims")
     return HermitianMatrix(np.eye(math.prod(dims)), dims if len(dims) > 1 else ())
 
 
 def zeros(dims) -> HermitianMatrix:
     """The zero matrix on the space of :func:`identity`."""
-    dims = _factor_dims(dims)
-    d = math.prod(dims)
-    return HermitianMatrix(np.zeros((d, d)), dims if len(dims) > 1 else ())
+    return identity(dims) * 0.0
 
 
 def outer(vector, dims=None) -> HermitianMatrix:

@@ -3,7 +3,7 @@
 A *section* here is a set B = {x >= 0 : x in span, Tr(x n) = 1} described by
 an orthonormal (trace inner product) spanning basis of its linear hull
 together with a PSD normalizing matrix n that evaluates to one on every
-member.  Concrete families:
+member.  Concrete families (dimension arguments by :func:`~gnorm.hermitian.as_dims`):
 
 * all density matrices (``states_section``),
 * a single PSD matrix (``singleton_section``),
@@ -160,17 +160,12 @@ class Section:
         return xc
 
     def slice_point(self, x: HermitianMatrix, tol: float) -> HermitianMatrix | None:
-        """:meth:`compress` of ``x`` when it passes every test of
-        :func:`contains` but the PSD test, else None."""
+        """:meth:`compress` of ``x`` if it passes :func:`contains` but the PSD test, else None."""
         xc = self.compress(x, tol)
         if xc is None:
             return None
-        scale = 1.0 + frobenius_norm(xc)
-        if _span_residual(self.span_matrix(), xc) > tol * scale:
-            return None
-        if abs(trace_pair(xc, self.normalizer) - 1.0) > tol * scale:
-            return None
-        return xc
+        err = max(_span_residual(self.span_matrix(), xc), abs(trace_pair(xc, self.normalizer) - 1))
+        return xc if err <= tol * (1.0 + frobenius_norm(xc)) else None
 
     def lift(self, xc: HermitianMatrix) -> HermitianMatrix:
         """Map a carrier-space matrix back to the caller space."""
@@ -422,7 +417,6 @@ def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSH
 def _cached_after(check):
     """The builder behind an ``lru_cache`` keyed on what ``check`` makes of the
     arguments: the dimension rule runs first.  ``__wrapped__`` is the builder."""
-
     def decorate(build):
         cached = functools.lru_cache(maxsize=None)(build)
         return functools.wraps(build)(lambda *args, **kw: cached(*check(*args, **kw)))
@@ -432,8 +426,7 @@ def _cached_after(check):
 
 @_cached_after(lambda d: (as_dim(d, "dimension d"),))
 def states_section(d: int) -> Section:
-    """All density matrices on a d-dimensional space: the full slice through I.
-    ``d`` is a dimension (:func:`~gnorm.hermitian.as_dim`)."""
+    """All density matrices on a space of dimension d: the full slice through I."""
     return dataclasses.replace(
         full_slice_section(identity(d)),
         label=f"states({d})",
@@ -572,7 +565,6 @@ def generalized_section(section: Section, dim_out: int) -> Section:
     transposed dual basis, both exact Kronecker products of orthonormal
     bases.  The normalizer is I_K (x) b0^T for the interior member b0, and
     I_K/dim_out (x) n^T (n the dual interior point) is an interior point.
-    ``dim_out`` is a dimension (:func:`~gnorm.hermitian.as_dim`).
     """
     dk = as_dim(dim_out, "output dimension dim_out")
     # off-diagonal hvec coordinates are traceless already
@@ -694,8 +686,7 @@ def section_from_descriptor(obj) -> Section:
         # the slice through one positive-definite matrix (states is b = I)
         return full_slice_section(matrix_from_json(json_field(obj, "matrix", where)))
     if kind == "channels":
-        dims = json_dims(obj, where, least=2)
-        return channels_section(dims[0], dims[1])
+        return channels_section(*json_dims(obj, where, least=2)[:2])
     if kind == "combs":
         return comb_section(json_dims(obj, where))
     if kind == "generalized":

@@ -1,11 +1,11 @@
 """One rule for every dimension argument.
 
 A dimension is an int, a numpy integer or an integral float (never a bool
-or a string) of at least 1, and a dims argument is any sequence of them.
-Each entry that takes a dimension accepts every such spelling with
-identical results and rejects everything else with a ShapeError that names
-the argument; the cached section constructors apply the rule before their
-cache is consulted.
+or a string) of at least 1, and a dims argument is any sequence of them
+that is not a str or bytes.  Each entry that takes a dimension accepts
+every such spelling with identical results and rejects everything else
+with a ShapeError that names the argument; the cached section constructors
+apply the rule before their cache is consulted.
 """
 
 import os
@@ -103,6 +103,20 @@ def test_a_bad_dimension_is_a_shape_error_naming_its_argument(name, bad):
     call, sequence, fragment = ENTRIES[name]
     with pytest.raises(ShapeError) as info:
         call([bad, 2] if sequence else bad)
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["", "22", b"\x02\x02"], ids=repr)
+@pytest.mark.parametrize(
+    "name", [n for n, (_, seq, _) in ENTRIES.items() if seq and n != "json_dims"]
+)
+def test_a_string_is_never_dims(name, bad):
+    """A str or bytes is a sequence but never a dims argument, though
+    iterating it may yield nothing or valid-looking integers.  (JSON dims
+    arrive as lists; a string there fails json_list.)"""
+    call, _, fragment = ENTRIES[name]
+    with pytest.raises(ShapeError) as info:
+        call(bad)
     assert fragment in str(info.value)
 
 
