@@ -2,8 +2,8 @@
 
 Each subcommand reads JSON inputs, runs one computation and prints a
 machine-readable JSON report on stdout (full double precision); a one-line
-human summary goes to stderr.  Exit codes: 0 success, 1 input error,
-2 solver non-convergence, 3 infeasible or validation failure.
+human summary goes to stderr.  Exit codes: 0 success, 1 input or usage
+error, 2 solver non-convergence, 3 infeasible or validation failure.
 
 The default tolerance is 1e-7, overridable by the GNORM_DEFAULT_TOL
 environment variable and per-invocation by --tol; either must be finite and
@@ -38,7 +38,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .hermitian import json_field, json_list, matrix_from_json, matrix_to_json
+from .hermitian import as_count, as_tol, json_field, json_list, matrix_from_json, matrix_to_json
 from .norms import NormResult, base_norm, diamond_norm, dmax, dual_base_norm, hmin, ncomb_norm
 from .sections import section_from_descriptor
 
@@ -227,11 +227,16 @@ def _add_common(p, witness=True):
         p.add_argument("--witness-out", default=None, help="write optimizers to this JSON file")
 
 
+class _Parser(argparse.ArgumentParser):  # its subcommand parsers are _Parsers too
+    def error(self, message):  # a usage error is an input error (exit 1), not argparse's 2
+        raise ShapeError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged, so every :func:`main` call shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnorm",
         description="Base norms on sections of the PSD cone and their "
         "discrimination/decision applications.",
@@ -276,16 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "tol"):
-            if args.tol is None:
-                args.tol = _default_tol()
-            if not (math.isfinite(args.tol) and args.tol > 0.0):
-                raise DomainError(f"tol must be finite and positive, got {args.tol}")
-        if getattr(args, "max_iter", 1) < 1:
-            raise DomainError(f"max_iter must be at least 1, got {args.max_iter}")
+            args.tol = as_tol(_default_tol() if args.tol is None else args.tol, "tol")
+            if args.tol == 0.0:  # the CLI asks for a positive tolerance
+                raise DomainError("tol must be positive; got 0.0")
+        as_count(getattr(args, "max_iter", 1), "max_iter")
         return args.fn(args)
     except (ShapeError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -29,8 +29,10 @@ from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
     _psd_values,
+    _real,
     _support_columns,
     abs_pos_neg,
+    as_tol,
     eig,
     eigenvalues,
     herm,
@@ -65,10 +67,10 @@ PRIOR_TOL = 1e-12
 
 
 def prior_weighted(lam: float, a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
-    """lam a - (1 - lam) b; DomainError unless the prior lam lies in [0, 1]."""
+    """lam a - (1 - lam) b; DomainError unless the prior lam is real (:func:`_real`) in [0, 1]."""
+    if not (_real(lam) and 0.0 <= lam <= 1.0):
+        raise DomainError(f"prior must lie in [0, 1]; got {lam!r}")
     lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("prior must lie in [0, 1]")
     return lam * a - (1.0 - lam) * b
 
 
@@ -164,7 +166,8 @@ class GeneralizedPOVM:
         effs = tuple(self.effects)
         if not effs:
             raise ValidationError("a measurement needs at least one effect")
-        tol = self.validation_tol
+        tol = as_tol(self.validation_tol, "validation_tol")
+        object.__setattr__(self, "validation_tol", tol)
         for idx, m in enumerate(effs):
             if not psd_check(m, tol):
                 raise ValidationError(f"effect {idx} is not PSD within {tol:.0e}")
@@ -399,6 +402,7 @@ def certify_optimal(
     act on the section's dimension, it is PSD, and its transposed input
     marginal lies in the dual section; otherwise ValidationError.
     """
+    tol = as_tol(tol, "tol")
     section = experiment.section
     blocks = _payoff_blocks(experiment, problem, "certify_optimal")
     xi = _block_diagonal(blocks, section.dims_tuple()) if problem.kind == "classical" else blocks[0]
@@ -467,6 +471,7 @@ def max_entangled_tester_exists(
     from that multiple.  A zero difference counts as True by convention
     (every tester is then optimal).
     """
+    tol = as_tol(tol, "tol")
     m0, m1 = choi_matrix(x0, "x0"), choi_matrix(x1, "x1")
     for name, m in (("x0", m0), ("x1", m1)):
         if not is_channel_choi(m, 1e-6):

@@ -33,18 +33,23 @@ STRICT_HERMITICITY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 
 
+def _real(value) -> bool:
+    """The real-number test: an int, a float or a numpy one, never a bool or a string."""
+    return type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _integral(value) -> bool:
+    """The integer test: a real number (:func:`_real`) of integral value."""
+    return type(value) is int or _real(value) and float(value).is_integer()
+
+
 def as_dims(value, name: str) -> tuple[int, ...]:
     """The dimension rule.  A dims argument is a sequence (list, tuple or 1-d
-    array, never a string) of dimensions, and a dimension is an int, a numpy
-    integer or an integral float, never a bool, of at least 1.  Returns the
-    dims as Python ints, else raises a ShapeError naming ``name``."""
+    array, never a string) of dimensions: integers (:func:`_integral`) of at
+    least 1.  Returns them as ints, else raises a ShapeError naming ``name``."""
     # tuple and list first: the Sequence ABC check costs more than the rest
     seq = isinstance(value, (tuple, list, Sequence)) and not isinstance(value, (str, bytes))
-    if (seq or getattr(value, "ndim", 0) == 1) and all(
-        (type(d) is int or isinstance(d, np.integer)  # type(True) is bool
-         or isinstance(d, (float, np.floating)) and d.is_integer()) and d >= 1
-        for d in value
-    ):
+    if (seq or getattr(value, "ndim", 0) == 1) and all(_integral(d) and d >= 1 for d in value):
         return tuple(map(int, value))
     raise ShapeError(f"{name} must be positive: a list of integers of at least one; got {value!r}")
 
@@ -52,6 +57,20 @@ def as_dims(value, name: str) -> tuple[int, ...]:
 def as_dim(value, name: str) -> int:
     """One dimension by the rule of :func:`as_dims`, as a Python int."""
     return as_dims((value,), name)[0]
+
+
+def as_count(value, name: str, least: int = 1) -> int:
+    """The count rule: an integer (:func:`_integral`) of at least ``least``, as an int."""
+    if _integral(value) and value >= least:
+        return int(value)
+    raise DomainError(f"{name} must be an integer of at least {least}; got {value!r}")
+
+
+def as_tol(value, name: str) -> float:
+    """The tolerance rule: a finite, non-negative real number (:func:`_real`), as a float."""
+    if _real(value) and 0 <= value < math.inf:  # false for NaN
+        return float(value)
+    raise DomainError(f"{name} must be a finite, non-negative number; got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +248,8 @@ def op_norm(x: HermitianMatrix) -> float:
 
 
 def psd_check(x: HermitianMatrix, tol: float = 1e-9) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * (1 + op_norm(x))."""
-    return _psd_values(eigenvalues(x), tol)
+    """True iff the smallest eigenvalue is >= -tol * (1 + op_norm(x)), tol by :func:`as_tol`."""
+    return _psd_values(eigenvalues(x), as_tol(tol, "tol"))
 
 
 def _psd_values(w: np.ndarray, tol: float) -> bool:
@@ -321,10 +340,10 @@ def partial_trace(x: HermitianMatrix, subsystem_index: int) -> HermitianMatrix:
     dims = x.subsystem_dims
     if not dims:
         raise ShapeError("partial_trace requires subsystem_dims to be set")
-    n = len(dims)
-    k = int(subsystem_index)
-    if not 0 <= k < n:
-        raise ShapeError(f"subsystem index {k} out of range for {dims}")
+    n, k = len(dims), subsystem_index
+    if not (_integral(k) and 0 <= k < n):
+        raise ShapeError(f"subsystem_index must be an integer in [0, {n}) for {dims}; got {k!r}")
+    k = int(k)
     tens = x.entries.reshape(dims + dims)
     out = np.trace(tens, axis1=k, axis2=n + k)
     rest = dims[:k] + dims[k + 1 :]

@@ -39,7 +39,9 @@ from .hermitian import (
     _psd_values,
     _sqrt_psd,
     _support_columns,
+    as_count,
     as_dims,
+    as_tol,
     eig,
     frobenius_norm,
     herm,
@@ -264,6 +266,7 @@ def base_norm(
     dual optimizers.  +inf is returned (not raised) when x is not supported
     on a restricted section's carrier subspace.
     """
+    tol, max_iter = as_tol(tol, "tol"), as_count(max_iter, "max_iter")
     done, xc = _front_half(section, x, prefer_closed, psd=False)
     if done is not None:
         return done
@@ -298,6 +301,7 @@ def base_norm_psd(
     ``a`` is solved at unit Frobenius norm.  A closed form's base-norm pair
     (y1, y2) is returned as (y1 + y2, 0).
     """
+    tol, max_iter = as_tol(tol, "tol"), as_count(max_iter, "max_iter")
     norm, ac = _front_half(section, a, prefer_closed=True, psd=True)
     if norm is None:
         scale = frobenius_norm(ac)
@@ -405,6 +409,7 @@ def certify_extremal_psd(
     whatever the candidate.  A member candidate's one spectrum decides its
     PSD rule at ``check_tol``, as :func:`contains` would, and gives t.
     """
+    tol = as_tol(tol, "tol")
     if (dual_candidate is None) == (member_candidate is None):
         raise ValidationError("pass exactly one of dual_candidate / member_candidate")
     ac = section.compress(a)

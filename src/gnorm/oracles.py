@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import choi_matrix
-from .errors import DomainError, ShapeError
-from .hermitian import HermitianMatrix, eigenvalues, pinv_sqrt
+from .errors import ShapeError
+from .hermitian import HermitianMatrix, as_count, eigenvalues, pinv_sqrt
 from .norms import base_norm_singleton, order_unit_norm_singleton
 from .sections import Section, dual_section
 
@@ -40,9 +40,8 @@ class SampleSet:
 def sample_section(section: Section, n: int, seed: int = 0) -> SampleSet:
     """Draw n members: interior point b0 plus a random in-slice direction D,
     scaled by a uniform fraction of BOUNDARY_BACKOFF times the distance to the
-    cone boundary in closed form (:func:`_boundary`).  DomainError for n < 0."""
-    if n < 0:
-        raise DomainError(f"sample count must be non-negative, got {n}")
+    cone boundary in closed form (:func:`_boundary`); n and seed are counts from 0."""
+    n, seed = as_count(n, "n", least=0), as_count(seed, "seed", least=0)
     rng = np.random.default_rng(seed)
     b0 = section.interior_point
     r = pinv_sqrt(b0).entries  # b0 is positive definite
@@ -112,14 +111,12 @@ def grid_hmin(sigma: HermitianMatrix, resolution: int = 200) -> float:
     Scans conditioning states over a Bloch-ball grid (Fibonacci directions x
     radii, center included) and minimizes log2 of the smallest t with
     sigma <= t I (x) rho.  Converges to the entropy from below as the grid
-    refines.  DomainError for a resolution below 1.
+    refines.  ``resolution`` is a count from 1 (:func:`as_count`).
     """
-    if resolution < 1:
-        raise DomainError(f"grid resolution must be at least 1, got {resolution}")
+    res = as_count(resolution, "resolution")
     d_k, d_h = choi_matrix(sigma, "grid_hmin's sigma").subsystem_dims
     if d_h != 2:
         raise ShapeError("grid_hmin supports only a 2-dimensional conditioning system")
-    res = int(resolution)
     pauli = np.array(
         [
             [[0, 1], [1, 0]],

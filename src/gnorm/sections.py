@@ -43,6 +43,7 @@ from .hermitian import (
     _transpose_columns,
     as_dim,
     as_dims,
+    as_tol,
     eig,
     eigenvalues,
     frobenius_norm,
@@ -406,8 +407,8 @@ def require_faithful(section: Section, what: str) -> None:
 
 
 def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Span membership + unit pairing with the normalizer + PSD, all within tol."""
-    xc = section.slice_point(x, tol)
+    """Span membership + unit pairing with the normalizer + PSD, all within tol (:func:`as_tol`)."""
+    xc = section.slice_point(x, as_tol(tol, "tol"))
     return xc is not None and psd_check(xc, tol)
 
 

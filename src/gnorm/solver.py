@@ -112,8 +112,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DomainError, NumericalError, ShapeError, SolverError
-from .hermitian import HermitianMatrix, _hvec_layout, as_dim, hunvec
+from .errors import NumericalError, ShapeError, SolverError
+from .hermitian import HermitianMatrix, _hvec_layout, as_count, as_dim, as_tol, hunvec
 
 PSD = "psd"
 FREE = "free"
@@ -629,14 +629,11 @@ def solve(
 
     Deterministic for fixed inputs.  Returns the best iterate seen;
     ``status`` is "optimal" only if all residuals and the gap met ``tol``.
-    ``max_iter`` must be at least 1 and ``tol`` finite and non-negative
-    (``tol`` = 0 never stops early: the run ends at ``max_iter`` or on its
-    seventh stall).
+    ``max_iter`` passes :func:`as_count` and ``tol`` :func:`as_tol` (``tol``
+    = 0 never stops early: the run ends at ``max_iter`` or on its seventh
+    stall).
     """
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    tol, max_iter = as_tol(tol, "tol"), as_count(max_iter, "max_iter")
     with _kernel_errors():
         return _admm(program, tol, max_iter)
 
