@@ -32,6 +32,7 @@ from .hermitian import (
     _real,
     _support_columns,
     abs_pos_neg,
+    as_count,
     as_tol,
     eig,
     eigenvalues,
@@ -400,9 +401,11 @@ def certify_optimal(
     candidate not built on the experiment's own section (a Choi matrix, or a
     measurement on another section) must be a procedure for it: its blocks
     act on the section's dimension, it is PSD, and its transposed input
-    marginal lies in the dual section; otherwise ValidationError.
+    marginal lies in the dual section; otherwise ValidationError.  The
+    tolerances and ``max_iter`` pass their rules first (DomainError).
     """
-    tol = as_tol(tol, "tol")
+    tol, solve_tol = as_tol(tol, "tol"), as_tol(solve_tol, "solve_tol")
+    max_iter = as_count(max_iter, "max_iter")
     section = experiment.section
     blocks = _payoff_blocks(experiment, problem, "certify_optimal")
     xi = _block_diagonal(blocks, section.dims_tuple()) if problem.kind == "classical" else blocks[0]

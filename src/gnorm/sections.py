@@ -145,9 +145,11 @@ class Section:
         """Map a caller-space matrix into the carrier space.
 
         Returns None when ``x`` has weight outside the support subspace
-        (beyond ``tol`` relative), which for norm purposes means +infinity.
-        Raises ShapeError when ``x`` is not of the caller-space dimension.
+        (beyond ``tol`` relative, :func:`as_tol`), which for norm purposes
+        means +infinity.  Raises ShapeError when ``x`` is not of the
+        caller-space dimension.
         """
+        tol = as_tol(tol, "tol")
         expected = self.original_dim or self.ambient_dim
         if x.dim != expected:
             raise ShapeError(f"expected dim {expected}, got {x.dim}")
@@ -196,18 +198,23 @@ def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
     return u[:, s > DEPENDENT_DROP_TOL * max(1.0, float(s[0]))]
 
 
-def _kron_columns(left: np.ndarray, d_left: int, right: np.ndarray, d_right: int) -> np.ndarray:
+def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarray:
     """hvec columns of L (x) R for all pairs of hvec columns L of ``left`` and
-    R of ``right``, left index outermost.  Tr((L (x) R)(L' (x) R')) =
-    Tr(L L') Tr(R R'): orthonormal inputs give orthonormal columns.  One left
-    column at a time keeps the complex intermediate small."""
+    R of ``right``, left index outermost, written into ``out`` (new when None).
+    Tr((L (x) R)(L' (x) R')) = Tr(L L') Tr(R R'): orthonormal inputs give
+    orthonormal columns.  Each entry is one product, taken for one left column
+    and ``d_right`` right columns at a time, so the complex intermediate holds
+    d_right matrices of the product's size (2 MB at d = 64)."""
     d = d_left * d_right
     k = right.shape[1]
-    rights = hunvec(right.T, d_right)
-    out = np.empty((d * d, left.shape[1] * k))
+    if out is None:
+        out = np.empty((d * d, left.shape[1] * k))
     for i, col in enumerate(left.T):
-        prod = np.einsum("ik,bjl->bijkl", hunvec(col, d_left), rights).reshape(k, d, d)
-        out[:, i * k : (i + 1) * k] = hvec(prod).T
+        lcol = hunvec(col, d_left)
+        for j in range(0, k, d_right):
+            rights = hunvec(right[:, j : j + d_right].T, d_right)
+            prod = np.einsum("ik,bjl->bijkl", lcol, rights).reshape(-1, d, d)
+            out[:, i * k + j : i * k + j + len(prod)] = hvec(prod).T
     return out
 
 
@@ -408,7 +415,7 @@ def require_faithful(section: Section, what: str) -> None:
 
 def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Span membership + unit pairing with the normalizer + PSD, all within tol (:func:`as_tol`)."""
-    xc = section.slice_point(x, as_tol(tol, "tol"))
+    xc = section.slice_point(x, tol)
     return xc is not None and psd_check(xc, tol)
 
 
@@ -531,7 +538,8 @@ def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: st
     """The section with span (traceless (x) Herm(H)) + (I_K/sqrt(dk) (x) dual^T)
     for orthonormal hvec columns ``traceless`` on K: exact Kronecker lifts.
     Labelled ``kind(base label,dk)``; its descriptor names ``kind`` and the
-    base's descriptor, when the base has one."""
+    base's descriptor, when the base has one.  Both parts are written into
+    one span array, the only span-sized allocation of the build."""
     label = f"{kind}({section.label},{dk})"
     require_faithful(section, label)
     desc = None
@@ -540,12 +548,11 @@ def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: st
     dual = dual_section(section)
     h = section.ambient_dim
     eye_k = identity(dk)
-    span_cols = np.hstack([
-        _kron_columns(traceless, dk, np.eye(h * h), h),
-        _kron_columns(
-            hvec(eye_k)[:, None] / math.sqrt(dk), dk, _transpose_columns(dual.span_matrix(), h), h
-        ),
-    ])
+    n_free = traceless.shape[1] * h * h
+    span_cols = np.empty((dk * dk * h * h, n_free + dual.span_dim))
+    _kron_columns(traceless, dk, np.eye(h * h), h, span_cols[:, :n_free])
+    dual_cols = _transpose_columns(dual.span_matrix(), h)
+    _kron_columns(hvec(eye_k)[:, None] / math.sqrt(dk), dk, dual_cols, h, span_cols[:, n_free:])
     return _make_section(
         span_cols,
         tensor(eye_k, transpose_in_basis(section.interior_point)),

@@ -220,13 +220,14 @@ class MajorantProgram(_ProgramData):
         subject to  L_j s - P_j = b_j,   P_j PSD,   s a free vector,
 
     for lifts L_j (d_j^2 x k) with sum_j L_j^T L_j = sigma I, checked on
-    construction.  ``eq_rhs`` stacks the b_j.  The solve iterates on the
-    slacks P_j alone: they fix s = sum_j L_j^T (P_j + b_j) / sigma, which is
-    the free block it returns.  Consecutive blocks that share one lift array
-    share its products in the solve.  ``eq_matrix``, the dense A = [-I | L],
-    is built on first read for :func:`dump_program` and other outside
-    readers; :func:`solve` never reads it.  Every program the library solves
-    has this shape.
+    construction in one k x k work array; the lifts are never copied.
+    ``eq_rhs`` stacks the b_j.  The solve iterates on the slacks P_j alone:
+    they fix s = sum_j L_j^T (P_j + b_j) / sigma, which is the free block it
+    returns.  Consecutive blocks that share one lift array share its
+    products in the solve.  ``eq_matrix``, the dense A = [-I | L], is built
+    on first read for :func:`dump_program` and other outside readers;
+    :func:`solve` never reads it.  Every program the library solves has this
+    shape.
     """
 
     lifts: tuple[np.ndarray, ...]
@@ -249,8 +250,9 @@ class MajorantProgram(_ProgramData):
         object.__setattr__(self, "blocks", tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),))
         self._set_vectors(sum(m.shape[0] for m in lifts))
         if "rows" not in self._shared:
-            # once per program family: with_rhs / with_objective share the lifts
-            _require_finite(*lifts)
+            # once per program family: with_rhs / with_objective share the
+            # lifts; once per distinct lift array
+            _require_finite(*{id(m): m for m in lifts}.values())
             self._shared["rows"] = _MajorantRows(lifts)
 
     @property
@@ -418,10 +420,17 @@ class _MajorantRows:
             lo = hi
         self.n_rows = lo
         self.cone, self.free = slice(0, lo), slice(lo, None)
-        k = lifts[0].shape[1]
-        gram = sum(copies * (m.T @ m) for m, _, copies in self.runs)
+        # sum_j c_j L_j^T L_j = sigma I, checked in one k x k work array
+        # updated in place: the Gram sum, then |Gram - sigma I|.
+        (m, _, copies), *rest = self.runs
+        gram = m.T @ m
+        gram *= copies
+        for m, _, copies in rest:
+            gram += copies * (m.T @ m)
+        k = gram.shape[0]
         sigma = float(np.trace(gram)) / k
-        if not sigma > 0.0 or float(np.max(np.abs(gram - sigma * np.eye(k)))) > 1e-9 * sigma:
+        gram.flat[:: k + 1] -= sigma
+        if not sigma > 0.0 or float(np.max(np.abs(gram, out=gram))) > 1e-9 * sigma:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
         self.sigma = sigma
 

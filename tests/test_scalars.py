@@ -41,7 +41,7 @@ from gnorm.hermitian import (
 )
 from gnorm.norms import base_norm, base_norm_psd, certify_extremal_psd, diamond_norm
 from gnorm.oracles import grid_hmin, sample_section
-from gnorm.sections import Section, contains, states_section
+from gnorm.sections import Section, contains, singleton_section, states_section
 from gnorm.solver import PSD, Block, ConeProgram, solve
 
 S2 = states_section(2)
@@ -219,3 +219,29 @@ def test_help_and_version_still_exit_0(argv, capsys):
         cli.main(argv)
     assert info.value.code == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [-1, True, "1e-9", math.nan, math.inf], ids=repr)
+def test_compress_applies_the_tolerance_rule(bad):
+    """An off-carrier x on a restricted section: None at tol 1e-9, and a bad
+    tolerance is a DomainError rather than a carrier test that NaN passes."""
+    restricted = singleton_section(diag([1.0, 0.0]))
+    off_carrier = diag([0.0, 1.0])
+    assert restricted.compress(off_carrier, 1e-9) is None
+    for call in (restricted.compress, restricted.slice_point):
+        with pytest.raises(DomainError, match="^tol must be a finite, non-negative number"):
+            call(off_carrier, bad)
+
+
+@pytest.mark.parametrize(
+    "budget, argument",
+    [({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+     ({"solve_tol": math.nan}, "solve_tol"), ({"solve_tol": -1e-7}, "solve_tol")],
+)
+def test_certify_optimal_checks_its_budget_before_the_candidate(budget, argument):
+    """The same DomainError for a valid measurement and for a candidate whose
+    blocks do not fit the section."""
+    problem = classical_problem(np.eye(2))
+    for candidate in (HELSTROM, identity(3)):
+        with pytest.raises(DomainError, match=f"^{argument} must be"):
+            certify_optimal(candidate, EXPERIMENT, problem, **budget)
