@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ShapeError
 from .hermitian import (
     HermitianMatrix,
+    as_array,
     as_dim,
     complex_from_json,
     complex_to_json,
@@ -56,7 +57,9 @@ class KrausMap:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(v, dtype=complex) for v in self.operators)
+        ops = tuple(
+            as_array(v, f"Kraus operator {i}", complex) for i, v in enumerate(self.operators)
+        )
         if not ops:
             raise ShapeError("a Kraus map needs at least one operator")
         shape = ops[0].shape
@@ -159,7 +162,7 @@ def is_channel_choi(x: ChoiMatrix | HermitianMatrix, tol: float = DEFAULT_CHANNE
 
 
 def kraus_to_json(m: KrausMap) -> list:
-    return complex_to_json(np.array(m.operators))
+    return complex_to_json(np.stack(m.operators))
 
 
 def kraus_from_json(obj) -> KrausMap:
@@ -168,4 +171,4 @@ def kraus_from_json(obj) -> KrausMap:
 
 def kraus_channel(operators) -> ChoiMatrix:
     """Convenience: Choi matrix straight from a list of Kraus operators."""
-    return choi_of_kraus(KrausMap(tuple(np.asarray(v, dtype=complex) for v in operators)))
+    return choi_of_kraus(KrausMap(tuple(operators)))

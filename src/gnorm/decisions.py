@@ -32,6 +32,7 @@ from .hermitian import (
     _real,
     _support_columns,
     abs_pos_neg,
+    as_array,
     as_count,
     as_tol,
     eig,
@@ -90,7 +91,7 @@ class Experiment:
         for idx, b in enumerate(fam):
             if not contains(self.section, b, MEMBER_TOL):
                 raise ValidationError(f"family element {idx} is not a section member")
-        p = np.asarray(self.prior, dtype=float).reshape(-1)
+        p = as_array(self.prior, "prior").reshape(-1)
         if p.shape[0] != len(fam):
             raise ValidationError("prior length must match the family")
         if not np.all(np.isfinite(p)) or np.any(p < -PRIOR_TOL) or abs(p.sum() - 1.0) > PRIOR_TOL:
@@ -114,7 +115,7 @@ class DecisionProblem:
 
     def __post_init__(self):
         if self.kind == "classical":
-            t = np.asarray(self.table, dtype=float)
+            t = as_array(self.table, "payoff table")
             if t.ndim != 2 or t.size == 0:
                 raise ValidationError("classical payoff table must be 2-d (theta, d) and nonempty")
             if not np.all(np.isfinite(t)) or np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
@@ -148,7 +149,7 @@ class DecisionProblem:
 
 
 def classical_problem(table) -> DecisionProblem:
-    return DecisionProblem("classical", table=np.asarray(table, dtype=float))
+    return DecisionProblem("classical", table=table)
 
 
 def quantum_problem(operators) -> DecisionProblem:

@@ -73,16 +73,41 @@ def as_tol(value, name: str) -> float:
     raise DomainError(f"{name} must be a finite, non-negative number; got {value!r}")
 
 
+def as_array(value, name: str, dtype=float) -> np.ndarray:
+    """The numeric array rule.  An array argument is an ndarray or nested lists
+    of ints and floats, and of complex numbers when ``dtype`` is complex; never
+    bools, strings, objects or ragged nesting.  Returns it as ``dtype``, else
+    raises a ShapeError naming ``name``.  Callers read finiteness themselves."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    kinds = "iufc" if dtype is complex else "iuf"
+    if arr.dtype.kind in kinds and (arr is value or not _holds_bool(value)):
+        return arr.astype(dtype, copy=False)
+    what = "ints, floats or complex" if dtype is complex else "ints or floats"
+    raise ShapeError(f"{name} must be finite numbers ({what}, no bools) in a rectangular array")
+
+
+def _holds_bool(value) -> bool:
+    """True for a bool, a bool array, or lists and tuples holding one at any
+    depth: numpy reads a bool nested among numbers as a number."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == bool
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """An element of the real vector space of hermitian matrices.
 
-    Construction rejects NaN or infinite entries and hermitizes the input,
-    ``x := (x + x^*)/2``.  With ``strict=True`` an asymmetry above
-    ``STRICT_HERMITICITY_TOL`` (relative to the largest entry) raises
-    instead.  ``subsystem_dims`` is an ordered tuple of factor dimensions
-    whose product must equal ``dim``; the empty tuple means a single
-    unstructured system; any sequence passing :func:`as_dims` is accepted.
+    Construction reads nonempty square entries by :func:`as_array`,
+    hermitizes them, ``x := (x + x^*)/2``, and rejects a non-finite result.
+    With ``strict=True`` an asymmetry above ``STRICT_HERMITICITY_TOL``
+    (relative to the largest entry) raises instead.  ``subsystem_dims`` is an
+    ordered tuple of factor dimensions whose product must equal ``dim``; the
+    empty tuple means a single unstructured system; any sequence passing
+    :func:`as_dims` is accepted.
     """
 
     entries: np.ndarray
@@ -90,22 +115,23 @@ class HermitianMatrix:
     strict: InitVar[bool] = False
 
     def __post_init__(self, strict: bool):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-        scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-        if not math.isfinite(scale):
+        arr = as_array(self.entries, "matrix entries", complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise ShapeError(f"expected a nonempty square matrix, got shape {arr.shape}")
+        twice = arr + arr.conj().T  # finite exactly when the hermitized matrix is
+        if not np.isfinite(twice).all():
             raise ShapeError("matrix has non-finite (NaN or infinite) entries")
         if strict:
-            asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+            scale = float(np.max(np.abs(arr)))
+            asym = float(np.max(np.abs(arr - arr.conj().T)))
             if asym > STRICT_HERMITICITY_TOL * max(1.0, scale):
                 raise ShapeError(
                     f"matrix is not hermitian: asymmetry {asym:.3e} exceeds "
                     f"{STRICT_HERMITICITY_TOL:.0e} * max(1, |entries|)"
                 )
-        arr = (arr + arr.conj().T) / 2
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        twice /= 2
+        twice.setflags(write=False)
+        object.__setattr__(self, "entries", twice)
         dims = as_dims(self.subsystem_dims, "subsystem dims")
         if dims and math.prod(dims) != arr.shape[0]:
             raise ShapeError(f"product of dims {dims} does not match dim {arr.shape[0]}")
@@ -180,7 +206,7 @@ def herm(data, dims=None, strict: bool = False) -> HermitianMatrix:
     """Build a :class:`HermitianMatrix` from any array-like; ``dims`` by :func:`as_dims`."""
     if isinstance(data, HermitianMatrix):
         return data.with_dims(dims) if dims is not None else data
-    return HermitianMatrix(np.asarray(data, dtype=complex), () if dims is None else dims, strict)
+    return HermitianMatrix(data, () if dims is None else dims, strict)
 
 
 def identity(dims) -> HermitianMatrix:
@@ -196,16 +222,17 @@ def zeros(dims) -> HermitianMatrix:
 
 def outer(vector, dims=None) -> HermitianMatrix:
     """Rank-one projector-like matrix |v><v| (unnormalized)."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    v = as_array(vector, "vector", complex).reshape(-1)
     return herm(np.outer(v, v.conj()), dims)
 
 
 def diag(values) -> HermitianMatrix:
-    return herm(np.diag(np.asarray(values, dtype=float)))
+    return HermitianMatrix(np.diag(as_array(values, "diagonal values")))
 
 
 def trace_pair(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """Trace inner product Tr(a b), real for hermitian arguments."""
+    a._binary_dims(b)  # the dimension test of + and -
     return float(np.vdot(b.entries, a.entries).real)
 
 
@@ -243,8 +270,7 @@ def trace_norm(x: HermitianMatrix) -> float:
 
 def op_norm(x: HermitianMatrix) -> float:
     """Largest absolute eigenvalue."""
-    w = eigenvalues(x)
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return float(np.max(np.abs(eigenvalues(x))))
 
 
 def psd_check(x: HermitianMatrix, tol: float = 1e-9) -> bool:
@@ -258,8 +284,7 @@ def _psd_values(w: np.ndarray, tol: float) -> bool:
 
 
 def _support_cutoff(w: np.ndarray) -> float:
-    top = float(w[0]) if w.size else 0.0
-    return SUPPORT_CUTOFF * max(1.0, top)
+    return SUPPORT_CUTOFF * max(1.0, float(w[0]))
 
 
 def _support_columns(s: Spectrum, cutoff: float | None = None) -> np.ndarray:
@@ -421,15 +446,12 @@ def complex_to_json(arr: np.ndarray) -> list:
 
 def complex_from_json(raw, where: str, ndim: int) -> np.ndarray:
     """The complex array of ``ndim`` axes written by :func:`complex_to_json`:
-    a ShapeError naming ``where`` for ragged nesting, entries that are not
-    [re, im] pairs of numbers, or another depth."""
-    try:
-        arr = np.array(raw)
-    except ValueError:  # ragged nesting
-        arr = np.array(None)
-    if arr.dtype.kind not in "biuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+    a ShapeError naming ``where`` for entries that fail :func:`as_array`,
+    are not [re, im] pairs, or lie at another depth."""
+    arr = as_array(raw, f"{where} ([re, im] pairs)")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ShapeError(f"{where} is not a nested array of [re, im] pairs, {ndim} levels deep")
-    return arr.astype(float).view(complex)[..., 0]
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def matrix_to_json(x: HermitianMatrix) -> dict:
@@ -455,14 +477,11 @@ def json_list(obj, key: str, where: str) -> list:
 
 
 def json_floats(obj, key: str, where: str) -> np.ndarray:
-    """The field ``obj[key]`` as a finite float array, else a ShapeError
-    naming ``where``."""
+    """The field ``obj[key]`` as a finite float array (:func:`as_array`),
+    else a ShapeError naming ``where``."""
     raw = json_field(obj, key, where)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.array(math.nan)
-    if not np.all(np.isfinite(arr)):
+    arr = as_array(raw, f"{where}: field '{key}'")
+    if not np.isfinite(arr).all():
         raise ShapeError(f"{where}: field '{key}' must be finite numbers, got {raw!r}")
     return arr
 
@@ -482,4 +501,5 @@ def matrix_from_json(obj, strict: bool = False) -> HermitianMatrix:
     d = math.prod(dims)
     if arr.shape != (d, d):
         raise ShapeError(f"field 'matrix' has shape {arr.shape}, expected ({d}, {d})")
-    return HermitianMatrix(arr, dims if len(dims) > 1 else (), strict)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ShapeError alone
+        return HermitianMatrix(arr, dims if len(dims) > 1 else (), strict)

@@ -41,6 +41,7 @@ from .hermitian import (
     _psd_values,
     _support_columns,
     _transpose_columns,
+    as_array,
     as_dim,
     as_dims,
     as_tol,
@@ -132,7 +133,7 @@ class Section:
         return self.span_matrix().T @ hvec(x)
 
     def from_span_coords(self, coords: np.ndarray) -> HermitianMatrix:
-        vec = self.span_matrix() @ np.asarray(coords, dtype=float)
+        vec = self.span_matrix() @ as_array(coords, "span coordinates")
         return hunvec_matrix(vec, self.ambient_dim, self.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:

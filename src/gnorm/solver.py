@@ -113,7 +113,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError, ShapeError, SolverError
-from .hermitian import HermitianMatrix, _hvec_layout, as_count, as_dim, as_tol, hunvec
+from .hermitian import HermitianMatrix, _hvec_layout, as_array, as_count, as_dim, as_tol, hunvec
 
 PSD = "psd"
 FREE = "free"
@@ -178,8 +178,8 @@ class _ProgramData:
         checked against the blocks and ``n_rows`` rows and, with ``arrays``,
         for non-finite entries."""
         n = self.total_dim
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        rhs = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
+        c = as_array(self.objective, "objective").reshape(-1)
+        rhs = as_array(self.eq_rhs, "rhs").reshape(-1)
         if c.shape[0] != n:
             raise ShapeError(f"objective length {c.shape[0]} != total block dim {n}")
         if rhs.shape[0] != n_rows:
@@ -205,7 +205,7 @@ class ConeProgram(_ProgramData):
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        n, a = self.total_dim, np.asarray(self.eq_matrix, dtype=float)
+        n, a = self.total_dim, as_array(self.eq_matrix, "eq_matrix")
         if a.ndim != 2 or a.shape[1] != n:
             raise ShapeError(f"constraint matrix shape {a.shape} incompatible with n={n}")
         self._set_vectors(a.shape[0], a)
@@ -238,7 +238,7 @@ class MajorantProgram(_ProgramData):
     blocks: tuple[Block, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        lifts = tuple(np.asarray(m, dtype=float) for m in self.lifts)
+        lifts = tuple(as_array(m, f"lift {i}") for i, m in enumerate(self.lifts))
         if not lifts or any(m.ndim != 2 for m in lifts):
             raise ShapeError("a majorant program needs at least one 2-d lift")
         k = lifts[0].shape[1]

@@ -439,6 +439,10 @@ def _malformed(tmp_path, case):
         rows = [[[1, 0, 5], [0, 0, 0]], [[0, 0, 0], [-1, 0, 0]]]
         bad = write_json(tmp_path / "bad.json", {**two, "matrix": rows})
         return ("norm", write_json(tmp_path / "sec.json", states2), bad)
+    if case == "boolean matrix entries":
+        rows = [[[True, 0], [0, 0]], [[0, 0], [True, 0]]]
+        bad = write_json(tmp_path / "bad.json", {**two, "matrix": rows})
+        return ("norm", write_json(tmp_path / "sec.json", states2), bad)
     if case == "non-integral dims":
         bad = write_json(tmp_path / "bad.json", {**two, "dims": [2.7]})
         return ("norm", write_json(tmp_path / "sec.json", states2), bad)
@@ -462,6 +466,8 @@ def _malformed(tmp_path, case):
         return ("certify", *_certify_files(tmp_path, identity_povm, prior="x"))
     if case == "prior of strings":
         return ("certify", *_certify_files(tmp_path, identity_povm, prior=["a", "b"]))
+    if case == "prior of numeric strings":
+        return ("certify", *_certify_files(tmp_path, identity_povm, prior=["0.5", "0.5"]))
     if case == "classical table a string":
         payoff = {"kind": "classical", "table": "x"}
         return ("certify", *_certify_files(tmp_path, identity_povm, payoff=payoff))
@@ -494,6 +500,8 @@ def _malformed(tmp_path, case):
         "entry not an [re, im] pair",
         "non-integral dims",
         "boolean dims",
+        "prior of numeric strings",
+        "boolean matrix entries",
     ],
 )
 def test_exit_code_malformed_input(tmp_path, case):

@@ -68,7 +68,7 @@ def test_subsystem_dims_must_multiply():
 
 def test_sum_and_difference_reject_mismatched_dimensions():
     # the dimensions are compared before numpy broadcasts the entries
-    for op in (operator.add, operator.sub):
+    for op in (operator.add, operator.sub, trace_pair):
         with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
             op(identity(2), identity(3))
         with pytest.raises(ShapeError, match="dimension mismatch: 3 vs 1"):
