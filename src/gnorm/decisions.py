@@ -91,7 +91,7 @@ class Experiment:
         for idx, b in enumerate(fam):
             if not contains(self.section, b, MEMBER_TOL):
                 raise ValidationError(f"family element {idx} is not a section member")
-        p = as_array(self.prior, "prior").reshape(-1)
+        p = as_array(self.prior, "prior", finite=False).reshape(-1)  # the range rule reads it
         if p.shape[0] != len(fam):
             raise ValidationError("prior length must match the family")
         if not np.all(np.isfinite(p)) or np.any(p < -PRIOR_TOL) or abs(p.sum() - 1.0) > PRIOR_TOL:
@@ -115,7 +115,7 @@ class DecisionProblem:
 
     def __post_init__(self):
         if self.kind == "classical":
-            t = as_array(self.table, "payoff table")
+            t = as_array(self.table, "payoff table", finite=False)  # the range rule reads it
             if t.ndim != 2 or t.size == 0:
                 raise ValidationError("classical payoff table must be 2-d (theta, d) and nonempty")
             if not np.all(np.isfinite(t)) or np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
@@ -297,23 +297,23 @@ def max_payoff(
 
 
 def povm_to_choi(povm: GeneralizedPOVM) -> HermitianMatrix:
-    """Block-diagonal Choi matrix with blocks M_d^T."""
+    """Block-diagonal Choi matrix with blocks M_d^T, on D (x) the caller's space."""
     blocks = [transpose_in_basis(m) for m in povm.effects]
-    return _block_diagonal(blocks, povm.section.dims_tuple())
+    return _block_diagonal(blocks, povm.section.caller_dims())
 
 
 def choi_to_povm(section: Section, choi: HermitianMatrix) -> GeneralizedPOVM:
-    """Diagonal blocks of a procedure Choi matrix, transposed into effects."""
+    """Diagonal blocks of a procedure Choi matrix, transposed into effects on the caller's space."""
     dims = choi.subsystem_dims
     if len(dims) < 2:
         raise ShapeError("expected a block matrix with (D, H...) subsystem dims")
-    n_d = dims[0]
-    h = choi.dim // n_d
-    effs = []
-    for d in range(n_d):
-        blk = choi.entries[d * h : (d + 1) * h, d * h : (d + 1) * h]
-        effs.append(transpose_in_basis(herm(blk, section.dims_tuple())))
-    return GeneralizedPOVM(section, tuple(effs))
+    n_d, h = dims[0], section.original_dim or section.ambient_dim
+    if choi.dim != n_d * h:
+        b = f"{choi.dim / n_d:g}"
+        raise ShapeError(f"Choi blocks are {b} x {b}, the section's are {h} x {h}")
+    h_dims = section.caller_dims()
+    blocks = (choi.entries[d * h : (d + 1) * h, d * h : (d + 1) * h] for d in range(n_d))
+    return GeneralizedPOVM(section, tuple(transpose_in_basis(herm(b, h_dims)) for b in blocks))
 
 
 # -- discrimination ------------------------------------------------------------

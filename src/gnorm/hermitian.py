@@ -73,17 +73,18 @@ def as_tol(value, name: str) -> float:
     raise DomainError(f"{name} must be a finite, non-negative number; got {value!r}")
 
 
-def as_array(value, name: str, dtype=float) -> np.ndarray:
+def as_array(value, name: str, dtype=float, finite: bool = True) -> np.ndarray:
     """The numeric array rule.  An array argument is an ndarray or nested lists
-    of ints and floats, and of complex numbers when ``dtype`` is complex; never
-    bools, strings, objects or ragged nesting.  Returns it as ``dtype``, else
-    raises a ShapeError naming ``name``.  Callers read finiteness themselves."""
+    of finite ints and floats, and of complex numbers when ``dtype`` is complex;
+    never bools, strings, objects or ragged nesting.  Returns it as ``dtype``,
+    else raises a ShapeError naming ``name``.  ``finite=False`` admits NaN and ±inf."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.array(None)
     kinds = "iufc" if dtype is complex else "iuf"
-    if arr.dtype.kind in kinds and (arr is value or not _holds_bool(value)):
+    numbers = arr.dtype.kind in kinds and (arr is value or not _holds_bool(value))
+    if numbers and (not finite or np.isfinite(arr).all()):
         return arr.astype(dtype, copy=False)
     what = "ints, floats or complex" if dtype is complex else "ints or floats"
     raise ShapeError(f"{name} must be finite numbers ({what}, no bools) in a rectangular array")
@@ -115,7 +116,8 @@ class HermitianMatrix:
     strict: InitVar[bool] = False
 
     def __post_init__(self, strict: bool):
-        arr = as_array(self.entries, "matrix entries", complex)
+        # finiteness is read once below, after hermitizing, which can overflow
+        arr = as_array(self.entries, "matrix entries", complex, finite=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
             raise ShapeError(f"expected a nonempty square matrix, got shape {arr.shape}")
         twice = arr + arr.conj().T  # finite exactly when the hermitized matrix is
@@ -445,10 +447,11 @@ def complex_to_json(arr: np.ndarray) -> list:
 
 
 def complex_from_json(raw, where: str, ndim: int) -> np.ndarray:
-    """The complex array of ``ndim`` axes written by :func:`complex_to_json`:
-    a ShapeError naming ``where`` for entries that fail :func:`as_array`,
-    are not [re, im] pairs, or lie at another depth."""
-    arr = as_array(raw, f"{where} ([re, im] pairs)")
+    """The complex array of ``ndim`` axes written by :func:`complex_to_json`,
+    or a ShapeError naming ``where``: entries fail :func:`as_array` (finiteness is
+    read by its readers, HermitianMatrix and KrausMap), are not [re, im] pairs,
+    or lie at another depth."""
+    arr = as_array(raw, f"{where} ([re, im] pairs)", finite=False)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ShapeError(f"{where} is not a nested array of [re, im] pairs, {ndim} levels deep")
     return np.ascontiguousarray(arr).view(complex)[..., 0]
@@ -477,13 +480,8 @@ def json_list(obj, key: str, where: str) -> list:
 
 
 def json_floats(obj, key: str, where: str) -> np.ndarray:
-    """The field ``obj[key]`` as a finite float array (:func:`as_array`),
-    else a ShapeError naming ``where``."""
-    raw = json_field(obj, key, where)
-    arr = as_array(raw, f"{where}: field '{key}'")
-    if not np.isfinite(arr).all():
-        raise ShapeError(f"{where}: field '{key}' must be finite numbers, got {raw!r}")
-    return arr
+    """The field ``obj[key]`` by :func:`as_array`, its errors naming ``where``."""
+    return as_array(json_field(obj, key, where), f"{where}: field '{key}'")
 
 
 def json_dims(obj, where: str, least: int = 1) -> tuple[int, ...]:

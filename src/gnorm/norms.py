@@ -52,6 +52,7 @@ from .hermitian import (
     sqrt_psd,
     trace_norm,
     trace_pair,
+    zeros,
 )
 from .sections import Section, _kron_columns, channels_section, comb_section, contains, dual_section
 
@@ -242,8 +243,8 @@ def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: 
     if psd and not psd_check(xc, 1e-8):
         raise DomainError("this norm needs PSD input")
     if frobenius_norm(xc) == 0.0:
-        d, half = section.ambient_dim, section.lift(section.normalizer / 2.0)
-        return _closed_form(0.0, section.lift(herm(np.zeros((d, d)))), (half, half)), None
+        zero, half = zeros(section.dims_tuple()), section.lift(section.normalizer / 2.0)
+        return _closed_form(0.0, section.lift(zero), (half, half)), None
     if prefer_closed and section.span_dim == section.ambient_dim ** 2:
         return _full_slice_norm(section, xc), None
     if prefer_closed and section.span_dim == 1:

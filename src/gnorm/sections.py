@@ -125,6 +125,11 @@ class Section:
         """Subsystem dims of the carrier space, ``(ambient_dim,)`` fallback."""
         return self.subsystem_dims if self.subsystem_dims else (self.ambient_dim,)
 
+    def caller_dims(self) -> tuple[int, ...]:
+        """Subsystem dims of the caller space: :meth:`dims_tuple` unless restricted."""
+        original = self.original_subsystem_dims or (self.original_dim,)
+        return original if self.restricted else self.dims_tuple()
+
     def span_matrix(self) -> np.ndarray:
         """hvec coordinates of the spanning basis, one column per element."""
         return self.span_columns
@@ -205,15 +210,17 @@ def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarra
     Tr((L (x) R)(L' (x) R')) = Tr(L L') Tr(R R'): orthonormal inputs give
     orthonormal columns.  Each entry is one product, taken for one left column
     and ``d_right`` right columns at a time, so the complex intermediate holds
-    d_right matrices of the product's size (2 MB at d = 64)."""
+    d_right matrices of the product's size (2 MB at d = 64).  ``right=None``
+    stands for the unit columns, all of Herm(R), formed a chunk at a time."""
     d = d_left * d_right
-    k = right.shape[1]
+    k = d_right * d_right if right is None else right.shape[1]
     if out is None:
         out = np.empty((d * d, left.shape[1] * k))
     for i, col in enumerate(left.T):
         lcol = hunvec(col, d_left)
         for j in range(0, k, d_right):
-            rights = hunvec(right[:, j : j + d_right].T, d_right)
+            chunk = np.eye(d_right, k, j) if right is None else right[:, j : j + d_right].T
+            rights = hunvec(chunk, d_right)
             prod = np.einsum("ik,bjl->bijkl", lcol, rights).reshape(-1, d, d)
             out[:, i * k + j : i * k + j + len(prod)] = hvec(prod).T
     return out
@@ -523,13 +530,16 @@ def dual_section(section: Section) -> Section:
 
 
 def transpose_section(section: Section) -> Section:
-    """Entrywise transpose of every member (again a section)."""
-    return _make_section(
-        _transpose_columns(section.span_matrix(), section.ambient_dim),
+    """Entrywise transpose of every member (again a section): an isometry that
+    keeps the PSD order, so nothing is checked or solved again."""
+    span_cols = _transpose_columns(section.span_matrix(), section.ambient_dim)
+    span_cols.setflags(write=False)
+    return Section(
+        span_cols,
         transpose_in_basis(section.normalizer),
+        transpose_in_basis(section.interior_point),
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
-        interior_hint=transpose_in_basis(section.interior_point),
         embedding=None if section.embedding is None else section.embedding.conj(),
         original_subsystem_dims=section.original_subsystem_dims,
     )
@@ -546,20 +556,20 @@ def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: st
     desc = None
     if section.descriptor is not None:
         desc = {"kind": kind, "dims": [dk], "base": section.descriptor}
-    dual = dual_section(section)
+    dual_t = transpose_section(dual_section(section))
     h = section.ambient_dim
     eye_k = identity(dk)
     n_free = traceless.shape[1] * h * h
-    span_cols = np.empty((dk * dk * h * h, n_free + dual.span_dim))
-    _kron_columns(traceless, dk, np.eye(h * h), h, span_cols[:, :n_free])
-    dual_cols = _transpose_columns(dual.span_matrix(), h)
-    _kron_columns(hvec(eye_k)[:, None] / math.sqrt(dk), dk, dual_cols, h, span_cols[:, n_free:])
+    span_cols = np.empty((dk * dk * h * h, n_free + dual_t.span_dim))
+    _kron_columns(traceless, dk, None, h, span_cols[:, :n_free])
+    lead = hvec(eye_k)[:, None] / math.sqrt(dk)
+    _kron_columns(lead, dk, dual_t.span_matrix(), h, span_cols[:, n_free:])
     return _make_section(
         span_cols,
-        tensor(eye_k, transpose_in_basis(section.interior_point)),
+        tensor(eye_k, dual_t.normalizer),
         label,
         subsystem_dims=(dk,) + section.dims_tuple(),
-        interior_hint=tensor(eye_k / dk, transpose_in_basis(dual.interior_point)),
+        interior_hint=tensor(eye_k / dk, dual_t.interior_point),
         descriptor=desc,
     )
 

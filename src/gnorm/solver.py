@@ -151,13 +151,6 @@ class Block:
         return self.dim * self.dim if self.cone == PSD else self.dim
 
 
-def _require_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ShapeError(
-            "program objective, rows or right-hand side has non-finite (NaN or infinite) entries"
-        )
-
-
 class _ProgramData:
     """What every program offers the solver and its callers."""
 
@@ -173,10 +166,9 @@ class _ProgramData:
     def with_objective(self, objective):
         return dataclasses.replace(self, objective=objective)
 
-    def _set_vectors(self, n_rows: int, *arrays) -> None:
+    def _set_vectors(self, n_rows: int) -> None:
         """Store the objective and the right-hand side as float vectors,
-        checked against the blocks and ``n_rows`` rows and, with ``arrays``,
-        for non-finite entries."""
+        checked against the blocks and ``n_rows`` rows."""
         n = self.total_dim
         c = as_array(self.objective, "objective").reshape(-1)
         rhs = as_array(self.eq_rhs, "rhs").reshape(-1)
@@ -184,7 +176,6 @@ class _ProgramData:
             raise ShapeError(f"objective length {c.shape[0]} != total block dim {n}")
         if rhs.shape[0] != n_rows:
             raise ShapeError(f"rhs length {rhs.shape[0]} != row count {n_rows}")
-        _require_finite(c, rhs, *arrays)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_rhs", rhs)
 
@@ -208,7 +199,7 @@ class ConeProgram(_ProgramData):
         n, a = self.total_dim, as_array(self.eq_matrix, "eq_matrix")
         if a.ndim != 2 or a.shape[1] != n:
             raise ShapeError(f"constraint matrix shape {a.shape} incompatible with n={n}")
-        self._set_vectors(a.shape[0], a)
+        self._set_vectors(a.shape[0])
         object.__setattr__(self, "eq_matrix", a)
 
 
@@ -238,22 +229,22 @@ class MajorantProgram(_ProgramData):
     blocks: tuple[Block, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        lifts = tuple(as_array(m, f"lift {i}") for i, m in enumerate(self.lifts))
-        if not lifts or any(m.ndim != 2 for m in lifts):
-            raise ShapeError("a majorant program needs at least one 2-d lift")
-        k = lifts[0].shape[1]
-        dims = [math.isqrt(m.shape[0]) for m in lifts]
-        for m, d in zip(lifts, dims):
-            if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
-                raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
-        object.__setattr__(self, "lifts", lifts)
-        object.__setattr__(self, "blocks", tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),))
-        self._set_vectors(sum(m.shape[0] for m in lifts))
-        if "rows" not in self._shared:
-            # once per program family: with_rhs / with_objective share the
-            # lifts; once per distinct lift array
-            _require_finite(*{id(m): m for m in lifts}.values())
+        if "rows" not in self._shared:  # with_rhs / with_objective copies share it and the lifts
+            raw, lifts = tuple(self.lifts), []
+            for i, m in enumerate(raw):  # a lift repeated in a run passes the rule once
+                lifts.append(lifts[-1] if i and m is raw[i - 1] else as_array(m, f"lift {i}"))
+            if not lifts or any(m.ndim != 2 for m in lifts):
+                raise ShapeError("a majorant program needs at least one 2-d lift")
+            k = lifts[0].shape[1]
+            dims = [math.isqrt(m.shape[0]) for m in lifts]
+            for m, d in zip(lifts, dims):
+                if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
+                    raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
+            self._shared["blocks"] = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
             self._shared["rows"] = _MajorantRows(lifts)
+            object.__setattr__(self, "lifts", tuple(lifts))
+        object.__setattr__(self, "blocks", self._shared["blocks"])
+        self._set_vectors(self._shared["rows"].n_rows)
 
     @property
     def eq_matrix(self) -> np.ndarray:

@@ -2,11 +2,14 @@
 caller's array enters, and the matrix input path behind it.
 
 One table: every entry point x every malformed kind of array, each a
-ShapeError that names the argument.  Then the edge cases of the matrix
-input path: the empty matrix, an overflowing hermitization, and entries
-bit for bit equal to (m + m^*)/2.
+ShapeError that names the argument, and x a NaN or infinite entry, which
+the rule rejects too unless a later rule of the same constructor reads it.
+A program copy made by ``with_rhs`` reads only its vectors.  Then the edge
+cases of the matrix input path: the empty matrix, an overflowing
+hermitization, and entries bit for bit equal to (m + m^*)/2.
 """
 
+import math
 import re
 import warnings
 
@@ -14,8 +17,9 @@ import numpy as np
 import pytest
 
 from gnorm.choi import KrausMap, kraus_channel, kraus_from_json
+from gnorm import solver
 from gnorm.decisions import DecisionProblem, Experiment, classical_problem, experiment_from_json
-from gnorm.errors import ShapeError
+from gnorm.errors import ShapeError, ValidationError
 from gnorm.hermitian import (
     HermitianMatrix,
     as_array,
@@ -27,7 +31,8 @@ from gnorm.hermitian import (
     matrix_to_json,
     outer,
 )
-from gnorm.sections import section_from_descriptor, states_section
+from gnorm.norms import majorant_program
+from gnorm.sections import channels_section, section_from_descriptor, states_section
 from gnorm.solver import FREE, PSD, Block, ConeProgram, MajorantProgram
 
 S2 = states_section(2)
@@ -129,6 +134,48 @@ def test_entry_rejects_malformed_array_by_name(entry, kind):
     call, good, name, _ = ENTRIES[entry]
     with pytest.raises(ShapeError, match=re.escape(name) + " must be finite numbers"):
         call(MALFORMED[kind](good))
+
+
+# The entries whose NaN or infinite entry a later rule reads: the matrix
+# input path after hermitizing, the Kraus map behind its JSON reader, and
+# the range rules of priors and payoff tables.
+NON_FINITE_READ_LATER = {
+    "HermitianMatrix": (ShapeError, "non-finite"),
+    "herm": (ShapeError, "non-finite"),
+    "matrix_from_json": (ShapeError, "non-finite"),
+    "custom_section": (ShapeError, "non-finite"),
+    "kraus_from_json": (ShapeError, "Kraus operator 0 must be finite numbers"),
+    "Experiment prior": (ValidationError, "prior must be a probability vector"),
+    "DecisionProblem table": (ValidationError, "must be finite"),
+    "classical_problem": (ValidationError, "must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["NaN", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_rejects_a_non_finite_entry(entry, bad):
+    call, good, name, _ = ENTRIES[entry]
+    error, match = NON_FINITE_READ_LATER.get(
+        entry, (ShapeError, re.escape(name) + " must be finite numbers")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy computes with it
+        with pytest.raises(error, match=match):
+            call(_first_leaf(good, lambda _: bad))
+
+
+def test_a_program_copy_reads_only_its_vectors(monkeypatch):
+    program = majorant_program(channels_section(2, 2), 2)
+    read = []
+
+    def spy(value, name, *args, **kwargs):
+        read.append(name)
+        return as_array(value, name, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "as_array", spy)
+    copy = program.with_rhs(np.ones(program.eq_rhs.shape))
+    assert read == ["objective", "rhs"]
+    assert copy.lifts is program.lifts and copy.blocks == program.blocks
 
 
 def test_valid_arrays_convert_as_numpy_does():

@@ -28,7 +28,7 @@ from gnorm.decisions import (
     povm_to_choi,
     quantum_problem,
 )
-from gnorm.errors import ValidationError
+from gnorm.errors import ShapeError, ValidationError
 from gnorm.hermitian import (
     abs_pos_neg,
     herm,
@@ -52,6 +52,7 @@ from gnorm.sections import (
     dual_section,
     generalized_section,
     id_tensor_section,
+    singleton_section,
     states_section,
 )
 
@@ -654,3 +655,24 @@ def test_quantum_experiment_json_round_trip_and_complement():
     assert comp.kind == "quantum"
     for w, wc in zip(p.operators, comp.operators):
         assert np.allclose(wc.entries, np.eye(2) - w.entries, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims", [(), (2, 2)])
+def test_povm_and_choi_round_trip_on_a_restricted_section(dims):
+    # the effects live on the caller's space, not on the support the section is restricted to
+    d = 2 if not dims else 4
+    top = np.diag([1.0] + [0.0] * (d - 1))
+    s = singleton_section(herm(top, dims))
+    half = herm(top / 2, dims)
+    povm = GeneralizedPOVM(s, (half, half))
+    x = povm_to_choi(povm)
+    assert x.subsystem_dims == (2,) + (dims or (d,))
+    back = choi_to_povm(s, x)
+    for got, want in zip(back.effects, povm.effects):
+        assert got.subsystem_dims == (dims or (d,))
+        assert np.array_equal(got.entries, want.entries)
+
+
+def test_choi_to_povm_names_blocks_of_another_size():
+    with pytest.raises(ShapeError, match="Choi blocks are 3 x 3, the section's are 2 x 2"):
+        choi_to_povm(states_section(2), herm(np.eye(6), (2, 3)))

@@ -812,3 +812,22 @@ def test_dmax_tests_both_arguments_by_one_psd_rule():
     for a, b in ((nearly, identity(2)), (identity(2), nearly)):
         with pytest.raises(DomainError):
             dmax(a, b)
+
+
+@pytest.mark.parametrize(
+    "build, dims",
+    [
+        (lambda: channels_section(2, 2), (2, 2)),
+        (lambda: comb_section((2, 2, 2, 2)), (2, 2, 2, 2)),
+        (lambda: singleton_section(herm(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))), (2, 2)),
+    ],
+    ids=["channels(2,2)", "comb(2,2,2,2)", "restricted singleton"],
+)
+def test_zero_input_witnesses_carry_the_callers_dims(build, dims):
+    section = build()
+    zero = herm(np.zeros((math.prod(dims),) * 2))
+    for norm in (base_norm, base_norm_psd):
+        res = norm(section, zero)
+        assert res.value == 0.0
+        assert res.primal_witness.subsystem_dims == dims
+        assert [y.subsystem_dims for y in res.dual_witness] == [dims, dims]
