@@ -18,6 +18,7 @@ candidate fails exactly by its payoff deficit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,7 +226,7 @@ def classical_xi_blocks(experiment: Experiment, problem: DecisionProblem):
         raise ShapeError("payoff table row count must match the experiment family")
     blocks = []
     for d in range(w.shape[1]):
-        acc = zeros(experiment.section.dims_tuple())
+        acc = zeros(experiment.section.dims)
         for th, b in enumerate(experiment.family):
             acc = acc + float(experiment.prior[th] * w[th, d]) * b
         blocks.append(acc)
@@ -244,7 +245,7 @@ def _block_diagonal(blocks, h_dims: tuple[int, ...]) -> HermitianMatrix:
 def build_xi(experiment: Experiment, problem: DecisionProblem) -> HermitianMatrix:
     """Payoff-weighted block matrix sum_theta prior * W^T (x) b on D (x) H."""
     require_faithful(experiment.section, "build_xi")
-    h_dims = experiment.section.dims_tuple()
+    h_dims = experiment.section.dims
     if problem.kind == "classical":
         return _block_diagonal(classical_xi_blocks(experiment, problem), h_dims)
     ops = problem.operators
@@ -299,7 +300,7 @@ def max_payoff(
 def povm_to_choi(povm: GeneralizedPOVM) -> HermitianMatrix:
     """Block-diagonal Choi matrix with blocks M_d^T, on D (x) the caller's space."""
     blocks = [transpose_in_basis(m) for m in povm.effects]
-    return _block_diagonal(blocks, povm.section.caller_dims())
+    return _block_diagonal(blocks, povm.section.dims)
 
 
 def choi_to_povm(section: Section, choi: HermitianMatrix) -> GeneralizedPOVM:
@@ -307,11 +308,11 @@ def choi_to_povm(section: Section, choi: HermitianMatrix) -> GeneralizedPOVM:
     dims = choi.subsystem_dims
     if len(dims) < 2:
         raise ShapeError("expected a block matrix with (D, H...) subsystem dims")
-    n_d, h = dims[0], section.original_dim or section.ambient_dim
+    n_d, h_dims = dims[0], section.dims
+    h = math.prod(h_dims)
     if choi.dim != n_d * h:
         b = f"{choi.dim / n_d:g}"
         raise ShapeError(f"Choi blocks are {b} x {b}, the section's are {h} x {h}")
-    h_dims = section.caller_dims()
     blocks = (choi.entries[d * h : (d + 1) * h, d * h : (d + 1) * h] for d in range(n_d))
     return GeneralizedPOVM(section, tuple(transpose_in_basis(herm(b, h_dims)) for b in blocks))
 
@@ -375,7 +376,7 @@ def helstrom(
     error = 0.5 - 0.5 * float(np.sum(np.abs(s.eigenvalues)))
     u = _support_columns(s)
     m0 = HermitianMatrix(u @ u.conj().T, x.subsystem_dims)
-    m1 = identity(rho0.dims if rho0.subsystem_dims else rho0.dim) - m0
+    m1 = identity(rho0.dims) - m0
     povm = GeneralizedPOVM(states_section(rho0.dim), (m0, m1))
     return error, povm
 
@@ -409,7 +410,7 @@ def certify_optimal(
     max_iter = as_count(max_iter, "max_iter")
     section = experiment.section
     blocks = _payoff_blocks(experiment, problem, "certify_optimal")
-    xi = _block_diagonal(blocks, section.dims_tuple()) if problem.kind == "classical" else blocks[0]
+    xi = _block_diagonal(blocks, section.dims) if problem.kind == "classical" else blocks[0]
     n_d, h = problem.n_outcomes, section.ambient_dim
 
     if isinstance(candidate, GeneralizedPOVM):

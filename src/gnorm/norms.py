@@ -153,8 +153,8 @@ def _full_slice_norm(section: Section, x: HermitianMatrix) -> NormResult:
     cutoff = 1e-12 * max(1.0, float(np.max(np.abs(w))))
     weight = np.where(w > cutoff, 1.0, np.where(w < -cutoff, 0.0, 0.5))
     z_abs = (u * np.abs(w)) @ u.conj().T
-    q = HermitianMatrix(rinv.entries @ z_abs @ rinv.entries, section.subsystem_dims)
-    y1 = HermitianMatrix(r.entries @ (u * weight) @ u.conj().T @ r.entries, section.subsystem_dims)
+    q = HermitianMatrix(rinv.entries @ z_abs @ rinv.entries, n.subsystem_dims)
+    y1 = HermitianMatrix(r.entries @ (u * weight) @ u.conj().T @ r.entries, n.subsystem_dims)
     y2 = n - y1
     return _closed_form(value, section.lift(q), (section.lift(y1), section.lift(y2)))
 
@@ -163,11 +163,11 @@ def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
     # b is positive definite (the section's interior point): x never leaks
     b = section.interior_point
     value, rinv, s = _order_unit(eig(b), x)
-    q = section.lift((value * b).with_dims(section.subsystem_dims))
+    q = section.lift(value * b)
     top = int(np.argmax(np.abs(s.eigenvalues)))
     u = s.eigenvectors[:, top : top + 1]
-    y = HermitianMatrix(rinv.entries @ (u @ u.conj().T) @ rinv.entries, section.subsystem_dims)
-    zero = herm(np.zeros_like(y.entries), section.subsystem_dims)
+    y = HermitianMatrix(rinv.entries @ (u @ u.conj().T) @ rinv.entries, b.subsystem_dims)
+    zero = herm(np.zeros_like(y.entries), b.subsystem_dims)
     pair = (y, zero) if s.eigenvalues[top] >= 0 else (zero, y)
     return _closed_form(value, q, (section.lift(pair[0]), section.lift(pair[1])))
 
@@ -217,7 +217,7 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     (the section's) is q >= r_j, and a last block of dimension k d (k > 1) is
     the lifted I_k (x) q >= r_j.  Value and q are multiplied by ``scale``, and
     the dual witness holds each block's multiplier y_j, lifted to the
-    caller's space."""
+    caller's space; a lifted block's carries dims (k,) + ``section.dims``."""
     d = section.ambient_dim
     lifted = blocks[-1].dim // d if blocks[-1].dim > d else 0
     rhs = np.concatenate([hvec(b) for b in blocks])
@@ -226,9 +226,9 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     q = section.lift(section.from_span_coords(sol.primal_point[-1]) * scale)
     ys, lo = [], 0
     for b in blocks:
-        y = sol.dual_vector[lo : lo + b.dim ** 2]
-        dims = section.subsystem_dims if b.dim == d else (lifted,) + section.dims_tuple()
-        ys.append(section.lift(hunvec_matrix(y, b.dim, dims)))
+        dims = section.normalizer.subsystem_dims if b.dim == d else (lifted,) + section.dims
+        y = hunvec_matrix(sol.dual_vector[lo : lo + b.dim ** 2], b.dim, dims)
+        ys.append(section.lift(y) if b.dim == d else y)
         lo += b.dim ** 2
     return _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, tuple(ys), sol)
 
@@ -243,8 +243,8 @@ def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: 
     if psd and not psd_check(xc, 1e-8):
         raise DomainError("this norm needs PSD input")
     if frobenius_norm(xc) == 0.0:
-        zero, half = zeros(section.dims_tuple()), section.lift(section.normalizer / 2.0)
-        return _closed_form(0.0, section.lift(zero), (half, half)), None
+        half = section.lift(section.normalizer / 2.0)
+        return _closed_form(0.0, zeros(section.dims), (half, half)), None
     if prefer_closed and section.span_dim == section.ambient_dim ** 2:
         return _full_slice_norm(section, xc), None
     if prefer_closed and section.span_dim == 1:
@@ -448,7 +448,7 @@ def certify_extremal_psd(
     slack = float(np.linalg.norm((t_min * b0.entries - ac.entries) @ y_star.entries))
     return ExtremalCertificate(
         feasible=bool(gap <= tol * max(1.0, norm.value)),
-        witness_q=section.lift((t_min * b0).with_dims(section.subsystem_dims)),
+        witness_q=section.lift(t_min * b0),
         witness_dual=norm.dual_witness[0],
         scale_t=t_min,
         slack_residual=slack,

@@ -16,8 +16,10 @@ member.  Concrete families (dimension arguments by :func:`~gnorm.hermitian.as_di
 Every section carries a positive-definite interior point.  When the
 construction data admits no positive-definite member, the section is
 automatically compressed onto the support of the best achievable member (an
-isometry recorded in ``embedding``) and flagged ``restricted``; all queries
-accept matrices in the original space and translate.
+isometry recorded in ``embedding``) and flagged ``restricted``.  A section's
+``subsystem_dims`` are always the caller's: queries accept matrices on the
+caller's space, and every matrix handed back is lifted onto it with those
+dims.  A restricted carrier is unstructured.
 
 The *dual section* of B collects every PSD matrix pairing to one with all of
 B; duality is an involution on sections with positive-definite members, and
@@ -77,9 +79,12 @@ class Section:
     read and cached.  ``normalizer`` pairs to 1 with every member;
     ``interior_point`` is a positive-definite member.  ``embedding`` (an
     isometry, columns orthonormal) is set when the section was compressed
-    onto a support subspace; the section is then ``restricted`` and matrices
-    supplied by callers live in the original space of dimension
-    ``original_dim``.
+    onto a support subspace; the section is then ``restricted``.  Callers'
+    matrices live on the space of ``subsystem_dims`` (``()`` for one
+    unstructured system, as for :class:`HermitianMatrix`), of dimension
+    ``original_dim`` when restricted; carrier matrices (basis, normalizer,
+    interior point) carry these dims too, but a restricted carrier is
+    unstructured.
     """
 
     span_columns: np.ndarray
@@ -89,7 +94,6 @@ class Section:
     subsystem_dims: tuple[int, ...] = ()
     descriptor: dict | None = None
     embedding: np.ndarray | None = None
-    original_subsystem_dims: tuple[int, ...] = ()
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -115,20 +119,17 @@ class Section:
         got = self._cache.get("span_basis")
         if got is None:
             got = tuple(
-                hunvec_matrix(col, self.ambient_dim, self.subsystem_dims)
+                hunvec_matrix(col, self.ambient_dim, self.normalizer.subsystem_dims)
                 for col in self.span_columns.T
             )
             self._cache["span_basis"] = got
         return got
 
-    def dims_tuple(self) -> tuple[int, ...]:
-        """Subsystem dims of the carrier space, ``(ambient_dim,)`` fallback."""
-        return self.subsystem_dims if self.subsystem_dims else (self.ambient_dim,)
-
-    def caller_dims(self) -> tuple[int, ...]:
-        """Subsystem dims of the caller space: :meth:`dims_tuple` unless restricted."""
-        original = self.original_subsystem_dims or (self.original_dim,)
-        return original if self.restricted else self.dims_tuple()
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """The caller space's subsystem dims; ``(dim,)`` when unstructured."""
+        v = self.normalizer.entries if self.embedding is None else self.embedding
+        return self.subsystem_dims or (v.shape[0],)
 
     def span_matrix(self) -> np.ndarray:
         """hvec coordinates of the spanning basis, one column per element."""
@@ -139,7 +140,7 @@ class Section:
 
     def from_span_coords(self, coords: np.ndarray) -> HermitianMatrix:
         vec = self.span_matrix() @ as_array(coords, "span coordinates")
-        return hunvec_matrix(vec, self.ambient_dim, self.subsystem_dims)
+        return hunvec_matrix(vec, self.ambient_dim, self.normalizer.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:
         """Orthonormal hvec basis of the span's orthogonal complement: the trailing
@@ -156,7 +157,7 @@ class Section:
         caller-space dimension.
         """
         tol = as_tol(tol, "tol")
-        expected = self.original_dim or self.ambient_dim
+        expected = math.prod(self.dims)
         if x.dim != expected:
             raise ShapeError(f"expected dim {expected}, got {x.dim}")
         if self.embedding is None:
@@ -177,11 +178,11 @@ class Section:
         return xc if err <= tol * (1.0 + frobenius_norm(xc)) else None
 
     def lift(self, xc: HermitianMatrix) -> HermitianMatrix:
-        """Map a carrier-space matrix back to the caller space."""
+        """Map a carrier-space matrix back to the caller space, with its dims."""
         if self.embedding is None:
-            return xc
+            return xc if xc.dims == self.dims else xc.with_dims(self.subsystem_dims)
         v = self.embedding
-        return HermitianMatrix(v @ xc.entries @ v.conj().T, self.original_subsystem_dims)
+        return HermitianMatrix(v @ xc.entries @ v.conj().T, self.subsystem_dims)
 
     def __repr__(self) -> str:
         extra = ", restricted" if self.restricted else ""
@@ -313,7 +314,7 @@ def interior_element(section: Section) -> HermitianMatrix:
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
     b_star = _solve_interior(section.span_matrix(), section.normalizer)[1]
-    return section.lift(b_star.with_dims(section.subsystem_dims))
+    return section.lift(b_star)
 
 
 # -- generic constructor with faithfulness handling ---------------------------
@@ -327,10 +328,10 @@ def _make_section(
     interior_hint: HermitianMatrix | None = None,
     descriptor: dict | None = None,
     embedding: np.ndarray | None = None,
-    original_subsystem_dims=(),
 ) -> Section:
     """Section with the span of the orthonormal hvec columns ``span_cols``."""
     dim = normalizer.dim
+    carrier = tuple(subsystem_dims) if embedding is None else ()
     if span_cols.shape[1] == 0:
         raise EmptySectionError(f"section {label!r} has an empty span")
     w = eigenvalues(normalizer)
@@ -366,7 +367,7 @@ def _make_section(
                 f"is {t_star:.3e}"
             )
         if t_star > FAITHFUL_EIG_TOL * scale:
-            interior = b_star.with_dims(tuple(subsystem_dims))
+            interior = b_star.with_dims(carrier)
         else:
             # Restrict to the support of the best achievable member.
             v = _support_columns(eig(b_star), 1e-7 * scale)
@@ -379,26 +380,25 @@ def _make_section(
                 _orthonormalize_columns(_columns(herm(v.conj().T @ j @ v) for j in compressed)),
                 HermitianMatrix(v.conj().T @ normalizer.entries @ v),
                 label,
-                subsystem_dims=(),
+                subsystem_dims=subsystem_dims,
                 descriptor=descriptor,
                 embedding=comp,
-                original_subsystem_dims=tuple(original_subsystem_dims)
-                or tuple(subsystem_dims),
             )
 
     # A contiguous copy: a column slice of an SVD factor would keep the whole
     # factor alive and slow every product with the span.
     span_cols = np.ascontiguousarray(span_cols)
     span_cols.setflags(write=False)
+    if normalizer.subsystem_dims != carrier:
+        normalizer = normalizer.with_dims(carrier)
     return Section(
         span_columns=span_cols,
-        normalizer=normalizer.with_dims(tuple(subsystem_dims)) if subsystem_dims else normalizer,
+        normalizer=normalizer,
         interior_point=interior,
         label=label,
         subsystem_dims=tuple(subsystem_dims),
         descriptor=descriptor,
         embedding=embedding,
-        original_subsystem_dims=tuple(original_subsystem_dims),
     )
 
 
@@ -472,10 +472,9 @@ def singleton_section(b: HermitianMatrix) -> Section:
         _columns([bc / frobenius_norm(bc)]),
         HermitianMatrix((v * inv) @ v.conj().T if full else np.diag(inv)) / rank,
         "singleton",
-        subsystem_dims=b.subsystem_dims if full else (),
+        subsystem_dims=b.subsystem_dims,
         interior_hint=bc,
         embedding=None if full else v,
-        original_subsystem_dims=() if full else b.subsystem_dims,
     )
 
 
@@ -523,7 +522,6 @@ def dual_section(section: Section) -> Section:
         subsystem_dims=section.subsystem_dims,
         interior_hint=section.normalizer,
         embedding=section.embedding,
-        original_subsystem_dims=section.original_subsystem_dims,
     )
     section._cache["dual"] = dual
     return dual
@@ -541,7 +539,6 @@ def transpose_section(section: Section) -> Section:
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
         embedding=None if section.embedding is None else section.embedding.conj(),
-        original_subsystem_dims=section.original_subsystem_dims,
     )
 
 
@@ -568,7 +565,7 @@ def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: st
         span_cols,
         tensor(eye_k, dual_t.normalizer),
         label,
-        subsystem_dims=(dk,) + section.dims_tuple(),
+        subsystem_dims=(dk,) + section.dims,
         interior_hint=tensor(eye_k / dk, dual_t.interior_point),
         descriptor=desc,
     )
@@ -647,7 +644,7 @@ def id_tensor_section(section: Section, d_left: int) -> Section:
         ),
         tensor(eye / d, section.normalizer),
         f"id({d})(x){section.label}",
-        subsystem_dims=(d,) + section.dims_tuple(),
+        subsystem_dims=(d,) + section.dims,
         interior_hint=tensor(eye, section.interior_point),
     )
 
@@ -688,7 +685,7 @@ def section_to_descriptor(section: Section) -> dict:
         return copy.deepcopy(section.descriptor)
     return {
         "kind": "custom",
-        "dims": list(section.dims_tuple()),
+        "dims": list(section.dims),
         "basis": [matrix_to_json(section.lift(j)) for j in section.span_basis],
         "normalizer": matrix_to_json(section.lift(section.normalizer)),
     }

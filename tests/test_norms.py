@@ -49,8 +49,10 @@ from gnorm.sections import (
     dual_section,
     full_hermitian_basis,
     full_slice_section,
+    interior_element,
     singleton_section,
     states_section,
+    transpose_section,
 )
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -831,3 +833,29 @@ def test_zero_input_witnesses_carry_the_callers_dims(build, dims):
         assert res.value == 0.0
         assert res.primal_witness.subsystem_dims == dims
         assert [y.subsystem_dims for y in res.dual_witness] == [dims, dims]
+
+
+@pytest.mark.parametrize("x_dims", [(2, 2), ()], ids=["structured x", "unstructured x"])
+@pytest.mark.parametrize(
+    "wrap", [lambda s: s, dual_section, transpose_section], ids=["singleton", "dual", "transpose"]
+)
+def test_witnesses_on_restricted_sections_carry_the_callers_dims(wrap, x_dims):
+    # the carrier is one-dimensional; every witness is lifted onto the caller's (2, 2)
+    section = wrap(singleton_section(herm(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))))
+    assert section.restricted
+    x = herm(np.diag([0.3, 0.0, 0.0, 0.0]), x_dims)
+    witnesses = []
+    for prefer_closed in (True, False):
+        res = base_norm(section, x, prefer_closed=prefer_closed)
+        witnesses += [res.primal_witness, *res.dual_witness]
+    res = base_norm_psd(section, x)
+    witnesses += [res.primal_witness, *res.dual_witness]
+    member = res.primal_witness / trace_pair(res.primal_witness, section.lift(section.normalizer))
+    for cert in (
+        certify_extremal_psd(section, x, dual_candidate=res.dual_witness[0]),
+        certify_extremal_psd(section, x, member_candidate=member),
+    ):
+        assert cert.feasible
+        witnesses += [cert.witness_q, cert.witness_dual]
+    witnesses.append(interior_element(section))
+    assert [w.subsystem_dims for w in witnesses] == [(2, 2)] * 14

@@ -1,5 +1,7 @@
 """Section constructors, duality, membership and support restriction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -515,6 +517,20 @@ def test_descriptor_is_a_copy():
     # the full slice records its matrix when it is built
     b = herm(np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert full_slice_section(b).descriptor == {"kind": "singleton", "matrix": matrix_to_json(b)}
+
+
+@pytest.mark.parametrize(
+    "wrap", [lambda s: s, dual_section, transpose_section], ids=["singleton", "dual", "transpose"]
+)
+def test_restricted_custom_descriptor_names_the_callers_dims(wrap):
+    # restricted to a one-dimensional support, the section is still on (2, 2)
+    sec = wrap(singleton_section(herm(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))))
+    desc = section_to_descriptor(sec)
+    matrices = desc["basis"] + [desc["normalizer"]]
+    assert desc["kind"] == "custom"
+    assert [desc["dims"]] + [m["dims"] for m in matrices] == [[2, 2]] * (1 + len(matrices))
+    back = section_from_descriptor(json.loads(json.dumps(desc)))
+    assert sec.restricted and back.restricted and back.dims == sec.dims == (2, 2)
 
 
 def test_povm_descriptor_roundtrip():
