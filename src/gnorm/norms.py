@@ -31,7 +31,7 @@ import numpy as np
 
 from . import solver
 from .choi import choi_matrix
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, SolverError, ValidationError
 from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
@@ -216,13 +216,14 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     Each block's size says which constraint it states: a block of dimension d
     (the section's) is q >= r_j, and a last block of dimension k d (k > 1) is
     the lifted I_k (x) q >= r_j.  Value and q are multiplied by ``scale``, and
-    the dual witness holds each block's multiplier y_j, lifted to the
-    caller's space; a lifted block's carries dims (k,) + ``section.dims``."""
+    the dual witness holds each block's multiplier y_j, lifted to the caller's
+    space; a lifted block's carries dims (k,) + ``section.dims``.  A stopped
+    solve raises SolverError carrying this result."""
     d = section.ambient_dim
     lifted = blocks[-1].dim // d if blocks[-1].dim > d else 0
     rhs = np.concatenate([hvec(b) for b in blocks])
     program = majorant_program(section, len(blocks) - (lifted > 0), lifted).with_rhs(rhs)
-    sol = solver.require_optimal(solver.solve(program, tol=tol, max_iter=max_iter), context)
+    sol = solver.solve(program, tol=tol, max_iter=max_iter)
     q = section.lift(section.from_span_coords(sol.primal_point[-1]) * scale)
     ys, lo = [], 0
     for b in blocks:
@@ -230,7 +231,12 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
         y = hunvec_matrix(sol.dual_vector[lo : lo + b.dim ** 2], b.dim, dims)
         ys.append(section.lift(y) if b.dim == d else y)
         lo += b.dim ** 2
-    return _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, tuple(ys), sol)
+    norm = _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, tuple(ys), sol)
+    if sol.status != "optimal":
+        values = f"primal {norm.primal_value:.9g}, dual {norm.dual_value:.9g}"
+        stop = f"stopped with status {sol.status!r} ({values}, max residual {sol.max_residual:.3e})"
+        raise SolverError(f"{context}: solver {stop}", norm)
+    return norm
 
 
 def _front_half(section: Section, x: HermitianMatrix, prefer_closed: bool, psd: bool):

@@ -55,6 +55,10 @@ from .hermitian import (
     hunvec_matrix,
     hvec,
     identity,
+    json_dims,
+    json_field,
+    json_list,
+    matrix_from_json,
     matrix_to_json,
     psd_check,
     tensor,
@@ -67,6 +71,8 @@ DEPENDENT_DROP_TOL = 1e-9
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 # A candidate interior point counts as positive definite above this floor.
 FAITHFUL_EIG_TOL = 1e-8
+# Emptiness and boundedness: an interior optimum t* is nonzero beyond this * max(1, |b*|_F).
+INTERIOR_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +149,8 @@ class Section:
         return hunvec_matrix(vec, self.ambient_dim, self.normalizer.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:
-        """Orthonormal hvec basis of the span's orthogonal complement: the trailing
-        columns of one complete QR, copied so as not to keep the d^2 x d^2 Q alive."""
-        m = self.span_matrix()
-        return np.linalg.qr(m, mode="complete")[0][:, m.shape[1] :].copy()
+        """Orthonormal hvec basis of the span's orthogonal complement."""
+        return _complement_columns(self.span_matrix())
 
     def compress(self, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL):
         """Map a caller-space matrix into the carrier space.
@@ -205,6 +209,12 @@ def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
     return u[:, s > DEPENDENT_DROP_TOL * max(1.0, float(s[0]))]
 
 
+def _complement_columns(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of the orthonormal columns ``m``: the trailing
+    columns of one complete QR, copied so as not to keep the d^2 x d^2 Q alive."""
+    return np.linalg.qr(m, mode="complete")[0][:, m.shape[1] :].copy()
+
+
 def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarray:
     """hvec columns of L (x) R for all pairs of hvec columns L of ``left`` and
     R of ``right``, left index outermost, written into ``out`` (new when None).
@@ -245,16 +255,25 @@ def full_hermitian_basis(dim: int) -> tuple[HermitianMatrix, ...]:
 # -- interior points ----------------------------------------------------------
 
 
-def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
-    """The slice's affine hull {M s : p . s = 1}, p = M^T hvec(n), as
-    M s0 + range(M N): s0 = p / |p|^2, and N (orthonormal, k x (k-1)) is the
-    last k - 1 columns of the Householder reflection taking p onto e_1.
-    Returns (M s0, M N).  Raises EmptySectionError when p = 0: then no span
-    element pairs to one with the normalizer."""
+def _pairing(span_cols: np.ndarray, normalizer: HermitianMatrix):
+    """(p, |p|) for p = M^T hvec(n); EmptySectionError when p = 0: no member can pair to one."""
     p = span_cols.T @ hvec(normalizer)
     norm_p = float(np.linalg.norm(p))
     if norm_p <= DEPENDENT_DROP_TOL * frobenius_norm(normalizer):
         raise EmptySectionError("empty slice: the whole span pairs to zero with the normalizer")
+    return p, norm_p
+
+
+def _dual_span(span_cols: np.ndarray, normalizer: HermitianMatrix) -> np.ndarray:
+    """The dual section's span{M p} (+) M-perp as [M p / |p| | complement of M], orthonormal."""
+    p, norm_p = _pairing(span_cols, normalizer)
+    return np.column_stack([span_cols @ (p / norm_p), _complement_columns(span_cols)])
+
+
+def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
+    """The slice's affine hull {M s : p . s = 1} = M s0 + range(M N), returned as (M s0, M N):
+    s0 = p / |p|^2, N the last k - 1 columns of the Householder reflection taking p onto e_1."""
+    p, norm_p = _pairing(span_cols, normalizer)
     v = p.copy()
     v[0] += math.copysign(norm_p, p[0])
     m_n = span_cols[:, 1:] - np.outer(span_cols @ v, v[1:] * (2.0 / float(v @ v)))
@@ -285,36 +304,13 @@ def _solve_interior(span_cols, normalizer):
     return t_star, hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
 
 
-def _recession_direction_exists(span_cols, normalizer) -> bool:
-    """Whether the slice has a nonzero PSD recession direction.
-
-    Solves max Tr(y) over the span elements y = M N u pairing to zero with
-    the normalizer, with y PSD and y <= I; a positive optimum means the slice
-    is unbounded (only possible when the normalizer is singular).
-    """
-    _, m_n = _pairing_complement(span_cols, normalizer)
-    if m_n.shape[1] == 0:
-        return False
-    eye = hvec(identity(normalizer.dim))
-    program = solver.MajorantProgram(
-        (m_n, -m_n),
-        np.concatenate([np.zeros(2 * eye.size), -(m_n.T @ eye)]),
-        np.concatenate([np.zeros(eye.size), -eye]),
-        "recession direction search",
-    )
-    sol = solver.solve(program, tol=1e-8)
-    solver.require_optimal(sol, "recession direction search")
-    return -sol.primal_value > 1e-7
-
-
 def interior_element(section: Section) -> HermitianMatrix:
     """Member maximizing the smallest eigenvalue (a conic program).
 
     Positive definite exactly when the section is faithful; raises
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
-    b_star = _solve_interior(section.span_matrix(), section.normalizer)[1]
-    return section.lift(b_star)
+    return section.lift(_solve_interior(section.span_matrix(), section.normalizer)[1])
 
 
 # -- generic constructor with faithfulness handling ---------------------------
@@ -338,29 +334,27 @@ def _make_section(
     if not _psd_values(w, DEFAULT_MEMBERSHIP_TOL):
         raise ValidationError(f"normalizer of section {label!r} is not PSD")
     if not _positive_definite(w):
-        # A singular normalizer can leave the slice unbounded; reject that
-        # outright (a positive-definite normalizer makes it compact for free).
-        if _recession_direction_exists(span_cols, normalizer):
-            raise ValidationError(
-                f"section {label!r} is unbounded: the slice contains a PSD "
-                "recession direction annihilated by the normalizer"
-            )
+        # The slice is bounded exactly when no PSD y != 0 in the span has Tr(y n) = 0, i.e.
+        # (Gordan's alternative) when the dual span holds a positive-definite matrix.
+        t_star, z_star = _solve_interior(_dual_span(span_cols, normalizer), identity(dim))
+        if t_star <= INTERIOR_MARGIN * max(1.0, frobenius_norm(z_star)):
+            why = "the slice contains a PSD recession direction annihilated by the normalizer"
+            raise ValidationError(f"section {label!r} is unbounded: {why}")
 
     interior = None
     if interior_hint is not None:
-        cand = interior_hint
         member_ok = (
-            abs(trace_pair(cand, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
-            and _span_residual(span_cols, cand)
-            <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(cand))
+            abs(trace_pair(interior_hint, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
+            and _span_residual(span_cols, interior_hint)
+            <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(interior_hint))
         )
-        if member_ok and _positive_definite(eigenvalues(cand)):
-            interior = cand
+        if member_ok and _positive_definite(eigenvalues(interior_hint)):
+            interior = interior_hint
 
     if interior is None:
         t_star, b_star = _solve_interior(span_cols, normalizer)
         scale = max(1.0, frobenius_norm(b_star))
-        if t_star < -1e-6 * scale:
+        if t_star < -INTERIOR_MARGIN * scale:
             # Even the best slice point has a negative eigenvalue.
             raise EmptySectionError(
                 f"section {label!r} is empty: best achievable smallest eigenvalue "
@@ -371,8 +365,7 @@ def _make_section(
         else:
             # Restrict to the support of the best achievable member.
             v = _support_columns(eig(b_star), 1e-7 * scale)
-            rank = v.shape[1]
-            if rank == 0:
+            if v.shape[1] == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
             comp = embedding @ v if embedding is not None else v
             compressed = (hunvec(col, dim) for col in span_cols.T)
@@ -513,10 +506,8 @@ def dual_section(section: Section) -> Section:
     got = section._cache.get("dual")
     if got is not None:
         return got
-    m = section.span_matrix()
-    p = m.T @ hvec(section.normalizer)
     dual = _make_section(
-        np.column_stack([m @ (p / np.linalg.norm(p)), section.complement_matrix()]),
+        _dual_span(section.span_matrix(), section.normalizer),
         section.interior_point,
         f"dual({section.label})",
         subsystem_dims=section.subsystem_dims,
@@ -692,26 +683,28 @@ def section_to_descriptor(section: Section) -> dict:
 
 
 def section_from_descriptor(obj) -> Section:
-    from .hermitian import json_dims, json_field, json_list, matrix_from_json
-
+    """The section a descriptor names (``dims`` as :func:`section_to_descriptor` writes them)."""
     kind = json_field(obj, "kind", "section descriptor")
     where = f"section descriptor of kind {kind!r}"
-    if kind == "states":
-        return states_section(json_dims(obj, where)[0])
     if kind == "singleton":
         # the slice through one positive-definite matrix (states is b = I)
         return full_slice_section(matrix_from_json(json_field(obj, "matrix", where)))
-    if kind == "channels":
-        return channels_section(*json_dims(obj, where, least=2)[:2])
-    if kind == "combs":
-        return comb_section(json_dims(obj, where))
-    if kind == "generalized":
-        base = section_from_descriptor(json_field(obj, "base", where))
-        return generalized_section(base, json_dims(obj, where)[0])
-    if kind == "povm":
-        base = section_from_descriptor(json_field(obj, "base", where))
-        return povm_section(base, json_dims(obj, where)[0])
     if kind == "custom":
         basis = [matrix_from_json(m) for m in json_list(obj, "basis", where)]
+        if "dims" in obj and any(m.dims != json_dims(obj, where) for m in basis):
+            raise ShapeError(f"{where}: field 'dims' is not the dims of every basis matrix")
         return custom_section(basis, matrix_from_json(json_field(obj, "normalizer", where)))
-    raise ValidationError(f"unknown section kind {kind!r}")
+    n = {"states": 1, "generalized": 1, "povm": 1, "channels": 2, "combs": 2}.get(kind)
+    if n is None:
+        raise ValidationError(f"unknown section kind {kind!r}")
+    dims = json_dims(obj, where, least=n)
+    if len(dims) > n and kind != "combs":
+        raise ShapeError(f"{where}: field 'dims' needs exactly {n} entries, got {list(dims)}")
+    if kind == "states":
+        return states_section(*dims)
+    if kind == "channels":
+        return channels_section(*dims)
+    if kind == "combs":
+        return comb_section(dims)
+    build = generalized_section if kind == "generalized" else povm_section
+    return build(section_from_descriptor(json_field(obj, "base", where)), *dims)

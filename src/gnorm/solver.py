@@ -21,9 +21,9 @@ How the projection is done follows from the program's structure:
 
 * a :class:`MajorantProgram` (rows L_j s - P_j = b_j with
   sum_j L_j^T L_j = sigma I, the shape of every program the library solves:
-  norms of any input, payoffs, certificates, interior points and recession
-  searches) is projected in closed form, with one pull L^T and one lift L
-  per run of blocks: the feasible slacks are V = {L s - b}, projecting onto
+  norms of any input, payoffs, certificates and interior points) is
+  projected in closed form, with one pull L^T and one lift L per run of
+  blocks: the feasible slacks are V = {L s - b}, projecting onto
   V is P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma;
   neither A nor a Gram matrix is ever formed;
 * a generic :class:`ConeProgram`, which only a caller states, splits its

@@ -25,10 +25,10 @@ from gnorm.decisions import (
     helstrom,
     max_entangled_tester_exists,
 )
-from gnorm.errors import DomainError, ShapeError
+from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import herm, identity, matrix_to_json, outer
-from gnorm.norms import diamond_norm
-from gnorm.sections import states_section
+from gnorm.norms import base_norm, diamond_norm
+from gnorm.sections import channels_section, states_section
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -306,6 +306,21 @@ def test_exit_code_non_convergence(tmp_path):
     )
     proc = run_cli("norm", sec, mat, "--max-iter", "26", "--tol", "1e-14")
     assert proc.returncode == 2
+
+
+def test_non_convergence_reports_the_callers_units(tmp_path):
+    # the exit-2 line prints the library's stopped NormResult, in input units
+    sec = write_json(tmp_path / "sec.json", {"kind": "channels", "dims": [2, 2]})
+    rng = np.random.default_rng(0)
+    x = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 2)) * 1000.0
+    mat = write_json(tmp_path / "mat.json", matrix_to_json(x))
+    proc = run_cli("norm", sec, mat, "--max-iter", "3")
+    with pytest.raises(SolverError) as info:
+        base_norm(channels_section(2, 2), x, max_iter=3)
+    res = info.value.solution
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"(best primal {res.primal_value:.9g}, best dual {res.dual_value:.9g})" in proc.stderr
+    assert res.primal_value > 1000
 
 
 def test_exit_code_max_iter_below_one(tmp_path):

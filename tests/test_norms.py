@@ -9,7 +9,7 @@ import pytest
 from conftest import rand_density, rand_herm, rand_kraus_channel, rand_psd, rand_unitary
 from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection, max_entangled_state
-from gnorm.errors import DomainError, ShapeError
+from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import (
     eigenvalues,
     herm,
@@ -859,3 +859,21 @@ def test_witnesses_on_restricted_sections_carry_the_callers_dims(wrap, x_dims):
         witnesses += [cert.witness_q, cert.witness_dual]
     witnesses.append(interior_element(section))
     assert [w.subsystem_dims for w in witnesses] == [(2, 2)] * 14
+
+
+def test_a_stopped_solve_reports_in_the_callers_units():
+    # base_norm solves at unit Frobenius norm; a solve stopped at its cap
+    # carries the NormResult of the caller's input, as a converged one returns
+    rng = np.random.default_rng(0)
+    x = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 2))
+    stopped = []
+    for scale in (1.0, 1000.0):
+        with pytest.raises(SolverError) as info:
+            base_norm(channels_section(2, 2), x * scale, max_iter=3)
+        res = info.value.solution
+        assert f"(primal {res.primal_value:.9g}, dual {res.dual_value:.9g}" in str(info.value)
+        assert res.status == "max_iter" and res.iterations == 3
+        assert [w.dims for w in (res.primal_witness,) + res.dual_witness] == [(2, 2)] * 3
+        stopped.append(res)
+    assert stopped[1].primal_value == pytest.approx(1000 * stopped[0].primal_value, rel=1e-12)
+    assert stopped[1].dual_value == pytest.approx(1000 * stopped[0].dual_value, rel=1e-12)

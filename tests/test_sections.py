@@ -491,6 +491,101 @@ def test_compact_slice_with_singular_normalizer_accepted():
     assert not contains(sec, identity(2) / 2)
 
 
+def cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def bounded_case(seed):
+    """A rank-one normalizer g g* and three random PSD spanning matrices on C^2:
+    the span holds no PSD matrix annihilated by the normalizer."""
+    rng = np.random.default_rng(seed)
+    g = cplx(rng, 2, 1)
+    n = herm(g @ g.conj().T)
+    hs = [cplx(rng, 2, 2) for _ in range(3)]
+    return [herm(h @ h.conj().T) for h in hs], n
+
+
+def unbounded_case(seed):
+    """A rank-one normalizer on C^3 with the projector onto one of its kernel
+    vectors in the span: a PSD recession direction."""
+    rng = np.random.default_rng(seed)
+    g = cplx(rng, 3, 1)
+    n = g @ g.conj().T
+    v = np.linalg.eigh(n)[1][:, :1]
+    return [herm(v @ v.conj().T)] + [herm(cplx(rng, 3, 3)) for _ in range(3)], herm(n)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bounded_slice_with_singular_normalizer_builds(seed):
+    basis, n = bounded_case(seed)
+    sec = custom_section(basis, n)
+    assert contains(sec, sec.interior_point)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unbounded_slice_with_singular_normalizer_rejected(seed):
+    with pytest.raises(ValidationError, match="unbounded"):
+        custom_section(*unbounded_case(seed))
+
+
+def test_pauli_disc_with_singular_normalizer():
+    # span {I, sx, sy} with normalizer diag(1, 0): the slice is the disc
+    # I + b sx + c sy with b^2 + c^2 <= 1, compact although n is singular
+    sx = herm(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sy = herm(np.array([[0.0, -1j], [1j, 0.0]]))
+    sec = custom_section([identity(2), sx, sy], herm(np.diag([1.0, 0.0])))
+    assert contains(sec, identity(2) + sx * 0.5)
+    assert not contains(sec, identity(2) + sx * 1.5)
+
+
+def test_singular_normalizer_section_solves_only_interior_programs(monkeypatch):
+    # emptiness, restriction and boundedness are all read off the one
+    # interior-point program
+    described = []
+    real = solver.MajorantProgram.__post_init__
+
+    def spy(program):
+        described.append(program.description)
+        real(program)
+
+    monkeypatch.setattr(solver.MajorantProgram, "__post_init__", spy)
+    custom_section(*bounded_case(0))
+    custom_section([identity(2)], herm(np.diag([1.0, 0.0])))
+    assert described and set(described) == {"interior point (max min-eigenvalue)"}
+
+
+def _custom_descriptor(dims):
+    desc = section_to_descriptor(custom_section([identity((2, 2))], identity((2, 2))))
+    return {**desc, "dims": dims}
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "states", "dims": [3, 7]},
+        {"kind": "channels", "dims": [2, 2, 5]},
+        {"kind": "channels", "dims": [2]},
+        {"kind": "combs", "dims": [2]},
+        {"kind": "povm", "dims": [2, 9], "base": {"kind": "states", "dims": [2]}},
+        {"kind": "generalized", "dims": [2, 3], "base": {"kind": "states", "dims": [2]}},
+        _custom_descriptor([3]),
+        _custom_descriptor([4]),
+        _custom_descriptor("junk"),
+    ],
+    ids=lambda d: f"{d['kind']} {d['dims']}",
+)
+def test_descriptor_dims_are_read_exactly(desc):
+    with pytest.raises(ShapeError, match="field 'dims'"):
+        section_from_descriptor(desc)
+
+
+def test_custom_descriptor_dims_are_optional():
+    desc = _custom_descriptor([2, 2])
+    assert section_from_descriptor(desc).dims == (2, 2)
+    del desc["dims"]
+    assert section_from_descriptor(desc).dims == (2, 2)
+
+
 def test_descriptor_roundtrip():
     rng = np.random.default_rng(11)
     for sec in (
