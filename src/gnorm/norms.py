@@ -31,7 +31,7 @@ import numpy as np
 
 from . import solver
 from .choi import choi_matrix
-from .errors import DomainError, ShapeError, SolverError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
@@ -232,10 +232,7 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
         ys.append(section.lift(y) if b.dim == d else y)
         lo += b.dim ** 2
     norm = _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, tuple(ys), sol)
-    if sol.status != "optimal":
-        values = f"primal {norm.primal_value:.9g}, dual {norm.dual_value:.9g}"
-        stop = f"stopped with status {sol.status!r} ({values}, max residual {sol.max_residual:.3e})"
-        raise SolverError(f"{context}: solver {stop}", norm)
+    solver.require_optimal(sol, context, norm)
     return norm
 
 

@@ -81,11 +81,11 @@ class Section:
 
     ``span_columns`` holds the hvec coordinates of a trace-orthonormal
     spanning basis, one column each (read-only); it is the only span data
-    stored, and ``span_basis`` is the same basis as matrices, built on first
-    read and cached.  ``normalizer`` pairs to 1 with every member;
-    ``interior_point`` is a positive-definite member.  ``embedding`` (an
-    isometry, columns orthonormal) is set when the section was compressed
-    onto a support subspace; the section is then ``restricted``.  Callers'
+    stored, and ``span_basis`` is the same basis as matrices, built on each
+    read.  ``normalizer`` pairs to 1 with every member; ``interior_point`` is
+    a positive-definite member.  ``embedding`` (an isometry) is set when the
+    section was compressed onto the support of its best member, which is then
+    the interior point; the section is then ``restricted``.  Callers'
     matrices live on the space of ``subsystem_dims`` (``()`` for one
     unstructured system, as for :class:`HermitianMatrix`), of dimension
     ``original_dim`` when restricted; carrier matrices (basis, normalizer,
@@ -121,15 +121,11 @@ class Section:
 
     @property
     def span_basis(self) -> tuple[HermitianMatrix, ...]:
-        """The spanning basis as matrices (built on first read, cached)."""
-        got = self._cache.get("span_basis")
-        if got is None:
-            got = tuple(
-                hunvec_matrix(col, self.ambient_dim, self.normalizer.subsystem_dims)
-                for col in self.span_columns.T
-            )
-            self._cache["span_basis"] = got
-        return got
+        """The spanning basis as matrices, built from ``span_columns`` on each read."""
+        return tuple(
+            hunvec_matrix(col, self.ambient_dim, self.normalizer.subsystem_dims)
+            for col in self.span_columns.T
+        )
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -325,7 +321,9 @@ def _make_section(
     descriptor: dict | None = None,
     embedding: np.ndarray | None = None,
 ) -> Section:
-    """Section with the span of the orthonormal hvec columns ``span_cols``."""
+    """Section with the span of the orthonormal hvec columns ``span_cols``, judged in one
+    pass: the interior point is a positive-definite ``interior_hint``, else the solved best
+    member b*; a singular b* compresses span, normalizer and b* onto b*'s support."""
     dim = normalizer.dim
     carrier = tuple(subsystem_dims) if embedding is None else ()
     if span_cols.shape[1] == 0:
@@ -363,20 +361,16 @@ def _make_section(
         if t_star > FAITHFUL_EIG_TOL * scale:
             interior = b_star.with_dims(carrier)
         else:
-            # Restrict to the support of the best achievable member.
+            # Restrict to the support of b*, where it is positive definite: nothing to judge again.
             v = _support_columns(eig(b_star), 1e-7 * scale)
             if v.shape[1] == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
-            comp = embedding @ v if embedding is not None else v
-            compressed = (hunvec(col, dim) for col in span_cols.T)
-            return _make_section(
-                _orthonormalize_columns(_columns(herm(v.conj().T @ j @ v) for j in compressed)),
-                HermitianMatrix(v.conj().T @ normalizer.entries @ v),
-                label,
-                subsystem_dims=subsystem_dims,
-                descriptor=descriptor,
-                embedding=comp,
-            )
+            compressed = (herm(v.conj().T @ hunvec(col, dim) @ v) for col in span_cols.T)
+            span_cols = _orthonormalize_columns(_columns(compressed))
+            normalizer = HermitianMatrix(v.conj().T @ normalizer.entries @ v)
+            interior = HermitianMatrix(v.conj().T @ b_star.entries @ v)
+            embedding = v if embedding is None else embedding @ v
+            carrier = ()
 
     # A contiguous copy: a column slice of an SVD factor would keep the whole
     # factor alive and slow every product with the span.
@@ -476,21 +470,17 @@ def full_slice_section(b: HermitianMatrix) -> Section:
 
     This is the base of the full PSD cone determined by b; its norm has the
     closed form |b^(1/2) x b^(1/2)|_1 and its dual section is the one-element
-    section {b}.  The states section is the special case b = I.
+    section {b}.  The states section is the special case b = I.  A singular b
+    is refused as unbounded (ValidationError), b = 0 as empty (EmptySectionError).
     """
-    if not _positive_definite(eigenvalues(b)):
-        raise ValidationError(
-            "full_slice_section needs a positive-definite matrix (the slice "
-            "through a singular matrix is unbounded)"
-        )
     d = b.dim
-    interior = b / trace_pair(b, b)  # the scaled copy of b on the slice
+    bb = trace_pair(b, b)
     return _make_section(
         np.eye(d * d),
         b,
         f"slice({d})",
         subsystem_dims=b.subsystem_dims,
-        interior_hint=interior,
+        interior_hint=b / bb if bb > 0 else None,  # the scaled copy of b on the slice
         descriptor={"kind": "singleton", "matrix": matrix_to_json(b)},
     )
 

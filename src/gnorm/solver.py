@@ -774,13 +774,15 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     )
 
 
-def require_optimal(solution: ConeSolution, context: str) -> ConeSolution:
+def require_optimal(solution: ConeSolution, context: str, report=None) -> ConeSolution:
+    """``solution`` if optimal, else SolverError quoting and carrying ``report`` (default it)."""
+    report = solution if report is None else report
     if solution.status != "optimal":
         raise SolverError(
             f"{context}: solver stopped with status {solution.status!r} "
-            f"(primal {solution.primal_value:.9g}, dual {solution.dual_value:.9g}, "
+            f"(primal {report.primal_value:.9g}, dual {report.dual_value:.9g}, "
             f"max residual {solution.max_residual:.3e})",
-            solution,
+            report,
         )
     return solution
 

@@ -72,7 +72,7 @@ CASES = {
     "closed-form base_norm(states(4), x)": (lambda: base_norm(states_section(4), X4), 2),
     "singleton_section, positive definite": (lambda: singleton_section(B3), 3),
     "singleton_section, rank deficient": (lambda: singleton_section(diag([0.6, 0.4, 0.0])), 3),
-    "full_slice_section": (lambda: full_slice_section(B3), 3),
+    "full_slice_section": (lambda: full_slice_section(B3), 2),
     "dmax": (lambda: dmax(diag([0.5, 0.3, 0.2]), B3), 3),
     "helstrom": (lambda: helstrom(RHO0, RHO1, 0.4), 6),
     "quantum_problem, 2 operators": (lambda: quantum_problem([W, identity(2) - W]), 2),

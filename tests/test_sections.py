@@ -21,6 +21,7 @@ from gnorm.hermitian import (
     trace_pair,
     transpose_in_basis,
 )
+from gnorm.norms import base_norm
 from gnorm.oracles import sample_section
 from gnorm.sections import (
     channels_section,
@@ -61,11 +62,11 @@ def test_span_bases_are_trace_orthonormal():
         make_custom(rng),
         dual_section(channels_section(2, 2)),
     ):
-        k = sec.span_dim
+        k, basis = sec.span_dim, sec.span_basis
         for i in range(k):
             for j in range(i, k):
                 want = 1.0 if i == j else 0.0
-                got = trace_pair(sec.span_basis[i], sec.span_basis[j])
+                got = trace_pair(basis[i], basis[j])
                 assert abs(got - want) <= 1e-10
 
 
@@ -212,8 +213,19 @@ def test_full_slice_section_shape_and_dual():
 
 
 def test_full_slice_section_rejects_singular():
-    with pytest.raises(ValidationError):
+    # the full slice passes the rules every section passes
+    with pytest.raises(ValidationError, match="unbounded"):
         full_slice_section(herm(np.diag([1.0, 0.0])))
+    with pytest.raises(EmptySectionError):
+        full_slice_section(herm(np.zeros((2, 2))))
+
+
+def test_full_slice_through_a_small_positive_definite_matrix():
+    # no absolute floor on b: the slice through 1e-9 I is bounded
+    sec = full_slice_section(identity(2) * 1e-9)
+    res = base_norm(sec, herm(np.diag([1.0, -1.0])))
+    assert res.method == "closed_form"
+    assert abs(res.value - 2e-9) <= 1e-12 * 2e-9
 
 
 def test_channels_section_membership():
@@ -513,6 +525,34 @@ def unbounded_case(seed):
     n = g @ g.conj().T
     v = np.linalg.eigh(n)[1][:, :1]
     return [herm(v @ v.conj().T)] + [herm(cplx(rng, 3, 3)) for _ in range(3)], herm(n)
+
+
+def restricted_case(seed):
+    """Two hermitian and one PSD spanning matrix supported on a random plane in
+    C^4, and a positive-definite diagonal normalizer: no member is positive
+    definite, so the section restricts to the plane."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(cplx(rng, 4, 4))[0][:, :2]
+    hs = [cplx(rng, 2, 2) for _ in range(2)]
+    mats = [herm(u @ (h + h.conj().T) @ u.conj().T) for h in hs]
+    g = cplx(rng, 2, 2)
+    mats.append(herm(u @ g @ g.conj().T @ u.conj().T))
+    return mats, herm(np.diag(rng.uniform(0.5, 2.0, size=4)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_restriction_keeps_the_best_member_of_one_solve(monkeypatch, seed):
+    # the interior point of the restricted carrier is the solved best member,
+    # compressed onto its support: the build makes one solve
+    calls = []
+    real_solve = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
+    sec = custom_section(*restricted_case(seed))
+    assert len(calls) == 1
+    assert sec.restricted and sec.ambient_dim == 2 and sec.span_dim == 3
+    w = np.linalg.eigvalsh(sec.interior_point.entries)
+    assert contains(sec, sec.lift(sec.interior_point))
+    assert w[0] / w[-1] > 0.1
 
 
 @pytest.mark.parametrize("seed", range(20))
