@@ -84,13 +84,13 @@ class Section:
     stored, and ``span_basis`` is the same basis as matrices, built on each
     read.  ``normalizer`` pairs to 1 with every member; ``interior_point`` is
     a positive-definite member.  ``embedding`` (an isometry) is set when the
-    section was compressed onto the support of its best member, which is then
-    the interior point; the section is then ``restricted``.  Callers'
-    matrices live on the space of ``subsystem_dims`` (``()`` for one
-    unstructured system, as for :class:`HermitianMatrix`), of dimension
-    ``original_dim`` when restricted; carrier matrices (basis, normalizer,
-    interior point) carry these dims too, but a restricted carrier is
-    unstructured.
+    section was compressed onto the support of its best member: the span is
+    then the given span's part on that support, the interior point that
+    member, and the section ``restricted``.  Callers' matrices live on the
+    space of ``subsystem_dims`` (``()`` for one unstructured system, as for
+    :class:`HermitianMatrix`), of dimension ``original_dim`` when restricted;
+    carrier matrices (basis, normalizer, interior point) carry these dims
+    too, but a restricted carrier is unstructured.
     """
 
     span_columns: np.ndarray
@@ -121,7 +121,7 @@ class Section:
 
     @property
     def span_basis(self) -> tuple[HermitianMatrix, ...]:
-        """The spanning basis as matrices, built from ``span_columns`` on each read."""
+        """The basis as matrices: each read builds all ``span_dim`` again, so read it once."""
         return tuple(
             hunvec_matrix(col, self.ambient_dim, self.normalizer.subsystem_dims)
             for col in self.span_columns.T
@@ -323,7 +323,8 @@ def _make_section(
 ) -> Section:
     """Section with the span of the orthonormal hvec columns ``span_cols``, judged in one
     pass: the interior point is a positive-definite ``interior_hint``, else the solved best
-    member b*; a singular b* compresses span, normalizer and b* onto b*'s support."""
+    member b*.  A singular b* restricts to its support v: the normalizer, the span's part on v
+    (weight off v at most INTERIOR_MARGIN) and b*, projected there and paired to one."""
     dim = normalizer.dim
     carrier = tuple(subsystem_dims) if embedding is None else ()
     if span_cols.shape[1] == 0:
@@ -354,21 +355,22 @@ def _make_section(
         scale = max(1.0, frobenius_norm(b_star))
         if t_star < -INTERIOR_MARGIN * scale:
             # Even the best slice point has a negative eigenvalue.
-            raise EmptySectionError(
-                f"section {label!r} is empty: best achievable smallest eigenvalue "
-                f"is {t_star:.3e}"
-            )
+            why = f"best achievable smallest eigenvalue is {t_star:.3e}"
+            raise EmptySectionError(f"section {label!r} is empty: {why}")
         if t_star > FAITHFUL_EIG_TOL * scale:
             interior = b_star.with_dims(carrier)
         else:
-            # Restrict to the support of b*, where it is positive definite: nothing to judge again.
+            # v = support(b*); unit directions of weight w off v compress to norm sqrt(1 - w^2).
+            # Those with w <= INTERIOR_MARGIN cut a slice in the bounded one, where b* is PD.
             v = _support_columns(eig(b_star), 1e-7 * scale)
-            if v.shape[1] == 0:
+            compressed = _columns(v.conj().T @ hunvec(col, dim) @ v for col in span_cols.T)
+            u, s, _ = np.linalg.svd(compressed, full_matrices=False)
+            span_cols = u[:, s * s >= 1.0 - INTERIOR_MARGIN**2]
+            if span_cols.shape[1] == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
-            compressed = (herm(v.conj().T @ hunvec(col, dim) @ v) for col in span_cols.T)
-            span_cols = _orthonormalize_columns(_columns(compressed))
             normalizer = HermitianMatrix(v.conj().T @ normalizer.entries @ v)
-            interior = HermitianMatrix(v.conj().T @ b_star.entries @ v)
+            b_c = span_cols @ (span_cols.T @ hvec(v.conj().T @ b_star.entries @ v))
+            interior = hunvec_matrix(b_c / float(b_c @ hvec(normalizer)), v.shape[1])
             embedding = v if embedding is None else embedding @ v
             carrier = ()
 

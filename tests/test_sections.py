@@ -555,6 +555,35 @@ def test_restriction_keeps_the_best_member_of_one_solve(monkeypatch, seed):
     assert w[0] / w[-1] > 0.1
 
 
+@pytest.mark.parametrize(
+    "weights, x, value", [((1, 1, 0), (0, 0, 1), 1.0), ((1, 1, 1), (1, 0, 0), 2.0)]
+)
+def test_restriction_keeps_only_the_span_on_the_support(weights, x, value):
+    # the one member is diag(1, 0, 1), up to scale; s has weight off its support, so the
+    # restricted span is span{diag(1, 0, 1)}, not the compressions of both matrices (which
+    # hold diag(1, 0, 0) and, for n = diag(1, 1, 0), an unbounded slice)
+    s = herm(np.array([[0, 0, 0], [0, 0, 0.5], [0, 0.5, 1.0]]))
+    b = herm(np.diag([1.0, 0.0, 1.0]))
+    n = herm(np.diag(np.array(weights, dtype=float)))
+    sec = custom_section([b, s], n)
+    assert sec.restricted and sec.ambient_dim == 2 and sec.span_dim == 1
+    assert contains(sec, b / trace_pair(b, n))
+    assert not contains(sec, herm(np.diag([1.0, 0.0, 0.0])))
+    # the support comes from a solve at tolerance 1e-8, so the closed form is that close
+    xm = herm(np.diag(np.array(x, dtype=float)))
+    assert abs(base_norm(sec, xm).value - value) <= 1e-7 * value
+    assert abs(base_norm(sec, xm, prefer_closed=False).value - value) <= 1e-6 * value
+
+
+def test_restricted_interior_point_pairs_to_one():
+    # t* = -5e-7 passes the emptiness margin; the kept member pairs to one exactly
+    sec = custom_section([herm(np.diag([1.0, -5e-7]))], identity(2))
+    assert sec.restricted and sec.ambient_dim == 1
+    assert abs(trace_pair(sec.interior_point, sec.normalizer) - 1.0) <= 1e-12
+    assert contains(sec, sec.lift(sec.interior_point))
+    assert abs(base_norm(sec, herm(np.diag([1.0, 0.0]))).value - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_bounded_slice_with_singular_normalizer_builds(seed):
     basis, n = bounded_case(seed)
