@@ -31,6 +31,12 @@ STRICT_HERMITICITY_TOL = 1e-8
 # max(1, largest eigenvalue).  Keeps the support-restricted limit of
 # b^{-1/2} x b^{-1/2} well conditioned.
 SUPPORT_CUTOFF = 1e-10
+# A direction whose singular value is at most this (relative) counts as dependent.
+DEPENDENT_DROP_TOL = 1e-9
+# Gaussian columns a complement sketch draws beyond the complement's dimension,
+# and the sketch columns projected per product.
+SKETCH_OVERSAMPLE = 8
+SKETCH_CHUNK = 256
 
 
 def _real(value) -> bool:
@@ -295,6 +301,41 @@ def _support_columns(s: Spectrum, cutoff: float | None = None) -> np.ndarray:
     if cutoff is None:
         cutoff = _support_cutoff(s.eigenvalues)
     return s.eigenvectors[:, s.eigenvalues > cutoff]
+
+
+def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span by one thresholded SVD: directions
+    with singular value at most DEPENDENT_DROP_TOL * max(1, largest) are
+    dropped.  The kept columns lead the SVD factor; they are returned as a
+    view of it."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, : np.count_nonzero(s > DEPENDENT_DROP_TOL * max(1.0, float(s[0])))]
+
+
+def _complement_columns(m: np.ndarray, gram: float = 1.0) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of range(m), for the
+    d^2 x k columns ``m`` with m^T m = gram I, as a fresh C-ordered array.
+
+    A fixed-seed Gaussian sketch of d^2 - k + SKETCH_OVERSAMPLE columns is
+    projected twice off range(m), SKETCH_CHUNK columns per product, and
+    orthonormalized by :func:`_orthonormalize_columns`, which must keep
+    exactly d^2 - k columns.  No d^2 x d^2 array is formed, and the sketch
+    is freed before the kept columns are copied out of the SVD factor."""
+    d2, k = m.shape
+    if d2 == k:  # a full span: no sketch, and no import of numpy.random
+        return np.empty((d2, 0))
+    sketch = np.random.default_rng(0).standard_normal((d2, d2 - k + SKETCH_OVERSAMPLE))
+    for lo in range(0, sketch.shape[1], SKETCH_CHUNK):
+        part = sketch[:, lo : lo + SKETCH_CHUNK]
+        for _ in range(2):
+            part -= m @ ((m.T @ part) / gram)
+    kept = _orthonormalize_columns(sketch)
+    del sketch, part
+    if kept.shape[1] != d2 - k:
+        raise NumericalError(
+            f"complement of a rank-{k} span in dimension {d2}: kept {kept.shape[1]} columns"
+        )
+    return np.array(kept, order="C")
 
 
 def support_projection(x: HermitianMatrix, cutoff: float | None = None) -> HermitianMatrix:

@@ -39,7 +39,10 @@ import numpy as np
 from . import solver
 from .errors import EmptySectionError, ShapeError, ValidationError
 from .hermitian import (
+    DEPENDENT_DROP_TOL,
     HermitianMatrix,
+    _complement_columns,
+    _orthonormalize_columns,
     _psd_values,
     _support_columns,
     _transpose_columns,
@@ -66,8 +69,6 @@ from .hermitian import (
     transpose_in_basis,
 )
 
-# A direction whose singular value is at most this (relative) counts as dependent.
-DEPENDENT_DROP_TOL = 1e-9
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 # A candidate interior point counts as positive definite above this floor.
 FAITHFUL_EIG_TOL = 1e-8
@@ -145,7 +146,8 @@ class Section:
         return hunvec_matrix(vec, self.ambient_dim, self.normalizer.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:
-        """Orthonormal hvec basis of the span's orthogonal complement."""
+        """Orthonormal hvec basis of the span's orthogonal complement, a fresh
+        array built on each read (:func:`~gnorm.hermitian._complement_columns`)."""
         return _complement_columns(self.span_matrix())
 
     def compress(self, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL):
@@ -195,20 +197,6 @@ class Section:
 def _columns(mats) -> np.ndarray:
     """hvec coordinates of the matrices, one column each."""
     return np.column_stack([hvec(m) for m in mats])
-
-
-def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span by one thresholded SVD: directions
-    with singular value at most DEPENDENT_DROP_TOL * max(1, largest) are
-    dropped."""
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > DEPENDENT_DROP_TOL * max(1.0, float(s[0]))]
-
-
-def _complement_columns(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of the orthonormal columns ``m``: the trailing
-    columns of one complete QR, copied so as not to keep the d^2 x d^2 Q alive."""
-    return np.linalg.qr(m, mode="complete")[0][:, m.shape[1] :].copy()
 
 
 def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarray:

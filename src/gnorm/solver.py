@@ -25,7 +25,11 @@ How the projection is done follows from the program's structure:
   projected in closed form, with one pull L^T and one lift L per run of
   blocks: the feasible slacks are V = {L s - b}, projecting onto
   V is P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma;
-  neither A nor a Gram matrix is ever formed;
+  neither A nor a Gram matrix is ever formed.  A program of one run of c
+  copies of L (d^2 x k) whose complement is the thinner side, d^2 - k < k
+  (base, diamond and comb norms, full slices, classical payoffs), projects
+  through an orthonormal basis N of range(L)-perp instead:
+  P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j;
 * a generic :class:`ConeProgram`, which only a caller states, splits its
   dense A = [A_K | A_F] into PSD and free columns.  One SVD of A_F gives an
   orthonormal basis N of null(A_F^T) and pinv(A_F); the PSD coordinates
@@ -113,7 +117,16 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError, ShapeError, SolverError
-from .hermitian import HermitianMatrix, _hvec_layout, as_array, as_count, as_dim, as_tol, hunvec
+from .hermitian import (
+    HermitianMatrix,
+    _complement_columns,
+    _hvec_layout,
+    as_array,
+    as_count,
+    as_dim,
+    as_tol,
+    hunvec,
+)
 
 PSD = "psd"
 FREE = "free"
@@ -215,10 +228,13 @@ class MajorantProgram(_ProgramData):
     ``eq_rhs`` stacks the b_j.  The solve iterates on the slacks P_j alone:
     they fix s = sum_j L_j^T (P_j + b_j) / sigma, which is the free block it
     returns.  Consecutive blocks that share one lift array share its
-    products in the solve.  ``eq_matrix``, the dense A = [-I | L], is built
-    on first read for :func:`dump_program` and other outside readers;
-    :func:`solve` never reads it.  Every program the library solves has this
-    shape.
+    products in the solve; when they all share one lift L (d^2 x k) with
+    d^2 - k < k, construction also builds an orthonormal basis N of the
+    complement of range(L), and the solve projects through the thinner N
+    (see :class:`_MajorantRows`).  ``eq_matrix``, the dense A = [-I | L],
+    is built on first read for :func:`dump_program` and other outside
+    readers; :func:`solve` never reads it.  Every program the library solves
+    has this shape.
     """
 
     lifts: tuple[np.ndarray, ...]
@@ -394,6 +410,14 @@ class _MajorantRows:
     one pull L^T and one lift per run of blocks.  The free objective c_s
     enters as L c_s / sigma, both in the slacks' objective and in the dual
     vector, whose pull is then c_s by construction.
+
+    The thin-side rule: when all blocks form one run of c copies of L
+    (d^2 x k) and d^2 - k < k, ``complement`` holds N, an orthonormal basis
+    of range(L)-perp built once here, and the projection is
+    P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j, since
+    L L^T / sigma = (I - N N^T) / c.  Otherwise (lifted payoff programs,
+    dual sections) ``complement`` is None and the projection goes through
+    L.  Full checks and the returned s always go through L.
     """
 
     def __init__(self, lifts: tuple[np.ndarray, ...]):
@@ -423,7 +447,12 @@ class _MajorantRows:
         gram.flat[:: k + 1] -= sigma
         if not sigma > 0.0 or float(np.max(np.abs(gram, out=gram))) > 1e-9 * sigma:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
+        del gram  # freed before N is built
         self.sigma = sigma
+        # the thin-side rule: N for one run whose complement is the thinner side
+        self.complement = None
+        if not rest and 2 * k > m.shape[0]:
+            self.complement = _complement_columns(m, sigma / copies)
 
     def eliminate(self, c: np.ndarray, b: np.ndarray):
         """The slacks' objective C = c_P + L c_s / sigma, the part L c_s / sigma
@@ -458,7 +487,14 @@ class _MajorantRows:
         return np.concatenate([-y, self._pull(y)])
 
     def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = self._lift_minus(self.free_part(zeta, b), b, np.empty_like(zeta))
+        n = self.complement
+        if n is None:
+            p = self._lift_minus(self.free_part(zeta, b), b, np.empty_like(zeta))
+        else:  # L L^T / sigma = (I - N N^T) / copies
+            copies = self.runs[0][2]
+            t = (zeta + b).reshape(copies, -1).sum(axis=0) / copies
+            t -= n @ (n.T @ t)
+            p = (t - b.reshape(copies, -1)).reshape(-1)
         return p, p - zeta
 
     def free_part(self, p: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,6 +59,8 @@ def test_majorant_assembly_holds_one_gram_array(base):
     k = sec.span_dim
     program, peak = traced_peak(lambda: majorant_program(sec, 2))
     assert [m is sec.span_matrix() for m in program.lifts] == [True, True]
+    # the peak covers N, the thin complement the solve projects through
+    assert program._shared["rows"].complement.shape == (1296, 111)
     assert peak <= BUDGET * k * k * 8
 
 

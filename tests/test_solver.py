@@ -31,7 +31,13 @@ from gnorm.hermitian import (
     trace_pair,
 )
 from gnorm.norms import base_norm_psd, certify_extremal_psd, hmin, majorant_program
-from gnorm.sections import channels_section, comb_section, contains, dual_section
+from gnorm.sections import (
+    channels_section,
+    comb_section,
+    contains,
+    dual_section,
+    states_section,
+)
 from gnorm.solver import (
     FREE,
     PSD,
@@ -477,6 +483,61 @@ def test_library_programs_are_majorant_programs(monkeypatch):
     assert np.linalg.eigvalsh((tensor(identity(2), q) - xi).entries)[0] >= -1e-6
     assert abs(trace_pair(q, ch.normalizer) - pay.value) <= 1e-6
     assert abs(trace_pair(xi, y) - pay.value) <= 1e-6
+
+
+def thin_side_cases():
+    """Base-norm programs over channels(3,3), comb(2,2,2,2) and the full slice
+    states(3), whose complement N has 0 columns."""
+    return [majorant_program(sec, 2) for sec in (
+        channels_section(3, 3), comb_section((2, 2, 2, 2)), states_section(3))]
+
+
+def span_side_projection(program, zeta, b):
+    """P_j = L L^T (sum_j (zeta_j + b_j)) / sigma - b_j through the span matrix L."""
+    m, copies = program.lifts[0], len(program.lifts)
+    sigma = solver._rows(program).sigma
+    total = (zeta + b).reshape(copies, -1).sum(axis=0)
+    return (m @ (m.T @ total) / sigma - b.reshape(copies, -1)).reshape(-1)
+
+
+def test_single_run_programs_project_through_the_thin_complement():
+    rng = np.random.default_rng(64)
+    # a lift of gram 4 I, which N is taken against as well
+    lift = 2.0 * channels_section(3, 3).span_matrix()
+    scaled = MajorantProgram((lift, lift), np.zeros(2 * 81 + lift.shape[1]), np.zeros(2 * 81))
+    for program in thin_side_cases() + [scaled]:
+        m = program.lifts[0]
+        d2, k = m.shape
+        n = solver._rows(program).complement
+        assert n.shape == (d2, d2 - k)
+        assert np.linalg.norm(m.T @ n) <= 1e-12
+        assert np.linalg.norm(n.T @ n - np.eye(d2 - k)) <= 1e-12
+        for _ in range(3):
+            zeta, b = rng.normal(size=(2, 2 * d2))
+            p, mult = solver._rows(program).project(zeta, b)
+            assert np.max(np.abs(p - span_side_projection(program, zeta, b))) <= 1e-13
+            assert np.array_equal(mult, p - zeta)
+
+
+def test_lifted_and_dual_section_programs_keep_the_span_side():
+    ch = channels_section(2, 2)
+    for program in (majorant_program(ch, 1, 2), majorant_program(dual_section(ch), 2)):
+        assert solver._rows(program).complement is None
+
+
+def test_thin_and_span_side_solves_agree():
+    rng = np.random.default_rng(65)
+    tol = 1e-8
+    for cached in thin_side_cases():
+        x = hvec(rand_herm(rng, math.isqrt(cached.lifts[0].shape[0])))
+        rhs = np.concatenate([x, -x])
+        thin = MajorantProgram(cached.lifts, cached.objective, rhs)
+        span = MajorantProgram(cached.lifts, cached.objective, rhs)
+        span._shared["rows"].complement = None
+        got, ref = solve(thin, tol=tol), solve(span, tol=tol)
+        assert got.status == ref.status == "optimal"
+        for a, b in ((got.primal_value, ref.primal_value), (got.dual_value, ref.dual_value)):
+            assert abs(a - b) <= tol * (1.0 + abs(b))
 
 
 def test_majorant_rejects_bad_lifts():
