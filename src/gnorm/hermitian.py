@@ -34,9 +34,9 @@ SUPPORT_CUTOFF = 1e-10
 # A direction whose singular value is at most this (relative) counts as dependent.
 DEPENDENT_DROP_TOL = 1e-9
 # Gaussian columns a complement sketch draws beyond the complement's dimension,
-# and the sketch columns projected per product.
+# and the columns per product where a product with a span is taken in parts.
 SKETCH_OVERSAMPLE = 8
-SKETCH_CHUNK = 256
+PRODUCT_CHUNK = 256
 
 
 def _real(value) -> bool:
@@ -214,7 +214,8 @@ def herm(data, dims=None, strict: bool = False) -> HermitianMatrix:
     """Build a :class:`HermitianMatrix` from any array-like; ``dims`` by :func:`as_dims`."""
     if isinstance(data, HermitianMatrix):
         return data.with_dims(dims) if dims is not None else data
-    return HermitianMatrix(data, () if dims is None else dims, strict)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ShapeError alone
+        return HermitianMatrix(data, () if dims is None else dims, strict)
 
 
 def identity(dims) -> HermitianMatrix:
@@ -312,12 +313,12 @@ def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
     return u[:, : np.count_nonzero(s > DEPENDENT_DROP_TOL * max(1.0, float(s[0])))]
 
 
-def _complement_columns(m: np.ndarray, gram: float = 1.0) -> np.ndarray:
+def _complement_columns(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of range(m), for the
-    d^2 x k columns ``m`` with m^T m = gram I, as a fresh C-ordered array.
+    orthonormal d^2 x k columns ``m``, as a fresh C-ordered array.
 
     A fixed-seed Gaussian sketch of d^2 - k + SKETCH_OVERSAMPLE columns is
-    projected twice off range(m), SKETCH_CHUNK columns per product, and
+    projected twice off range(m), PRODUCT_CHUNK columns per product, and
     orthonormalized by :func:`_orthonormalize_columns`, which must keep
     exactly d^2 - k columns.  No d^2 x d^2 array is formed, and the sketch
     is freed before the kept columns are copied out of the SVD factor."""
@@ -325,10 +326,10 @@ def _complement_columns(m: np.ndarray, gram: float = 1.0) -> np.ndarray:
     if d2 == k:  # a full span: no sketch, and no import of numpy.random
         return np.empty((d2, 0))
     sketch = np.random.default_rng(0).standard_normal((d2, d2 - k + SKETCH_OVERSAMPLE))
-    for lo in range(0, sketch.shape[1], SKETCH_CHUNK):
-        part = sketch[:, lo : lo + SKETCH_CHUNK]
+    for lo in range(0, sketch.shape[1], PRODUCT_CHUNK):
+        part = sketch[:, lo : lo + PRODUCT_CHUNK]
         for _ in range(2):
-            part -= m @ ((m.T @ part) / gram)
+            part -= m @ (m.T @ part)
     kept = _orthonormalize_columns(sketch)
     del sketch, part
     if kept.shape[1] != d2 - k:
@@ -540,5 +541,4 @@ def matrix_from_json(obj, strict: bool = False) -> HermitianMatrix:
     d = math.prod(dims)
     if arr.shape != (d, d):
         raise ShapeError(f"field 'matrix' has shape {arr.shape}, expected ({d}, {d})")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ShapeError alone
-        return HermitianMatrix(arr, dims if len(dims) > 1 else (), strict)
+    return herm(arr, dims if len(dims) > 1 else (), strict)

@@ -182,7 +182,8 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
     q = M s runs over the span (M = ``span_matrix``, orthonormal), so the
     lifts are M per copy and, for the lifted block, the Kronecker lift
     I (x) M (columns hvec(I (x) J_i)); their Gram sum is (copies + lifted) I.
-    Callers set the right-hand sides.  Cached on the section.
+    The thin-side rule: copies alone with d^2 - k < k state the thinner side,
+    ``section.complement_matrix()``.  Callers set the right-hand sides.  Cached on the section.
     """
     key = ("majorant", copies, lifted)
     got = section._cache.get(key)
@@ -197,7 +198,9 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
         desc = f"majorant over {section.label}, {copies} copies"
         if lifted:
             desc += f" and one lifted by I({lifted})"
-        got = solver.MajorantProgram(lifts, c, np.zeros(n_rows), desc)
+        thin = not lifted and 2 * m_span.shape[1] > m_span.shape[0]
+        complement = section.complement_matrix() if thin else None
+        got = solver.MajorantProgram(lifts, c, np.zeros(n_rows), desc, complement)
         section._cache[key] = got
     return got
 

@@ -146,9 +146,14 @@ class Section:
         return hunvec_matrix(vec, self.ambient_dim, self.normalizer.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:
-        """Orthonormal hvec basis of the span's orthogonal complement, a fresh
-        array built on each read (:func:`~gnorm.hermitian._complement_columns`)."""
-        return _complement_columns(self.span_matrix())
+        """Orthonormal hvec basis N of the span's orthogonal complement, built on the first read
+        and kept read-only: the dual span and thin majorant programs share this array."""
+        got = self._cache.get("complement")
+        if got is None:
+            got = _complement_columns(self.span_matrix())
+            got.flags.writeable = False
+            self._cache["complement"] = got
+        return got
 
     def compress(self, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL):
         """Map a caller-space matrix into the carrier space.
@@ -248,10 +253,11 @@ def _pairing(span_cols: np.ndarray, normalizer: HermitianMatrix):
     return p, norm_p
 
 
-def _dual_span(span_cols: np.ndarray, normalizer: HermitianMatrix) -> np.ndarray:
-    """The dual section's span{M p} (+) M-perp as [M p / |p| | complement of M], orthonormal."""
+def _dual_span(span_cols: np.ndarray, normalizer: HermitianMatrix, complement) -> np.ndarray:
+    """The dual section's span{M p} (+) M-perp as [M p / |p| | N], orthonormal, for
+    ``complement`` N an orthonormal basis of M-perp."""
     p, norm_p = _pairing(span_cols, normalizer)
-    return np.column_stack([span_cols @ (p / norm_p), _complement_columns(span_cols)])
+    return np.column_stack([span_cols @ (p / norm_p), complement])
 
 
 def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
@@ -323,7 +329,8 @@ def _make_section(
     if not _positive_definite(w):
         # The slice is bounded exactly when no PSD y != 0 in the span has Tr(y n) = 0, i.e.
         # (Gordan's alternative) when the dual span holds a positive-definite matrix.
-        t_star, z_star = _solve_interior(_dual_span(span_cols, normalizer), identity(dim))
+        dual_span = _dual_span(span_cols, normalizer, _complement_columns(span_cols))
+        t_star, z_star = _solve_interior(dual_span, identity(dim))
         if t_star <= INTERIOR_MARGIN * max(1.0, frobenius_norm(z_star)):
             why = "the slice contains a PSD recession direction annihilated by the normalizer"
             raise ValidationError(f"section {label!r} is unbounded: {why}")
@@ -487,7 +494,7 @@ def dual_section(section: Section) -> Section:
     if got is not None:
         return got
     dual = _make_section(
-        _dual_span(section.span_matrix(), section.normalizer),
+        _dual_span(section.span_matrix(), section.normalizer, section.complement_matrix()),
         section.interior_point,
         f"dual({section.label})",
         subsystem_dims=section.subsystem_dims,

@@ -26,10 +26,11 @@ How the projection is done follows from the program's structure:
   blocks: the feasible slacks are V = {L s - b}, projecting onto
   V is P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma;
   neither A nor a Gram matrix is ever formed.  A program of one run of c
-  copies of L (d^2 x k) whose complement is the thinner side, d^2 - k < k
-  (base, diamond and comb norms, full slices, classical payoffs), projects
-  through an orthonormal basis N of range(L)-perp instead:
-  P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j;
+  copies of L (d^2 x k) that states an orthonormal basis N of range(L)-perp
+  as its ``complement`` projects through N instead:
+  P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j.  The library's builder
+  states the section's N when it is the thinner side, d^2 - k < k (base,
+  diamond and comb norms, full slices, classical payoffs);
 * a generic :class:`ConeProgram`, which only a caller states, splits its
   dense A = [A_K | A_F] into PSD and free columns.  One SVD of A_F gives an
   orthonormal basis N of null(A_F^T) and pinv(A_F); the PSD coordinates
@@ -117,16 +118,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError, ShapeError, SolverError
-from .hermitian import (
-    HermitianMatrix,
-    _complement_columns,
-    _hvec_layout,
-    as_array,
-    as_count,
-    as_dim,
-    as_tol,
-    hunvec,
-)
+from .hermitian import (PRODUCT_CHUNK, HermitianMatrix, _hvec_layout, as_array, as_count,
+                        as_dim, as_tol, hunvec)
 
 PSD = "psd"
 FREE = "free"
@@ -224,14 +217,14 @@ class MajorantProgram(_ProgramData):
         subject to  L_j s - P_j = b_j,   P_j PSD,   s a free vector,
 
     for lifts L_j (d_j^2 x k) with sum_j L_j^T L_j = sigma I, checked on
-    construction in one k x k work array; the lifts are never copied.
+    construction a block of rows at a time; the lifts are never copied.
     ``eq_rhs`` stacks the b_j.  The solve iterates on the slacks P_j alone:
     they fix s = sum_j L_j^T (P_j + b_j) / sigma, which is the free block it
     returns.  Consecutive blocks that share one lift array share its
-    products in the solve; when they all share one lift L (d^2 x k) with
-    d^2 - k < k, construction also builds an orthonormal basis N of the
-    complement of range(L), and the solve projects through the thinner N
-    (see :class:`_MajorantRows`).  ``eq_matrix``, the dense A = [-I | L],
+    products in the solve.  When they all share one lift L (d^2 x k),
+    ``complement`` may state an orthonormal basis N (d^2 x (d^2 - k)) of
+    range(L)-perp, checked on construction and never copied; the solve then
+    projects through N (see :class:`_MajorantRows`).  ``eq_matrix``, the dense A = [-I | L],
     is built on first read for :func:`dump_program` and other outside
     readers; :func:`solve` never reads it.  Every program the library solves
     has this shape.
@@ -241,6 +234,7 @@ class MajorantProgram(_ProgramData):
     objective: np.ndarray
     eq_rhs: np.ndarray
     description: str = ""
+    complement: np.ndarray | None = field(default=None, repr=False)
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
     blocks: tuple[Block, ...] = field(init=False, repr=False)
 
@@ -257,7 +251,7 @@ class MajorantProgram(_ProgramData):
                 if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
                     raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
             self._shared["blocks"] = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
-            self._shared["rows"] = _MajorantRows(lifts)
+            self._shared["rows"] = _MajorantRows(lifts, self.complement)
             object.__setattr__(self, "lifts", tuple(lifts))
         object.__setattr__(self, "blocks", self._shared["blocks"])
         self._set_vectors(self._shared["rows"].n_rows)
@@ -411,16 +405,16 @@ class _MajorantRows:
     enters as L c_s / sigma, both in the slacks' objective and in the dual
     vector, whose pull is then c_s by construction.
 
-    The thin-side rule: when all blocks form one run of c copies of L
-    (d^2 x k) and d^2 - k < k, ``complement`` holds N, an orthonormal basis
-    of range(L)-perp built once here, and the projection is
+    A stated ``complement`` N is checked here: all blocks form one run of c
+    copies of L (d^2 x k), N is d^2 x (d^2 - k), and N^T N = I and L^T N = 0
+    within 1e-9 (relative to L's column norm).  The projection is then
     P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j, since
-    L L^T / sigma = (I - N N^T) / c.  Otherwise (lifted payoff programs,
-    dual sections) ``complement`` is None and the projection goes through
-    L.  Full checks and the returned s always go through L.
+    L L^T / sigma = (I - N N^T) / c.  Otherwise ``complement`` is None and
+    the projection goes through L.  Full checks and the returned s always go
+    through L.
     """
 
-    def __init__(self, lifts: tuple[np.ndarray, ...]):
+    def __init__(self, lifts: tuple[np.ndarray, ...], complement: np.ndarray | None):
         # Runs of consecutive blocks sharing one lift array: (lift, rows,
         # copies), ``rows`` being the run's slice of the stacked rows.
         self.runs = []
@@ -435,24 +429,29 @@ class _MajorantRows:
             lo = hi
         self.n_rows = lo
         self.cone, self.free = slice(0, lo), slice(lo, None)
-        # sum_j c_j L_j^T L_j = sigma I, checked in one k x k work array
-        # updated in place: the Gram sum, then |Gram - sigma I|.
+        # sum_j c_j L_j^T L_j = sigma I, checked on and above the diagonal one block
+        # of PRODUCT_CHUNK rows at a time: no array above PRODUCT_CHUNK x k is formed.
         (m, _, copies), *rest = self.runs
-        gram = m.T @ m
-        gram *= copies
-        for m, _, copies in rest:
-            gram += copies * (m.T @ m)
-        k = gram.shape[0]
-        sigma = float(np.trace(gram)) / k
-        gram.flat[:: k + 1] -= sigma
-        if not sigma > 0.0 or float(np.max(np.abs(gram, out=gram))) > 1e-9 * sigma:
+        k = m.shape[1]
+        diag, off = np.empty(k), 0.0
+        for lo in range(0, k, PRODUCT_CHUNK):
+            hi = min(lo + PRODUCT_CHUNK, k)
+            gram = sum(c * (lift[:, lo:hi].T @ lift[:, lo:]) for lift, _, c in self.runs)
+            diag[lo:hi] = np.diagonal(gram)
+            np.fill_diagonal(gram, 0.0)
+            off = max(off, float(np.max(np.abs(gram, out=gram))))
+        sigma = float(diag.sum()) / k
+        if not sigma > 0.0 or max(off, float(np.max(np.abs(diag - sigma)))) > 1e-9 * sigma:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
-        del gram  # freed before N is built
         self.sigma = sigma
-        # the thin-side rule: N for one run whose complement is the thinner side
-        self.complement = None
-        if not rest and 2 * k > m.shape[0]:
-            self.complement = _complement_columns(m, sigma / copies)
+        self.complement = n = None if complement is None else as_array(complement, "complement")
+        if n is not None and (
+            rest
+            or n.shape != (m.shape[0], m.shape[0] - k)
+            or float(np.max(np.abs(n.T @ n - np.eye(n.shape[1])), initial=0.0)) > 1e-9
+            or float(np.max(np.abs(m.T @ n), initial=0.0)) > 1e-9 * math.sqrt(sigma / copies)
+        ):
+            raise ShapeError("a majorant complement must be orthonormal on range(L)-perp, one run")
 
     def eliminate(self, c: np.ndarray, b: np.ndarray):
         """The slacks' objective C = c_P + L c_s / sigma, the part L c_s / sigma

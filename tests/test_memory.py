@@ -3,10 +3,10 @@
 A comb section's span matrix M (d^2 x k) and the majorant program's k x k
 Gram check are the largest arrays gnorm holds.  Building the section writes
 both Kronecker parts into one span array, and assembling the program checks
-sum_j c_j L_j^T L_j = sigma I in one k x k work array, so each step's
-tracemalloc peak stays within 1.25 times its data.  Neither saving moves a
-bit: the span equals the stacked, unchunked Kronecker parts, and sigma is
-the trace of the Gram sum over k.
+sum_j c_j L_j^T L_j = sigma I a block of rows at a time, so each step's
+tracemalloc peak stays within 1.25 times its data.
+Neither saving moves a bit: the span equals the stacked, unchunked Kronecker
+parts, and sigma is the trace of the Gram sum over k.
 """
 
 import math
@@ -148,3 +148,14 @@ def test_lifts_with_non_scalar_grams_summing_to_sigma_are_accepted():
 def test_an_off_diagonal_gram_miss_is_rejected():
     with pytest.raises(ShapeError, match="sigma I"):
         majorant(split_lifts(1e-6))
+
+
+def test_gram_check_reads_every_block_of_rows():
+    # channels(5,5): k = 601, three blocks of PRODUCT_CHUNK rows
+    m = channels_section(5, 5).span_matrix()
+    k = m.shape[1]
+    assert majorant((m, m))._shared["rows"].sigma == float(np.trace(2 * (m.T @ m))) / k
+    skew = m.copy()
+    skew[:, -1] += 1e-6 * m[:, -2]  # a miss in the last block only
+    with pytest.raises(ShapeError, match="sigma I"):
+        majorant((skew, skew))

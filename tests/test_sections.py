@@ -288,9 +288,12 @@ def test_complement_and_dual_span_are_exact(build):
     m = sec.span_matrix()
     n = sec.complement_matrix()
     d2, k = m.shape
-    # [M | N] is orthogonal; N is a copy, not a view keeping the Q factor alive
+    # [M | N] is orthogonal; N is a copy, not a view keeping the Q factor alive,
+    # built once and kept read-only
     assert n.shape == (d2, d2 - k)
     assert n.base is None
+    assert not n.flags.writeable
+    assert sec.complement_matrix() is n
     q = np.hstack([m, n])
     assert np.max(np.abs(q.T @ q - np.eye(d2))) <= 1e-12
     # the dual span is orthonormal and equals span{M M^T n} (+) M-perp

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_herm, rand_kraus_channel, rand_psd
-from gnorm import solver
+from gnorm import sections, solver
 from gnorm.choi import kraus_channel
 from gnorm.decisions import (
     Experiment,
@@ -30,7 +30,7 @@ from gnorm.hermitian import (
     trace_norm,
     trace_pair,
 )
-from gnorm.norms import base_norm_psd, certify_extremal_psd, hmin, majorant_program
+from gnorm.norms import base_norm, base_norm_psd, certify_extremal_psd, hmin, majorant_program
 from gnorm.sections import (
     channels_section,
     comb_section,
@@ -254,7 +254,9 @@ def majorant_cases():
             rhs = [hvec(x), -hvec(x)]
         else:
             rhs = [hvec(rand_herm(rng, d)) for _ in range(copies)]
-        out.append(MajorantProgram(cached.lifts, cached.objective, np.concatenate(rhs)))
+        rhs = np.concatenate(rhs)
+        program = MajorantProgram(cached.lifts, cached.objective, rhs, complement=cached.complement)
+        out.append(program)
     return out
 
 
@@ -502,9 +504,11 @@ def span_side_projection(program, zeta, b):
 
 def test_single_run_programs_project_through_the_thin_complement():
     rng = np.random.default_rng(64)
-    # a lift of gram 4 I, which N is taken against as well
-    lift = 2.0 * channels_section(3, 3).span_matrix()
-    scaled = MajorantProgram((lift, lift), np.zeros(2 * 81 + lift.shape[1]), np.zeros(2 * 81))
+    # a lift of gram 4 I, stating the N of channels(3,3)
+    ch = channels_section(3, 3)
+    lift = 2.0 * ch.span_matrix()
+    scaled = MajorantProgram((lift, lift), np.zeros(2 * 81 + lift.shape[1]), np.zeros(2 * 81),
+                             complement=ch.complement_matrix())
     for program in thin_side_cases() + [scaled]:
         m = program.lifts[0]
         d2, k = m.shape
@@ -525,15 +529,39 @@ def test_lifted_and_dual_section_programs_keep_the_span_side():
         assert solver._rows(program).complement is None
 
 
+def test_section_sketches_its_complement_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return complement_columns(m)
+
+    sec = channels_section.__wrapped__(2, 2)  # uncached: no N sketched before
+    complement_columns = sections._complement_columns
+    monkeypatch.setattr(sections, "_complement_columns", counted)
+    rng = np.random.default_rng(66)
+    dual = dual_section(sec)
+    base_norm(sec, rand_herm(rng, 4), tol=1e-8)
+    base_norm_psd(sec, rand_psd(rng, 4), tol=1e-8)
+    majorant_program(sec, 3)
+    assert calls == [(16, 13)]
+    n = sec.complement_matrix()
+    programs = [p for key, p in sec._cache.items() if key[0] == "majorant"]
+    assert len(programs) == 3
+    assert all(solver._rows(p).complement is n for p in programs)
+    assert np.array_equal(dual.span_matrix()[:, 1:], n)
+
+
 def test_thin_and_span_side_solves_agree():
     rng = np.random.default_rng(65)
     tol = 1e-8
     for cached in thin_side_cases():
         x = hvec(rand_herm(rng, math.isqrt(cached.lifts[0].shape[0])))
         rhs = np.concatenate([x, -x])
-        thin = MajorantProgram(cached.lifts, cached.objective, rhs)
+        thin = MajorantProgram(cached.lifts, cached.objective, rhs, complement=cached.complement)
         span = MajorantProgram(cached.lifts, cached.objective, rhs)
-        span._shared["rows"].complement = None
+        assert solver._rows(thin).complement is cached.complement
+        assert solver._rows(span).complement is None
         got, ref = solve(thin, tol=tol), solve(span, tol=tol)
         assert got.status == ref.status == "optimal"
         for a, b in ((got.primal_value, ref.primal_value), (got.dual_value, ref.dual_value)):
@@ -541,13 +569,24 @@ def test_thin_and_span_side_solves_agree():
 
 
 def test_majorant_rejects_bad_lifts():
-    m = channels_section(2, 2).span_matrix()
+    sec = channels_section(2, 2)
+    m, n = sec.span_matrix(), sec.complement_matrix()
     rng = np.random.default_rng(50)
     skew = rng.normal(size=m.shape)
     for lifts in ((m, skew), (m, m[:, :-1]), (m[:-1],)):
         n_rows = sum(x.shape[0] for x in lifts)
         with pytest.raises(ShapeError):
             MajorantProgram(lifts, np.zeros(n_rows + m.shape[1]), np.zeros(n_rows))
+    # a stated complement of the wrong shape, with a column inside range(L),
+    # or stated for two runs (the lifted payoff program's lifts)
+    inside = n.copy()
+    inside[:, 0] = m[:, 0]
+    lifted = majorant_program(sec, 1, 2).lifts
+    for lifts, complement in (((m, m), n[:, :-1]), ((m, m), inside), (lifted, n)):
+        n_rows = sum(x.shape[0] for x in lifts)
+        with pytest.raises(ShapeError):
+            MajorantProgram(lifts, np.zeros(n_rows + m.shape[1]), np.zeros(n_rows),
+                            complement=complement)
 
 
 def test_dump_program_lists_majorant_rows():
