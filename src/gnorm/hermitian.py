@@ -34,7 +34,7 @@ SUPPORT_CUTOFF = 1e-10
 # A direction whose singular value is at most this (relative) counts as dependent.
 DEPENDENT_DROP_TOL = 1e-9
 # Gaussian columns a complement sketch draws beyond the complement's dimension,
-# and the columns per product where a product with a span is taken in parts.
+# and the columns (or rows) per product where a product with a span is taken in parts.
 SKETCH_OVERSAMPLE = 8
 PRODUCT_CHUNK = 256
 
@@ -315,7 +315,9 @@ def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
 
 def _complement_columns(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of range(m), for the
-    orthonormal d^2 x k columns ``m``, as a fresh C-ordered array.
+    orthonormal d^2 x k columns ``m``, as a fresh C-ordered array: the
+    complement of a custom, singleton or restricted section's span, which has
+    no closed form (structured sections build theirs from their Kronecker parts).
 
     A fixed-seed Gaussian sketch of d^2 - k + SKETCH_OVERSAMPLE columns is
     projected twice off range(m), PRODUCT_CHUNK columns per product, and

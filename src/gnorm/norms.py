@@ -221,20 +221,29 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     the lifted I_k (x) q >= r_j.  Value and q are multiplied by ``scale``, and
     the dual witness holds each block's multiplier y_j, lifted to the caller's
     space; a lifted block's carries dims (k,) + ``section.dims``.  A stopped
-    solve raises SolverError carrying this result."""
+    solve raises SolverError carrying this result.
+
+    The solver's stop rule is absolute below unit scale, so an objective
+    p = M^T hvec(n) with |p| outside [2^-4, 2^4] is solved as 2^-e p, |2^-e p| in
+    [1/2, 1): a power of two, so the value and the multipliers scale back exactly."""
     d = section.ambient_dim
     lifted = blocks[-1].dim // d if blocks[-1].dim > d else 0
     rhs = np.concatenate([hvec(b) for b in blocks])
     program = majorant_program(section, len(blocks) - (lifted > 0), lifted).with_rhs(rhs)
+    norm_p, e = np.linalg.norm(program.objective), 0
+    if not 2.0**-4 <= norm_p <= 2.0**4:
+        e = math.frexp(norm_p)[1]
+        program = program.with_objective(np.ldexp(program.objective, -e))
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
     q = section.lift(section.from_span_coords(sol.primal_point[-1]) * scale)
-    ys, lo = [], 0
+    multipliers, ys, lo = np.ldexp(sol.dual_vector, e), [], 0
     for b in blocks:
         dims = section.normalizer.subsystem_dims if b.dim == d else (lifted,) + section.dims
-        y = hunvec_matrix(sol.dual_vector[lo : lo + b.dim ** 2], b.dim, dims)
+        y = hunvec_matrix(multipliers[lo : lo + b.dim ** 2], b.dim, dims)
         ys.append(section.lift(y) if b.dim == d else y)
         lo += b.dim ** 2
-    norm = _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, tuple(ys), sol)
+    unit = math.ldexp(scale, e)
+    norm = _conic_result(sol.primal_value * unit, sol.dual_value * unit, q, tuple(ys), sol)
     solver.require_optimal(sol, context, norm)
     return norm
 

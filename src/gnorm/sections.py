@@ -40,8 +40,10 @@ from . import solver
 from .errors import EmptySectionError, ShapeError, ValidationError
 from .hermitian import (
     DEPENDENT_DROP_TOL,
+    PRODUCT_CHUNK,
     HermitianMatrix,
     _complement_columns,
+    _hvec_layout,
     _orthonormalize_columns,
     _psd_values,
     _support_columns,
@@ -147,10 +149,13 @@ class Section:
 
     def complement_matrix(self) -> np.ndarray:
         """Orthonormal hvec basis N of the span's orthogonal complement, built on the first read
-        and kept read-only: the dual span and thin majorant programs share this array."""
+        and kept read-only: the dual span and thin majorant programs share this array.  A
+        structured section's builder leaves the closed form of its N in the cache, a function
+        of the section's own parts; custom, singleton and restricted sections sketch N
+        (:func:`_complement_columns`)."""
         got = self._cache.get("complement")
-        if got is None:
-            got = _complement_columns(self.span_matrix())
+        if not isinstance(got, np.ndarray):
+            got = _complement_columns(self.span_matrix()) if got is None else got()
             got.flags.writeable = False
             self._cache["complement"] = got
         return got
@@ -204,25 +209,76 @@ def _columns(mats) -> np.ndarray:
     return np.column_stack([hvec(m) for m in mats])
 
 
+@functools.lru_cache(maxsize=None)
+def _kron_layout(d_left: int, d_right: int) -> tuple:
+    """For each hvec coordinate of a (d_left d_right)-square L (x) R: the float-view
+    positions of its factors' entries in L and in R (real parts; each imaginary part is
+    next), and its scale; hvec coordinates from the returned count on read imaginary parts."""
+    d = d_left * d_right
+    take, scale, _, _ = _hvec_layout(d)
+    (i, j), (k, l) = (divmod(rc, d_right) for rc in divmod(take // 2, d))
+    return 2 * (i * d_left + k), 2 * (j * d_right + l), d * (d + 1) // 2, scale
+
+
+def _entries(cols: np.ndarray, d: int, pos: np.ndarray):
+    """Real and imaginary parts, one row per float-view position in ``pos``, of
+    the entries of every column's matrix, read as :func:`hunvec` reads them."""
+    _, _, src, coef = _hvec_layout(d)
+    return cols[src[pos]] * coef[pos, None], cols[src[pos + 1]] * coef[pos + 1, None]
+
+
 def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarray:
     """hvec columns of L (x) R for all pairs of hvec columns L of ``left`` and
     R of ``right``, left index outermost, written into ``out`` (new when None).
     Tr((L (x) R)(L' (x) R')) = Tr(L L') Tr(R R'): orthonormal inputs give
-    orthonormal columns.  Each entry is one product, taken for one left column
-    and ``d_right`` right columns at a time, so the complex intermediate holds
-    d_right matrices of the product's size (2 MB at d = 64).  ``right=None``
-    stands for the unit columns, all of Herm(R), formed a chunk at a time."""
-    d = d_left * d_right
+    orthonormal columns.  Each hvec coordinate is one product of an entry of L
+    and one of R, gathered by :func:`_kron_layout` and written PRODUCT_CHUNK
+    rows at a time.  ``right=None`` stands for the unit columns, all of
+    Herm(R): each row then holds at most two nonzeros per left column,
+    scattered into zeros.  Every entry has the bits of the complex product
+    (L R)[r, s] accumulated into zeros, as einsum takes it (never -0.0), times
+    the coordinate's scale."""
+    d, n_left = d_left * d_right, left.shape[1]
     k = d_right * d_right if right is None else right.shape[1]
     if out is None:
-        out = np.empty((d * d, left.shape[1] * k))
-    for i, col in enumerate(left.T):
-        lcol = hunvec(col, d_left)
-        for j in range(0, k, d_right):
-            chunk = np.eye(d_right, k, j) if right is None else right[:, j : j + d_right].T
-            rights = hunvec(chunk, d_right)
-            prod = np.einsum("ik,bjl->bijkl", lcol, rights).reshape(-1, d, d)
-            out[:, i * k + j : i * k + j + len(prod)] = hvec(prod).T
+        out = np.empty((d * d, n_left * k))
+    pos_l, pos_r, n_re, scale = _kron_layout(d_left, d_right)
+    lr, li = _entries(left, d_left, pos_l)
+    if right is None:
+        # R's entry (real part at float-view position p) is coef[p] in unit column src[p]
+        # and i coef[p + 1] in unit column src[p + 1] (none on R's diagonal): the real
+        # rows of L R read Lr and -Li times it, the imaginary rows Li and Lr
+        _, _, src, coef = _hvec_layout(d_right)
+        out[...] = 0.0
+        rows, cols = np.arange(d * d)[:, None], np.arange(n_left) * k
+        for p, real, imag in ((pos_r, lr, li), (pos_r + 1, -li, lr)):
+            part = np.concatenate([real[:n_re], imag[n_re:]]) * coef[p, None]
+            part += 0.0
+            part *= scale[:, None]
+            at = coef[p] != 0.0
+            out[rows[at], cols + src[p][at, None]] = part[at]
+        return out
+    for lo, hi in ((0, n_re), (n_re, d * d)):
+        for top in range(lo, hi, PRODUCT_CHUNK):
+            rows = slice(top, min(top + PRODUCT_CHUNK, hi))
+            rr, ri = (x[:, None] for x in _entries(right, d_right, pos_r[rows]))
+            a, b = lr[rows, :, None], li[rows, :, None]
+            block = a * rr - b * ri if lo == 0 else a * ri + b * rr  # real or imaginary part
+            block += 0.0
+            block *= scale[rows, None, None]
+            out[rows] = block.reshape(block.shape[0], n_left * k)
+    return out
+
+
+def _lifted_columns(free: np.ndarray, d_k: int, inner: np.ndarray, h: int) -> np.ndarray:
+    """[free (x) Herm(H) | I_K/sqrt(d_k) (x) inner] as hvec columns on K (x) H, both
+    Kronecker parts written into one new array, for hvec columns ``free`` on K and
+    ``inner`` on H (of dimension h)."""
+    n_free = free.shape[1] * h * h
+    out = np.empty((d_k * d_k * h * h, n_free + inner.shape[1]))
+    _kron_columns(free, d_k, None, h, out[:, :n_free])
+    lead = hvec(identity(d_k))[:, None] / math.sqrt(d_k)
+    _kron_columns(lead, d_k, inner, h, out[:, n_free:])
     return out
 
 
@@ -232,6 +288,15 @@ def _zero_sum_columns(n: int) -> np.ndarray:
     for k in range(1, n):
         out[:k, k - 1] = 1.0 / math.sqrt(k * (k + 1))
         out[k, k - 1] = -k / math.sqrt(k * (k + 1))
+    return out
+
+
+def _traceless_columns(d: int) -> np.ndarray:
+    """Orthonormal hvec basis of the traceless d x d matrices: Helmert columns on
+    the diagonal, then the off-diagonal coordinates, traceless already."""
+    out = np.zeros((d * d, d * d - 1))
+    out[:d, : d - 1] = _zero_sum_columns(d)
+    out[d:, d - 1 :] = np.eye(d * d - d)
     return out
 
 
@@ -268,6 +333,25 @@ def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
     v[0] += math.copysign(norm_p, p[0])
     m_n = span_cols[:, 1:] - np.outer(span_cols @ v, v[1:] * (2.0 / float(v @ v)))
     return span_cols @ (p / norm_p**2), m_n
+
+
+# -- closed-form complements: a builder keeps one of these, with its arguments, in
+# the section's cache (a functools.partial, so sections still pickle)
+
+
+def _pairing_part(span_cols: np.ndarray, normalizer: HermitianMatrix) -> np.ndarray:
+    """The span's part orthogonal to p: the complement of the dual section's span."""
+    return _pairing_complement(span_cols, normalizer)[1]
+
+
+def _transposed_complement(section: Section) -> np.ndarray:
+    """The entrywise transposes of ``section``'s complement columns."""
+    return _transpose_columns(section.complement_matrix(), section.ambient_dim)
+
+
+def _lifted_complement(free: np.ndarray, d_k: int, inner: Section) -> np.ndarray:
+    """[free (x) Herm(H) | I_K/sqrt(d_k) (x) the complement of ``inner``], H its space."""
+    return _lifted_columns(free, d_k, inner.complement_matrix(), inner.ambient_dim)
 
 
 def _solve_interior(span_cols, normalizer):
@@ -314,11 +398,14 @@ def _make_section(
     interior_hint: HermitianMatrix | None = None,
     descriptor: dict | None = None,
     embedding: np.ndarray | None = None,
+    complement=None,
 ) -> Section:
     """Section with the span of the orthonormal hvec columns ``span_cols``, judged in one
     pass: the interior point is a positive-definite ``interior_hint``, else the solved best
     member b*.  A singular b* restricts to its support v: the normalizer, the span's part on v
-    (weight off v at most INTERIOR_MARGIN) and b*, projected there and paired to one."""
+    (weight off v at most INTERIOR_MARGIN) and b*, projected there and paired to one.
+    ``complement`` builds the orthonormal complement of ``span_cols`` in closed form; the
+    section keeps it for :meth:`Section.complement_matrix` unless it is restricted here."""
     dim = normalizer.dim
     carrier = tuple(subsystem_dims) if embedding is None else ()
     if span_cols.shape[1] == 0:
@@ -368,6 +455,7 @@ def _make_section(
             interior = hunvec_matrix(b_c / float(b_c @ hvec(normalizer)), v.shape[1])
             embedding = v if embedding is None else embedding @ v
             carrier = ()
+            complement = None  # it spans the complement of the given span
 
     # A contiguous copy: a column slice of an SVD factor would keep the whole
     # factor alive and slow every product with the span.
@@ -383,6 +471,7 @@ def _make_section(
         subsystem_dims=tuple(subsystem_dims),
         descriptor=descriptor,
         embedding=embedding,
+        _cache={} if complement is None else {"complement": complement},
     )
 
 
@@ -487,7 +576,9 @@ def dual_section(section: Section) -> Section:
 
     The span is the normalizer n joined with the orthogonal complement of the
     span columns M: span{M p} (+) M-perp for p = M^T hvec(n), with the basis
-    [M p / |p| | ``complement_matrix()``], orthonormal as built.  Normalized by
+    [M p / |p| | ``complement_matrix()``], orthonormal as built.  Its own
+    complement is M's part orthogonal to p, M H for the last k - 1 columns H
+    of a Householder reflection (:func:`_pairing_part`).  Normalized by
     the input's interior point, duality twice reproduces the original membership.
     """
     got = section._cache.get("dual")
@@ -500,6 +591,7 @@ def dual_section(section: Section) -> Section:
         subsystem_dims=section.subsystem_dims,
         interior_hint=section.normalizer,
         embedding=section.embedding,
+        complement=functools.partial(_pairing_part, section.span_matrix(), section.normalizer),
     )
     section._cache["dual"] = dual
     return dual
@@ -507,7 +599,8 @@ def dual_section(section: Section) -> Section:
 
 def transpose_section(section: Section) -> Section:
     """Entrywise transpose of every member (again a section): an isometry that
-    keeps the PSD order, so nothing is checked or solved again."""
+    keeps the PSD order, so nothing is checked or solved again.  It maps the
+    complement onto the complement."""
     span_cols = _transpose_columns(section.span_matrix(), section.ambient_dim)
     span_cols.setflags(write=False)
     return Section(
@@ -517,35 +610,34 @@ def transpose_section(section: Section) -> Section:
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
         embedding=None if section.embedding is None else section.embedding.conj(),
+        _cache={"complement": functools.partial(_transposed_complement, section)},
     )
 
 
-def _marginal_section(section: Section, traceless: np.ndarray, dk: int, kind: str) -> Section:
+def _marginal_section(
+    section: Section, traceless: np.ndarray, rest: np.ndarray, dk: int, kind: str
+) -> Section:
     """The section with span (traceless (x) Herm(H)) + (I_K/sqrt(dk) (x) dual^T)
     for orthonormal hvec columns ``traceless`` on K: exact Kronecker lifts.
-    Labelled ``kind(base label,dk)``; its descriptor names ``kind`` and the
-    base's descriptor, when the base has one.  Both parts are written into
-    one span array, the only span-sized allocation of the build."""
+    ``rest`` completes ``traceless`` and I_K/sqrt(dk) to an orthonormal basis
+    of Herm(K), so the complement is (rest (x) Herm(H)) + (I_K/sqrt(dk) (x)
+    the complement of dual^T).  Labelled ``kind(base label,dk)``; its
+    descriptor names ``kind`` and the base's descriptor, when the base has one."""
     label = f"{kind}({section.label},{dk})"
     require_faithful(section, label)
     desc = None
     if section.descriptor is not None:
         desc = {"kind": kind, "dims": [dk], "base": section.descriptor}
     dual_t = transpose_section(dual_section(section))
-    h = section.ambient_dim
     eye_k = identity(dk)
-    n_free = traceless.shape[1] * h * h
-    span_cols = np.empty((dk * dk * h * h, n_free + dual_t.span_dim))
-    _kron_columns(traceless, dk, None, h, span_cols[:, :n_free])
-    lead = hvec(eye_k)[:, None] / math.sqrt(dk)
-    _kron_columns(lead, dk, dual_t.span_matrix(), h, span_cols[:, n_free:])
     return _make_section(
-        span_cols,
+        _lifted_columns(traceless, dk, dual_t.span_matrix(), section.ambient_dim),
         tensor(eye_k, dual_t.normalizer),
         label,
         subsystem_dims=(dk,) + section.dims,
         interior_hint=tensor(eye_k / dk, dual_t.interior_point),
         descriptor=desc,
+        complement=functools.partial(_lifted_complement, rest, dk, dual_t),
     )
 
 
@@ -561,11 +653,8 @@ def generalized_section(section: Section, dim_out: int) -> Section:
     I_K/dim_out (x) n^T (n the dual interior point) is an interior point.
     """
     dk = as_dim(dim_out, "output dimension dim_out")
-    # off-diagonal hvec coordinates are traceless already
-    traceless = np.zeros((dk * dk, dk * dk - 1))
-    traceless[:dk, : dk - 1] = _zero_sum_columns(dk)
-    traceless[dk:, dk - 1 :] = np.eye(dk * dk - dk)
-    return _marginal_section(section, traceless, dk, "generalized")
+    return _marginal_section(section, _traceless_columns(dk), np.zeros((dk * dk, 0)), dk,
+                             "generalized")
 
 
 @_cached_after(lambda dim_in, dim_out: (as_dim(dim_in, "dim_in"), as_dim(dim_out, "dim_out")))
@@ -592,8 +681,10 @@ def comb_section(dims: tuple[int, ...]) -> Section:
     for d in dims[2:]:
         sec = generalized_section(sec, d)
     label = f"comb({','.join(str(d) for d in dims)})"
+    # a fresh cache keeps only the complement, which the new label does not name
     return dataclasses.replace(
-        sec, label=label, descriptor={"kind": "combs", "dims": list(dims)}, _cache={}
+        sec, label=label, descriptor={"kind": "combs", "dims": list(dims)},
+        _cache={"complement": sec._cache.get("complement")},
     )
 
 
@@ -606,24 +697,25 @@ def povm_section(section: Section, outcomes: int) -> Section:
     orthonormal bases.  ``outcomes`` is a dimension.
     """
     n_d = as_dim(outcomes, "outcomes")
-    traceless = np.zeros((n_d * n_d, n_d - 1))
-    traceless[:n_d] = _zero_sum_columns(n_d)
-    return _marginal_section(section, traceless, n_d, "povm")
+    # the traceless diagonal, then the off-diagonal coordinates
+    traceless = _traceless_columns(n_d)
+    return _marginal_section(section, traceless[:, : n_d - 1], traceless[:, n_d - 1 :], n_d,
+                             "povm")
 
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
-    """The section {I_d (x) b : b in B} on the enlarged space; d = ``d_left``, a dimension."""
+    """The section {I_d (x) b : b in B} on the enlarged space; d = ``d_left``, a dimension.
+    Its complement is (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement)."""
     d = as_dim(d_left, "d_left")
     require_faithful(section, "id_tensor_section")
     eye = identity(d)
     return _make_section(
-        _kron_columns(
-            hvec(eye)[:, None] / math.sqrt(d), d, section.span_matrix(), section.ambient_dim
-        ),
+        _lifted_columns(np.zeros((d * d, 0)), d, section.span_matrix(), section.ambient_dim),
         tensor(eye / d, section.normalizer),
         f"id({d})(x){section.label}",
         subsystem_dims=(d,) + section.dims,
         interior_hint=tensor(eye, section.interior_point),
+        complement=functools.partial(_lifted_complement, _traceless_columns(d), d, section),
     )
 
 

@@ -81,7 +81,7 @@ CASES = {
         lambda: custom_section([identity(2), diag([1.0, -1.0])], identity(2)), 2
     ),
     "dual_section(generalized_section(states(2), 3))": (
-        lambda: dual_section(generalized_section(states_section(2), 3)), 5
+        lambda: dual_section(generalized_section(states_section(2), 3)), 4
     ),
     # base_norm_psd decomposes the PSD input once, for the input rule
     "certify_extremal_psd(channels(2,2)), dual candidate": (

@@ -715,6 +715,24 @@ def test_results_carry_solve_diagnostics():
     assert (closed.iterations, closed.best_iteration, closed.rejected) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_conic_value_scales_with_the_normalizer(c):
+    # the norm is linear in the normalizer's scale c; below unit scale the
+    # solver's absolute stop rule once returned 1.329e-9 for c = 1e-9 and 0 for 1e-12
+    z, sx = herm(PAULI_Z), herm([[0.0, 1.0], [1.0, 0.0]])
+    x = z + 0.3 * sx
+    sec = custom_section([identity(2), z, sx], c * identity(2))
+    tol = solver.DEFAULT_TOL
+    res = base_norm(sec, x, tol=tol, prefer_closed=False)
+    want = 2.088061302 * c
+    assert res.status == "optimal"
+    assert abs(res.value - want) <= tol * want
+    # the witnesses are in the caller's units: Tr(q n) and Tr(x (y1 - y2)) are the value
+    y1, y2 = res.dual_witness
+    assert abs(trace_pair(res.primal_witness, sec.normalizer) - want) <= 10 * tol * want
+    assert abs(trace_pair(x, y1 - y2) - want) <= 10 * tol * want
+
+
 def test_mismatched_dimension_is_a_shape_error():
     s2, ch = states_section(2), channels_section(2, 2)
     calls = (

@@ -1,6 +1,9 @@
 """Section constructors, duality, membership and support restriction."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from gnorm import solver
 from gnorm.choi import kraus_channel, max_entangled_projection
 from gnorm.errors import EmptySectionError, ShapeError, SolverError, ValidationError
 from gnorm.hermitian import (
+    _complement_columns,
     herm,
     hunvec_matrix,
     hvec,
@@ -302,6 +306,69 @@ def test_complement_and_dual_span_are_exact(build):
     pn = m @ (m.T @ hvec(sec.normalizer))
     want = np.eye(d2) - m @ m.T + np.outer(pn, pn) / (pn @ pn)
     assert np.max(np.abs(dual @ dual.T - want)) <= 1e-12
+
+
+CLOSED_FORMS = {
+    "channels(3,3)": lambda: channels_section.__wrapped__(3, 3),
+    "comb(2,3,2,3)": lambda: comb_section.__wrapped__((2, 3, 2, 3)),
+    "comb(3,3,3)": lambda: comb_section.__wrapped__((3, 3, 3)),
+    "povm(states(3),4)": lambda: povm_section(states_section(3), 4),
+    "povm(channels(2,2),3)": lambda: povm_section(channels_section(2, 2), 3),
+    "id(2)(x)comb(2,2,2,2)": lambda: id_tensor_section(comb_section((2, 2, 2, 2)), 2),
+    "transpose(comb(2,2,2,2))": lambda: transpose_section(comb_section((2, 2, 2, 2))),
+    "dual(comb(2,2,2,2))": lambda: dual_section(comb_section((2, 2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_structured_complements_are_closed_forms(monkeypatch, name):
+    def full_spans_only(m):  # a structured build sketches no complement
+        assert m.shape[0] == m.shape[1]
+        return _complement_columns(m)
+
+    monkeypatch.setattr("gnorm.sections._complement_columns", full_spans_only)
+    sec = CLOSED_FORMS[name]()
+    m, n = sec.span_matrix(), sec.complement_matrix()
+    d2, k = m.shape
+    assert n.shape == (d2, d2 - k)
+    assert np.max(np.abs(n.T @ n - np.eye(d2 - k))) <= 1e-12
+    assert np.max(np.abs(m.T @ n)) <= 1e-12
+    # the same range as the sketch's
+    s = _complement_columns(m)
+    assert np.max(np.abs(n @ n.T - s @ s.T)) <= 1e-12
+
+
+def test_structured_paths_leave_numpy_random_unloaded():
+    """In a fresh process: structured sections, their duals and their
+    programs sketch nothing, so numpy.random is never imported (numpy
+    releases that import it themselves refuse every draw from it instead)."""
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        "if loaded:\n"
+        "    def refused(*args, **kwargs):\n"
+        "        raise AssertionError('numpy.random drawn from')\n"
+        "    numpy.random.default_rng = refused\n"
+        "import gnorm\n"
+        "from gnorm.norms import majorant_program\n"
+        "from gnorm.sections import (channels_section, comb_section, dual_section,\n"
+        "                            id_tensor_section, povm_section, states_section)\n"
+        "for sec in (channels_section(2, 2), comb_section((2, 3, 2, 3)),\n"
+        "            povm_section(states_section(3), 4),\n"
+        "            id_tensor_section(channels_section(2, 2), 2)):\n"
+        "    for s in (sec, dual_section(sec)):\n"
+        "        majorant_program(s, 2)\n"
+        "assert loaded or 'numpy.random' not in sys.modules\n"
+        "print('unloaded' if not loaded else 'undrawn')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() in ("unloaded", "undrawn")
 
 
 def test_duality_pairing_on_samples():

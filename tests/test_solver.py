@@ -35,6 +35,7 @@ from gnorm.sections import (
     channels_section,
     comb_section,
     contains,
+    custom_section,
     dual_section,
     states_section,
 )
@@ -529,27 +530,39 @@ def test_lifted_and_dual_section_programs_keep_the_span_side():
         assert solver._rows(program).complement is None
 
 
-def test_section_sketches_its_complement_once(monkeypatch):
-    calls = []
-
-    def counted(m):
-        calls.append(m.shape)
-        return complement_columns(m)
-
-    sec = channels_section.__wrapped__(2, 2)  # uncached: no N sketched before
-    complement_columns = sections._complement_columns
-    monkeypatch.setattr(sections, "_complement_columns", counted)
+def complement_builds(monkeypatch, sec, d):
+    """(closed-form N builds, sketched shapes) while ``sec`` builds its dual, two
+    norms and a 3-copy program; checks that its thin programs and its dual share one N."""
+    closed, sketched = [], []
+    recipe = sec._cache.get("complement")
+    if recipe is not None:
+        sec._cache["complement"] = lambda: closed.append(1) or recipe()
+    sketch = sections._complement_columns
+    monkeypatch.setattr(
+        sections, "_complement_columns", lambda m: sketched.append(m.shape) or sketch(m)
+    )
     rng = np.random.default_rng(66)
     dual = dual_section(sec)
-    base_norm(sec, rand_herm(rng, 4), tol=1e-8)
-    base_norm_psd(sec, rand_psd(rng, 4), tol=1e-8)
+    base_norm(sec, rand_herm(rng, d), tol=1e-8)
+    base_norm_psd(sec, rand_psd(rng, d), tol=1e-8)
     majorant_program(sec, 3)
-    assert calls == [(16, 13)]
     n = sec.complement_matrix()
     programs = [p for key, p in sec._cache.items() if key[0] == "majorant"]
     assert len(programs) == 3
     assert all(solver._rows(p).complement is n for p in programs)
     assert np.array_equal(dual.span_matrix()[:, 1:], n)
+    return len(closed), sketched
+
+
+def test_section_builds_its_complement_once(monkeypatch):
+    sec = channels_section.__wrapped__(2, 2)  # uncached: no N built before
+    assert complement_builds(monkeypatch, sec, 4) == (1, [])
+
+
+def test_custom_section_sketches_its_complement_once(monkeypatch):
+    sec = custom_section([identity(2), herm(np.diag([1.0, -1.0])), herm([[0.0, 1.0], [1.0, 0.0]])],
+                         identity(2))
+    assert complement_builds(monkeypatch, sec, 2) == (0, [(4, 3)])
 
 
 def test_thin_and_span_side_solves_agree():
