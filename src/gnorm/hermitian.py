@@ -253,6 +253,13 @@ def frobenius_norm(x: HermitianMatrix) -> float:
     return float(np.linalg.norm(x.entries))
 
 
+def unit_exponent(norm: float) -> int:
+    """0 for a norm within [2^-4, 2^4]; otherwise the e with norm * 2^-e in
+    [1/2, 1) (``math.frexp``).  The solver's stop rule is absolute below unit
+    scale, so a far-from-unit program is solved at that exact power of two."""
+    return 0 if 2.0**-4 <= norm <= 2.0**4 else math.frexp(norm)[1]
+
+
 # -- eigendecomposition and functional calculus -----------------------------
 
 

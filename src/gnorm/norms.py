@@ -52,9 +52,18 @@ from .hermitian import (
     sqrt_psd,
     trace_norm,
     trace_pair,
+    unit_exponent,
     zeros,
 )
-from .sections import Section, _kron_columns, channels_section, comb_section, contains, dual_section
+from .sections import (
+    Section,
+    _kron_columns,
+    _span_part,
+    channels_section,
+    comb_section,
+    contains,
+    dual_section,
+)
 
 INF = math.inf
 
@@ -179,28 +188,35 @@ def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.M
     """The program  min Tr(q n) : q in J,  q - P_j = b_j (j < copies),
     I_lifted (x) q - P = b (when lifted > 0),  P_j >= 0.
 
-    q = M s runs over the span (M = ``span_matrix``, orthonormal), so the
-    lifts are M per copy and, for the lifted block, the Kronecker lift
-    I (x) M (columns hvec(I (x) J_i)); their Gram sum is (copies + lifted) I.
-    The thin-side rule: copies alone with d^2 - k < k state the thinner side,
-    ``section.complement_matrix()``.  Callers set the right-hand sides.  Cached on the section.
+    The thin-side rule: copies alone with d^2 - k < k are stated by the
+    span's complement N (``section.complement_matrix()``), so q runs over
+    all hvec coordinates, lifted by Pi = I - N N^T, with objective
+    Pi hvec(n), and no span matrix is read.  Otherwise q = M s runs over the
+    span (M = ``span_matrix``, orthonormal): the lifts are M per copy and,
+    for the lifted block, the Kronecker lift I (x) M (columns
+    hvec(I (x) J_i)); their Gram sum is (copies + lifted) I.  Callers set
+    the right-hand sides.  Cached on the section.
     """
     key = ("majorant", copies, lifted)
     got = section._cache.get(key)
     if got is None:
-        m_span = section.span_matrix()
-        lifts = (m_span,) * copies
-        if lifted:
-            i_col = hvec(identity(lifted))[:, None]
-            lifts += (_kron_columns(i_col, lifted, m_span, section.ambient_dim),)
-        n_rows = sum(m.shape[0] for m in lifts)
-        c = np.concatenate([np.zeros(n_rows), section.span_coords(section.normalizer)])
+        d2 = section.ambient_dim ** 2
+        n_rows = (copies + lifted * lifted) * d2
         desc = f"majorant over {section.label}, {copies} copies"
         if lifted:
             desc += f" and one lifted by I({lifted})"
-        thin = not lifted and 2 * m_span.shape[1] > m_span.shape[0]
-        complement = section.complement_matrix() if thin else None
-        got = solver.MajorantProgram(lifts, c, np.zeros(n_rows), desc, complement)
+        if not lifted and 2 * section.span_dim > d2:
+            n = section.complement_matrix()
+            c = np.concatenate([np.zeros(n_rows), _span_part(n, hvec(section.normalizer))])
+            got = solver.MajorantProgram((), c, np.zeros(n_rows), desc, n, copies)
+        else:
+            m_span = section.span_matrix()
+            lifts = (m_span,) * copies
+            if lifted:
+                i_col = hvec(identity(lifted))[:, None]
+                lifts += (_kron_columns(i_col, lifted, m_span, section.ambient_dim),)
+            c = np.concatenate([np.zeros(n_rows), section.span_coords(section.normalizer)])
+            got = solver.MajorantProgram(lifts, c, np.zeros(n_rows), desc)
         section._cache[key] = got
     return got
 
@@ -224,18 +240,25 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     solve raises SolverError carrying this result.
 
     The solver's stop rule is absolute below unit scale, so an objective
-    p = M^T hvec(n) with |p| outside [2^-4, 2^4] is solved as 2^-e p, |2^-e p| in
-    [1/2, 1): a power of two, so the value and the multipliers scale back exactly."""
+    p = M^T hvec(n), or Pi hvec(n) in a complement statement (|p| = |Pi hvec(n)|
+    either way), with |p| outside [2^-4, 2^4] is solved as 2^-e p
+    (:func:`unit_exponent`): a power of two, so the value and the
+    multipliers scale back exactly.  q is the solve's free block, read
+    through M when the program is stated by lifts."""
     d = section.ambient_dim
     lifted = blocks[-1].dim // d if blocks[-1].dim > d else 0
     rhs = np.concatenate([hvec(b) for b in blocks])
     program = majorant_program(section, len(blocks) - (lifted > 0), lifted).with_rhs(rhs)
-    norm_p, e = np.linalg.norm(program.objective), 0
-    if not 2.0**-4 <= norm_p <= 2.0**4:
-        e = math.frexp(norm_p)[1]
+    e = unit_exponent(np.linalg.norm(program.objective))
+    if e:
         program = program.with_objective(np.ldexp(program.objective, -e))
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    q = section.lift(section.from_span_coords(sol.primal_point[-1]) * scale)
+    q = sol.primal_point[-1]
+    if program.complement is None:
+        q = section.from_span_coords(q)
+    else:
+        q = hunvec_matrix(q, d, section.normalizer.subsystem_dims)
+    q = section.lift(q * scale)
     multipliers, ys, lo = np.ldexp(sol.dual_vector, e), [], 0
     for b in blocks:
         dims = section.normalizer.subsystem_dims if b.dim == d else (lifted,) + section.dims

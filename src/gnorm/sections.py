@@ -69,6 +69,7 @@ from .hermitian import (
     tensor,
     trace_pair,
     transpose_in_basis,
+    unit_exponent,
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
@@ -85,18 +86,23 @@ class Section:
     ``span_columns`` holds the hvec coordinates of a trace-orthonormal
     spanning basis, one column each (read-only); it is the only span data
     stored, and ``span_basis`` is the same basis as matrices, built on each
-    read.  ``normalizer`` pairs to 1 with every member; ``interior_point`` is
-    a positive-definite member.  ``embedding`` (an isometry) is set when the
-    section was compressed onto the support of its best member: the span is
-    then the given span's part on that support, the interior point that
-    member, and the section ``restricted``.  Callers' matrices live on the
-    space of ``subsystem_dims`` (``()`` for one unstructured system, as for
-    :class:`HermitianMatrix`), of dimension ``original_dim`` when restricted;
-    carrier matrices (basis, normalizer, interior point) carry these dims
-    too, but a restricted carrier is unstructured.
+    read.  Structured builders (generalized, channel, comb, POVM and
+    id-tensor sections) leave a recipe for the columns in the cache, and
+    the span is built on its first read: a solve that reads only the
+    complement (a thin majorant program, the dual span) never builds it.
+    ``span_dim`` is known either way.  ``normalizer`` pairs to 1 with every
+    member; ``interior_point`` is a positive-definite member.  ``embedding``
+    (an isometry) is set when the section was compressed onto the support
+    of its best member: the span is then the given span's part on that
+    support, the interior point that member, and the section
+    ``restricted``.  Callers' matrices live on the space of
+    ``subsystem_dims`` (``()`` for one unstructured system, as for
+    :class:`HermitianMatrix`), of dimension ``original_dim`` when
+    restricted; carrier matrices (basis, normalizer, interior point) carry
+    these dims too, but a restricted carrier is unstructured.
     """
 
-    span_columns: np.ndarray
+    span_dim: int
     normalizer: HermitianMatrix
     interior_point: HermitianMatrix
     label: str
@@ -119,8 +125,8 @@ class Section:
         return self.embedding.shape[0] if self.embedding is not None else None
 
     @property
-    def span_dim(self) -> int:
-        return self.span_columns.shape[1]
+    def span_columns(self) -> np.ndarray:
+        return self._read("span")
 
     @property
     def span_basis(self) -> tuple[HermitianMatrix, ...]:
@@ -141,10 +147,17 @@ class Section:
         return self.span_columns
 
     def span_coords(self, x: HermitianMatrix) -> np.ndarray:
+        if x.dim != self.ambient_dim:
+            raise ShapeError(f"span coordinates of a matrix of dimension {x.dim}: "
+                             f"expected dimension {self.ambient_dim}")
         return self.span_matrix().T @ hvec(x)
 
     def from_span_coords(self, coords: np.ndarray) -> HermitianMatrix:
-        vec = self.span_matrix() @ as_array(coords, "span coordinates")
+        coords = as_array(coords, "span coordinates")
+        if coords.shape != (self.span_dim,):
+            raise ShapeError(f"span coordinates of shape {coords.shape}: "
+                             f"expected {self.span_dim} coordinates")
+        vec = self.span_matrix() @ coords
         return hunvec_matrix(vec, self.ambient_dim, self.normalizer.subsystem_dims)
 
     def complement_matrix(self) -> np.ndarray:
@@ -153,11 +166,13 @@ class Section:
         structured section's builder leaves the closed form of its N in the cache, a function
         of the section's own parts; custom, singleton and restricted sections sketch N
         (:func:`_complement_columns`)."""
-        got = self._cache.get("complement")
-        if not isinstance(got, np.ndarray):
-            got = _complement_columns(self.span_matrix()) if got is None else got()
-            got.flags.writeable = False
-            self._cache["complement"] = got
+        if self._cache.get("complement") is None:
+            self._cache["complement"] = functools.partial(_complement_columns, self.span_matrix())
+        return self._read("complement")
+
+    def _read(self, key: str) -> np.ndarray:
+        """The cached columns under ``key``, built from their recipe on the first read."""
+        got = self._cache[key] = _built(self._cache[key])
         return got
 
     def compress(self, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL):
@@ -207,6 +222,20 @@ class Section:
 def _columns(mats) -> np.ndarray:
     """hvec coordinates of the matrices, one column each."""
     return np.column_stack([hvec(m) for m in mats])
+
+
+def _built(columns) -> np.ndarray:
+    """``columns`` itself, or the array its recipe builds, made read-only."""
+    if not isinstance(columns, np.ndarray):
+        columns = columns()
+        columns.flags.writeable = False
+    return columns
+
+
+def _span_part(complement: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The span's part M M^T v of the hvec vector v, read through the span's
+    orthonormal complement N as v - N N^T v."""
+    return v - complement @ (complement.T @ v)
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,39 +338,41 @@ def full_hermitian_basis(dim: int) -> tuple[HermitianMatrix, ...]:
 # -- interior points ----------------------------------------------------------
 
 
-def _pairing(span_cols: np.ndarray, normalizer: HermitianMatrix):
-    """(p, |p|) for p = M^T hvec(n); EmptySectionError when p = 0: no member can pair to one."""
-    p = span_cols.T @ hvec(normalizer)
+def _pairing_norm(p: np.ndarray, normalizer: HermitianMatrix) -> float:
+    """|p| for p = M^T hvec(n), or M p (of one norm); EmptySectionError when p = 0:
+    no member can pair to one."""
     norm_p = float(np.linalg.norm(p))
     if norm_p <= DEPENDENT_DROP_TOL * frobenius_norm(normalizer):
         raise EmptySectionError("empty slice: the whole span pairs to zero with the normalizer")
-    return p, norm_p
+    return norm_p
 
 
-def _dual_span(span_cols: np.ndarray, normalizer: HermitianMatrix, complement) -> np.ndarray:
+def _dual_span(normalizer: HermitianMatrix, complement: np.ndarray) -> np.ndarray:
     """The dual section's span{M p} (+) M-perp as [M p / |p| | N], orthonormal, for
-    ``complement`` N an orthonormal basis of M-perp."""
-    p, norm_p = _pairing(span_cols, normalizer)
-    return np.column_stack([span_cols @ (p / norm_p), complement])
+    ``complement`` N an orthonormal basis of M-perp: M p = M M^T hvec(n) is read through N
+    (:func:`_span_part`), so no span matrix is read."""
+    m_p = _span_part(complement, hvec(normalizer))
+    return np.column_stack([m_p / _pairing_norm(m_p, normalizer), complement])
 
 
 def _pairing_complement(span_cols: np.ndarray, normalizer: HermitianMatrix):
     """The slice's affine hull {M s : p . s = 1} = M s0 + range(M N), returned as (M s0, M N):
     s0 = p / |p|^2, N the last k - 1 columns of the Householder reflection taking p onto e_1."""
-    p, norm_p = _pairing(span_cols, normalizer)
+    p = span_cols.T @ hvec(normalizer)
+    norm_p = _pairing_norm(p, normalizer)
     v = p.copy()
     v[0] += math.copysign(norm_p, p[0])
     m_n = span_cols[:, 1:] - np.outer(span_cols @ v, v[1:] * (2.0 / float(v @ v)))
     return span_cols @ (p / norm_p**2), m_n
 
 
-# -- closed-form complements: a builder keeps one of these, with its arguments, in
-# the section's cache (a functools.partial, so sections still pickle)
+# -- recipes: a builder keeps these, with their arguments, in the section's cache
+# (a functools.partial, so sections still pickle), built on the first read
 
 
-def _pairing_part(span_cols: np.ndarray, normalizer: HermitianMatrix) -> np.ndarray:
+def _pairing_part(section: Section) -> np.ndarray:
     """The span's part orthogonal to p: the complement of the dual section's span."""
-    return _pairing_complement(span_cols, normalizer)[1]
+    return _pairing_complement(section.span_matrix(), section.normalizer)[1]
 
 
 def _transposed_complement(section: Section) -> np.ndarray:
@@ -378,20 +409,28 @@ def _solve_interior(span_cols, normalizer):
     return t_star, hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
 
 
+def _scaled_interior(span_cols, normalizer):
+    """(t*, b*, unit): :func:`_solve_interior` on the normalizer times unit = 2^-e, the power
+    of two of :func:`unit_exponent`, so that t* and b* come out 1 / unit times their size."""
+    unit = math.ldexp(1.0, -unit_exponent(frobenius_norm(normalizer)))
+    return *_solve_interior(span_cols, normalizer * unit), unit
+
+
 def interior_element(section: Section) -> HermitianMatrix:
-    """Member maximizing the smallest eigenvalue (a conic program).
+    """Member maximizing the smallest eigenvalue (a conic program, at unit scale).
 
     Positive definite exactly when the section is faithful; raises
     :class:`EmptySectionError` when the slice carries no PSD element.
     """
-    return section.lift(_solve_interior(section.span_matrix(), section.normalizer)[1])
+    _, b_star, unit = _scaled_interior(section.span_matrix(), section.normalizer)
+    return section.lift(b_star * unit)
 
 
 # -- generic constructor with faithfulness handling ---------------------------
 
 
 def _make_section(
-    span_cols: np.ndarray,
+    span_cols,
     normalizer: HermitianMatrix,
     label: str,
     subsystem_dims=(),
@@ -399,48 +438,64 @@ def _make_section(
     descriptor: dict | None = None,
     embedding: np.ndarray | None = None,
     complement=None,
+    span_dim: int | None = None,
 ) -> Section:
     """Section with the span of the orthonormal hvec columns ``span_cols``, judged in one
     pass: the interior point is a positive-definite ``interior_hint``, else the solved best
     member b*.  A singular b* restricts to its support v: the normalizer, the span's part on v
     (weight off v at most INTERIOR_MARGIN) and b*, projected there and paired to one.
     ``complement`` builds the orthonormal complement of ``span_cols`` in closed form; the
-    section keeps it for :meth:`Section.complement_matrix` unless it is restricted here."""
+    section keeps it for :meth:`Section.complement_matrix` unless it is restricted here.
+    ``span_cols`` may be a recipe for ``span_dim`` columns, given with a complement: the
+    section then builds the span on its first read, and the hint is tested through N.
+
+    The best member is solved for, and judged, at unit scale (:func:`_scaled_interior`); b*
+    is scaled back, so the judgement does not turn on the normalizer's absolute scale."""
     dim = normalizer.dim
     carrier = tuple(subsystem_dims) if embedding is None else ()
-    if span_cols.shape[1] == 0:
+    if span_dim is None:
+        span_dim = span_cols.shape[1]
+    if span_dim == 0:
         raise EmptySectionError(f"section {label!r} has an empty span")
+    if not isinstance(span_cols, np.ndarray):
+        complement = _built(complement)
     w = eigenvalues(normalizer)
     if not _psd_values(w, DEFAULT_MEMBERSHIP_TOL):
         raise ValidationError(f"normalizer of section {label!r} is not PSD")
     if not _positive_definite(w):
         # The slice is bounded exactly when no PSD y != 0 in the span has Tr(y n) = 0, i.e.
         # (Gordan's alternative) when the dual span holds a positive-definite matrix.
-        dual_span = _dual_span(span_cols, normalizer, _complement_columns(span_cols))
-        t_star, z_star = _solve_interior(dual_span, identity(dim))
+        if complement is None:
+            complement = functools.partial(_complement_columns, span_cols)
+        complement = _built(complement)
+        t_star, z_star = _solve_interior(_dual_span(normalizer, complement), identity(dim))
         if t_star <= INTERIOR_MARGIN * max(1.0, frobenius_norm(z_star)):
             why = "the slice contains a PSD recession direction annihilated by the normalizer"
             raise ValidationError(f"section {label!r} is unbounded: {why}")
 
     interior = None
     if interior_hint is not None:
+        if isinstance(span_cols, np.ndarray):
+            off_span = _span_residual(span_cols, interior_hint)
+        else:
+            off_span = float(np.linalg.norm(complement.T @ hvec(interior_hint)))
         member_ok = (
             abs(trace_pair(interior_hint, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
-            and _span_residual(span_cols, interior_hint)
-            <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(interior_hint))
+            and off_span <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(interior_hint))
         )
         if member_ok and _positive_definite(eigenvalues(interior_hint)):
             interior = interior_hint
 
     if interior is None:
-        t_star, b_star = _solve_interior(span_cols, normalizer)
+        span_cols = _built(span_cols)
+        t_star, b_star, unit = _scaled_interior(span_cols, normalizer)
         scale = max(1.0, frobenius_norm(b_star))
         if t_star < -INTERIOR_MARGIN * scale:
             # Even the best slice point has a negative eigenvalue.
-            why = f"best achievable smallest eigenvalue is {t_star:.3e}"
+            why = f"best achievable smallest eigenvalue is {t_star * unit:.3e}"
             raise EmptySectionError(f"section {label!r} is empty: {why}")
         if t_star > FAITHFUL_EIG_TOL * scale:
-            interior = b_star.with_dims(carrier)
+            interior = (b_star * unit).with_dims(carrier)
         else:
             # v = support(b*); unit directions of weight w off v compress to norm sqrt(1 - w^2).
             # Those with w <= INTERIOR_MARGIN cut a slice in the bounded one, where b* is PD.
@@ -457,21 +512,23 @@ def _make_section(
             carrier = ()
             complement = None  # it spans the complement of the given span
 
-    # A contiguous copy: a column slice of an SVD factor would keep the whole
-    # factor alive and slow every product with the span.
-    span_cols = np.ascontiguousarray(span_cols)
-    span_cols.setflags(write=False)
+    if isinstance(span_cols, np.ndarray):
+        # A contiguous copy: a column slice of an SVD factor would keep the whole
+        # factor alive and slow every product with the span.
+        span_cols = np.ascontiguousarray(span_cols)
+        span_cols.setflags(write=False)
+        span_dim = span_cols.shape[1]
     if normalizer.subsystem_dims != carrier:
         normalizer = normalizer.with_dims(carrier)
     return Section(
-        span_columns=span_cols,
+        span_dim=span_dim,
         normalizer=normalizer,
         interior_point=interior,
         label=label,
         subsystem_dims=tuple(subsystem_dims),
         descriptor=descriptor,
         embedding=embedding,
-        _cache={} if complement is None else {"complement": complement},
+        _cache={"span": span_cols, "complement": complement},
     )
 
 
@@ -576,22 +633,24 @@ def dual_section(section: Section) -> Section:
 
     The span is the normalizer n joined with the orthogonal complement of the
     span columns M: span{M p} (+) M-perp for p = M^T hvec(n), with the basis
-    [M p / |p| | ``complement_matrix()``], orthonormal as built.  Its own
-    complement is M's part orthogonal to p, M H for the last k - 1 columns H
-    of a Householder reflection (:func:`_pairing_part`).  Normalized by
-    the input's interior point, duality twice reproduces the original membership.
+    [M p / |p| | N], orthonormal as built, N = ``complement_matrix()``.  M p is
+    the span's part of hvec(n), read through N, so the build reads no span
+    matrix.  Its own complement is M's part orthogonal to p, M H for the last
+    k - 1 columns H of a Householder reflection (:func:`_pairing_part`), which
+    reads M on its first read.  Normalized by the input's interior point,
+    duality twice reproduces the original membership.
     """
     got = section._cache.get("dual")
     if got is not None:
         return got
     dual = _make_section(
-        _dual_span(section.span_matrix(), section.normalizer, section.complement_matrix()),
+        _dual_span(section.normalizer, section.complement_matrix()),
         section.interior_point,
         f"dual({section.label})",
         subsystem_dims=section.subsystem_dims,
         interior_hint=section.normalizer,
         embedding=section.embedding,
-        complement=functools.partial(_pairing_part, section.span_matrix(), section.normalizer),
+        complement=functools.partial(_pairing_part, section),
     )
     section._cache["dual"] = dual
     return dual
@@ -604,13 +663,14 @@ def transpose_section(section: Section) -> Section:
     span_cols = _transpose_columns(section.span_matrix(), section.ambient_dim)
     span_cols.setflags(write=False)
     return Section(
-        span_cols,
+        section.span_dim,
         transpose_in_basis(section.normalizer),
         transpose_in_basis(section.interior_point),
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
         embedding=None if section.embedding is None else section.embedding.conj(),
-        _cache={"complement": functools.partial(_transposed_complement, section)},
+        _cache={"span": span_cols,
+                "complement": functools.partial(_transposed_complement, section)},
     )
 
 
@@ -621,7 +681,8 @@ def _marginal_section(
     for orthonormal hvec columns ``traceless`` on K: exact Kronecker lifts.
     ``rest`` completes ``traceless`` and I_K/sqrt(dk) to an orthonormal basis
     of Herm(K), so the complement is (rest (x) Herm(H)) + (I_K/sqrt(dk) (x)
-    the complement of dual^T).  Labelled ``kind(base label,dk)``; its
+    the complement of dual^T).  Both are recipes: the section builds N at
+    once and the span on its first read.  Labelled ``kind(base label,dk)``; its
     descriptor names ``kind`` and the base's descriptor, when the base has one."""
     label = f"{kind}({section.label},{dk})"
     require_faithful(section, label)
@@ -630,14 +691,16 @@ def _marginal_section(
         desc = {"kind": kind, "dims": [dk], "base": section.descriptor}
     dual_t = transpose_section(dual_section(section))
     eye_k = identity(dk)
+    h = section.ambient_dim
     return _make_section(
-        _lifted_columns(traceless, dk, dual_t.span_matrix(), section.ambient_dim),
+        functools.partial(_lifted_columns, traceless, dk, dual_t.span_matrix(), h),
         tensor(eye_k, dual_t.normalizer),
         label,
         subsystem_dims=(dk,) + section.dims,
         interior_hint=tensor(eye_k / dk, dual_t.interior_point),
         descriptor=desc,
         complement=functools.partial(_lifted_complement, rest, dk, dual_t),
+        span_dim=traceless.shape[1] * h * h + dual_t.span_dim,
     )
 
 
@@ -681,10 +744,10 @@ def comb_section(dims: tuple[int, ...]) -> Section:
     for d in dims[2:]:
         sec = generalized_section(sec, d)
     label = f"comb({','.join(str(d) for d in dims)})"
-    # a fresh cache keeps only the complement, which the new label does not name
+    # a fresh cache keeps only the span and the complement, which the new label does not name
     return dataclasses.replace(
         sec, label=label, descriptor={"kind": "combs", "dims": list(dims)},
-        _cache={"complement": sec._cache.get("complement")},
+        _cache={key: sec._cache[key] for key in ("span", "complement")},
     )
 
 
@@ -705,17 +768,21 @@ def povm_section(section: Section, outcomes: int) -> Section:
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
     """The section {I_d (x) b : b in B} on the enlarged space; d = ``d_left``, a dimension.
-    Its complement is (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement)."""
+    Its span is I_d/sqrt(d) (x) the base's span, built on its first read, and its
+    complement (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement)."""
     d = as_dim(d_left, "d_left")
     require_faithful(section, "id_tensor_section")
     eye = identity(d)
     return _make_section(
-        _lifted_columns(np.zeros((d * d, 0)), d, section.span_matrix(), section.ambient_dim),
+        functools.partial(
+            _lifted_columns, np.zeros((d * d, 0)), d, section.span_matrix(), section.ambient_dim
+        ),
         tensor(eye / d, section.normalizer),
         f"id({d})(x){section.label}",
         subsystem_dims=(d,) + section.dims,
         interior_hint=tensor(eye, section.interior_point),
         complement=functools.partial(_lifted_complement, _traceless_columns(d), d, section),
+        span_dim=section.span_dim,
     )
 
 

@@ -19,18 +19,20 @@ A_K^T y_F, y_F the part of the dual vector with A_F^T y_F = c_F.  Free
 blocks are recovered from the PSD coordinates at full checks and on return.
 How the projection is done follows from the program's structure:
 
-* a :class:`MajorantProgram` (rows L_j s - P_j = b_j with
-  sum_j L_j^T L_j = sigma I, the shape of every program the library solves:
-  norms of any input, payoffs, certificates and interior points) is
-  projected in closed form, with one pull L^T and one lift L per run of
-  blocks: the feasible slacks are V = {L s - b}, projecting onto
-  V is P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma;
-  neither A nor a Gram matrix is ever formed.  A program of one run of c
-  copies of L (d^2 x k) that states an orthonormal basis N of range(L)-perp
-  as its ``complement`` projects through N instead:
-  P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j.  The library's builder
-  states the section's N when it is the thinner side, d^2 - k < k (base,
-  diamond and comb norms, full slices, classical payoffs);
+* a :class:`MajorantProgram` (rows L_j s - P_j = b_j, the shape of every
+  program the library solves: norms of any input, payoffs, certificates and
+  interior points) is projected in closed form.  It comes in two
+  statements.  Stated by lifts L_j with sum_j L_j^T L_j = sigma I (s in span
+  coordinates), it projects with one pull L^T and one lift L per run of
+  blocks: the feasible slacks are V = {L s - b}, projecting onto V is
+  P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma; neither A
+  nor a Gram matrix is ever formed.  Stated by a complement N, an
+  orthonormal d^2 x r basis, its c copies of one block are lifted by the
+  projector Pi = I - N N^T and s = q is in hvec coordinates:
+  P_j = Pi sum_j (zeta_j + b_j) / c - b_j, and every product is
+  v - N (N^T v).  The library's builder states N when the span's
+  complement is the thinner side, d^2 - k < k (base, diamond and comb
+  norms, full slices, classical payoffs), so that no span matrix is read;
 * a generic :class:`ConeProgram`, which only a caller states, splits its
   dense A = [A_K | A_F] into PSD and free columns.  One SVD of A_F gives an
   orthonormal basis N of null(A_F^T) and pinv(A_F); the PSD coordinates
@@ -216,18 +218,20 @@ class MajorantProgram(_ProgramData):
         minimize    c . z
         subject to  L_j s - P_j = b_j,   P_j PSD,   s a free vector,
 
-    for lifts L_j (d_j^2 x k) with sum_j L_j^T L_j = sigma I, checked on
-    construction a block of rows at a time; the lifts are never copied.
-    ``eq_rhs`` stacks the b_j.  The solve iterates on the slacks P_j alone:
-    they fix s = sum_j L_j^T (P_j + b_j) / sigma, which is the free block it
-    returns.  Consecutive blocks that share one lift array share its
-    products in the solve.  When they all share one lift L (d^2 x k),
-    ``complement`` may state an orthonormal basis N (d^2 x (d^2 - k)) of
-    range(L)-perp, checked on construction and never copied; the solve then
-    projects through N (see :class:`_MajorantRows`).  ``eq_matrix``, the dense A = [-I | L],
-    is built on first read for :func:`dump_program` and other outside
-    readers; :func:`solve` never reads it.  Every program the library solves
-    has this shape.
+    in one of two statements.  By ``lifts``: L_j (d_j^2 x k) with
+    sum_j L_j^T L_j = sigma I, checked on construction a block of rows at a
+    time; s is in span coordinates.  By ``complement``: N (d^2 x r) with
+    orthonormal columns, checked on construction, and ``copies`` blocks of
+    dimension d, each lifted by the projector Pi = I - N N^T; s = q is then
+    in hvec coordinates, and an objective with a part along N is unbounded.
+    Neither lifts nor N are copied.  ``eq_rhs`` stacks the b_j.  The solve
+    iterates on the slacks P_j alone: they fix s = sum_j L_j^T (P_j + b_j) /
+    sigma (sigma = copies for Pi), which is the free block it returns.
+    Consecutive blocks that share one lift array share its products in the
+    solve (see :class:`_MajorantRows`).  ``eq_matrix``, the dense
+    A = [-I | L] (L = Pi for a complement), is built on first read for
+    :func:`dump_program` and other outside readers; :func:`solve` never
+    reads it.  Every program the library solves has this shape.
     """
 
     lifts: tuple[np.ndarray, ...]
@@ -235,24 +239,39 @@ class MajorantProgram(_ProgramData):
     eq_rhs: np.ndarray
     description: str = ""
     complement: np.ndarray | None = field(default=None, repr=False)
+    copies: int = 0
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
     blocks: tuple[Block, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if "rows" not in self._shared:  # with_rhs / with_objective copies share it and the lifts
-            raw, lifts = tuple(self.lifts), []
-            for i, m in enumerate(raw):  # a lift repeated in a run passes the rule once
-                lifts.append(lifts[-1] if i and m is raw[i - 1] else as_array(m, f"lift {i}"))
-            if not lifts or any(m.ndim != 2 for m in lifts):
-                raise ShapeError("a majorant program needs at least one 2-d lift")
-            k = lifts[0].shape[1]
-            dims = [math.isqrt(m.shape[0]) for m in lifts]
-            for m, d in zip(lifts, dims):
-                if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
-                    raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
-            self._shared["blocks"] = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
-            self._shared["rows"] = _MajorantRows(lifts, self.complement)
-            object.__setattr__(self, "lifts", tuple(lifts))
+            if self.complement is not None:
+                n = as_array(self.complement, "complement")
+                d = math.isqrt(n.shape[0]) if n.ndim == 2 else 0
+                copies = self.copies
+                if (self.lifts or d * d != n.shape[0]  # Block rejects d = 0
+                        or not isinstance(copies, (int, np.integer)) or copies < 1):
+                    raise ShapeError("a majorant complement is a (d^2, r) array stated "
+                                     "without lifts, for at least one copy")
+                blocks = (Block(d, PSD),) * copies + (Block(d * d, FREE),)
+                rows = _MajorantRows((_Projector(n),) * copies, n)
+                object.__setattr__(self, "complement", n)
+                object.__setattr__(self, "copies", int(copies))
+            else:
+                raw, lifts = tuple(self.lifts), []
+                for i, m in enumerate(raw):  # a lift repeated in a run passes the rule once
+                    lifts.append(lifts[-1] if i and m is raw[i - 1] else as_array(m, f"lift {i}"))
+                if not lifts or any(m.ndim != 2 for m in lifts):
+                    raise ShapeError("a majorant program needs at least one 2-d lift")
+                k = lifts[0].shape[1]
+                dims = [math.isqrt(m.shape[0]) for m in lifts]
+                for m, d in zip(lifts, dims):
+                    if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
+                        raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
+                blocks = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
+                rows = _MajorantRows(lifts, None)
+                object.__setattr__(self, "lifts", tuple(lifts))
+            self._shared["blocks"], self._shared["rows"] = blocks, rows
         object.__setattr__(self, "blocks", self._shared["blocks"])
         self._set_vectors(self._shared["rows"].n_rows)
 
@@ -263,8 +282,8 @@ class MajorantProgram(_ProgramData):
             n_rows = self.eq_rhs.shape[0]
             got = np.zeros((n_rows, self.total_dim))
             got[np.arange(n_rows), np.arange(n_rows)] = -1.0
-            row = 0
-            for m in self.lifts:
+            row, n = 0, self.complement
+            for m in self.lifts or (np.eye(n.shape[0]) - n @ n.T,) * self.copies:
                 got[row : row + m.shape[0], n_rows:] = m
                 row += m.shape[0]
             self._shared["eq_matrix"] = got
@@ -391,6 +410,22 @@ class _DenseRows:
         return self._pinv @ (b - self._a_k @ z_k)
 
 
+class _Projector:
+    """The lift Pi = I - N N^T of a complement-stated majorant program, for
+    orthonormal columns N: Pi v = v - N (N^T v), and Pi^T = Pi."""
+
+    def __init__(self, n: np.ndarray):
+        self.n = n
+        self.shape = (n.shape[0], n.shape[0])
+
+    @property
+    def T(self) -> _Projector:
+        return self
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return v - self.n @ (self.n.T @ v)
+
+
 class _MajorantRows:
     """The rows L_j s - P_j = b_j of a :class:`MajorantProgram`, the free
     block s eliminated.
@@ -403,22 +438,21 @@ class _MajorantRows:
 
     one pull L^T and one lift per run of blocks.  The free objective c_s
     enters as L c_s / sigma, both in the slacks' objective and in the dual
-    vector, whose pull is then c_s by construction.
+    vector, whose pull is then c_s.
 
-    A stated ``complement`` N is checked here: all blocks form one run of c
-    copies of L (d^2 x k), N is d^2 x (d^2 - k), and N^T N = I and L^T N = 0
-    within 1e-9 (relative to L's column norm).  The projection is then
-    P_j = (I - N N^T) sum_j (zeta_j + b_j) / c - b_j, since
-    L L^T / sigma = (I - N N^T) / c.  Otherwise ``complement`` is None and
-    the projection goes through L.  Full checks and the returned s always go
-    through L.
+    A ``complement`` N states c copies of the lift Pi = I - N N^T
+    (:class:`_Projector`), checked here: N^T N = I within 1e-9.  Then
+    sigma = c, since sum_j Pi^T Pi = c Pi, and every product, the
+    projection P_j = Pi sum_j (zeta_j + b_j) / c - b_j included, reads N
+    alone.  Otherwise ``complement`` is None and the rows go through L.
     """
 
-    def __init__(self, lifts: tuple[np.ndarray, ...], complement: np.ndarray | None):
+    def __init__(self, lifts: tuple, complement: np.ndarray | None):
         # Runs of consecutive blocks sharing one lift array: (lift, rows,
         # copies), ``rows`` being the run's slice of the stacked rows.
         self.runs = []
         lo = 0
+        n = self.complement = complement
         for m in lifts:
             hi = lo + m.shape[0]
             if self.runs and self.runs[-1][0] is m:
@@ -429,10 +463,14 @@ class _MajorantRows:
             lo = hi
         self.n_rows = lo
         self.cone, self.free = slice(0, lo), slice(lo, None)
+        if n is not None:
+            if float(np.max(np.abs(n.T @ n - np.eye(n.shape[1])), initial=0.0)) > 1e-9:
+                raise ShapeError("a majorant complement must have orthonormal columns")
+            self.sigma = float(len(lifts))
+            return
         # sum_j c_j L_j^T L_j = sigma I, checked on and above the diagonal one block
         # of PRODUCT_CHUNK rows at a time: no array above PRODUCT_CHUNK x k is formed.
-        (m, _, copies), *rest = self.runs
-        k = m.shape[1]
+        k = lifts[0].shape[1]
         diag, off = np.empty(k), 0.0
         for lo in range(0, k, PRODUCT_CHUNK):
             hi = min(lo + PRODUCT_CHUNK, k)
@@ -444,24 +482,22 @@ class _MajorantRows:
         if not sigma > 0.0 or max(off, float(np.max(np.abs(diag - sigma)))) > 1e-9 * sigma:
             raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
         self.sigma = sigma
-        self.complement = n = None if complement is None else as_array(complement, "complement")
-        if n is not None and (
-            rest
-            or n.shape != (m.shape[0], m.shape[0] - k)
-            or float(np.max(np.abs(n.T @ n - np.eye(n.shape[1])), initial=0.0)) > 1e-9
-            or float(np.max(np.abs(m.T @ n), initial=0.0)) > 1e-9 * math.sqrt(sigma / copies)
-        ):
-            raise ShapeError("a majorant complement must be orthonormal on range(L)-perp, one run")
 
     def eliminate(self, c: np.ndarray, b: np.ndarray):
         """The slacks' objective C = c_P + L c_s / sigma, the part L c_s / sigma
-        of the dual vector, whose pull is c_s, the right-hand side, which
-        needs no reduction, and None: every majorant program has a solution
-        and a dual vector matching its free objective, since the -I columns
-        give A full row rank and L^T L = sigma I."""
+        of the dual vector, the right-hand side, which needs no reduction,
+        and whether the program is bounded: None, or the dual residual
+        |c_s - L^T L c_s / sigma| / (1 + |c|) reported when it misses by
+        more than 1e-8 (1 + |c_s|).  Every majorant program has a solution,
+        since the -I columns give A full row rank; a lifts statement always
+        matches its free objective (L^T L = sigma I), and a complement
+        statement does unless c_s has a part along N."""
         n = self.n_rows
         y_free = np.empty(n)
         self._lift_minus(c[n:] / self.sigma, np.zeros(n), y_free)
+        miss = _norm(c[n:] - self._pull(y_free))
+        if miss > 1e-8 * (1.0 + _norm(c[n:])):
+            return c[:n] + y_free, y_free, b, miss / (1.0 + _norm(c))
         return c[:n] + y_free, y_free, b, None
 
     def _lift_minus(self, s: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -486,13 +522,12 @@ class _MajorantRows:
         return np.concatenate([-y, self._pull(y)])
 
     def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.complement
-        if n is None:
+        if self.complement is None:
             p = self._lift_minus(self.free_part(zeta, b), b, np.empty_like(zeta))
-        else:  # L L^T / sigma = (I - N N^T) / copies
+        else:  # Pi sum_j (zeta_j + b_j) / copies - b_j
             copies = self.runs[0][2]
             t = (zeta + b).reshape(copies, -1).sum(axis=0) / copies
-            t -= n @ (n.T @ t)
+            t -= self.complement @ (self.complement.T @ t)
             p = (t - b.reshape(copies, -1)).reshape(-1)
         return p, p - zeta
 

@@ -175,7 +175,9 @@ def test_a_program_copy_reads_only_its_vectors(monkeypatch):
     monkeypatch.setattr(solver, "as_array", spy)
     copy = program.with_rhs(np.ones(program.eq_rhs.shape))
     assert read == ["objective", "rhs"]
-    assert copy.lifts is program.lifts and copy.blocks == program.blocks
+    assert program.complement is not None  # the thin statement, by N
+    assert copy.complement is program.complement and copy.blocks == program.blocks
+    assert solver._rows(copy) is solver._rows(program)
 
 
 def test_valid_arrays_convert_as_numpy_does():

@@ -168,10 +168,17 @@ CASES = {
     "povm section of no outcome": (lambda: povm_section(S2, 0), ShapeError, "at least one"),
     "custom section without basis": (
         lambda: custom_section([], identity(2)), ValidationError, "nonempty basis"),
-    # the slice {I / 2e9} has no eigenvalue above the 1e-7 support cutoff
-    "custom slice with only a vanishing member": (
-        lambda: custom_section([identity(2)], 1e9 * identity(2)),
+    # the one member diag(1, -7e-7, ..) / Tr is within INTERIOR_MARGIN of PSD, but its
+    # weight 1.4e-6 off its support drops it from the restricted span
+    "custom slice whose one member leaks off its support": (
+        lambda: custom_section([diag(1.0, -7e-7, -7e-7, -7e-7, -7e-7)], identity(5)),
         EmptySectionError, "has no PSD member"),
+    # span coordinates are checked before the span is read (a structured span is
+    # built on its first read)
+    "span coordinates of a matrix of the wrong dimension": (
+        lambda: S2.span_coords(identity(3)), ShapeError, "expected dimension 2"),
+    "span coordinates of the wrong count": (
+        lambda: S2.from_span_coords([1.0, 0.0]), ShapeError, "expected 4 coordinates"),
     # solver
     "unknown cone kind": (lambda: Block(2, "lorentz"), ShapeError, "unknown cone kind"),
     "block of dim 0": (lambda: Block(0), ShapeError, "dimension must be positive"),

@@ -1,8 +1,9 @@
 """Each span-sized array is held once.
 
-A comb section's span matrix M (d^2 x k) and the majorant program's k x k
-Gram check are the largest arrays gnorm holds.  Building the section writes
-both Kronecker parts into one span array, and assembling the program checks
+A comb section's span matrix M (d^2 x k) is the largest array gnorm holds,
+and a solve that projects through the thin complement N never builds it.
+Building the span writes both Kronecker parts into one array, assembling a
+thin program holds N and no d^2 x k array, and a lifts statement checks
 sum_j c_j L_j^T L_j = sigma I a block of rows at a time, so each step's
 tracemalloc peak stays within 1.25 times its data.
 Neither saving moves a bit: the span equals the stacked, unchunked Kronecker
@@ -55,13 +56,15 @@ def test_section_build_holds_one_span_array(base):
 
 
 def test_majorant_assembly_holds_one_gram_array(base):
+    # the thin program is stated by N, the complement the solve projects
+    # through: it holds no d^2 x k array, and its one Gram array is N^T N
     sec = generalized_section(base, 3)
-    k = sec.span_dim
     program, peak = traced_peak(lambda: majorant_program(sec, 2))
-    assert [m is sec.span_matrix() for m in program.lifts] == [True, True]
-    # the peak covers N, the thin complement the solve projects through
-    assert program._shared["rows"].complement.shape == (1296, 111)
-    assert peak <= BUDGET * k * k * 8
+    n = sec.complement_matrix()
+    assert program.lifts == () and program._shared["rows"].complement is n
+    assert n.shape == (1296, 111)
+    assert not isinstance(sec._cache["span"], np.ndarray)  # the span was never built
+    assert peak <= BUDGET * n.nbytes
 
 
 def unchunked_kron_columns(left, d_left, right, d_right):
@@ -107,7 +110,10 @@ def counted_runs(lifts):
 
 @pytest.mark.parametrize("copies, lifted", [(1, 0), (2, 0), (1, 2), (2, 3)])
 def test_sigma_is_the_trace_of_the_gram_sum_over_k(copies, lifted):
-    program = majorant_program(channels_section(2, 3), copies, lifted)
+    # copies alone are stated by the thin complement: state them by the span's lifts
+    sec = channels_section(2, 3)
+    lifts = majorant_program(sec, copies, lifted).lifts or (sec.span_matrix(),) * copies
+    program = majorant(lifts)
     k = program.lifts[0].shape[1]
     gram = sum(c * (m.T @ m) for m, c in counted_runs(program.lifts))
     assert program._shared["rows"].sigma == float(np.trace(gram)) / k

@@ -12,6 +12,7 @@ from gnorm.choi import kraus_channel, max_entangled_projection, max_entangled_st
 from gnorm.errors import DomainError, ShapeError, SolverError
 from gnorm.hermitian import (
     eigenvalues,
+    frobenius_norm,
     herm,
     hunvec_matrix,
     hvec,
@@ -327,10 +328,15 @@ def test_diamond_unitary_pair_closed_form():
 
 def unitary_pair_reference(u, v):
     """2 sqrt(1 - nu^2), nu the distance from 0 to the convex hull of the
-    eigenvalues of U^dag V: the hull misses 0 only if some arc between
-    neighbouring eigenphases exceeds pi, and then nu is the distance to the
-    chord across that arc."""
-    ang = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
+    eigenvalues of U^dag V (:func:`phase_hull_reference`)."""
+    return phase_hull_reference(np.angle(np.linalg.eigvals(u.conj().T @ v)))
+
+
+def phase_hull_reference(phases):
+    """2 sqrt(1 - nu^2), nu the distance from 0 to the convex hull of the
+    e^{i phase}: the hull misses 0 only if some arc between neighbouring
+    phases exceeds pi, and then nu is the distance to the chord across that arc."""
+    ang = np.sort(np.angle(np.exp(1j * np.asarray(phases))))
     arc = max(np.max(np.diff(ang), initial=0.0), 2.0 * math.pi - (ang[-1] - ang[0]))
     nu = max(0.0, -math.cos(arc / 2.0))
     return 2.0 * math.sqrt(1.0 - nu * nu)
@@ -354,6 +360,23 @@ def test_diamond_unitary_pair_closed_form_beyond_qubits(d, count):
             kraus_channel([u]).matrix - kraus_channel([v]).matrix, tol=1e-9
         ).value
         assert got == pytest.approx(oracle, abs=1e-7)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 4), (3, 3), (3, 5), (4, 8)])
+def test_diamond_isometric_pair_closed_form(d_in, d_out):
+    # V1 = V0 diag(e^{i theta}) for a random isometry V0: V0^dag V1 = diag(e^{i theta}),
+    # so the norm is 2 sqrt(1 - nu^2) (Watrous, The Theory of Quantum Information,
+    # 2018, Thm 3.55), met by the benchmark's rule tol (|x|_F + |primal| + |dual|)
+    rng = np.random.default_rng(90 + 10 * d_in + d_out)
+    g = rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
+    v0 = np.linalg.qr(g)[0]
+    phases = rng.uniform(0.0, rng.uniform(0.5, 3.0), size=d_in)
+    x = kraus_channel([v0]).matrix - kraus_channel([v0 * np.exp(1j * phases)]).matrix
+    tol = solver.DEFAULT_TOL
+    res = diamond_norm(x, tol=tol)
+    assert res.status == "optimal"
+    slack = tol * (frobenius_norm(x) + abs(res.primal_value) + abs(res.dual_value))
+    assert abs(res.value - phase_hull_reference(phases)) <= slack
 
 
 def test_dual_base_norm_brute_force_over_conditioning_states():
@@ -715,10 +738,11 @@ def test_results_carry_solve_diagnostics():
     assert (closed.iterations, closed.best_iteration, closed.rejected) == (0, 0, 0)
 
 
-@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("c", [1e12, 1e6, 1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
 def test_conic_value_scales_with_the_normalizer(c):
     # the norm is linear in the normalizer's scale c; below unit scale the
-    # solver's absolute stop rule once returned 1.329e-9 for c = 1e-9 and 0 for 1e-12
+    # solver's absolute stop rule once returned 1.329e-9 for c = 1e-9 and 0 for 1e-12,
+    # and the section build once refused c = 1e12 as empty and stagnated at c = 1e-15
     z, sx = herm(PAULI_Z), herm([[0.0, 1.0], [1.0, 0.0]])
     x = z + 0.3 * sx
     sec = custom_section([identity(2), z, sx], c * identity(2))
@@ -731,6 +755,10 @@ def test_conic_value_scales_with_the_normalizer(c):
     y1, y2 = res.dual_witness
     assert abs(trace_pair(res.primal_witness, sec.normalizer) - want) <= 10 * tol * want
     assert abs(trace_pair(x, y1 - y2) - want) <= 10 * tol * want
+    # the best member is solved at unit scale too: a member, positive definite
+    b = interior_element(sec)
+    assert abs(trace_pair(b, sec.normalizer) - 1.0) <= 1e-8
+    assert eigenvalues(b)[-1] >= 0.1 * eigenvalues(b)[0] > 0.0
 
 
 def test_mismatched_dimension_is_a_shape_error():

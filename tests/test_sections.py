@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -265,6 +266,36 @@ def test_dual_of_channels_is_identity_tensor_states():
         rho = rand_density(rng, 2)
         assert contains(dc, tensor(identity(2), rho))
     assert not contains(dc, tensor(rand_density(rng, 2), rand_density(rng, 2)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: comb_section.__wrapped__((2, 3, 2)),
+    lambda: id_tensor_section(channels_section(2, 2), 2),
+    lambda: povm_section(states_section(3), 2),
+], ids=["comb(2,3,2)", "id(2)(x)channels(2,2)", "povm(states(3),2)"])
+def test_structured_span_is_built_on_its_first_read(build):
+    sec = build()
+    d2 = sec.ambient_dim ** 2
+    built = lambda: isinstance(sec._cache["span"], np.ndarray)  # noqa: E731
+    assert not built() and 0 < sec.span_dim < d2
+    # wrong-size span coordinates are refused before the span is read
+    with pytest.raises(ShapeError):
+        sec.span_coords(identity(sec.ambient_dim + 1))
+    with pytest.raises(ShapeError):
+        sec.from_span_coords(np.zeros(sec.span_dim + 1))
+    # the dual reads only the complement, and so does a thin base norm
+    dual_section(sec)
+    assert not built()
+    copy = pickle.loads(pickle.dumps(sec))  # keeps the recipe
+    x = rand_herm(np.random.default_rng(67), sec.ambient_dim, dims=sec.dims)
+    assert base_norm(sec, x, tol=1e-8).status == "optimal"
+    assert built() == (2 * sec.span_dim <= d2)
+    m = sec.span_matrix()
+    assert built() and m is sec.span_columns and not m.flags.writeable
+    assert m.shape == (d2, sec.span_dim)
+    assert np.max(np.abs(m.T @ m - np.eye(sec.span_dim))) <= 1e-12
+    assert not isinstance(copy._cache["span"], np.ndarray)
+    assert copy.span_matrix().tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -170,12 +170,15 @@ def test_tol_must_be_finite_and_non_negative():
 
 def test_non_finite_program_data_rejected():
     dense = trace_norm_program(rand_herm(np.random.default_rng(47), 2))
-    majorant = majorant_program(channels_section(2, 2), 1)
+    ch = channels_section(2, 2)
+    majorant, thin = lifts_statement(ch, 1), majorant_program(ch, 1)
     builders = (
         (lambda c, a, b: ConeProgram(dense.blocks, c, a, b),
          (dense.objective, dense.eq_matrix, dense.eq_rhs)),
         (lambda lift, c, b: MajorantProgram((lift,), c, b),
          (majorant.lifts[0], majorant.objective, majorant.eq_rhs)),
+        (lambda n, c, b: MajorantProgram((), c, b, complement=n, copies=1),
+         (thin.complement, thin.objective, thin.eq_rhs)),
     )
     for build, parts in builders:
         for i in range(3):
@@ -235,18 +238,30 @@ def test_dump_program_mentions_blocks():
     assert "psd:2" in text and "free:4" in text and text.count("A ") > 0
 
 
+def lifts_statement(sec, copies, lifted=0):
+    """``majorant_program(sec, copies, lifted)`` stated by lifts: the library's
+    program when it is, else M per copy with objective M^T hvec(n)."""
+    cached = majorant_program(sec, copies, lifted)
+    if cached.complement is None:
+        return cached
+    m = sec.span_matrix()
+    c = np.concatenate([np.zeros(copies * m.shape[0]), sec.span_coords(sec.normalizer)])
+    return MajorantProgram((m,) * copies, c, cached.eq_rhs)
+
+
 def majorant_cases():
     """Fresh (uncached) majorant programs with feasible right-hand sides: the
     base norm on channels(2,2) and comb(2,2,2,2), a 3-outcome classical
     payoff, the 1-copy program and the certificates lifted by I(3) with one
-    copy and with none, all on channels(2,2)."""
+    copy and with none, all on channels(2,2), each stated by lifts; then the
+    library's complement statement of the four thin ones."""
     rng = np.random.default_rng(48)
     ch = channels_section(2, 2)
     comb = comb_section((2, 2, 2, 2))
-    out = []
+    out, thin = [], []
     cases = ((ch, 2, 0), (comb, 2, 0), (ch, 3, 0), (ch, 1, 3), (ch, 1, 0), (ch, 0, 3))
     for sec, copies, lifted in cases:
-        cached = majorant_program(sec, copies, lifted)
+        cached = lifts_statement(sec, copies, lifted)
         d = sec.ambient_dim
         if lifted:
             rhs = [np.zeros(d * d)] * copies + [hvec(rand_herm(rng, lifted * d))]
@@ -256,9 +271,13 @@ def majorant_cases():
         else:
             rhs = [hvec(rand_herm(rng, d)) for _ in range(copies)]
         rhs = np.concatenate(rhs)
-        program = MajorantProgram(cached.lifts, cached.objective, rhs, complement=cached.complement)
-        out.append(program)
-    return out
+        out.append(MajorantProgram(cached.lifts, cached.objective, rhs))
+        library = majorant_program(sec, copies, lifted)
+        if library.complement is not None:
+            thin.append(MajorantProgram((), library.objective, rhs, complement=library.complement,
+                                        copies=copies))
+    assert len(thin) == 4
+    return out + thin
 
 
 def reduced_projection_reference(program, zeta, b):
@@ -324,18 +343,28 @@ def test_majorant_projection_runs_match_dense_solve():
             assert np.max(np.abs(rows.apply(full) - a @ full)) <= 1e-12
 
 
+def dense_lifts(program):
+    """(the lifts, sigma): a complement statement's are copies of the dense
+    projector I - N N^T, with sigma its copy count."""
+    if program.complement is None:
+        k = program.lifts[0].shape[1]
+        return program.lifts, sum(np.trace(m.T @ m) for m in program.lifts) / k
+    n = program.complement
+    return (np.eye(n.shape[0]) - n @ n.T,) * program.copies, program.copies
+
+
 def test_majorant_solve_returns_recovered_free_block_and_exact_free_dual():
     # the free block is s = sum_j L_j^T (P_j + b_j) / sigma of the returned
     # slacks, and the dual vector pulls back to the free objective exactly
     for program in majorant_cases():
         sol = solve(program, tol=1e-8)
         assert sol.status == "optimal"
-        k = program.lifts[0].shape[1]
-        sigma = sum(np.trace(m.T @ m) for m in program.lifts) / k
+        lifts, sigma = dense_lifts(program)
+        k = lifts[0].shape[1]
         c_s = program.objective[-k:]
         s, lo = sol.primal_point[-1], 0
         recovered, dual_pull = np.zeros(k), np.zeros(k)
-        for m, p in zip(program.lifts, sol.primal_point[:-1]):
+        for m, p in zip(lifts, sol.primal_point[:-1]):
             hi = lo + m.shape[0]
             recovered += m.T @ (hvec(p) + program.eq_rhs[lo:hi])
             dual_pull += m.T @ sol.dual_vector[lo:hi]
@@ -488,39 +517,39 @@ def test_library_programs_are_majorant_programs(monkeypatch):
     assert abs(trace_pair(xi, y) - pay.value) <= 1e-6
 
 
+def thin_side_sections():
+    return channels_section(3, 3), comb_section((2, 2, 2, 2)), states_section(3)
+
+
 def thin_side_cases():
-    """Base-norm programs over channels(3,3), comb(2,2,2,2) and the full slice
-    states(3), whose complement N has 0 columns."""
-    return [majorant_program(sec, 2) for sec in (
-        channels_section(3, 3), comb_section((2, 2, 2, 2)), states_section(3))]
+    """(section, base-norm program) over channels(3,3), comb(2,2,2,2) and the
+    full slice states(3), whose complement N has 0 columns, and a 3-copy
+    program over channels(3,3): all stated by the section's complement."""
+    ch = channels_section(3, 3)
+    return [(sec, majorant_program(sec, 2)) for sec in thin_side_sections()] + [
+        (ch, majorant_program(ch, 3))]
 
 
-def span_side_projection(program, zeta, b):
-    """P_j = L L^T (sum_j (zeta_j + b_j)) / sigma - b_j through the span matrix L."""
-    m, copies = program.lifts[0], len(program.lifts)
-    sigma = solver._rows(program).sigma
+def span_side_projection(m, copies, zeta, b):
+    """P_j = M M^T (sum_j (zeta_j + b_j)) / copies - b_j through the span matrix M."""
     total = (zeta + b).reshape(copies, -1).sum(axis=0)
-    return (m @ (m.T @ total) / sigma - b.reshape(copies, -1)).reshape(-1)
+    return (m @ (m.T @ total) / copies - b.reshape(copies, -1)).reshape(-1)
 
 
 def test_single_run_programs_project_through_the_thin_complement():
     rng = np.random.default_rng(64)
-    # a lift of gram 4 I, stating the N of channels(3,3)
-    ch = channels_section(3, 3)
-    lift = 2.0 * ch.span_matrix()
-    scaled = MajorantProgram((lift, lift), np.zeros(2 * 81 + lift.shape[1]), np.zeros(2 * 81),
-                             complement=ch.complement_matrix())
-    for program in thin_side_cases() + [scaled]:
-        m = program.lifts[0]
+    for sec, program in thin_side_cases():
+        m, copies = sec.span_matrix(), program.copies
         d2, k = m.shape
         n = solver._rows(program).complement
+        assert program.lifts == () and n is sec.complement_matrix()
         assert n.shape == (d2, d2 - k)
         assert np.linalg.norm(m.T @ n) <= 1e-12
         assert np.linalg.norm(n.T @ n - np.eye(d2 - k)) <= 1e-12
         for _ in range(3):
-            zeta, b = rng.normal(size=(2, 2 * d2))
+            zeta, b = rng.normal(size=(2, copies * d2))
             p, mult = solver._rows(program).project(zeta, b)
-            assert np.max(np.abs(p - span_side_projection(program, zeta, b))) <= 1e-13
+            assert np.max(np.abs(p - span_side_projection(m, copies, zeta, b))) <= 1e-13
             assert np.array_equal(mult, p - zeta)
 
 
@@ -535,7 +564,7 @@ def complement_builds(monkeypatch, sec, d):
     norms and a 3-copy program; checks that its thin programs and its dual share one N."""
     closed, sketched = [], []
     recipe = sec._cache.get("complement")
-    if recipe is not None:
+    if recipe is not None and not isinstance(recipe, np.ndarray):
         sec._cache["complement"] = lambda: closed.append(1) or recipe()
     sketch = sections._complement_columns
     monkeypatch.setattr(
@@ -555,8 +584,12 @@ def complement_builds(monkeypatch, sec, d):
 
 
 def test_section_builds_its_complement_once(monkeypatch):
-    sec = channels_section.__wrapped__(2, 2)  # uncached: no N built before
-    assert complement_builds(monkeypatch, sec, 4) == (1, [])
+    closed, build = [], sections._lifted_complement
+    monkeypatch.setattr(sections, "_lifted_complement", lambda *a: closed.append(1) or build(*a))
+    sec = channels_section.__wrapped__(2, 2)  # uncached: its build writes N once
+    assert len(closed) == 1
+    assert complement_builds(monkeypatch, sec, 4) == (0, [])
+    assert len(closed) == 1
 
 
 def test_custom_section_sketches_its_complement_once(monkeypatch):
@@ -568,12 +601,11 @@ def test_custom_section_sketches_its_complement_once(monkeypatch):
 def test_thin_and_span_side_solves_agree():
     rng = np.random.default_rng(65)
     tol = 1e-8
-    for cached in thin_side_cases():
-        x = hvec(rand_herm(rng, math.isqrt(cached.lifts[0].shape[0])))
+    for sec in thin_side_sections():
+        x = hvec(rand_herm(rng, sec.ambient_dim))
         rhs = np.concatenate([x, -x])
-        thin = MajorantProgram(cached.lifts, cached.objective, rhs, complement=cached.complement)
-        span = MajorantProgram(cached.lifts, cached.objective, rhs)
-        assert solver._rows(thin).complement is cached.complement
+        thin, span = majorant_program(sec, 2).with_rhs(rhs), lifts_statement(sec, 2).with_rhs(rhs)
+        assert solver._rows(thin).complement is sec.complement_matrix()
         assert solver._rows(span).complement is None
         got, ref = solve(thin, tol=tol), solve(span, tol=tol)
         assert got.status == ref.status == "optimal"
@@ -600,13 +632,24 @@ def test_majorant_rejects_bad_lifts():
         with pytest.raises(ShapeError):
             MajorantProgram(lifts, np.zeros(n_rows + m.shape[1]), np.zeros(n_rows),
                             complement=complement)
+    # a complement statement with a column that is not of unit norm, of a
+    # non-square row count, for no copy, or stated beside lifts
+    skewed = n.copy()
+    skewed[:, 0] *= 1.5
+    for lifts, complement, copies in (((), skewed, 2), ((), n[:-1], 2), ((), n, 0), ((m,), n, 1)):
+        with pytest.raises(ShapeError):
+            MajorantProgram(lifts, np.zeros(48), np.zeros(32), complement=complement, copies=copies)
 
 
 def test_dump_program_lists_majorant_rows():
-    program = majorant_program(channels_section(2, 2), 2)
-    text = dump_program(program)
-    assert "psd:4 psd:4 free:13" in text
-    assert text.count("\nA ") == np.count_nonzero(program.eq_matrix)
+    # the complement statement's free block is q in hvec coordinates (16), the
+    # dual section's lifts statement's s in span coordinates (4)
+    ch = channels_section(2, 2)
+    for program, blocks in ((majorant_program(ch, 2), "psd:4 psd:4 free:16"),
+                            (majorant_program(dual_section(ch), 2), "psd:4 psd:4 free:4")):
+        text = dump_program(program)
+        assert blocks in text
+        assert text.count("\nA ") == np.count_nonzero(program.eq_matrix)
 
 
 def test_anderson_solves_affine_contraction_in_dim_plus_one_steps(monkeypatch):
