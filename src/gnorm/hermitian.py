@@ -33,9 +33,7 @@ STRICT_HERMITICITY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 # A direction whose singular value is at most this (relative) counts as dependent.
 DEPENDENT_DROP_TOL = 1e-9
-# Gaussian columns a complement sketch draws beyond the complement's dimension,
-# and the columns (or rows) per product where a product with a span is taken in parts.
-SKETCH_OVERSAMPLE = 8
+# Columns (or rows) per product where a product with a span is taken in parts.
 PRODUCT_CHUNK = 256
 
 
@@ -322,30 +320,13 @@ def _orthonormalize_columns(cols: np.ndarray) -> np.ndarray:
 
 def _complement_columns(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of range(m), for the
-    orthonormal d^2 x k columns ``m``, as a fresh C-ordered array: the
-    complement of a custom, singleton or restricted section's span, which has
-    no closed form (structured sections build theirs from their Kronecker parts).
-
-    A fixed-seed Gaussian sketch of d^2 - k + SKETCH_OVERSAMPLE columns is
-    projected twice off range(m), PRODUCT_CHUNK columns per product, and
-    orthonormalized by :func:`_orthonormalize_columns`, which must keep
-    exactly d^2 - k columns.  No d^2 x d^2 array is formed, and the sketch
-    is freed before the kept columns are copied out of the SVD factor."""
-    d2, k = m.shape
-    if d2 == k:  # a full span: no sketch, and no import of numpy.random
-        return np.empty((d2, 0))
-    sketch = np.random.default_rng(0).standard_normal((d2, d2 - k + SKETCH_OVERSAMPLE))
-    for lo in range(0, sketch.shape[1], PRODUCT_CHUNK):
-        part = sketch[:, lo : lo + PRODUCT_CHUNK]
-        for _ in range(2):
-            part -= m @ (m.T @ part)
-    kept = _orthonormalize_columns(sketch)
-    del sketch, part
-    if kept.shape[1] != d2 - k:
-        raise NumericalError(
-            f"complement of a rank-{k} span in dimension {d2}: kept {kept.shape[1]} columns"
-        )
-    return np.array(kept, order="C")
+    orthonormal d^2 x k columns ``m``: the trailing d^2 - k columns of m's
+    complete QR factor, copied C-ordered so that the d^2 x d^2 factor is freed.
+    It is the complement of a custom, singleton or restricted section's span,
+    which has no closed form (structured sections build theirs from their
+    Kronecker parts).  Exact as built: columns that are already orthonormal
+    need no threshold."""
+    return np.array(np.linalg.qr(m, mode="complete")[0][:, m.shape[1] :], order="C")
 
 
 def support_projection(x: HermitianMatrix, cutoff: float | None = None) -> HermitianMatrix:

@@ -90,8 +90,12 @@ class Section:
     id-tensor sections) leave a recipe for the columns in the cache, and
     the span is built on its first read: a solve that reads only the
     complement (a thin majorant program, the dual span) never builds it.
-    ``span_dim`` is known either way.  ``normalizer`` pairs to 1 with every
-    member; ``interior_point`` is a positive-definite member.  ``embedding``
+    ``span_dim`` is known either way.  The complement N is exact too: a
+    structured section's closed form, stated by its builder, or the
+    trailing columns of a custom, singleton or restricted span's complete
+    QR factor, built on the first read of :meth:`complement_matrix`.
+    ``normalizer`` pairs to 1 with every member; ``interior_point`` is a
+    positive-definite member.  ``embedding``
     (an isometry) is set when the section was compressed onto the support
     of its best member: the span is then the given span's part on that
     support, the interior point that member, and the section
@@ -162,12 +166,11 @@ class Section:
 
     def complement_matrix(self) -> np.ndarray:
         """Orthonormal hvec basis N of the span's orthogonal complement, built on the first read
-        and kept read-only: the dual span and thin majorant programs share this array.  A
-        structured section's builder leaves the closed form of its N in the cache, a function
-        of the section's own parts; custom, singleton and restricted sections sketch N
+        and kept read-only: the dual span and thin majorant programs share this array.  Every
+        builder leaves N, or its recipe, in the cache: a structured section its closed form, a
+        function of the section's own parts (empty for a full slice); custom, singleton and
+        restricted sections the trailing columns of the span's complete QR factor
         (:func:`_complement_columns`)."""
-        if self._cache.get("complement") is None:
-            self._cache["complement"] = functools.partial(_complement_columns, self.span_matrix())
         return self._read("complement")
 
     def _read(self, key: str) -> np.ndarray:
@@ -201,7 +204,8 @@ class Section:
         xc = self.compress(x, tol)
         if xc is None:
             return None
-        err = max(_span_residual(self.span_matrix(), xc), abs(trace_pair(xc, self.normalizer) - 1))
+        off = _off_span(self._cache["span"], self._cache["complement"], xc)
+        err = max(off, abs(trace_pair(xc, self.normalizer) - 1))
         return xc if err <= tol * (1.0 + frobenius_norm(xc)) else None
 
     def lift(self, xc: HermitianMatrix) -> HermitianMatrix:
@@ -228,7 +232,7 @@ def _built(columns) -> np.ndarray:
     """``columns`` itself, or the array its recipe builds, made read-only."""
     if not isinstance(columns, np.ndarray):
         columns = columns()
-        columns.flags.writeable = False
+    columns.flags.writeable = False
     return columns
 
 
@@ -444,20 +448,27 @@ def _make_section(
     pass: the interior point is a positive-definite ``interior_hint``, else the solved best
     member b*.  A singular b* restricts to its support v: the normalizer, the span's part on v
     (weight off v at most INTERIOR_MARGIN) and b*, projected there and paired to one.
-    ``complement`` builds the orthonormal complement of ``span_cols`` in closed form; the
-    section keeps it for :meth:`Section.complement_matrix` unless it is restricted here.
-    ``span_cols`` may be a recipe for ``span_dim`` columns, given with a complement: the
-    section then builds the span on its first read, and the hint is tested through N.
+    ``complement`` is the orthonormal complement N of ``span_cols`` in closed form, or its
+    recipe; the section keeps it for :meth:`Section.complement_matrix` unless it is restricted
+    here.  This is the one place that supplies a default: a builder that states no N, and a
+    restriction, get the recipe :func:`_complement_columns` over the span, built on its first
+    read.  ``span_cols`` may be a recipe for ``span_dim`` columns, given with a complement:
+    the section then builds the span on its first read, and the hint is tested through N.
 
     The best member is solved for, and judged, at unit scale (:func:`_scaled_interior`); b*
     is scaled back, so the judgement does not turn on the normalizer's absolute scale."""
     dim = normalizer.dim
     carrier = tuple(subsystem_dims) if embedding is None else ()
-    if span_dim is None:
+    if isinstance(span_cols, np.ndarray):
+        # A contiguous copy: a column slice of an SVD factor would keep the whole
+        # factor alive and slow every product with the span.
+        span_cols = _built(np.ascontiguousarray(span_cols))
         span_dim = span_cols.shape[1]
     if span_dim == 0:
         raise EmptySectionError(f"section {label!r} has an empty span")
-    if not isinstance(span_cols, np.ndarray):
+    if complement is None:
+        complement = functools.partial(_complement_columns, span_cols)
+    elif not isinstance(span_cols, np.ndarray):
         complement = _built(complement)
     w = eigenvalues(normalizer)
     if not _psd_values(w, DEFAULT_MEMBERSHIP_TOL):
@@ -465,8 +476,6 @@ def _make_section(
     if not _positive_definite(w):
         # The slice is bounded exactly when no PSD y != 0 in the span has Tr(y n) = 0, i.e.
         # (Gordan's alternative) when the dual span holds a positive-definite matrix.
-        if complement is None:
-            complement = functools.partial(_complement_columns, span_cols)
         complement = _built(complement)
         t_star, z_star = _solve_interior(_dual_span(normalizer, complement), identity(dim))
         if t_star <= INTERIOR_MARGIN * max(1.0, frobenius_norm(z_star)):
@@ -475,10 +484,7 @@ def _make_section(
 
     interior = None
     if interior_hint is not None:
-        if isinstance(span_cols, np.ndarray):
-            off_span = _span_residual(span_cols, interior_hint)
-        else:
-            off_span = float(np.linalg.norm(complement.T @ hvec(interior_hint)))
+        off_span = _off_span(span_cols, complement, interior_hint)
         member_ok = (
             abs(trace_pair(interior_hint, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
             and off_span <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(interior_hint))
@@ -502,22 +508,17 @@ def _make_section(
             v = _support_columns(eig(b_star), 1e-7 * scale)
             compressed = _columns(v.conj().T @ hunvec(col, dim) @ v for col in span_cols.T)
             u, s, _ = np.linalg.svd(compressed, full_matrices=False)
-            span_cols = u[:, s * s >= 1.0 - INTERIOR_MARGIN**2]
-            if span_cols.shape[1] == 0:
+            span_cols = _built(np.ascontiguousarray(u[:, s * s >= 1.0 - INTERIOR_MARGIN**2]))
+            span_dim = span_cols.shape[1]
+            if span_dim == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
             normalizer = HermitianMatrix(v.conj().T @ normalizer.entries @ v)
             b_c = span_cols @ (span_cols.T @ hvec(v.conj().T @ b_star.entries @ v))
             interior = hunvec_matrix(b_c / float(b_c @ hvec(normalizer)), v.shape[1])
             embedding = v if embedding is None else embedding @ v
             carrier = ()
-            complement = None  # it spans the complement of the given span
+            complement = functools.partial(_complement_columns, span_cols)
 
-    if isinstance(span_cols, np.ndarray):
-        # A contiguous copy: a column slice of an SVD factor would keep the whole
-        # factor alive and slow every product with the span.
-        span_cols = np.ascontiguousarray(span_cols)
-        span_cols.setflags(write=False)
-        span_dim = span_cols.shape[1]
     if normalizer.subsystem_dims != carrier:
         normalizer = normalizer.with_dims(carrier)
     return Section(
@@ -532,9 +533,13 @@ def _make_section(
     )
 
 
-def _span_residual(span_cols: np.ndarray, x: HermitianMatrix) -> float:
-    vec = hvec(x)
-    return float(np.linalg.norm(vec - span_cols @ (span_cols.T @ vec)))
+def _off_span(span_cols, complement, x: HermitianMatrix) -> float:
+    """The weight of hvec(x) = v off the span: |v - M M^T v| when the span M is built, else
+    |N^T v| through the complement N, which a section whose span is a recipe holds built."""
+    v = hvec(x)
+    if isinstance(span_cols, np.ndarray):
+        return float(np.linalg.norm(v - span_cols @ (span_cols.T @ v)))
+    return float(np.linalg.norm(complement.T @ v))
 
 
 def _positive_definite(w: np.ndarray) -> bool:
@@ -615,6 +620,7 @@ def full_slice_section(b: HermitianMatrix) -> Section:
     closed form |b^(1/2) x b^(1/2)|_1 and its dual section is the one-element
     section {b}.  The states section is the special case b = I.  A singular b
     is refused as unbounded (ValidationError), b = 0 as empty (EmptySectionError).
+    The span is all of Herm(d), so the complement is stated empty.
     """
     d = b.dim
     bb = trace_pair(b, b)
@@ -625,6 +631,7 @@ def full_slice_section(b: HermitianMatrix) -> Section:
         subsystem_dims=b.subsystem_dims,
         interior_hint=b / bb if bb > 0 else None,  # the scaled copy of b on the slice
         descriptor={"kind": "singleton", "matrix": matrix_to_json(b)},
+        complement=np.empty((d * d, 0)),
     )
 
 
@@ -791,7 +798,9 @@ def custom_section(basis, normalizer: HermitianMatrix, label: str = "custom") ->
 
     The basis is orthonormalized (one thresholded SVD; dependent directions
     are dropped); faithfulness is established by solving for an interior point
-    and the section is support-restricted if necessary.
+    and the section is support-restricted if necessary.  The span's complement
+    has no closed form: it is read off the span's complete QR factor on its
+    first read (:func:`_complement_columns`).
     """
     mats = [herm(m) for m in basis]
     if not mats:

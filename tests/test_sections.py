@@ -22,6 +22,7 @@ from gnorm.hermitian import (
     matrix_to_json,
     outer,
     partial_trace,
+    psd_check,
     tensor,
     trace_pair,
     transpose_in_basis,
@@ -298,6 +299,40 @@ def test_structured_span_is_built_on_its_first_read(build):
     assert copy.span_matrix().tobytes() == m.tobytes()
 
 
+def test_membership_reads_the_complement_of_an_unbuilt_span():
+    sec = comb_section.__wrapped__((2, 3, 2, 3))  # uncached: its span is a recipe
+    n, b0, d, tol = sec.complement_matrix(), sec.interior_point, sec.ambient_dim, 1e-8
+    rng = np.random.default_rng(95)
+    off = n @ rng.normal(size=n.shape[1])
+    v = rng.normal(size=d * d)
+    v -= n @ (n.T @ v)  # in the span
+    along = v - (v @ hvec(sec.normalizer)) * hvec(b0)  # in the span, pairing to zero
+    off, along = off / np.linalg.norm(off), along / np.linalg.norm(along)
+    shifts = [0.0 * off, 1e-3 * off, 1e-12 * off, 1e-3 * along, 1e3 * along]
+    points = [b0 + hunvec_matrix(shift, d) for shift in shifts]
+    points.append(b0 * 1.5)
+    verdicts = [contains(sec, x, tol) for x in points]
+    assert not isinstance(sec._cache["span"], np.ndarray)
+    m = sec.span_matrix()
+
+    def span_side(x):  # the rule through the built span
+        w = hvec(x)
+        err = max(float(np.linalg.norm(w - m @ (m.T @ w))), abs(trace_pair(x, sec.normalizer) - 1))
+        return err <= tol * (1.0 + np.linalg.norm(x.entries)) and psd_check(x, tol)
+
+    assert verdicts == [span_side(x) for x in points] == [True, False, True, True, False, False]
+    assert [contains(sec, x, tol) for x in points] == verdicts
+
+
+def thin_custom():
+    """A custom section on C^3 whose span (6 of 9 dimensions) is larger than its complement."""
+    x01 = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0] * 3]
+    x12 = [[0.0] * 3, [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    y01 = [[0.0, -1j, 0.0], [1j, 0.0, 0.0], [0.0] * 3]
+    basis = [np.eye(3), np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0]), x01, x12, y01]
+    return custom_section([herm(m) for m in basis], identity(3))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -312,10 +347,15 @@ def test_structured_span_is_built_on_its_first_read(build):
         lambda: dual_section(channels_section(2, 2)),
         lambda: custom_section([identity(2)], herm(np.diag([1.0, 0.0]))),
         lambda: comb_section((2,) * 5),
+        lambda: singleton_section(herm([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])),
+        lambda: singleton_section(herm(np.diag([2.0, 1.0, 0.0]))),
+        lambda: thin_custom(),
+        lambda: custom_section([hunvec_matrix(col, 2) for col in np.eye(4)], identity(2)),
     ],
     ids=[
         "channels(3,3)", "comb(2,2,2,2)", "restricted", "states(3)",
         "dual(channels(2,2))", "singular normalizer", "comb((2,)*5)",
+        "singleton", "rank-deficient singleton", "thin custom", "full custom",
     ],
 )
 def test_complement_and_dual_span_are_exact(build):
@@ -339,6 +379,12 @@ def test_complement_and_dual_span_are_exact(build):
     assert np.max(np.abs(dual @ dual.T - want)) <= 1e-12
 
 
+def test_custom_complement_is_reproducible():
+    first, second = thin_custom(), thin_custom()
+    assert 2 * first.span_dim > first.ambient_dim**2
+    assert first.complement_matrix().tobytes() == second.complement_matrix().tobytes()
+
+
 CLOSED_FORMS = {
     "channels(3,3)": lambda: channels_section.__wrapped__(3, 3),
     "comb(2,3,2,3)": lambda: comb_section.__wrapped__((2, 3, 2, 3)),
@@ -353,26 +399,24 @@ CLOSED_FORMS = {
 
 @pytest.mark.parametrize("name", list(CLOSED_FORMS))
 def test_structured_complements_are_closed_forms(monkeypatch, name):
-    def full_spans_only(m):  # a structured build sketches no complement
-        assert m.shape[0] == m.shape[1]
-        return _complement_columns(m)
+    def refused(m):  # a structured build, a full slice's included, factors no span
+        raise AssertionError(f"complement of a {m.shape} span factored")
 
-    monkeypatch.setattr("gnorm.sections._complement_columns", full_spans_only)
+    monkeypatch.setattr("gnorm.sections._complement_columns", refused)
     sec = CLOSED_FORMS[name]()
     m, n = sec.span_matrix(), sec.complement_matrix()
     d2, k = m.shape
     assert n.shape == (d2, d2 - k)
     assert np.max(np.abs(n.T @ n - np.eye(d2 - k))) <= 1e-12
     assert np.max(np.abs(m.T @ n)) <= 1e-12
-    # the same range as the sketch's
+    # the same range as the complete QR factor's
     s = _complement_columns(m)
     assert np.max(np.abs(n @ n.T - s @ s.T)) <= 1e-12
 
 
-def test_structured_paths_leave_numpy_random_unloaded():
-    """In a fresh process: structured sections, their duals and their
-    programs sketch nothing, so numpy.random is never imported (numpy
-    releases that import it themselves refuse every draw from it instead)."""
+def assert_numpy_random_unloaded(body):
+    """Run ``body`` in a fresh process and require that it never imports numpy.random
+    (numpy releases that import it themselves refuse every draw from it instead)."""
     script = (
         "import sys\n"
         "import numpy\n"
@@ -382,15 +426,8 @@ def test_structured_paths_leave_numpy_random_unloaded():
         "        raise AssertionError('numpy.random drawn from')\n"
         "    numpy.random.default_rng = refused\n"
         "import gnorm\n"
-        "from gnorm.norms import majorant_program\n"
-        "from gnorm.sections import (channels_section, comb_section, dual_section,\n"
-        "                            id_tensor_section, povm_section, states_section)\n"
-        "for sec in (channels_section(2, 2), comb_section((2, 3, 2, 3)),\n"
-        "            povm_section(states_section(3), 4),\n"
-        "            id_tensor_section(channels_section(2, 2), 2)):\n"
-        "    for s in (sec, dual_section(sec)):\n"
-        "        majorant_program(s, 2)\n"
-        "assert loaded or 'numpy.random' not in sys.modules\n"
+        + body
+        + "assert loaded or 'numpy.random' not in sys.modules\n"
         "print('unloaded' if not loaded else 'undrawn')\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -400,6 +437,42 @@ def test_structured_paths_leave_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() in ("unloaded", "undrawn")
+
+
+def test_structured_paths_leave_numpy_random_unloaded():
+    """Structured sections, their duals and their programs draw nothing."""
+    assert_numpy_random_unloaded(
+        "from gnorm.norms import majorant_program\n"
+        "from gnorm.sections import (channels_section, comb_section, dual_section,\n"
+        "                            id_tensor_section, povm_section, states_section)\n"
+        "for sec in (channels_section(2, 2), comb_section((2, 3, 2, 3)),\n"
+        "            povm_section(states_section(3), 4),\n"
+        "            id_tensor_section(channels_section(2, 2), 2)):\n"
+        "    for s in (sec, dual_section(sec)):\n"
+        "        majorant_program(s, 2)\n"
+    )
+
+
+def test_custom_paths_leave_numpy_random_unloaded():
+    """A thin custom section, a restricted custom section and a rank-deficient
+    singleton, their duals and their programs factor their complements exactly."""
+    assert_numpy_random_unloaded(
+        "from gnorm.hermitian import herm, identity\n"
+        "from gnorm.norms import majorant_program\n"
+        "from gnorm.sections import custom_section, dual_section, singleton_section\n"
+        "x = herm([[0.0, 1.0], [1.0, 0.0]])\n"
+        "thin = custom_section([identity(2), herm(numpy.diag([1.0, -1.0])), x], identity(2))\n"
+        "restricted = custom_section([herm(numpy.diag([1.0, 0.0, 0.0])),\n"
+        "                             herm(numpy.diag([0.0, 1.0, 0.0])),\n"
+        "                             herm([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0] * 3])],\n"
+        "                            identity(3))\n"
+        "single = singleton_section(herm(numpy.diag([2.0, 1.0, 0.0])))\n"
+        "assert restricted.restricted and single.restricted and thin.span_dim == 3\n"
+        "for sec in (thin, restricted, single):\n"
+        "    for s in (sec, dual_section(sec)):\n"
+        "        s.complement_matrix()\n"
+        "        majorant_program(s, 2)\n"
+    )
 
 
 def test_duality_pairing_on_samples():

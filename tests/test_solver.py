@@ -559,17 +559,13 @@ def test_lifted_and_dual_section_programs_keep_the_span_side():
         assert solver._rows(program).complement is None
 
 
-def complement_builds(monkeypatch, sec, d):
-    """(closed-form N builds, sketched shapes) while ``sec`` builds its dual, two
-    norms and a 3-copy program; checks that its thin programs and its dual share one N."""
-    closed, sketched = [], []
-    recipe = sec._cache.get("complement")
-    if recipe is not None and not isinstance(recipe, np.ndarray):
+def complement_builds(sec, d):
+    """Builds of ``sec``'s cached N recipe while it builds its dual, two norms and a
+    3-copy program; checks that its thin programs and its dual share one N."""
+    closed = []
+    recipe = sec._cache["complement"]
+    if not isinstance(recipe, np.ndarray):
         sec._cache["complement"] = lambda: closed.append(1) or recipe()
-    sketch = sections._complement_columns
-    monkeypatch.setattr(
-        sections, "_complement_columns", lambda m: sketched.append(m.shape) or sketch(m)
-    )
     rng = np.random.default_rng(66)
     dual = dual_section(sec)
     base_norm(sec, rand_herm(rng, d), tol=1e-8)
@@ -580,7 +576,7 @@ def complement_builds(monkeypatch, sec, d):
     assert len(programs) == 3
     assert all(solver._rows(p).complement is n for p in programs)
     assert np.array_equal(dual.span_matrix()[:, 1:], n)
-    return len(closed), sketched
+    return len(closed)
 
 
 def test_section_builds_its_complement_once(monkeypatch):
@@ -588,14 +584,16 @@ def test_section_builds_its_complement_once(monkeypatch):
     monkeypatch.setattr(sections, "_lifted_complement", lambda *a: closed.append(1) or build(*a))
     sec = channels_section.__wrapped__(2, 2)  # uncached: its build writes N once
     assert len(closed) == 1
-    assert complement_builds(monkeypatch, sec, 4) == (0, [])
+    assert complement_builds(sec, 4) == 0
     assert len(closed) == 1
 
 
-def test_custom_section_sketches_its_complement_once(monkeypatch):
+def test_custom_section_factors_its_complement_once():
     sec = custom_section([identity(2), herm(np.diag([1.0, -1.0])), herm([[0.0, 1.0], [1.0, 0.0]])],
                          identity(2))
-    assert complement_builds(monkeypatch, sec, 2) == (0, [(4, 3)])
+    recipe = sec._cache["complement"]  # the span's complete QR factor, not yet built
+    assert recipe.func is sections._complement_columns and recipe.args[0] is sec.span_matrix()
+    assert complement_builds(sec, 2) == 1
 
 
 def test_thin_and_span_side_solves_agree():
