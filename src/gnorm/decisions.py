@@ -9,7 +9,9 @@ block matrix
 
     xi = sum_theta  prior_theta * W_theta^T (x) b_theta
 
-over the section {I (x) b}, and every optimizer is certified by a
+over the section {I (x) b}, which is how quantum payoffs are solved (one
+PSD block over :func:`id_tensor_section`; classical ones collapse xi into
+one block per outcome), and every optimizer is certified by a
 complementary-slackness witness q:  xi <= I (x) q  and  ((I (x) q) - xi) X^T = 0.
 The minimizing q of the payoff's own solve is such a witness for every
 optimal X, so certification reads q and the optimum off that solve, and a
@@ -19,13 +21,13 @@ candidate fails exactly by its payoff deficit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import solver
 from .choi import ChoiMatrix, choi_matrix, is_channel_choi
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, SolverError, ValidationError
 from .hermitian import (
     HermitianMatrix,
     _pinv_sqrt,
@@ -59,6 +61,7 @@ from .sections import (
     Section,
     contains,
     dual_section,
+    id_tensor_section,
     require_faithful,
     section_from_descriptor,
     section_to_descriptor,
@@ -265,12 +268,32 @@ def _solved_povm(section: Section, effects, tol: float) -> GeneralizedPOVM:
 
 def _payoff_blocks(experiment, problem, context: str) -> tuple[HermitianMatrix, ...]:
     """The blocks of the payoff's majorant program: q >= xi_d, one block per
-    outcome, for classical problems, and the one lifted I (x) q >= xi for
-    quantum ones."""
+    outcome, for classical problems, and Q >= xi for quantum ones."""
     require_faithful(experiment.section, context)
     if problem.kind == "classical":
         return tuple(classical_xi_blocks(experiment, problem))
     return (build_xi(experiment, problem),)
+
+
+def _payoff_norm(section: Section, problem, blocks, tol, max_iter, context: str) -> NormResult:
+    """The payoff's one majorant solve over ``blocks``: over the section for
+    classical problems, over {I_k (x) b} (:func:`id_tensor_section`, cached on
+    the section) for quantum ones, whose optimal Q = I_k (x) q is reported as
+    q = Tr_K Q / k on the section, also in the result a stopped solve's
+    SolverError carries."""
+    context = f"{context} ({problem.kind})"
+    if problem.kind == "classical":
+        return majorant_norm(section, blocks, 1.0, tol, max_iter, context)
+    k = problem.n_outcomes
+
+    def on_section(norm: NormResult) -> NormResult:
+        return replace(norm, primal_witness=section.lift(partial_trace(norm.primal_witness, 0) / k))
+
+    try:
+        return on_section(majorant_norm(id_tensor_section(section, k), blocks, 1.0, tol,
+                                        max_iter, context))
+    except SolverError as err:
+        raise SolverError(str(err), on_section(err.solution)) from None
 
 
 def max_payoff(
@@ -281,16 +304,17 @@ def max_payoff(
 ) -> PayoffResult:
     """Maximal average payoff over all decision procedures.
 
-    Both kinds solve one majorant program, min { Tr(q n) : q in span } under
-    the payoff's blocks, and read the optimal procedure off its multipliers.
-    Classical problems use the block-collapsed constraints q >= xi_d, one
-    per outcome, whose multipliers are directly the optimal effects; quantum
-    problems use the one lifted constraint I (x) q >= xi, whose multiplier Y
-    is the transposed Choi matrix of an optimal procedure.
+    Both kinds solve one majorant program and read the optimal procedure off
+    its multipliers.  Classical problems use the block-collapsed constraints
+    q >= xi_d over the section, one per outcome, whose multipliers are
+    directly the optimal effects.  Quantum problems take the paper's form:
+    the norm of xi over the section {I (x) b}, min Tr(Q n') over its span
+    under Q >= xi, whose one multiplier Y is the transposed Choi matrix of an
+    optimal procedure; the result's q is Tr_K Q / k.
     """
     section = experiment.section
     blocks = _payoff_blocks(experiment, problem, "max_payoff")
-    norm = majorant_norm(section, blocks, 1.0, tol, max_iter, f"max_payoff ({problem.kind})")
+    norm = _payoff_norm(section, problem, blocks, tol, max_iter, "max_payoff")
     if problem.kind == "classical":
         povm = _solved_povm(section, norm.dual_witness, tol)
         return PayoffResult(norm.value, norm, povm_to_choi(povm), povm)
@@ -435,9 +459,7 @@ def certify_optimal(
 
     xt = transpose_in_basis(x)
     payoff = trace_pair(xi, xt)
-    norm = majorant_norm(
-        section, blocks, 1.0, solve_tol, max_iter, f"certify_optimal ({problem.kind})"
-    )
+    norm = _payoff_norm(section, problem, blocks, solve_tol, max_iter, "certify_optimal")
     q = norm.primal_witness
     big_q = tensor(identity(n_d), q)
     slack = float(np.linalg.norm((big_q.entries - xi.entries) @ xt.entries))

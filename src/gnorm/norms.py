@@ -47,7 +47,6 @@ from .hermitian import (
     herm,
     hunvec_matrix,
     hvec,
-    identity,
     psd_check,
     sqrt_psd,
     trace_norm,
@@ -57,7 +56,6 @@ from .hermitian import (
 )
 from .sections import (
     Section,
-    _kron_columns,
     _span_part,
     channels_section,
     comb_section,
@@ -184,39 +182,26 @@ def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
 # -- conic programs ------------------------------------------------------------
 
 
-def majorant_program(section: Section, copies: int, lifted: int = 0) -> solver.MajorantProgram:
-    """The program  min Tr(q n) : q in J,  q - P_j = b_j (j < copies),
-    I_lifted (x) q - P = b (when lifted > 0),  P_j >= 0.
+def majorant_program(section: Section, copies: int) -> solver.MajorantProgram:
+    """The program  min Tr(q n) : q in J,  q - P_j = b_j (j < copies),  P_j >= 0,
+    stated as E q - P_j = b_j for q in hvec coordinates and E the span's
+    orthogonal projector.
 
-    The thin-side rule: copies alone with d^2 - k < k are stated by the
-    span's complement N (``section.complement_matrix()``), so q runs over
-    all hvec coordinates, lifted by Pi = I - N N^T, with objective
-    Pi hvec(n), and no span matrix is read.  Otherwise q = M s runs over the
-    span (M = ``span_matrix``, orthonormal): the lifts are M per copy and,
-    for the lifted block, the Kronecker lift I (x) M (columns
-    hvec(I (x) J_i)); their Gram sum is (copies + lifted) I.  Callers set
-    the right-hand sides.  Cached on the section.
+    The thin-side rule: when d^2 - k < k, E is stated by the span's complement
+    N (``section.complement_matrix()``, E = I - N N^T), so no span matrix is
+    read; otherwise by the span M (``span_matrix``, E = M M^T).  The objective
+    is E hvec(n).  Callers set the right-hand sides.  Cached on the section.
     """
-    key = ("majorant", copies, lifted)
+    key = ("majorant", copies)
     got = section._cache.get(key)
     if got is None:
-        d2 = section.ambient_dim ** 2
-        n_rows = (copies + lifted * lifted) * d2
-        desc = f"majorant over {section.label}, {copies} copies"
-        if lifted:
-            desc += f" and one lifted by I({lifted})"
-        if not lifted and 2 * section.span_dim > d2:
-            n = section.complement_matrix()
-            c = np.concatenate([np.zeros(n_rows), _span_part(n, hvec(section.normalizer))])
-            got = solver.MajorantProgram((), c, np.zeros(n_rows), desc, n, copies)
-        else:
-            m_span = section.span_matrix()
-            lifts = (m_span,) * copies
-            if lifted:
-                i_col = hvec(identity(lifted))[:, None]
-                lifts += (_kron_columns(i_col, lifted, m_span, section.ambient_dim),)
-            c = np.concatenate([np.zeros(n_rows), section.span_coords(section.normalizer)])
-            got = solver.MajorantProgram(lifts, c, np.zeros(n_rows), desc)
+        n_rows = copies * section.ambient_dim ** 2
+        thin = 2 * section.span_dim > section.ambient_dim ** 2
+        cols = section.complement_matrix() if thin else section.span_matrix()
+        p = hvec(section.normalizer)
+        c = np.concatenate([np.zeros(n_rows), _span_part(cols, p) if thin else cols @ (cols.T @ p)])
+        got = solver.MajorantProgram(cols, copies, c, np.zeros(n_rows),
+                                     f"majorant over {section.label}, {copies} copies", thin)
         section._cache[key] = got
     return got
 
@@ -232,41 +217,27 @@ def _conic_result(primal: float, dual: float, q, ys, sol: solver.ConeSolution) -
 def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context) -> NormResult:
     """min Tr(q n) over {q in J : q >= r_j for each block r_j}, by one solve.
 
-    Each block's size says which constraint it states: a block of dimension d
-    (the section's) is q >= r_j, and a last block of dimension k d (k > 1) is
-    the lifted I_k (x) q >= r_j.  Value and q are multiplied by ``scale``, and
-    the dual witness holds each block's multiplier y_j, lifted to the caller's
-    space; a lifted block's carries dims (k,) + ``section.dims``.  A stopped
-    solve raises SolverError carrying this result.
+    Every block r_j has the section's dimension.  Value and q are multiplied
+    by ``scale``, and the dual witness holds each block's multiplier y_j,
+    on the caller's space.  A stopped solve raises SolverError
+    carrying this result.
 
     The solver's stop rule is absolute below unit scale, so an objective
-    p = M^T hvec(n), or Pi hvec(n) in a complement statement (|p| = |Pi hvec(n)|
-    either way), with |p| outside [2^-4, 2^4] is solved as 2^-e p
+    p = E hvec(n) with |p| outside [2^-4, 2^4] is solved as 2^-e p
     (:func:`unit_exponent`): a power of two, so the value and the
-    multipliers scale back exactly.  q is the solve's free block, read
-    through M when the program is stated by lifts."""
-    d = section.ambient_dim
-    lifted = blocks[-1].dim // d if blocks[-1].dim > d else 0
+    multipliers scale back exactly.  q is the solve's free block."""
+    d, dims = section.ambient_dim, section.normalizer.subsystem_dims
     rhs = np.concatenate([hvec(b) for b in blocks])
-    program = majorant_program(section, len(blocks) - (lifted > 0), lifted).with_rhs(rhs)
+    program = majorant_program(section, len(blocks)).with_rhs(rhs)
     e = unit_exponent(np.linalg.norm(program.objective))
     if e:
         program = program.with_objective(np.ldexp(program.objective, -e))
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    q = sol.primal_point[-1]
-    if program.complement is None:
-        q = section.from_span_coords(q)
-    else:
-        q = hunvec_matrix(q, d, section.normalizer.subsystem_dims)
-    q = section.lift(q * scale)
-    multipliers, ys, lo = np.ldexp(sol.dual_vector, e), [], 0
-    for b in blocks:
-        dims = section.normalizer.subsystem_dims if b.dim == d else (lifted,) + section.dims
-        y = hunvec_matrix(multipliers[lo : lo + b.dim ** 2], b.dim, dims)
-        ys.append(section.lift(y) if b.dim == d else y)
-        lo += b.dim ** 2
+    q = section.lift(hunvec_matrix(sol.primal_point[-1], d, dims) * scale)
+    multipliers = np.ldexp(sol.dual_vector, e).reshape(len(blocks), -1)
+    ys = tuple(section.lift(hunvec_matrix(y, d, dims)) for y in multipliers)
     unit = math.ldexp(scale, e)
-    norm = _conic_result(sol.primal_value * unit, sol.dual_value * unit, q, tuple(ys), sol)
+    norm = _conic_result(sol.primal_value * unit, sol.dual_value * unit, q, ys, sol)
     solver.require_optimal(sol, context, norm)
     return norm
 

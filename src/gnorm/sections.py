@@ -86,10 +86,11 @@ class Section:
     ``span_columns`` holds the hvec coordinates of a trace-orthonormal
     spanning basis, one column each (read-only); it is the only span data
     stored, and ``span_basis`` is the same basis as matrices, built on each
-    read.  Structured builders (generalized, channel, comb, POVM and
-    id-tensor sections) leave a recipe for the columns in the cache, and
-    the span is built on its first read: a solve that reads only the
-    complement (a thin majorant program, the dual span) never builds it.
+    read.  Structured builders (generalized, channel, comb and POVM
+    sections) leave a recipe for the columns in the cache, and the span is
+    built on its first read: a solve that reads only the complement (a thin
+    majorant program, the dual span) never builds it.  An id-tensor
+    section, never the thin side, writes its span and leaves N the recipe.
     ``span_dim`` is known either way.  The complement N is exact too: a
     structured section's closed form, stated by its builder, or the
     trailing columns of a custom, singleton or restricted span's complete
@@ -393,24 +394,24 @@ def _solve_interior(span_cols, normalizer):
     """max t  s.t.  b in the slice,  b - t I >= 0,  with b = M s0 + M N u.
 
     Split hvec(I) = M N g + rho with rho orthogonal to M N (rho != 0 since
-    Tr n > 0); in u' = u - t g the rows read b - t I = [M N, -rho/|rho|]
-    (u', t |rho|) + M s0, a majorant program with one orthonormal lift.
+    Tr n > 0): then b - t I = M s0 + M N (u - t g) - t rho, which is
+    M s0 + E q for E the projector onto the range of the orthonormal columns
+    C = [M N | rho/|rho|] and t = -<q, rho>/|rho|^2, a one-copy majorant
+    program with objective rho/|rho|^2.  b* = M s0 + q + t* I.
     Returns (t*, b*) of a converged solve; SolverError otherwise.
     """
     d = normalizer.dim
     m_s0, m_n = _pairing_complement(span_cols, normalizer)
     eye = hvec(identity(d))
-    g = m_n.T @ eye
-    rho = eye - m_n @ g
+    rho = eye - m_n @ (m_n.T @ eye)
     norm_rho = float(np.linalg.norm(rho))
-    lift = np.column_stack([m_n, -rho / norm_rho])
-    c = np.zeros(d * d + lift.shape[1])
-    c[-1] = -1.0 / norm_rho
-    program = solver.MajorantProgram((lift,), c, -m_s0, "interior point (max min-eigenvalue)")
+    c = np.concatenate([np.zeros(d * d), rho / norm_rho**2])
+    program = solver.MajorantProgram(np.column_stack([m_n, rho / norm_rho]), 1, c, -m_s0,
+                                     "interior point (max min-eigenvalue)")
     sol = solver.require_optimal(solver.solve(program, tol=1e-8), "interior point")
-    z = sol.primal_point[1]
-    t_star = float(z[-1]) / norm_rho
-    return t_star, hunvec_matrix(m_s0 + m_n @ (z[:-1] + t_star * g), d)
+    q = sol.primal_point[1]
+    t_star = -float(q @ rho) / norm_rho**2
+    return t_star, hunvec_matrix(m_s0 + q + t_star * eye, d)
 
 
 def _scaled_interior(span_cols, normalizer):
@@ -775,22 +776,25 @@ def povm_section(section: Section, outcomes: int) -> Section:
 
 def id_tensor_section(section: Section, d_left: int) -> Section:
     """The section {I_d (x) b : b in B} on the enlarged space; d = ``d_left``, a dimension.
-    Its span is I_d/sqrt(d) (x) the base's span, built on its first read, and its
-    complement (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement)."""
+    Its span I_d/sqrt(d) (x) the base's span is written at once: with k <= d^2 it is never
+    the thin side (for d >= 2), so majorant programs read it.  Its complement
+    (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement) stays a recipe.
+    Cached on the base section."""
     d = as_dim(d_left, "d_left")
     require_faithful(section, "id_tensor_section")
-    eye = identity(d)
-    return _make_section(
-        functools.partial(
-            _lifted_columns, np.zeros((d * d, 0)), d, section.span_matrix(), section.ambient_dim
-        ),
-        tensor(eye / d, section.normalizer),
-        f"id({d})(x){section.label}",
-        subsystem_dims=(d,) + section.dims,
-        interior_hint=tensor(eye, section.interior_point),
-        complement=functools.partial(_lifted_complement, _traceless_columns(d), d, section),
-        span_dim=section.span_dim,
-    )
+    key = ("id", d)
+    got = section._cache.get(key)
+    if got is None:
+        eye = identity(d)
+        got = section._cache[key] = _make_section(
+            _lifted_columns(np.zeros((d * d, 0)), d, section.span_matrix(), section.ambient_dim),
+            tensor(eye / d, section.normalizer),
+            f"id({d})(x){section.label}",
+            subsystem_dims=(d,) + section.dims,
+            interior_hint=tensor(eye, section.interior_point),
+            complement=functools.partial(_lifted_complement, _traceless_columns(d), d, section),
+        )
+    return got
 
 
 def custom_section(basis, normalizer: HermitianMatrix, label: str = "custom") -> Section:

@@ -19,20 +19,18 @@ A_K^T y_F, y_F the part of the dual vector with A_F^T y_F = c_F.  Free
 blocks are recovered from the PSD coordinates at full checks and on return.
 How the projection is done follows from the program's structure:
 
-* a :class:`MajorantProgram` (rows L_j s - P_j = b_j, the shape of every
+* a :class:`MajorantProgram` (rows E q - P_j = b_j, the shape of every
   program the library solves: norms of any input, payoffs, certificates and
-  interior points) is projected in closed form.  It comes in two
-  statements.  Stated by lifts L_j with sum_j L_j^T L_j = sigma I (s in span
-  coordinates), it projects with one pull L^T and one lift L per run of
-  blocks: the feasible slacks are V = {L s - b}, projecting onto V is
-  P = L L^T (zeta + b) / sigma - b, and s = L^T (P + b) / sigma; neither A
-  nor a Gram matrix is ever formed.  Stated by a complement N, an
-  orthonormal d^2 x r basis, its c copies of one block are lifted by the
-  projector Pi = I - N N^T and s = q is in hvec coordinates:
-  P_j = Pi sum_j (zeta_j + b_j) / c - b_j, and every product is
-  v - N (N^T v).  The library's builder states N when the span's
-  complement is the thinner side, d^2 - k < k (base, diamond and comb
-  norms, full slices, classical payoffs), so that no span matrix is read;
+  interior points) is projected in closed form.  Its c copies of one block
+  all read E q, for the orthogonal projector E that orthonormal columns C
+  state: E = C C^T when C spans E's range, E = I - C C^T when C spans its
+  complement, and the free block q is in hvec coordinates either way.  The
+  feasible slacks are V = {E q - b}, projecting onto V is
+  P_j = E sum_j (zeta_j + b_j) / c - b_j, and q = E sum_j (P_j + b_j) / c;
+  every product is C (C^T v), and neither A nor a Gram matrix is ever
+  formed.  The library's builder states C by the span's complement N when
+  that is the thinner side, d^2 - k < k (base, diamond and comb norms, full
+  slices, classical payoffs), so that no span matrix is read;
 * a generic :class:`ConeProgram`, which only a caller states, splits its
   dense A = [A_K | A_F] into PSD and free columns.  One SVD of A_F gives an
   orthonormal basis N of null(A_F^T) and pinv(A_F); the PSD coordinates
@@ -213,65 +211,43 @@ class ConeProgram(_ProgramData):
 
 @dataclass(frozen=True, eq=False)
 class MajorantProgram(_ProgramData):
-    """The majorant program over z = (P_1, ..., P_m, s):
+    """The majorant program over z = (P_1, ..., P_c, q):
 
         minimize    c . z
-        subject to  L_j s - P_j = b_j,   P_j PSD,   s a free vector,
+        subject to  E q - P_j = b_j,   P_j PSD,   q a free vector,
 
-    in one of two statements.  By ``lifts``: L_j (d_j^2 x k) with
-    sum_j L_j^T L_j = sigma I, checked on construction a block of rows at a
-    time; s is in span coordinates.  By ``complement``: N (d^2 x r) with
-    orthonormal columns, checked on construction, and ``copies`` blocks of
-    dimension d, each lifted by the projector Pi = I - N N^T; s = q is then
-    in hvec coordinates, and an objective with a part along N is unbounded.
-    Neither lifts nor N are copied.  ``eq_rhs`` stacks the b_j.  The solve
-    iterates on the slacks P_j alone: they fix s = sum_j L_j^T (P_j + b_j) /
-    sigma (sigma = copies for Pi), which is the free block it returns.
-    Consecutive blocks that share one lift array share its products in the
-    solve (see :class:`_MajorantRows`).  ``eq_matrix``, the dense
-    A = [-I | L] (L = Pi for a complement), is built on first read for
-    :func:`dump_program` and other outside readers; :func:`solve` never
-    reads it.  Every program the library solves has this shape.
+    for ``copies`` = c blocks of one dimension d and the orthogonal projector
+    E on Herm(d) in hvec coordinates that ``columns`` C (d^2 x r, orthonormal,
+    checked on construction a block of columns at a time, never copied)
+    states: E = C C^T, or E = I - C C^T when ``complement`` is set.  q is in
+    hvec coordinates, and an objective with a part outside E's range is
+    unbounded.  ``eq_rhs`` stacks the b_j.  The solve iterates on the slacks
+    P_j alone: they fix q = E sum_j (P_j + b_j) / c, which is the free block
+    it returns (see :class:`_MajorantRows`).  ``eq_matrix``, the dense
+    A = [-I | E] per copy, is built on first read for :func:`dump_program`
+    and other outside readers; :func:`solve` never reads it.  Every program
+    the library solves has this shape.
     """
 
-    lifts: tuple[np.ndarray, ...]
+    columns: np.ndarray
+    copies: int
     objective: np.ndarray
     eq_rhs: np.ndarray
     description: str = ""
-    complement: np.ndarray | None = field(default=None, repr=False)
-    copies: int = 0
+    complement: bool = False
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
     blocks: tuple[Block, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if "rows" not in self._shared:  # with_rhs / with_objective copies share it and the lifts
-            if self.complement is not None:
-                n = as_array(self.complement, "complement")
-                d = math.isqrt(n.shape[0]) if n.ndim == 2 else 0
-                copies = self.copies
-                if (self.lifts or d * d != n.shape[0]  # Block rejects d = 0
-                        or not isinstance(copies, (int, np.integer)) or copies < 1):
-                    raise ShapeError("a majorant complement is a (d^2, r) array stated "
-                                     "without lifts, for at least one copy")
-                blocks = (Block(d, PSD),) * copies + (Block(d * d, FREE),)
-                rows = _MajorantRows((_Projector(n),) * copies, n)
-                object.__setattr__(self, "complement", n)
-                object.__setattr__(self, "copies", int(copies))
-            else:
-                raw, lifts = tuple(self.lifts), []
-                for i, m in enumerate(raw):  # a lift repeated in a run passes the rule once
-                    lifts.append(lifts[-1] if i and m is raw[i - 1] else as_array(m, f"lift {i}"))
-                if not lifts or any(m.ndim != 2 for m in lifts):
-                    raise ShapeError("a majorant program needs at least one 2-d lift")
-                k = lifts[0].shape[1]
-                dims = [math.isqrt(m.shape[0]) for m in lifts]
-                for m, d in zip(lifts, dims):
-                    if m.shape[1] != k or d * d != m.shape[0]:  # Block rejects d = 0
-                        raise ShapeError(f"lift of shape {m.shape} is not (d^2, {k})")
-                blocks = tuple(Block(d, PSD) for d in dims) + (Block(k, FREE),)
-                rows = _MajorantRows(lifts, None)
-                object.__setattr__(self, "lifts", tuple(lifts))
-            self._shared["blocks"], self._shared["rows"] = blocks, rows
+        if "rows" not in self._shared:  # with_rhs / with_objective copies share it and C
+            cols, copies = as_array(self.columns, "columns"), as_count(self.copies, "copies")
+            d = math.isqrt(cols.shape[0]) if cols.ndim == 2 else 0
+            if cols.ndim != 2 or d * d != cols.shape[0]:  # Block rejects d = 0
+                raise ShapeError(f"majorant columns of shape {cols.shape} are not (d^2, r)")
+            object.__setattr__(self, "columns", cols)
+            object.__setattr__(self, "copies", copies)
+            self._shared["blocks"] = (Block(d, PSD),) * copies + (Block(d * d, FREE),)
+            self._shared["rows"] = _MajorantRows(cols, copies, self.complement)
         object.__setattr__(self, "blocks", self._shared["blocks"])
         self._set_vectors(self._shared["rows"].n_rows)
 
@@ -279,13 +255,13 @@ class MajorantProgram(_ProgramData):
     def eq_matrix(self) -> np.ndarray:
         got = self._shared.get("eq_matrix")
         if got is None:
-            n_rows = self.eq_rhs.shape[0]
+            n_rows, cols = self.eq_rhs.shape[0], self.columns
             got = np.zeros((n_rows, self.total_dim))
             got[np.arange(n_rows), np.arange(n_rows)] = -1.0
-            row, n = 0, self.complement
-            for m in self.lifts or (np.eye(n.shape[0]) - n @ n.T,) * self.copies:
-                got[row : row + m.shape[0], n_rows:] = m
-                row += m.shape[0]
+            e = cols @ cols.T
+            if self.complement:
+                e = np.eye(cols.shape[0]) - e
+            got[:, n_rows:] = np.tile(e, (self.copies, 1))
             self._shared["eq_matrix"] = got
         return got
 
@@ -410,130 +386,73 @@ class _DenseRows:
         return self._pinv @ (b - self._a_k @ z_k)
 
 
-class _Projector:
-    """The lift Pi = I - N N^T of a complement-stated majorant program, for
-    orthonormal columns N: Pi v = v - N (N^T v), and Pi^T = Pi."""
-
-    def __init__(self, n: np.ndarray):
-        self.n = n
-        self.shape = (n.shape[0], n.shape[0])
-
-    @property
-    def T(self) -> _Projector:
-        return self
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return v - self.n @ (self.n.T @ v)
-
-
 class _MajorantRows:
-    """The rows L_j s - P_j = b_j of a :class:`MajorantProgram`, the free
-    block s eliminated.
+    """The rows E q - P_j = b_j of a :class:`MajorantProgram`, the free block
+    q eliminated.
 
-    With L the stacked lifts and L^T L = sigma I, the slacks that some s
-    makes feasible form the affine set V = {L s - b}, and a P in V fixes
-    s = L^T (P + b) / sigma.  Projecting zeta onto V is then
+    The slacks that some q makes feasible form the affine set V = {E q - b},
+    and a P in V fixes q = E sum_j (P_j + b_j) / c.  Projecting zeta onto V
+    is then
 
-        P = L L^T (zeta + b) / sigma - b,   multiplier = P - zeta,
+        P_j = E t - b_j,   t = sum_j (zeta_j + b_j) / c,   multiplier = P - zeta,
 
-    one pull L^T and one lift per run of blocks.  The free objective c_s
-    enters as L c_s / sigma, both in the slacks' objective and in the dual
-    vector, whose pull is then c_s.
-
-    A ``complement`` N states c copies of the lift Pi = I - N N^T
-    (:class:`_Projector`), checked here: N^T N = I within 1e-9.  Then
-    sigma = c, since sum_j Pi^T Pi = c Pi, and every product, the
-    projection P_j = Pi sum_j (zeta_j + b_j) / c - b_j included, reads N
-    alone.  Otherwise ``complement`` is None and the rows go through L.
+    one product C (C^T t).  The free objective c_q enters as E c_q / c, both
+    in the slacks' objective and in the dual vector, whose pull is then
+    E c_q.  C^T C = I is checked here within 1e-9, PRODUCT_CHUNK columns at
+    a time: no array above PRODUCT_CHUNK x r is formed.
     """
 
-    def __init__(self, lifts: tuple, complement: np.ndarray | None):
-        # Runs of consecutive blocks sharing one lift array: (lift, rows,
-        # copies), ``rows`` being the run's slice of the stacked rows.
-        self.runs = []
-        lo = 0
-        n = self.complement = complement
-        for m in lifts:
-            hi = lo + m.shape[0]
-            if self.runs and self.runs[-1][0] is m:
-                _, rows, copies = self.runs[-1]
-                self.runs[-1] = (m, slice(rows.start, hi), copies + 1)
-            else:
-                self.runs.append((m, slice(lo, hi), 1))
-            lo = hi
-        self.n_rows = lo
-        self.cone, self.free = slice(0, lo), slice(lo, None)
-        if n is not None:
-            if float(np.max(np.abs(n.T @ n - np.eye(n.shape[1])), initial=0.0)) > 1e-9:
-                raise ShapeError("a majorant complement must have orthonormal columns")
-            self.sigma = float(len(lifts))
-            return
-        # sum_j c_j L_j^T L_j = sigma I, checked on and above the diagonal one block
-        # of PRODUCT_CHUNK rows at a time: no array above PRODUCT_CHUNK x k is formed.
-        k = lifts[0].shape[1]
-        diag, off = np.empty(k), 0.0
-        for lo in range(0, k, PRODUCT_CHUNK):
-            hi = min(lo + PRODUCT_CHUNK, k)
-            gram = sum(c * (lift[:, lo:hi].T @ lift[:, lo:]) for lift, _, c in self.runs)
-            diag[lo:hi] = np.diagonal(gram)
-            np.fill_diagonal(gram, 0.0)
-            off = max(off, float(np.max(np.abs(gram, out=gram))))
-        sigma = float(diag.sum()) / k
-        if not sigma > 0.0 or max(off, float(np.max(np.abs(diag - sigma)))) > 1e-9 * sigma:
-            raise ShapeError("majorant lifts must satisfy sum_j L_j^T L_j = sigma I")
-        self.sigma = sigma
+    def __init__(self, columns: np.ndarray, copies: int, complement: bool):
+        self.columns, self.copies, self.complement = columns, copies, complement
+        self.n_rows = copies * columns.shape[0]
+        self.cone, self.free = slice(0, self.n_rows), slice(self.n_rows, None)
+        r = columns.shape[1]
+        for lo in range(0, r, PRODUCT_CHUNK):
+            hi = min(lo + PRODUCT_CHUNK, r)
+            gram = columns[:, lo:hi].T @ columns[:, lo:]
+            gram[:, : hi - lo] -= np.eye(hi - lo)
+            if float(np.max(np.abs(gram, out=gram))) > 1e-9:
+                raise ShapeError("majorant columns must be orthonormal")
+
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        """E v: C (C^T v), or v - C (C^T v) for a complement."""
+        along = self.columns @ (self.columns.T @ v)
+        return v - along if self.complement else along
+
+    def _sum(self, y: np.ndarray) -> np.ndarray:
+        """sum_j y_j over the copies."""
+        return y.reshape(self.copies, -1).sum(axis=0)
 
     def eliminate(self, c: np.ndarray, b: np.ndarray):
-        """The slacks' objective C = c_P + L c_s / sigma, the part L c_s / sigma
-        of the dual vector, the right-hand side, which needs no reduction,
+        """The slacks' objective C = c_P + E c_q / c, the part E c_q / c of the
+        dual vector per copy, the right-hand side, which needs no reduction,
         and whether the program is bounded: None, or the dual residual
-        |c_s - L^T L c_s / sigma| / (1 + |c|) reported when it misses by
-        more than 1e-8 (1 + |c_s|).  Every majorant program has a solution,
-        since the -I columns give A full row rank; a lifts statement always
-        matches its free objective (L^T L = sigma I), and a complement
-        statement does unless c_s has a part along N."""
+        |c_q - E c_q| / (1 + |c|) reported when it misses by more than
+        1e-8 (1 + |c_q|), c_q having a part outside E's range.  Every
+        majorant program has a solution, since the -I columns give A full
+        row rank."""
         n = self.n_rows
-        y_free = np.empty(n)
-        self._lift_minus(c[n:] / self.sigma, np.zeros(n), y_free)
-        miss = _norm(c[n:] - self._pull(y_free))
+        y_free = np.tile(self._project(c[n:] / self.copies), self.copies)
+        miss = _norm(c[n:] - self._project(self._sum(y_free)))
         if miss > 1e-8 * (1.0 + _norm(c[n:])):
             return c[:n] + y_free, y_free, b, miss / (1.0 + _norm(c))
         return c[:n] + y_free, y_free, b, None
 
-    def _lift_minus(self, s: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The stacked L_j s - y_j written into ``out``: one product per run,
-        broadcast over the run's (copies, d^2) view."""
-        for m, rows, copies in self.runs:
-            np.subtract(m @ s, y[rows].reshape(copies, -1), out=out[rows].reshape(copies, -1))
-        return out
-
-    def _pull(self, y: np.ndarray) -> np.ndarray:
-        """sum_j L_j^T y_j, one product per run."""
-        out = 0.0
-        for m, rows, copies in self.runs:
-            out = out + m.T @ y[rows].reshape(copies, -1).sum(axis=0)
-        return out
-
     def apply(self, z: np.ndarray) -> np.ndarray:
         n = self.n_rows
-        return self._lift_minus(z[n:], z[:n], np.empty(n))
+        return (self._project(z[n:]) - z[:n].reshape(self.copies, -1)).reshape(-1)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([-y, self._pull(y)])
+        return np.concatenate([-y, self._project(self._sum(y))])
 
     def project(self, zeta: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.complement is None:
-            p = self._lift_minus(self.free_part(zeta, b), b, np.empty_like(zeta))
-        else:  # Pi sum_j (zeta_j + b_j) / copies - b_j
-            copies = self.runs[0][2]
-            t = (zeta + b).reshape(copies, -1).sum(axis=0) / copies
-            t -= self.complement @ (self.complement.T @ t)
-            p = (t - b.reshape(copies, -1)).reshape(-1)
+        t = self._project(self._sum(zeta + b) / self.copies)
+        p = (t - b.reshape(self.copies, -1)).reshape(-1)
         return p, p - zeta
 
     def free_part(self, p: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """s = sum_j L_j^T (P_j + b_j) / sigma."""
-        return self._pull(p + b) / self.sigma
+        """q = E sum_j (P_j + b_j) / c."""
+        return self._project(self._sum(p + b)) / self.copies
 
 
 def _rows(program) -> _DenseRows | _MajorantRows:

@@ -83,13 +83,13 @@ ENTRIES = {
         lambda v: ConeProgram(DENSE_BLOCKS, np.zeros(5), np.ones((1, 5)), v), [1], "rhs", False),
     "ConeProgram eq_matrix": (
         lambda v: ConeProgram(DENSE_BLOCKS, np.zeros(5), v, [1.0]), [[1] * 5], "eq_matrix", False),
-    "MajorantProgram lift": (
-        lambda v: MajorantProgram((v,), np.zeros(8), np.zeros(4)), np.eye(4).tolist(), "lift 0",
+    "MajorantProgram columns": (
+        lambda v: MajorantProgram(v, 1, np.zeros(8), np.zeros(4)), np.eye(4).tolist(), "columns",
         False),
     "MajorantProgram objective": (
-        lambda v: MajorantProgram((np.eye(4),), v, np.zeros(4)), [0] * 8, "objective", False),
+        lambda v: MajorantProgram(np.eye(4), 1, v, np.zeros(4)), [0] * 8, "objective", False),
     "MajorantProgram rhs": (
-        lambda v: MajorantProgram((np.eye(4),), np.zeros(8), v), [0] * 4, "rhs", False),
+        lambda v: MajorantProgram(np.eye(4), 1, np.zeros(8), v), [0] * 4, "rhs", False),
     "Section.from_span_coords": (
         S2.from_span_coords, [1] + [0] * (S2.span_dim - 1), "span coordinates", False),
 }
@@ -175,8 +175,8 @@ def test_a_program_copy_reads_only_its_vectors(monkeypatch):
     monkeypatch.setattr(solver, "as_array", spy)
     copy = program.with_rhs(np.ones(program.eq_rhs.shape))
     assert read == ["objective", "rhs"]
-    assert program.complement is not None  # the thin statement, by N
-    assert copy.complement is program.complement and copy.blocks == program.blocks
+    assert program.complement  # the thin statement, by N
+    assert copy.columns is program.columns and copy.blocks == program.blocks
     assert solver._rows(copy) is solver._rows(program)
 
 

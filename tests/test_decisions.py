@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_kraus_channel, rand_psd
-from gnorm import decisions
+from gnorm import decisions, solver
 from gnorm.choi import kraus_channel, max_entangled_projection
 from gnorm.decisions import (
     Experiment,
@@ -28,10 +28,12 @@ from gnorm.decisions import (
     povm_to_choi,
     quantum_problem,
 )
-from gnorm.errors import ShapeError, ValidationError
+from gnorm.errors import ShapeError, SolverError, ValidationError
 from gnorm.hermitian import (
     abs_pos_neg,
     herm,
+    hunvec,
+    hvec,
     identity,
     outer,
 
@@ -55,6 +57,7 @@ from gnorm.sections import (
     singleton_section,
     states_section,
 )
+from gnorm.solver import FREE, Block, ConeProgram, solve
 
 KET0 = outer([1.0, 0.0])
 KET1 = outer([0.0, 1.0])
@@ -485,6 +488,98 @@ def test_certify_optimal_builds_the_payoff_blocks_once(monkeypatch):
         cert = certify_optimal(res.choi, e, p, tol=1e-5)
         assert cert.feasible
         assert calls == [built]
+
+
+def random_quantum_payoff(rng, section, family_size, outcomes):
+    """An experiment of ``family_size`` random members of ``section`` under a
+    random prior, and random payoff operators 0 <= W <= I on ``outcomes``."""
+    if section.label.startswith("states"):
+        family = [rand_density(rng, section.ambient_dim) for _ in range(family_size)]
+    else:
+        d_in, d_out = section.dims[1], section.dims[0]
+        family = [kraus_channel(rand_kraus_channel(rng, d_in, d_out, 2)).matrix
+                  for _ in range(family_size)]
+    experiment = Experiment(section, tuple(family), rng.dirichlet(np.ones(family_size)))
+    ops = []
+    for _ in range(family_size):
+        u = np.linalg.qr(rng.normal(size=(outcomes, outcomes))
+                         + 1j * rng.normal(size=(outcomes, outcomes)))[0]
+        ops.append(herm((u * rng.uniform(0.0, 1.0, outcomes)) @ u.conj().T))
+    return experiment, quantum_problem(ops)
+
+
+def lifted_reference(experiment, problem, tol):
+    """The quantum payoff in its lifted statement, I_k (x) (M s) - P = xi with
+    objective Tr((M s) n) over span coordinates s, as a dense ConeProgram
+    solved through the generic rows: (value, Y)."""
+    sec, k = experiment.section, problem.n_outcomes
+    d = sec.ambient_dim
+    m = sec.span_matrix()
+    lift = np.column_stack([hvec(tensor(identity(k), herm(hunvec(col, d)))) for col in m.T])
+    n = lift.shape[0]
+    program = ConeProgram(
+        (Block(k * d), Block(m.shape[1], FREE)),
+        np.concatenate([np.zeros(n), m.T @ hvec(sec.normalizer)]),
+        np.hstack([-np.eye(n), lift]),
+        hvec(build_xi(experiment, problem)),
+        "lifted quantum payoff",
+    )
+    sol = solve(program, tol=tol)
+    assert sol.status == "optimal" and isinstance(solver._rows(program), solver._DenseRows)
+    return 0.5 * (sol.primal_value + sol.dual_value), hunvec(sol.dual_vector, k * d)
+
+
+@pytest.mark.parametrize("build, outcomes", [
+    (lambda: states_section(3), 3),
+    (lambda: channels_section(2, 2), 2),
+    (lambda: channels_section(2, 2), 3),
+    (lambda: channels_section(3, 3), 3),
+], ids=["states(3)-3", "channels(2,2)-2", "channels(2,2)-3", "channels(3,3)-3"])
+def test_quantum_payoff_matches_the_lifted_dense_statement(build, outcomes):
+    # the norm of xi over {I (x) b} against the lifted program it replaced
+    tol = 1e-8
+    experiment, problem = random_quantum_payoff(np.random.default_rng(91), build(), 3, outcomes)
+    pay = max_payoff(experiment, problem, tol=tol)
+    value, y = lifted_reference(experiment, problem, tol)
+    assert abs(pay.value - value) <= 10 * tol * (1.0 + abs(value))
+    (got,) = pay.norm.dual_witness
+    assert got.subsystem_dims == (outcomes,) + experiment.section.dims
+    assert np.max(np.abs(got.entries - y)) <= 1e-6
+    q = pay.norm.primal_witness
+    assert q.dims == experiment.section.dims
+    xi = build_xi(experiment, problem)
+    assert np.linalg.eigvalsh((tensor(identity(outcomes), q) - xi).entries)[0] >= -1e-6
+
+
+def test_stopped_quantum_payoff_reports_q_on_the_section():
+    # the SolverError of a stopped solve carries q = Tr_K Q / k, as an
+    # optimal result does
+    sec = channels_section(2, 2)
+    experiment, problem = random_quantum_payoff(np.random.default_rng(93), sec, 3, 3)
+    with pytest.raises(SolverError) as info:
+        max_payoff(experiment, problem, max_iter=3)
+    stopped = info.value.solution
+    assert stopped.status == "max_iter" and stopped.primal_witness.dims == sec.dims
+    (y,) = stopped.dual_witness
+    assert y.subsystem_dims == (3,) + sec.dims
+
+
+def test_quantum_payoff_reads_the_span_and_reuses_its_program(monkeypatch):
+    # the payoff is one copy over the id-tensor section, whose span is the
+    # side it reads: its complement stays a recipe, and the certificate
+    # solves the same cached program
+    sec = channels_section.__wrapped__(3, 3)
+    experiment, problem = random_quantum_payoff(np.random.default_rng(92), sec, 2, 3)
+    pay = max_payoff(experiment, problem, tol=1e-8)
+    wrapped = id_tensor_section(sec, 3)
+    assert not isinstance(wrapped._cache["complement"], np.ndarray)
+    program = wrapped._cache[("majorant", 1)]
+    assert not program.complement and program.columns is wrapped.span_matrix()
+    seen, real = [], solver.solve
+    monkeypatch.setattr(solver, "solve", lambda p, *a, **kw: seen.append(p) or real(p, *a, **kw))
+    assert certify_optimal(pay.choi, experiment, problem, tol=1e-5).feasible
+    assert len(seen) == 1 and solver._rows(seen[0]) is solver._rows(program)
+    assert not isinstance(wrapped._cache["complement"], np.ndarray)
 
 
 def test_decompose_povm_ordinary():

@@ -52,7 +52,7 @@ KET0, KET1 = diag(1.0, 0.0), diag(0.0, 1.0)
 PAIR = Experiment(S2, (KET0, KET1), [0.5, 0.5])
 RESTRICTED = singleton_section(KET0)  # lives on the support of |0><0|
 DENSE = ConeProgram((Block(2, PSD), Block(1, FREE)), np.zeros(5), np.ones((1, 5)), [1.0])
-LIFT = np.eye(4)  # one copy of the whole hvec space: L^T L = I
+COLUMNS = np.eye(4)  # the whole hvec space of a 2 x 2 block: E = I
 
 
 def _experiment_json_with_payoff(kind):
@@ -189,13 +189,14 @@ CASES = {
     "dense rows of the wrong width": (
         lambda: ConeProgram(DENSE.blocks, DENSE.objective, np.ones((1, 4)), [1.0]),
         ShapeError, "constraint matrix shape (1, 4)"),
-    "majorant program without lifts": (
-        lambda: MajorantProgram((), np.zeros(1), np.zeros(0)), ShapeError, "at least one 2-d"),
+    "majorant columns that are not 2-d": (
+        lambda: MajorantProgram(np.zeros(4), 1, np.zeros(8), np.zeros(4)),
+        ShapeError, "not (d^2, r)"),
     "majorant objective of the wrong length": (
-        lambda: MajorantProgram((LIFT,), np.zeros(4), np.zeros(4)),
+        lambda: MajorantProgram(COLUMNS, 1, np.zeros(4), np.zeros(4)),
         ShapeError, "objective length 4 != total block dim 8"),
     "majorant rhs of the wrong length": (
-        lambda: MajorantProgram((LIFT,), np.zeros(8), np.zeros(3)),
+        lambda: MajorantProgram(COLUMNS, 1, np.zeros(8), np.zeros(3)),
         ShapeError, "rhs length 3 != row count 4"),
 }
 

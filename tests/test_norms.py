@@ -434,7 +434,7 @@ def test_hmin_solves_one_psd_block(monkeypatch):
     for d_k, d_h in ((2, 2), (3, 2), (2, 3)):
         hmin(rand_density(rng, d_k * d_h, dims=(d_k, d_h)), tol=1e-7)
     assert len(programs) == 3
-    assert all(len(p.lifts) == 1 for p in programs)
+    assert all(p.copies == 1 for p in programs)
 
 
 def test_ncomb_norm_examples():

@@ -271,9 +271,8 @@ def test_dual_of_channels_is_identity_tensor_states():
 
 @pytest.mark.parametrize("build", [
     lambda: comb_section.__wrapped__((2, 3, 2)),
-    lambda: id_tensor_section(channels_section(2, 2), 2),
     lambda: povm_section(states_section(3), 2),
-], ids=["comb(2,3,2)", "id(2)(x)channels(2,2)", "povm(states(3),2)"])
+], ids=["comb(2,3,2)", "povm(states(3),2)"])
 def test_structured_span_is_built_on_its_first_read(build):
     sec = build()
     d2 = sec.ambient_dim ** 2
@@ -297,6 +296,30 @@ def test_structured_span_is_built_on_its_first_read(build):
     assert np.max(np.abs(m.T @ m - np.eye(sec.span_dim))) <= 1e-12
     assert not isinstance(copy._cache["span"], np.ndarray)
     assert copy.span_matrix().tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_id_tensor_complement_is_built_on_its_first_read(d):
+    # the span I_d/sqrt(d) (x) M is never the thin side: it is written at
+    # construction, and the complement stays a recipe through a base norm
+    base = channels_section.__wrapped__(2, 2)
+    sec = id_tensor_section(base, d)
+    assert id_tensor_section(base, d) is sec and base._cache[("id", d)] is sec
+    d2 = sec.ambient_dim ** 2
+    built = lambda: isinstance(sec._cache["complement"], np.ndarray)  # noqa: E731
+    assert isinstance(sec._cache["span"], np.ndarray) and 2 * sec.span_dim <= d2
+    copy = pickle.loads(pickle.dumps(sec))  # keeps the recipe
+    x = rand_herm(np.random.default_rng(68), sec.ambient_dim, dims=sec.dims)
+    assert base_norm(sec, x, tol=1e-8).status == "optimal"
+    assert not built()
+    n = sec.complement_matrix()
+    assert built() and not n.flags.writeable
+    assert n.shape == (d2, d2 - sec.span_dim)
+    m = sec.span_matrix()
+    assert np.max(np.abs(n.T @ n - np.eye(n.shape[1]))) <= 1e-12
+    assert np.max(np.abs(m.T @ n)) <= 1e-12
+    assert not isinstance(copy._cache["complement"], np.ndarray)
+    assert copy.complement_matrix().tobytes() == n.tobytes()
 
 
 def test_membership_reads_the_complement_of_an_unbuilt_span():

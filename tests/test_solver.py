@@ -37,6 +37,7 @@ from gnorm.sections import (
     contains,
     custom_section,
     dual_section,
+    id_tensor_section,
     states_section,
 )
 from gnorm.solver import (
@@ -171,14 +172,14 @@ def test_tol_must_be_finite_and_non_negative():
 def test_non_finite_program_data_rejected():
     dense = trace_norm_program(rand_herm(np.random.default_rng(47), 2))
     ch = channels_section(2, 2)
-    majorant, thin = lifts_statement(ch, 1), majorant_program(ch, 1)
+    span, thin = span_statement(ch, 1), majorant_program(ch, 1)
     builders = (
         (lambda c, a, b: ConeProgram(dense.blocks, c, a, b),
          (dense.objective, dense.eq_matrix, dense.eq_rhs)),
-        (lambda lift, c, b: MajorantProgram((lift,), c, b),
-         (majorant.lifts[0], majorant.objective, majorant.eq_rhs)),
-        (lambda n, c, b: MajorantProgram((), c, b, complement=n, copies=1),
-         (thin.complement, thin.objective, thin.eq_rhs)),
+        (lambda m, c, b: MajorantProgram(m, 1, c, b),
+         (span.columns, span.objective, span.eq_rhs)),
+        (lambda n, c, b: MajorantProgram(n, 1, c, b, complement=True),
+         (thin.columns, thin.objective, thin.eq_rhs)),
     )
     for build, parts in builders:
         for i in range(3):
@@ -238,44 +239,41 @@ def test_dump_program_mentions_blocks():
     assert "psd:2" in text and "free:4" in text and text.count("A ") > 0
 
 
-def lifts_statement(sec, copies, lifted=0):
-    """``majorant_program(sec, copies, lifted)`` stated by lifts: the library's
-    program when it is, else M per copy with objective M^T hvec(n)."""
-    cached = majorant_program(sec, copies, lifted)
-    if cached.complement is None:
+def span_statement(sec, copies):
+    """``majorant_program(sec, copies)`` stated by the span M: the library's
+    program when it is, else E = M M^T with objective M M^T hvec(n)."""
+    cached = majorant_program(sec, copies)
+    if not cached.complement:
         return cached
     m = sec.span_matrix()
-    c = np.concatenate([np.zeros(copies * m.shape[0]), sec.span_coords(sec.normalizer)])
-    return MajorantProgram((m,) * copies, c, cached.eq_rhs)
+    c = np.concatenate([np.zeros(copies * m.shape[0]), m @ sec.span_coords(sec.normalizer)])
+    return MajorantProgram(m, copies, c, cached.eq_rhs)
 
 
 def majorant_cases():
     """Fresh (uncached) majorant programs with feasible right-hand sides: the
     base norm on channels(2,2) and comb(2,2,2,2), a 3-outcome classical
-    payoff, the 1-copy program and the certificates lifted by I(3) with one
-    copy and with none, all on channels(2,2), each stated by lifts; then the
-    library's complement statement of the four thin ones."""
+    payoff and the 1-copy program on channels(2,2), and a quantum payoff with
+    3 outcomes, one copy over id(3)(x)channels(2,2), each stated by the span;
+    then the library's complement statement of the four thin ones."""
     rng = np.random.default_rng(48)
     ch = channels_section(2, 2)
     comb = comb_section((2, 2, 2, 2))
     out, thin = [], []
-    cases = ((ch, 2, 0), (comb, 2, 0), (ch, 3, 0), (ch, 1, 3), (ch, 1, 0), (ch, 0, 3))
-    for sec, copies, lifted in cases:
-        cached = lifts_statement(sec, copies, lifted)
+    for sec, copies in ((ch, 2), (comb, 2), (ch, 3), (ch, 1), (id_tensor_section(ch, 3), 1)):
+        cached = span_statement(sec, copies)
         d = sec.ambient_dim
-        if lifted:
-            rhs = [np.zeros(d * d)] * copies + [hvec(rand_herm(rng, lifted * d))]
-        elif copies == 2:
+        if copies == 2:
             x = rand_herm(rng, d)
             rhs = [hvec(x), -hvec(x)]
         else:
             rhs = [hvec(rand_herm(rng, d)) for _ in range(copies)]
         rhs = np.concatenate(rhs)
-        out.append(MajorantProgram(cached.lifts, cached.objective, rhs))
-        library = majorant_program(sec, copies, lifted)
-        if library.complement is not None:
-            thin.append(MajorantProgram((), library.objective, rhs, complement=library.complement,
-                                        copies=copies))
+        out.append(MajorantProgram(cached.columns, copies, cached.objective, rhs))
+        library = majorant_program(sec, copies)
+        if library.complement:
+            thin.append(MajorantProgram(library.columns, copies, library.objective, rhs,
+                                        complement=True))
     assert len(thin) == 4
     return out + thin
 
@@ -320,57 +318,52 @@ def test_majorant_projection_matches_dense():
         assert np.max(np.abs(rows.adjoint(y) - a.T @ y)) <= 1e-10
 
 
-def test_majorant_projection_runs_match_dense_solve():
-    # one-, two- and three-copy runs of one lift, and two distinct lift runs
-    # (one copy, then the lift by I(2)), against the dense least-squares
-    # reference
+def test_majorant_projection_copies_match_dense_solve():
+    # one, two and three copies stated by the complement (channels(2,2)) and
+    # by the span (its dual, and id(2)(x)channels(2,2)), against the dense
+    # least-squares reference
     rng = np.random.default_rng(57)
     ch = channels_section(2, 2)
-    for copies, lifted in ((1, 0), (2, 0), (3, 0), (1, 2)):
-        program = majorant_program(ch, copies, lifted)
-        rows = solver._rows(program)
-        assert len(rows.runs) == (2 if lifted else 1)
-        a = program.eq_matrix
-        for _ in range(3):
-            b = rng.normal(size=a.shape[0])
-            zeta = rng.normal(size=a.shape[0])
-            z_ref, s_ref, mult_ref = reduced_projection_reference(program, zeta, b)
-            z, mult = rows.project(zeta, b)
-            assert np.max(np.abs(z - z_ref)) <= 1e-12
-            assert np.max(np.abs(mult - mult_ref)) <= 1e-12
-            assert np.max(np.abs(rows.free_part(z, b) - s_ref)) <= 1e-12
-            full = rng.normal(size=a.shape[1])
-            assert np.max(np.abs(rows.apply(full) - a @ full)) <= 1e-12
+    for sec, thin in ((ch, True), (dual_section(ch), False), (id_tensor_section(ch, 2), False)):
+        for copies in (1, 2, 3):
+            program = majorant_program(sec, copies)
+            rows = solver._rows(program)
+            assert rows.complement == thin and rows.copies == copies
+            a = program.eq_matrix
+            for _ in range(3):
+                b = rng.normal(size=a.shape[0])
+                zeta = rng.normal(size=a.shape[0])
+                z_ref, s_ref, mult_ref = reduced_projection_reference(program, zeta, b)
+                z, mult = rows.project(zeta, b)
+                assert np.max(np.abs(z - z_ref)) <= 1e-12
+                assert np.max(np.abs(mult - mult_ref)) <= 1e-12
+                assert np.max(np.abs(rows.free_part(z, b) - s_ref)) <= 1e-12
+                full = rng.normal(size=a.shape[1])
+                assert np.max(np.abs(rows.apply(full) - a @ full)) <= 1e-12
 
 
-def dense_lifts(program):
-    """(the lifts, sigma): a complement statement's are copies of the dense
-    projector I - N N^T, with sigma its copy count."""
-    if program.complement is None:
-        k = program.lifts[0].shape[1]
-        return program.lifts, sum(np.trace(m.T @ m) for m in program.lifts) / k
-    n = program.complement
-    return (np.eye(n.shape[0]) - n @ n.T,) * program.copies, program.copies
+def dense_projector(program):
+    """The dense projector E that lifts each copy: C C^T, or I - C C^T."""
+    cols = program.columns
+    e = cols @ cols.T
+    return np.eye(cols.shape[0]) - e if program.complement else e
 
 
 def test_majorant_solve_returns_recovered_free_block_and_exact_free_dual():
-    # the free block is s = sum_j L_j^T (P_j + b_j) / sigma of the returned
-    # slacks, and the dual vector pulls back to the free objective exactly
+    # the free block is q = E sum_j (P_j + b_j) / c of the returned slacks,
+    # and the dual vector pulls back to the free objective exactly
     for program in majorant_cases():
         sol = solve(program, tol=1e-8)
         assert sol.status == "optimal"
-        lifts, sigma = dense_lifts(program)
-        k = lifts[0].shape[1]
-        c_s = program.objective[-k:]
-        s, lo = sol.primal_point[-1], 0
-        recovered, dual_pull = np.zeros(k), np.zeros(k)
-        for m, p in zip(lifts, sol.primal_point[:-1]):
-            hi = lo + m.shape[0]
-            recovered += m.T @ (hvec(p) + program.eq_rhs[lo:hi])
-            dual_pull += m.T @ sol.dual_vector[lo:hi]
-            lo = hi
-        assert np.linalg.norm(s - recovered / sigma) <= 1e-12 * (1.0 + np.linalg.norm(s))
-        assert np.linalg.norm(dual_pull - c_s) <= 1e-12 * (1.0 + np.linalg.norm(c_s))
+        e, copies = dense_projector(program), program.copies
+        n = e.shape[0]
+        c_q = program.objective[-n:]
+        q = sol.primal_point[-1]
+        slacks = np.concatenate([hvec(p) for p in sol.primal_point[:-1]])
+        recovered = e @ (slacks + program.eq_rhs).reshape(copies, n).sum(axis=0)
+        dual_pull = e @ sol.dual_vector.reshape(copies, n).sum(axis=0)
+        assert np.linalg.norm(q - recovered / copies) <= 1e-12 * (1.0 + np.linalg.norm(q))
+        assert np.linalg.norm(dual_pull - c_q) <= 1e-12 * (1.0 + np.linalg.norm(c_q))
         assert not np.any(sol.dual_slack[-1])
 
 
@@ -383,7 +376,7 @@ def test_dense_program_with_interleaved_free_block():
     eye = np.eye(9)
     rhs = np.concatenate([hvec(x), -hvec(x), -hvec(identity(3))])
     majorant = MajorantProgram(
-        (eye, eye, eye), np.concatenate([np.zeros(27), hvec(identity(3))]), rhs
+        eye, 3, np.concatenate([np.zeros(27), hvec(identity(3))]), rhs
     )
     zero = np.zeros((9, 9))
     a = np.block([[-eye, eye, zero, zero], [zero, eye, -eye, zero], [zero, eye, zero, -eye]])
@@ -541,8 +534,8 @@ def test_single_run_programs_project_through_the_thin_complement():
     for sec, program in thin_side_cases():
         m, copies = sec.span_matrix(), program.copies
         d2, k = m.shape
-        n = solver._rows(program).complement
-        assert program.lifts == () and n is sec.complement_matrix()
+        n = program.columns
+        assert solver._rows(program).complement and n is sec.complement_matrix()
         assert n.shape == (d2, d2 - k)
         assert np.linalg.norm(m.T @ n) <= 1e-12
         assert np.linalg.norm(n.T @ n - np.eye(d2 - k)) <= 1e-12
@@ -553,10 +546,11 @@ def test_single_run_programs_project_through_the_thin_complement():
             assert np.array_equal(mult, p - zeta)
 
 
-def test_lifted_and_dual_section_programs_keep_the_span_side():
+def test_id_tensor_and_dual_section_programs_keep_the_span_side():
     ch = channels_section(2, 2)
-    for program in (majorant_program(ch, 1, 2), majorant_program(dual_section(ch), 2)):
-        assert solver._rows(program).complement is None
+    for sec in (id_tensor_section(ch, 2), dual_section(ch)):
+        program = majorant_program(sec, 2)
+        assert not solver._rows(program).complement and program.columns is sec.span_matrix()
 
 
 def complement_builds(sec, d):
@@ -574,7 +568,7 @@ def complement_builds(sec, d):
     n = sec.complement_matrix()
     programs = [p for key, p in sec._cache.items() if key[0] == "majorant"]
     assert len(programs) == 3
-    assert all(solver._rows(p).complement is n for p in programs)
+    assert all(p.complement and p.columns is n for p in programs)
     assert np.array_equal(dual.span_matrix()[:, 1:], n)
     return len(closed)
 
@@ -602,49 +596,43 @@ def test_thin_and_span_side_solves_agree():
     for sec in thin_side_sections():
         x = hvec(rand_herm(rng, sec.ambient_dim))
         rhs = np.concatenate([x, -x])
-        thin, span = majorant_program(sec, 2).with_rhs(rhs), lifts_statement(sec, 2).with_rhs(rhs)
-        assert solver._rows(thin).complement is sec.complement_matrix()
-        assert solver._rows(span).complement is None
+        thin, span = majorant_program(sec, 2).with_rhs(rhs), span_statement(sec, 2).with_rhs(rhs)
+        assert solver._rows(thin).complement and thin.columns is sec.complement_matrix()
+        assert not solver._rows(span).complement and span.columns is sec.span_matrix()
         got, ref = solve(thin, tol=tol), solve(span, tol=tol)
         assert got.status == ref.status == "optimal"
         for a, b in ((got.primal_value, ref.primal_value), (got.dual_value, ref.dual_value)):
             assert abs(a - b) <= tol * (1.0 + abs(b))
 
 
-def test_majorant_rejects_bad_lifts():
+@pytest.mark.parametrize("complement", [False, True], ids=["span", "complement"])
+def test_majorant_rejects_bad_columns(complement):
     sec = channels_section(2, 2)
     m, n = sec.span_matrix(), sec.complement_matrix()
-    rng = np.random.default_rng(50)
-    skew = rng.normal(size=m.shape)
-    for lifts in ((m, skew), (m, m[:, :-1]), (m[:-1],)):
-        n_rows = sum(x.shape[0] for x in lifts)
-        with pytest.raises(ShapeError):
-            MajorantProgram(lifts, np.zeros(n_rows + m.shape[1]), np.zeros(n_rows))
-    # a stated complement of the wrong shape, with a column inside range(L),
-    # or stated for two runs (the lifted payoff program's lifts)
-    inside = n.copy()
-    inside[:, 0] = m[:, 0]
-    lifted = majorant_program(sec, 1, 2).lifts
-    for lifts, complement in (((m, m), n[:, :-1]), ((m, m), inside), (lifted, n)):
-        n_rows = sum(x.shape[0] for x in lifts)
-        with pytest.raises(ShapeError):
-            MajorantProgram(lifts, np.zeros(n_rows + m.shape[1]), np.zeros(n_rows),
-                            complement=complement)
-    # a complement statement with a column that is not of unit norm, of a
-    # non-square row count, for no copy, or stated beside lifts
-    skewed = n.copy()
+    cols = n if complement else m
+    zeros = lambda c, copies: (np.zeros((copies + 1) * c.shape[0]), np.zeros(copies * c.shape[0]))
+    # columns that are not orthonormal: random, or one of them of norm 1.5
+    skewed = cols.copy()
     skewed[:, 0] *= 1.5
-    for lifts, complement, copies in (((), skewed, 2), ((), n[:-1], 2), ((), n, 0), ((m,), n, 1)):
-        with pytest.raises(ShapeError):
-            MajorantProgram(lifts, np.zeros(48), np.zeros(32), complement=complement, copies=copies)
+    for bad in (np.random.default_rng(50).normal(size=cols.shape), skewed):
+        with pytest.raises(ShapeError, match="orthonormal"):
+            MajorantProgram(bad, 2, *zeros(bad, 2), complement=complement)
+    # a row count that is not a square, and columns that are not 2-d
+    for bad in (cols[:-1], cols[:, 0]):
+        with pytest.raises(ShapeError, match=r"not \(d\^2, r\)"):
+            MajorantProgram(bad, 2, np.zeros(48), np.zeros(32), complement=complement)
+    # no copy
+    with pytest.raises(DomainError, match="copies"):
+        MajorantProgram(cols, 0, np.zeros(16), np.zeros(0), complement=complement)
+    MajorantProgram(cols, 2, *zeros(cols, 2), complement=complement)
 
 
 def test_dump_program_lists_majorant_rows():
-    # the complement statement's free block is q in hvec coordinates (16), the
-    # dual section's lifts statement's s in span coordinates (4)
+    # the free block is q in hvec coordinates (16) on both sides: stated by
+    # the complement (channels(2,2)) and by the span (its dual)
     ch = channels_section(2, 2)
     for program, blocks in ((majorant_program(ch, 2), "psd:4 psd:4 free:16"),
-                            (majorant_program(dual_section(ch), 2), "psd:4 psd:4 free:4")):
+                            (majorant_program(dual_section(ch), 2), "psd:4 psd:4 free:16")):
         text = dump_program(program)
         assert blocks in text
         assert text.count("\nA ") == np.count_nonzero(program.eq_matrix)
