@@ -66,7 +66,7 @@ def main() -> int:
     x_z = kraus_channel([np.diag([1.0, -1.0]).astype(complex)]).matrix
     res = diamond_norm(psi - x_z, tol=tol)
     print(f"identity vs Z-conjugation: channel-section norm {res.value:.9f} "
-          f"(gap {res.gap:.1e}) -> error {(1 - res.value/2)/2:.6f} at weights 1/2")
+          f"(gap {res.gap:.1e}) -> error {max(0.0, (1 - res.value/2)/2):.6f} at weights 1/2")
     exists, residual = max_entangled_tester_exists(psi, x_z, 0.5)
     print(f"optimal tester with maximally entangled input exists: {exists} "
           f"(residual {residual:.1e})")

@@ -150,7 +150,7 @@ def _load_choi(args, name: str):
 def _cmd_diamond(args) -> int:
     diff = prior_weighted(args.lam, _load_choi(args, "choi0"), _load_choi(args, "choi1"))
     res = diamond_norm(diff, tol=args.tol, max_iter=args.max_iter)
-    error = 0.5 * (1.0 - res.value)
+    error = max(0.0, 0.5 * (1.0 - res.value))
     summary = f"channel-section norm = {res.value:.12g}, error = {error:.12g}"
     return _emit(args, {"lambda": args.lam, "error": error}, summary, res)
 

@@ -362,7 +362,7 @@ def bayes_error(
         if not contains(section, b, MEMBER_TOL):
             raise ValidationError(f"{name} is not a member of the section")
     res = base_norm(section, x, tol=tol, max_iter=max_iter)
-    error = 0.5 * (1.0 - res.value)
+    error = max(0.0, 0.5 * (1.0 - res.value))  # a norm a round-off above 1 is error 0
     return error, _solved_povm(section, res.dual_witness, tol), res
 
 
@@ -381,7 +381,7 @@ def multi_hypothesis_error(
     experiment = Experiment(section, tuple(family), prior)
     problem = classical_problem(np.eye(experiment.size))
     pay = max_payoff(experiment, problem, tol=tol, max_iter=max_iter)
-    return 1.0 - pay.value, pay.povm, pay
+    return max(0.0, 1.0 - pay.value), pay.povm, pay
 
 
 def helstrom(

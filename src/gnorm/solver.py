@@ -104,6 +104,12 @@ improved by 0.1% in the last 200 iterations are a stall and multiply it by
 4.  The seventh stall ends the run with the best iterate found and status
 "stagnated" (first-order methods carry no exact infeasibility certificates).
 
+The penalty starts at sqrt(2) for a program of two or more PSD blocks
+(base, diamond and comb norms, classical payoffs) and at 1 for one block or
+none (quantum payoffs, ``hmin``, interior points): balancing first acts at
+iteration 200, so a shorter solve runs at its start throughout, and sqrt(2)
+took fewer steps than 1 on every measured program of two or more blocks.
+
 A solve is single-threaded and owns its iterate workspace; concurrent solves
 on independent programs are safe (the per-program caches are written once).
 """
@@ -631,7 +637,8 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     """The iteration of :func:`solve` on checked arguments."""
     rows = _rows(program)
     slices = _block_slices(program.blocks)
-    runs = _psd_runs(tuple(blk for blk in program.blocks if blk.cone == PSD))
+    psd = tuple(blk for blk in program.blocks if blk.cone == PSD)
+    runs = _psd_runs(psd)
     b, c = program.eq_rhs, program.objective
     # The loop runs on the PSD coordinates alone: objective c_red, and y_free
     # the part of the dual vector that the free objective fixes.
@@ -659,7 +666,7 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
 
     u = np.zeros(2 * n)
     accel = _Anderson(2 * n)
-    rho = 1.0
+    rho = math.sqrt(2.0) if len(psd) >= 2 else 1.0
     c_rho = c_red / rho
     offset = float(y_free @ b)  # c . z = c_red . z_K + offset on every z_K
     b_scale = 1.0 + _norm(b)

@@ -283,6 +283,21 @@ def test_bayes_error_symmetry():
         assert e1 == pytest.approx(e2, abs=1e-6)
 
 
+def test_error_probabilities_are_never_negative():
+    # The identity and the Z conjugation are perfectly distinguishable, so
+    # the norm is 1; the solve may land a round-off above it, which must
+    # read as error 0, not as a negative probability.
+    c = channels_section(2, 2)
+    b0 = kraus_channel([np.eye(2, dtype=complex)]).matrix
+    b1 = kraus_channel([np.diag([1.0, -1.0]).astype(complex)]).matrix
+    err, _, res = bayes_error(c, b0, b1, 0.5)
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 <= err <= 1e-9
+    err, _, pay = multi_hypothesis_error(c, (b0, b1), np.array([0.5, 0.5]))
+    assert pay.value == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 <= err <= 1e-9
+
+
 def rand_channel(rng, d_in, d_out):
     n_kraus = int(rng.integers(1, d_in * d_out + 1))
     g = rng.normal(size=(d_out * n_kraus, d_in)) + 1j * rng.normal(size=(d_out * n_kraus, d_in))
@@ -292,7 +307,7 @@ def rand_channel(rng, d_in, d_out):
 
 def test_bayes_error_escapes_a_balanced_stall():
     # At this prior the residuals sit balanced, with no progress after
-    # iteration 50; stalls at 250 and 450 raise the penalty (603 iterations).
+    # iteration 50; stalls at 250 and 450 raise the penalty (516 iterations).
     rng = np.random.default_rng([0, 1])
     ch3 = channels_section(3, 3)
     b0, b1 = rand_channel(rng, 3, 3), rand_channel(rng, 3, 3)

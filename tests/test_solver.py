@@ -882,3 +882,39 @@ def test_residual_balancing_raises_rho_when_the_primal_residual_lags(monkeypatch
     sol = solve(prog, tol=1e-10, max_iter=300)
     assert sol.status == "max_iter"
     assert keys[:199] == [1.0] * 199 and keys[199] == 2.0
+
+
+def test_penalty_starts_at_sqrt2_for_two_or_more_psd_blocks(monkeypatch):
+    # rho starts at sqrt(2) for a base norm (2 PSD blocks) and for a
+    # 4-outcome classical payoff (4 blocks).  The first key the acceleration
+    # memory sees is the starting penalty, since balancing acts at iteration
+    # 200 at the earliest.
+    keys = []
+    next_point = solver._Anderson.next_point
+
+    def spy(self, g, f, key, g_norm):
+        keys.append(key)
+        return next_point(self, g, f, key, g_norm)
+
+    monkeypatch.setattr(solver._Anderson, "next_point", spy)
+    rng = np.random.default_rng(61)
+    ch = channels_section(2, 2)
+    x = hvec(rand_herm(rng, 4))
+    assert solve(majorant_program(ch, 2).with_rhs(np.concatenate([x, -x]))).status == "optimal"
+    assert keys[0] == math.sqrt(2.0)
+    keys.clear()
+    family = tuple(kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(4))
+    experiment = Experiment(ch, family, np.array([0.1, 0.2, 0.3, 0.4]))
+    pay = max_payoff(experiment, classical_problem(np.eye(4)))
+    assert pay.norm.status == "optimal" and keys[0] == math.sqrt(2.0)
+
+
+def test_free_only_program_solves():
+    # No PSD block (k = 0): the row reduction alone fixes the point,
+    # min z_1 + z_2 over z_1 + z_2 = 1, on the first iteration.
+    prog = ConeProgram((Block(2, FREE),), np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
+                       np.array([1.0]))
+    sol = solve(prog)
+    assert sol.status == "optimal" and sol.iterations == 1
+    assert sol.primal_value == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(sol.primal_point[0], [0.5, 0.5])
