@@ -864,9 +864,11 @@ def test_free_objective_outside_range_stops_before_the_loop():
 
 
 def test_residual_balancing_raises_rho_when_the_primal_residual_lags(monkeypatch):
-    # Three random rows through a rank-one PSD point: at iteration 200 the
-    # primal residual exceeds ten times the dual one, so the penalty doubles.
-    # The acceleration memory is keyed by the penalty, which shows the change.
+    # Three random rows through a rank-one PSD point: at iterations 25, 50
+    # and 75 the primal residual exceeds three times the dual one, so the
+    # penalty doubles at each of them, and the run then
+    # reaches the optimum.  The acceleration memory is keyed by the penalty,
+    # which shows the changes.
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 4))
     b = a @ hvec(outer(rng.normal(size=2)))
@@ -880,15 +882,15 @@ def test_residual_balancing_raises_rho_when_the_primal_residual_lags(monkeypatch
 
     monkeypatch.setattr(solver._Anderson, "next_point", spy)
     sol = solve(prog, tol=1e-10, max_iter=300)
-    assert sol.status == "max_iter"
-    assert keys[:199] == [1.0] * 199 and keys[199] == 2.0
+    assert sol.status == "optimal"
+    assert keys == [1.0] * 24 + [2.0] * 25 + [4.0] * 25 + [8.0] * (len(keys) - 74)
 
 
 def test_penalty_starts_at_sqrt2_for_two_or_more_psd_blocks(monkeypatch):
     # rho starts at sqrt(2) for a base norm (2 PSD blocks) and for a
     # 4-outcome classical payoff (4 blocks).  The first key the acceleration
-    # memory sees is the starting penalty, since balancing acts at iteration
-    # 200 at the earliest.
+    # memory sees is the starting penalty, since balancing acts on a full
+    # check, at iteration 25 at the earliest.
     keys = []
     next_point = solver._Anderson.next_point
 
@@ -907,6 +909,34 @@ def test_penalty_starts_at_sqrt2_for_two_or_more_psd_blocks(monkeypatch):
     experiment = Experiment(ch, family, np.array([0.1, 0.2, 0.3, 0.4]))
     pay = max_payoff(experiment, classical_problem(np.eye(4)))
     assert pay.norm.status == "optimal" and keys[0] == math.sqrt(2.0)
+
+
+def test_early_balancing_halves_rho_when_the_dual_residual_leads(monkeypatch):
+    # Before iteration 200 every 25th iteration balances the residuals at a
+    # 3x ratio.  On a comb(2,2,2,2) base norm the dual residual leads at
+    # iteration 25, so the penalty halves there; on a channels(2,2) base
+    # norm of a channel difference the residuals stay within 3x, so it
+    # keeps its start through the check at iteration 25.
+    keys = []
+    next_point = solver._Anderson.next_point
+
+    def spy(self, g, f, key, g_norm):
+        keys.append(key)
+        return next_point(self, g, f, key, g_norm)
+
+    monkeypatch.setattr(solver._Anderson, "next_point", spy)
+    rng = np.random.default_rng(63)
+    x = hvec(rand_herm(rng, 16))
+    sol = solve(majorant_program(comb_section((2, 2, 2, 2)), 2).with_rhs(np.concatenate([x, -x])))
+    assert sol.status == "optimal" and sol.iterations > 25
+    assert keys[:24] == [math.sqrt(2.0)] * 24 and keys[24] == math.sqrt(2.0) / 2.0
+    keys.clear()
+    rng = np.random.default_rng(61)
+    j0, j1 = (kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(2))
+    x = hvec(j0 - j1)
+    sol = solve(majorant_program(channels_section(2, 2), 2).with_rhs(np.concatenate([x, -x])))
+    assert sol.status == "optimal" and sol.iterations > 25
+    assert keys == [math.sqrt(2.0)] * len(keys)
 
 
 def test_free_only_program_solves():
