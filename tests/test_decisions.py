@@ -305,16 +305,25 @@ def rand_channel(rng, d_in, d_out):
     return kraus_channel([q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus)]).matrix
 
 
-def test_bayes_error_escapes_a_balanced_stall():
-    # At this prior the residuals sit balanced, with no progress after
-    # iteration 50; stalls at 250 and 450 raise the penalty (516 iterations).
-    rng = np.random.default_rng([0, 1])
-    ch3 = channels_section(3, 3)
-    b0, b1 = rand_channel(rng, 3, 3), rand_channel(rng, 3, 3)
-    _, _, res = bayes_error(ch3, b0, b1, 0.8, tol=1e-7)
+def test_bayes_error_escapes_a_balanced_stall(monkeypatch):
+    # At this prior the residuals sit balanced, so balancing never moves the
+    # penalty; stalls at 250 and 450 multiply it by 4 (564 iterations).
+    keys = []
+    next_point = solver._Anderson.next_point
+
+    def spy(self, g, f, key, g_norm):
+        keys.append(key)
+        return next_point(self, g, f, key, g_norm)
+
+    monkeypatch.setattr(solver._Anderson, "next_point", spy)
+    rng = np.random.default_rng([0, 62])
+    ch = channels_section(2, 3)
+    b0, b1 = rand_channel(rng, 2, 3), rand_channel(rng, 2, 3)
+    _, _, res = bayes_error(ch, b0, b1, 0.5, tol=1e-7)
     assert res.status == "optimal"
-    assert abs(res.value - 0.7961722) <= 1e-6
+    assert abs(res.value - 0.6671834) <= 1e-6
     assert res.iterations < 1000
+    assert any(new == 4.0 * old for old, new in zip(keys, keys[1:]))
 
 
 def test_helstrom_matches_bayes_error():

@@ -30,7 +30,15 @@ from gnorm.hermitian import (
     trace_norm,
     trace_pair,
 )
-from gnorm.norms import base_norm, base_norm_psd, certify_extremal_psd, hmin, majorant_program
+from gnorm.norms import (
+    base_norm,
+    base_norm_psd,
+    certify_extremal_psd,
+    diamond_norm,
+    hmin,
+    majorant_program,
+    ncomb_norm,
+)
 from gnorm.sections import (
     channels_section,
     comb_section,
@@ -948,3 +956,36 @@ def test_free_only_program_solves():
     assert sol.status == "optimal" and sol.iterations == 1
     assert sol.primal_value == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(sol.primal_point[0], [0.5, 0.5])
+
+
+def _two_use_pairs(count):
+    """The first ``count`` two-use qubit pairs of the CI step "Two-use pairs":
+    for random qubit channels J0, J1 (two Kraus operators each, from
+    ``default_rng(2026)``), the sequential difference J0 (x) J0 - J1 (x) J1 on
+    comb(2,2,2,2) and the parallel one, the same tensor reordered to
+    H1 H3 H0 H2, on channels(4,4)."""
+    rng = np.random.default_rng(2026)
+
+    def channel():
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        q = np.linalg.qr(g)[0]
+        return kraus_channel([q[0:2], q[2:4]]).matrix.entries
+
+    pairs = []
+    for _ in range(count):
+        j0, j1 = channel(), channel()
+        x = np.kron(j0, j0) - np.kron(j1, j1)
+        xp = x.reshape([2] * 8).transpose(2, 0, 3, 1, 6, 4, 7, 5).reshape(16, 16)
+        pairs.append((herm(x, (2, 2, 2, 2)), herm(xp, (4, 4))))
+    return pairs
+
+
+def test_plain_steps_end_the_two_use_tails():
+    # Two of the two-use pairs' longest solves, both on 16 x 16 blocks, where
+    # the step is plain (no over-relaxation): sequential pair #3 and parallel
+    # pair #8 end optimal in about 2100 and 7900 iterations.  Over-relaxed,
+    # they need about 20100 and 16500.
+    pairs = _two_use_pairs(9)
+    seq = ncomb_norm((2, 2, 2, 2), pairs[3][0], max_iter=8000)
+    par = diamond_norm(pairs[8][1], max_iter=12000)
+    assert seq.status == "optimal" and par.status == "optimal"
