@@ -33,7 +33,7 @@ STRICT_HERMITICITY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 # A direction whose singular value is at most this (relative) counts as dependent.
 DEPENDENT_DROP_TOL = 1e-9
-# Columns (or rows) per product where a product with a span is taken in parts.
+# Rows per part where a Kronecker product of hvec columns is written in parts.
 PRODUCT_CHUNK = 256
 
 

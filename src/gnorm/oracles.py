@@ -47,14 +47,13 @@ def sample_section(section: Section, n: int, seed: int = 0) -> SampleSet:
     r = pinv_sqrt(b0).entries  # b0 is positive definite
     k = section.span_dim
     # Span directions tangent to the slice: coefficients orthogonal to the
-    # pairing row Tr(J_i n).
+    # pairing row Tr(J_i n), which is nonzero since b0 pairs to one.
     pairing = section.span_coords(section.normalizer)
     p_norm2 = float(pairing @ pairing)
     points = []
     for _ in range(n):
         g = rng.normal(size=k)
-        if p_norm2 > 0:
-            g = g - (g @ pairing) / p_norm2 * pairing
+        g = g - (g @ pairing) / p_norm2 * pairing
         nrm = float(np.linalg.norm(g))
         if nrm < 1e-14:
             points.append(section.lift(b0))

@@ -267,31 +267,14 @@ def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarra
     Tr((L (x) R)(L' (x) R')) = Tr(L L') Tr(R R'): orthonormal inputs give
     orthonormal columns.  Each hvec coordinate is one product of an entry of L
     and one of R, gathered by :func:`_kron_layout` and written PRODUCT_CHUNK
-    rows at a time.  ``right=None`` stands for the unit columns, all of
-    Herm(R): each row then holds at most two nonzeros per left column,
-    scattered into zeros.  Every entry has the bits of the complex product
+    rows at a time.  Every entry has the bits of the complex product
     (L R)[r, s] accumulated into zeros, as einsum takes it (never -0.0), times
     the coordinate's scale."""
-    d, n_left = d_left * d_right, left.shape[1]
-    k = d_right * d_right if right is None else right.shape[1]
+    d, n_left, k = d_left * d_right, left.shape[1], right.shape[1]
     if out is None:
         out = np.empty((d * d, n_left * k))
     pos_l, pos_r, n_re, scale = _kron_layout(d_left, d_right)
     lr, li = _entries(left, d_left, pos_l)
-    if right is None:
-        # R's entry (real part at float-view position p) is coef[p] in unit column src[p]
-        # and i coef[p + 1] in unit column src[p + 1] (none on R's diagonal): the real
-        # rows of L R read Lr and -Li times it, the imaginary rows Li and Lr
-        _, _, src, coef = _hvec_layout(d_right)
-        out[...] = 0.0
-        rows, cols = np.arange(d * d)[:, None], np.arange(n_left) * k
-        for p, real, imag in ((pos_r, lr, li), (pos_r + 1, -li, lr)):
-            part = np.concatenate([real[:n_re], imag[n_re:]]) * coef[p, None]
-            part += 0.0
-            part *= scale[:, None]
-            at = coef[p] != 0.0
-            out[rows[at], cols + src[p][at, None]] = part[at]
-        return out
     for lo, hi in ((0, n_re), (n_re, d * d)):
         for top in range(lo, hi, PRODUCT_CHUNK):
             rows = slice(top, min(top + PRODUCT_CHUNK, hi))
@@ -307,10 +290,11 @@ def _kron_columns(left, d_left: int, right, d_right: int, out=None) -> np.ndarra
 def _lifted_columns(free: np.ndarray, d_k: int, inner: np.ndarray, h: int) -> np.ndarray:
     """[free (x) Herm(H) | I_K/sqrt(d_k) (x) inner] as hvec columns on K (x) H, both
     Kronecker parts written into one new array, for hvec columns ``free`` on K and
-    ``inner`` on H (of dimension h)."""
+    ``inner`` on H (of dimension h); Herm(H) is read as its unit columns."""
     n_free = free.shape[1] * h * h
     out = np.empty((d_k * d_k * h * h, n_free + inner.shape[1]))
-    _kron_columns(free, d_k, None, h, out[:, :n_free])
+    if n_free:
+        _kron_columns(free, d_k, np.eye(h * h), h, out[:, :n_free])
     lead = hvec(identity(d_k))[:, None] / math.sqrt(d_k)
     _kron_columns(lead, d_k, inner, h, out[:, n_free:])
     return out

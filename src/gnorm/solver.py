@@ -149,7 +149,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError, ShapeError, SolverError
-from .hermitian import (PRODUCT_CHUNK, HermitianMatrix, _hvec_layout, as_array, as_count,
+from .hermitian import (HermitianMatrix, _hvec_layout, as_array, as_count,
                         as_dim, as_tol, hunvec)
 
 PSD = "psd"
@@ -250,7 +250,7 @@ class MajorantProgram(_ProgramData):
 
     for ``copies`` = c blocks of one dimension d and the orthogonal projector
     E on Herm(d) in hvec coordinates that ``columns`` C (d^2 x r, orthonormal,
-    checked on construction a block of columns at a time, never copied)
+    checked on construction in one Gram product, never copied)
     states: E = C C^T, or E = I - C C^T when ``complement`` is set.  q is in
     hvec coordinates, and an objective with a part outside E's range is
     unbounded.  ``eq_rhs`` stacks the b_j.  The solve iterates on the slacks
@@ -430,21 +430,18 @@ class _MajorantRows:
 
     one product C (C^T t).  The free objective c_q enters as E c_q / c, both
     in the slacks' objective and in the dual vector, whose pull is then
-    E c_q.  C^T C = I is checked here within 1e-9, PRODUCT_CHUNK columns at
-    a time: no array above PRODUCT_CHUNK x r is formed.
+    E c_q.  C^T C = I is checked here within 1e-9, on the one r x r Gram
+    product, taken in place.
     """
 
     def __init__(self, columns: np.ndarray, copies: int, complement: bool):
         self.columns, self.copies, self.complement = columns, copies, complement
         self.n_rows = copies * columns.shape[0]
         self.cone, self.free = slice(0, self.n_rows), slice(self.n_rows, None)
-        r = columns.shape[1]
-        for lo in range(0, r, PRODUCT_CHUNK):
-            hi = min(lo + PRODUCT_CHUNK, r)
-            gram = columns[:, lo:hi].T @ columns[:, lo:]
-            gram[:, : hi - lo] -= np.eye(hi - lo)
-            if float(np.max(np.abs(gram, out=gram))) > 1e-9:
-                raise ShapeError("majorant columns must be orthonormal")
+        gram = columns.T @ columns
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if float(np.max(np.abs(gram, out=gram), initial=0.0)) > 1e-9:
+            raise ShapeError("majorant columns must be orthonormal")
 
     def _project(self, v: np.ndarray) -> np.ndarray:
         """E v: C (C^T v), or v - C (C^T v) for a complement."""

@@ -745,6 +745,14 @@ def test_experiment_json_roundtrip():
     assert v1 == pytest.approx(v2, abs=1e-9)
 
 
+def test_experiment_json_without_a_problem_has_no_payoff():
+    e = uniform_experiment(states_section(2), (KET0, PLUS))
+    obj = experiment_to_json(e)
+    assert "payoff" not in obj
+    e2, p2 = experiment_from_json(json.loads(json.dumps(obj)))
+    assert p2 is None and e2.size == 2
+
+
 def test_choi_povm_roundtrip():
     s = states_section(2)
     _, povm = helstrom(KET0, PLUS, 0.5)

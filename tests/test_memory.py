@@ -4,10 +4,10 @@ A comb section's span matrix M (d^2 x k) is the largest array gnorm holds,
 and a solve that projects through the thin complement N never builds it.
 Building the span writes both Kronecker parts into one array, assembling a
 thin program holds N and no d^2 x k array, and a majorant program checks
-C^T C = I for its columns C a block of columns at a time, so each step's
+C^T C = I for its columns C on one r x r Gram product, so each step's
 tracemalloc peak stays within 1.25 times its data.
 The span equals the stacked, unchunked Kronecker parts bit for bit, and the
-chunked check misses no block.
+check misses no column.
 """
 
 import math

@@ -907,6 +907,28 @@ def test_witnesses_on_restricted_sections_carry_the_callers_dims(wrap, x_dims):
     assert [w.subsystem_dims for w in witnesses] == [(2, 2)] * 14
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: singleton_section(herm(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))),
+        lambda: custom_section([m.with_dims((2, 2)) for m in full_hermitian_basis(4)],
+                               herm(np.diag([1.0, 2.0, 3.0, 4.0]))),
+    ],
+    ids=["singleton", "custom"],
+)
+def test_an_undimensioned_normalizer_takes_the_sections_dims(build):
+    # both builders state a normalizer without dims; the section re-wraps it on (2, 2)
+    section = build()
+    assert section.normalizer.subsystem_dims == (2, 2)
+    assert section.interior_point.subsystem_dims == (2, 2)
+    x = herm(np.diag([0.5, -0.25, 0.125, -0.125]), (2, 2))
+    for prefer_closed in (True, False):
+        res = base_norm(section, x, prefer_closed=prefer_closed)
+        assert (res.method == "closed_form") == prefer_closed
+        assert res.primal_witness.subsystem_dims == (2, 2)
+        assert [y.subsystem_dims for y in res.dual_witness] == [(2, 2)] * 2
+
+
 def test_a_stopped_solve_reports_in_the_callers_units():
     # base_norm solves at unit Frobenius norm; a solve stopped at its cap
     # carries the NormResult of the caller's input, as a converged one returns

@@ -858,16 +858,26 @@ def test_failed_kernel_raises_numerical_error(monkeypatch):
     assert solve(program).status == "optimal"
 
 
-def test_free_objective_outside_range_stops_before_the_loop():
-    # The program of the test above: c_F = (1, 0) misses A_F^T y_F = (1/2, 1/2)
-    # by |(1/2, -1/2)| = 1/sqrt(2), reported over 1 + |c| = 2.
+@pytest.mark.parametrize("kind", ["cone", "majorant"])
+def test_free_objective_outside_range_stops_before_the_loop(kind):
     d = 2
-    a = np.concatenate([hvec(identity(d)), [1.0, 1.0]]).reshape(1, -1)
-    c = np.concatenate([np.zeros(d * d), [1.0, 0.0]])
-    prog = ConeProgram((Block(d, PSD), Block(2, FREE)), c, a, np.array([1.0]), "unbounded")
+    if kind == "cone":
+        # The program of the test above: c_F = (1, 0) misses A_F^T y_F = (1/2, 1/2)
+        # by |(1/2, -1/2)| = 1/sqrt(2), reported over 1 + |c| = 2.
+        a = np.concatenate([hvec(identity(d)), [1.0, 1.0]]).reshape(1, -1)
+        c = np.concatenate([np.zeros(d * d), [1.0, 0.0]])
+        prog = ConeProgram((Block(d, PSD), Block(2, FREE)), c, a, np.array([1.0]), "unbounded")
+        miss = 0.5 / math.sqrt(2.0)
+    else:
+        # E projects onto hvec(I)/sqrt(2), so c_q = hvec(diag(1, -1)) misses
+        # E c_q = 0 by sqrt(2), reported over 1 + |c| = 1 + sqrt(2).
+        c = np.concatenate([np.zeros(2 * d * d), hvec(herm(np.diag([1.0, -1.0])))])
+        prog = MajorantProgram(hvec(identity(d))[:, None] / math.sqrt(2.0), 2, c,
+                               np.zeros(2 * d * d))
+        miss = math.sqrt(2.0) / (1.0 + math.sqrt(2.0))
     sol = solve(prog)
     assert sol.status == "infeasible" and sol.iterations == 0
-    assert sol.dual_residual == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
+    assert sol.dual_residual == pytest.approx(miss, rel=1e-12)
     assert sol.primal_residual == math.inf
 
 
