@@ -223,20 +223,23 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     carrying this result.
 
     The solver's stop rule is absolute below unit scale, so an objective
-    p = E hvec(n) with |p| outside [2^-4, 2^4] is solved as 2^-e p
-    (:func:`unit_exponent`): a power of two, so the value and the
-    multipliers scale back exactly.  q is the solve's free block."""
+    p = E hvec(n) with |p| outside [2^-4, 2^4] is solved as 2^-e p, and a
+    right-hand side r (the stacked blocks) outside that band as 2^-f r
+    (:func:`unit_exponent`): powers of two, so the multipliers scale back
+    by 2^e, q by 2^f and the value by 2^(e + f), exactly.  q is the solve's
+    free block."""
     d, dims = section.ambient_dim, section.normalizer.subsystem_dims
     rhs = np.concatenate([hvec(b) for b in blocks])
-    program = majorant_program(section, len(blocks)).with_rhs(rhs)
+    f = unit_exponent(np.linalg.norm(rhs))
+    program = majorant_program(section, len(blocks)).with_rhs(np.ldexp(rhs, -f))
     e = unit_exponent(np.linalg.norm(program.objective))
     if e:
         program = program.with_objective(np.ldexp(program.objective, -e))
     sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    q = section.lift(hunvec_matrix(sol.primal_point[-1], d, dims) * scale)
+    q = section.lift(hunvec_matrix(np.ldexp(sol.primal_point[-1], f), d, dims) * scale)
     multipliers = np.ldexp(sol.dual_vector, e).reshape(len(blocks), -1)
     ys = tuple(section.lift(hunvec_matrix(y, d, dims)) for y in multipliers)
-    unit = math.ldexp(scale, e)
+    unit = math.ldexp(scale, e + f)
     norm = _conic_result(sol.primal_value * unit, sol.dual_value * unit, q, ys, sol)
     solver.require_optimal(sol, context, norm)
     return norm

@@ -162,6 +162,33 @@ def test_max_payoff_helstrom_value():
     assert direct == pytest.approx(res.value, abs=1e-6)
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-9])
+def test_payoff_value_scales_with_the_table(c):
+    # the payoff is linear in the table's scale c.  Below unit scale the
+    # solver's absolute stop rule, fed the blocks c xi_d unscaled, once read
+    # 0.68922 c at c = 1e-3 (713 iterations), stagnated at 1e-6 and returned
+    # c / 3 at 1e-9
+    rng = np.random.default_rng(3)
+
+    def channel():
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        q = np.linalg.qr(g)[0]
+        return kraus_channel([q[0:2], q[2:4]]).matrix
+
+    sec = channels_section(2, 2)
+    e = Experiment(sec, tuple(channel() for _ in range(3)), np.full(3, 1.0 / 3.0))
+    unit = max_payoff(e, classical_problem(np.eye(3)))
+    res = max_payoff(e, classical_problem(c * np.eye(3)))
+    tol = 10 * solver.DEFAULT_TOL * c * unit.value
+    assert res.norm.status == "optimal"
+    assert res.norm.iterations <= 2 * unit.norm.iterations
+    assert abs(res.value - c * unit.value) <= tol
+    # the witnesses are in the caller's units: Tr(q n) is the value, and the
+    # emitted measurement achieves it
+    assert abs(trace_pair(res.norm.primal_witness, sec.normalizer) - res.value) <= tol
+    assert abs(c * (1.0 - povm_error(res.povm, e.family, e.prior)) - res.value) <= tol
+
+
 def test_classical_payoff_dual_witness_is_the_effects():
     c = channels_section(2, 2)
     members = sample_section(c, 2, seed=3).points

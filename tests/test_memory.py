@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gnorm.errors import ShapeError
-from gnorm.hermitian import PRODUCT_CHUNK, _transpose_columns, hunvec, hvec, identity
+from gnorm.hermitian import _transpose_columns, hunvec, hvec, identity
 from gnorm.norms import majorant_program
 from gnorm.sections import (
     _zero_sum_columns,
@@ -122,11 +122,13 @@ def test_an_off_diagonal_gram_miss_is_rejected(complement):
 
 @pytest.mark.parametrize("complement", [False, True], ids=["span", "complement"])
 def test_gram_check_reads_every_block_of_columns(complement):
-    # channels(5,5)'s span: k = 601, three blocks of PRODUCT_CHUNK columns
+    # channels(5,5)'s span: k = 601 columns, checked in one Gram product; a
+    # miss in the first, a middle or the last column alone is refused
     m = channels_section(5, 5).span_matrix()
-    assert m.shape[1] == 601 and 2 * PRODUCT_CHUNK < 601
+    assert m.shape[1] == 601
     majorant(m, complement)
-    skew = m.copy()
-    skew[:, -1] += 1e-6 * m[:, -2]  # a miss in the last block only
-    with pytest.raises(ShapeError, match="orthonormal"):
-        majorant(skew, complement)
+    for col, other in ((0, 1), (300, 299), (-1, -2)):
+        skew = m.copy()
+        skew[:, col] += 1e-6 * m[:, other]
+        with pytest.raises(ShapeError, match="orthonormal"):
+            majorant(skew, complement)

@@ -457,6 +457,15 @@ def test_stacked_cone_projection_is_bitwise_per_block():
             assert np.array_equal(got, per_block_cone_projection(z, blocks))
             if trial % 2:
                 assert np.array_equal(got[-len(parts[-1]) :], parts[-1])
+            # written into a separate output, as the ADMM step does: the runs'
+            # coordinates get the same bits, and z is left as it was
+            out, before = np.full_like(z, np.nan), z.copy()
+            solver._project_cone(z, runs, out)
+            on = np.zeros(z.shape, dtype=bool)
+            for lo, hi, _ in runs:
+                on[lo:hi] = True
+            assert np.array_equal(out[on], got[on]) and np.isnan(out[~on]).all()
+            assert np.array_equal(z, before)
 
 
 def test_majorant_solve_matches_dense_copy():
@@ -807,16 +816,32 @@ def test_screened_stop_matches_a_full_check_every_iteration(monkeypatch):
             assert np.array_equal(a, b)
 
 
+def test_returned_dual_value_and_gap_are_the_full_checks():
+    # the per-iteration screen reads b . y as y_free . b - rho (b . mult),
+    # without forming y; the dual value and the gap a solve returns are the
+    # full check's, on the exact b . y of the returned dual vector, whether
+    # the run stops optimal or at max_iter
+    programs = majorant_cases() + [trace_norm_program(rand_herm(np.random.default_rng(63), 3))]
+    for program in programs:
+        for sol in (solve(program, tol=1e-8), solve(program, max_iter=7)):
+            dobj = float(program.eq_rhs @ sol.dual_vector)
+            pobj = sol.primal_value
+            assert sol.dual_value == dobj
+            assert sol.gap == abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+
+
 def test_direct_kernels_match_the_public_linalg_bitwise():
     # The ADMM step calls the LAPACK gufuncs behind np.linalg.eigh and
-    # np.linalg.solve without their wrappers.  They are private numpy API: a
-    # numpy whose kernels stop returning the public functions' bits fails here.
+    # np.linalg.solve without their wrappers or a signature: the complex128
+    # and float64 inputs select the loops np.linalg selects.  They are
+    # private numpy API: a numpy whose kernels stop returning the public
+    # functions' bits fails here.
     rng = np.random.default_rng(61)
     for copies in (1, 2, 3):
         for d in range(1, 10):
             g = rng.normal(size=(copies, d, d)) + 1j * rng.normal(size=(copies, d, d))
             mats = (g + g.conj().swapaxes(-1, -2)) / 2
-            w, u = solver._eigh(mats, signature="D->dD")
+            w, u = solver._eigh(mats)
             w_ref, u_ref = np.linalg.eigh(mats)
             assert w.dtype == w_ref.dtype and u.dtype == u_ref.dtype
             assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
@@ -825,7 +850,7 @@ def test_direct_kernels_match_the_public_linalg_bitwise():
         a = rng.normal(size=(k, k))
         spd = a @ a.T + 1e-3 * np.eye(k)
         rhs = rng.normal(size=k)
-        got = solver._solve1(spd, rhs, signature="dd->d")
+        got = solver._solve1(spd, rhs)
         assert got.dtype == np.float64
         assert np.array_equal(got, np.linalg.solve(spd, rhs))
 
@@ -836,11 +861,11 @@ def test_failed_kernel_raises_numerical_error(monkeypatch):
     # system.
     real_eigh, real_solve = solver._eigh, solver._solve1
 
-    def nan_eigh(a, signature):
-        return real_eigh(a * np.nan, signature=signature)
+    def nan_eigh(a):
+        return real_eigh(a * np.nan)
 
-    def singular_solve(a, b, signature):
-        return real_solve(0.0 * a, b, signature=signature)
+    def singular_solve(a, b):
+        return real_solve(0.0 * a, b)
 
     program = trace_norm_program(rand_herm(np.random.default_rng(62), 3))
     with monkeypatch.context() as m:
