@@ -56,11 +56,11 @@ from .hermitian import (
 )
 from .sections import (
     Section,
-    _span_part,
     channels_section,
     comb_section,
     contains,
     dual_section,
+    majorant_program,  # re-exported: programs are built where the section's E is read
 )
 
 INF = math.inf
@@ -180,30 +180,6 @@ def _singleton_norm(section: Section, x: HermitianMatrix) -> NormResult:
 
 
 # -- conic programs ------------------------------------------------------------
-
-
-def majorant_program(section: Section, copies: int) -> solver.MajorantProgram:
-    """The program  min Tr(q n) : q in J,  q - P_j = b_j (j < copies),  P_j >= 0,
-    stated as E q - P_j = b_j for q in hvec coordinates and E the span's
-    orthogonal projector.
-
-    The thin-side rule: when d^2 - k < k, E is stated by the span's complement
-    N (``section.complement_matrix()``, E = I - N N^T), so no span matrix is
-    read; otherwise by the span M (``span_matrix``, E = M M^T).  The objective
-    is E hvec(n).  Callers set the right-hand sides.  Cached on the section.
-    """
-    key = ("majorant", copies)
-    got = section._cache.get(key)
-    if got is None:
-        n_rows = copies * section.ambient_dim ** 2
-        thin = 2 * section.span_dim > section.ambient_dim ** 2
-        cols = section.complement_matrix() if thin else section.span_matrix()
-        p = hvec(section.normalizer)
-        c = np.concatenate([np.zeros(n_rows), _span_part(cols, p) if thin else cols @ (cols.T @ p)])
-        got = solver.MajorantProgram(cols, copies, c, np.zeros(n_rows),
-                                     f"majorant over {section.label}, {copies} copies", thin)
-        section._cache[key] = got
-    return got
 
 
 def _conic_result(primal: float, dual: float, q, ys, sol: solver.ConeSolution) -> NormResult:

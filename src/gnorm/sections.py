@@ -86,25 +86,23 @@ class Section:
     ``span_columns`` holds the hvec coordinates of a trace-orthonormal
     spanning basis, one column each (read-only); it is the only span data
     stored, and ``span_basis`` is the same basis as matrices, built on each
-    read.  Structured builders (generalized, channel, comb and POVM
-    sections) leave a recipe for the columns in the cache, and the span is
-    built on its first read: a solve that reads only the complement (a thin
-    majorant program, the dual span) never builds it.  An id-tensor
-    section, never the thin side, writes its span and leaves N the recipe.
-    ``span_dim`` is known either way.  The complement N is exact too: a
-    structured section's closed form, stated by its builder, or the
-    trailing columns of a custom, singleton or restricted span's complete
-    QR factor, built on the first read of :meth:`complement_matrix`.
+    read.  Structured builders (generalized, channel, comb, POVM and
+    transposed sections) leave a recipe for the columns in the cache, and
+    the span is built on its first read; ``span_dim`` is known either way.
+    The complement N is exact too: a structured section's closed form,
+    stated by its builder, or the trailing columns of a custom, singleton
+    or restricted span's complete QR factor, built on the first read of
+    :meth:`complement_matrix`.  After construction the span's projector E
+    is read through :meth:`projector` alone, whichever side is cached.
     ``normalizer`` pairs to 1 with every member; ``interior_point`` is a
-    positive-definite member.  ``embedding``
-    (an isometry) is set when the section was compressed onto the support
-    of its best member: the span is then the given span's part on that
-    support, the interior point that member, and the section
-    ``restricted``.  Callers' matrices live on the space of
-    ``subsystem_dims`` (``()`` for one unstructured system, as for
-    :class:`HermitianMatrix`), of dimension ``original_dim`` when
-    restricted; carrier matrices (basis, normalizer, interior point) carry
-    these dims too, but a restricted carrier is unstructured.
+    positive-definite member.  ``embedding`` (an isometry) is set when the
+    section was compressed onto the support of its best member: the span is
+    then the given span's part on that support, the interior point that
+    member, and the section ``restricted``.  Callers' matrices live on the
+    space of ``subsystem_dims`` (``()`` for one unstructured system, as for
+    :class:`HermitianMatrix`), of dimension ``original_dim`` when restricted;
+    carrier matrices (basis, normalizer, interior point) carry these dims
+    too, but a restricted carrier is unstructured.
     """
 
     span_dim: int
@@ -174,6 +172,14 @@ class Section:
         (:func:`_complement_columns`)."""
         return self._read("complement")
 
+    def projector(self) -> tuple[np.ndarray, bool]:
+        """(C, complement): orthonormal hvec columns stating the span's projector E, and whether
+        they span E's complement.  The thin-side rule: N (E = I - N N^T) when d^2 - k < k, else
+        M (E = M M^T), built on its first read.  Programs, their objective E hvec(n) and
+        membership read E here alone, applied by :func:`solver.apply_projector`."""
+        complement = 2 * self.span_dim > self.ambient_dim ** 2
+        return self._read("complement" if complement else "span"), complement
+
     def _read(self, key: str) -> np.ndarray:
         """The cached columns under ``key``, built from their recipe on the first read."""
         got = self._cache[key] = _built(self._cache[key])
@@ -205,7 +211,7 @@ class Section:
         xc = self.compress(x, tol)
         if xc is None:
             return None
-        off = _off_span(self._cache["span"], self._cache["complement"], xc)
+        off = _off_span(*self.projector(), xc)
         err = max(off, abs(trace_pair(xc, self.normalizer) - 1))
         return xc if err <= tol * (1.0 + frobenius_norm(xc)) else None
 
@@ -235,12 +241,6 @@ def _built(columns) -> np.ndarray:
         columns = columns()
     columns.flags.writeable = False
     return columns
-
-
-def _span_part(complement: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The span's part M M^T v of the hvec vector v, read through the span's
-    orthonormal complement N as v - N N^T v."""
-    return v - complement @ (complement.T @ v)
 
 
 @functools.lru_cache(maxsize=None)
@@ -339,8 +339,8 @@ def _pairing_norm(p: np.ndarray, normalizer: HermitianMatrix) -> float:
 def _dual_span(normalizer: HermitianMatrix, complement: np.ndarray) -> np.ndarray:
     """The dual section's span{M p} (+) M-perp as [M p / |p| | N], orthonormal, for
     ``complement`` N an orthonormal basis of M-perp: M p = M M^T hvec(n) is read through N
-    (:func:`_span_part`), so no span matrix is read."""
-    m_p = _span_part(complement, hvec(normalizer))
+    as (I - N N^T) hvec(n), so no span matrix is read."""
+    m_p = solver.apply_projector(complement, True, hvec(normalizer))
     return np.column_stack([m_p / _pairing_norm(m_p, normalizer), complement])
 
 
@@ -364,9 +364,9 @@ def _pairing_part(section: Section) -> np.ndarray:
     return _pairing_complement(section.span_matrix(), section.normalizer)[1]
 
 
-def _transposed_complement(section: Section) -> np.ndarray:
-    """The entrywise transposes of ``section``'s complement columns."""
-    return _transpose_columns(section.complement_matrix(), section.ambient_dim)
+def _transposed(section: Section, key: str) -> np.ndarray:
+    """The entrywise transposes of ``section``'s columns under ``key`` (span or complement)."""
+    return _transpose_columns(section._read(key), section.ambient_dim)
 
 
 def _lifted_complement(free: np.ndarray, d_k: int, inner: Section) -> np.ndarray:
@@ -387,7 +387,7 @@ def _solve_interior(span_cols, normalizer):
     d = normalizer.dim
     m_s0, m_n = _pairing_complement(span_cols, normalizer)
     eye = hvec(identity(d))
-    rho = eye - m_n @ (m_n.T @ eye)
+    rho = solver.apply_projector(m_n, True, eye)
     norm_rho = float(np.linalg.norm(rho))
     c = np.concatenate([np.zeros(d * d), rho / norm_rho**2])
     program = solver.MajorantProgram(np.column_stack([m_n, rho / norm_rho]), 1, c, -m_s0,
@@ -439,6 +439,7 @@ def _make_section(
     restriction, get the recipe :func:`_complement_columns` over the span, built on its first
     read.  ``span_cols`` may be a recipe for ``span_dim`` columns, given with a complement:
     the section then builds the span on its first read, and the hint is tested through N.
+    The side built here is the builder's; every later read of E picks :meth:`Section.projector`'s.
 
     The best member is solved for, and judged, at unit scale (:func:`_scaled_interior`); b*
     is scaled back, so the judgement does not turn on the normalizer's absolute scale."""
@@ -469,7 +470,8 @@ def _make_section(
 
     interior = None
     if interior_hint is not None:
-        off_span = _off_span(span_cols, complement, interior_hint)
+        recipe = not isinstance(span_cols, np.ndarray)  # test the side the builder holds built
+        off_span = _off_span(complement if recipe else span_cols, recipe, interior_hint)
         member_ok = (
             abs(trace_pair(interior_hint, normalizer) - 1.0) <= 10 * DEFAULT_MEMBERSHIP_TOL
             and off_span <= 10 * DEFAULT_MEMBERSHIP_TOL * (1 + frobenius_norm(interior_hint))
@@ -498,7 +500,8 @@ def _make_section(
             if span_dim == 0:
                 raise EmptySectionError(f"section {label!r} has no PSD member")
             normalizer = HermitianMatrix(v.conj().T @ normalizer.entries @ v)
-            b_c = span_cols @ (span_cols.T @ hvec(v.conj().T @ b_star.entries @ v))
+            b_v = hvec(v.conj().T @ b_star.entries @ v)
+            b_c = solver.apply_projector(span_cols, False, b_v)
             interior = hunvec_matrix(b_c / float(b_c @ hvec(normalizer)), v.shape[1])
             embedding = v if embedding is None else embedding @ v
             carrier = ()
@@ -518,13 +521,10 @@ def _make_section(
     )
 
 
-def _off_span(span_cols, complement, x: HermitianMatrix) -> float:
-    """The weight of hvec(x) = v off the span: |v - M M^T v| when the span M is built, else
-    |N^T v| through the complement N, which a section whose span is a recipe holds built."""
+def _off_span(columns: np.ndarray, complement: bool, x: HermitianMatrix) -> float:
+    """|v - E v| for v = hvec(x): its weight off the span of the E that ``columns`` state."""
     v = hvec(x)
-    if isinstance(span_cols, np.ndarray):
-        return float(np.linalg.norm(v - span_cols @ (span_cols.T @ v)))
-    return float(np.linalg.norm(complement.T @ v))
+    return float(np.linalg.norm(v - solver.apply_projector(columns, complement, v)))
 
 
 def _positive_definite(w: np.ndarray) -> bool:
@@ -532,7 +532,7 @@ def _positive_definite(w: np.ndarray) -> bool:
     return bool(w[-1] > FAITHFUL_EIG_TOL * max(1.0, float(w[0])))
 
 
-# -- membership ----------------------------------------------------------------
+# -- membership and programs -----------------------------------------------------
 
 
 def require_faithful(section: Section, what: str) -> None:
@@ -545,6 +545,23 @@ def contains(section: Section, x: HermitianMatrix, tol: float = DEFAULT_MEMBERSH
     """Span membership + unit pairing with the normalizer + PSD, all within tol (:func:`as_tol`)."""
     xc = section.slice_point(x, tol)
     return xc is not None and psd_check(xc, tol)
+
+
+def majorant_program(section: Section, copies: int) -> solver.MajorantProgram:
+    """The program  min Tr(q n) : q in J,  q - P_j = b_j (j < copies),  P_j >= 0,
+    stated as E q - P_j = b_j for q in hvec coordinates, E the span's orthogonal
+    projector on the side :meth:`Section.projector` chooses, and objective E hvec(n).
+    Callers set the right-hand sides.  Cached on the section."""
+    key = ("majorant", copies)
+    got = section._cache.get(key)
+    if got is None:
+        cols, complement = section.projector()
+        n_rows = copies * section.ambient_dim ** 2
+        p = solver.apply_projector(cols, complement, hvec(section.normalizer))
+        got = section._cache[key] = solver.MajorantProgram(
+            cols, copies, np.concatenate([np.zeros(n_rows), p]), np.zeros(n_rows),
+            f"majorant over {section.label}, {copies} copies", complement)
+    return got
 
 
 # -- concrete families ---------------------------------------------------------
@@ -626,9 +643,9 @@ def dual_section(section: Section) -> Section:
     The span is the normalizer n joined with the orthogonal complement of the
     span columns M: span{M p} (+) M-perp for p = M^T hvec(n), with the basis
     [M p / |p| | N], orthonormal as built, N = ``complement_matrix()``.  M p is
-    the span's part of hvec(n), read through N, so the build reads no span
-    matrix.  Its own complement is M's part orthogonal to p, M H for the last
-    k - 1 columns H of a Householder reflection (:func:`_pairing_part`), which
+    the span's part (I - N N^T) hvec(n), so the build reads no span matrix.
+    Its own complement is M's part orthogonal to p, M H for the last k - 1
+    columns H of a Householder reflection (:func:`_pairing_part`), which
     reads M on its first read.  Normalized by the input's interior point,
     duality twice reproduces the original membership.
     """
@@ -651,9 +668,8 @@ def dual_section(section: Section) -> Section:
 def transpose_section(section: Section) -> Section:
     """Entrywise transpose of every member (again a section): an isometry that
     keeps the PSD order, so nothing is checked or solved again.  It maps the
-    complement onto the complement."""
-    span_cols = _transpose_columns(section.span_matrix(), section.ambient_dim)
-    span_cols.setflags(write=False)
+    span onto the span and the complement onto the complement; both are
+    recipes, so the view reads nothing of ``section`` until it is asked."""
     return Section(
         section.span_dim,
         transpose_in_basis(section.normalizer),
@@ -661,8 +677,8 @@ def transpose_section(section: Section) -> Section:
         f"transpose({section.label})",
         subsystem_dims=section.subsystem_dims,
         embedding=None if section.embedding is None else section.embedding.conj(),
-        _cache={"span": span_cols,
-                "complement": functools.partial(_transposed_complement, section)},
+        _cache={key: functools.partial(_transposed, section, key)
+                for key in ("span", "complement")},
     )
 
 
@@ -761,9 +777,9 @@ def povm_section(section: Section, outcomes: int) -> Section:
 def id_tensor_section(section: Section, d_left: int) -> Section:
     """The section {I_d (x) b : b in B} on the enlarged space; d = ``d_left``, a dimension.
     Its span I_d/sqrt(d) (x) the base's span is written at once: with k <= d^2 it is never
-    the thin side (for d >= 2), so majorant programs read it.  Its complement
-    (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement) stays a recipe.
-    Cached on the base section."""
+    the side :meth:`Section.projector` thins to (for d >= 2), so majorant programs read it.
+    Its complement (traceless (x) Herm(H)) + (I_d/sqrt(d) (x) the base's complement) stays a
+    recipe.  Cached on the base section."""
     d = as_dim(d_left, "d_left")
     require_faithful(section, "id_tensor_section")
     key = ("id", d)

@@ -29,9 +29,9 @@ How the projection is done follows from the program's structure:
   feasible slacks are V = {E q - b}, projecting onto V is
   P_j = E sum_j (zeta_j + b_j) / c - b_j, and q = E sum_j (P_j + b_j) / c;
   every product is C (C^T v), and neither A nor a Gram matrix is ever
-  formed.  The library's builder states C by the span's complement N when
-  that is the thinner side, d^2 - k < k (base, diamond and comb norms, full
-  slices, classical payoffs), so that no span matrix is read;
+  formed.  The library's builder states C by the side that
+  :meth:`~gnorm.sections.Section.projector` chooses, the span's complement N
+  when that is the thinner one, so that no span matrix is read;
 * a generic :class:`ConeProgram`, which only a caller states, splits its
   dense A = [A_K | A_F] into PSD and free columns.  One SVD of A_F gives an
   orthonormal basis N of null(A_F^T) and pinv(A_F); the PSD coordinates
@@ -428,6 +428,13 @@ class _DenseRows:
         return self._pinv @ (b - self._a_k @ z_k)
 
 
+def apply_projector(columns: np.ndarray, complement: bool, v: np.ndarray) -> np.ndarray:
+    """E v for the projector E that orthonormal ``columns`` C state: C (C^T v), or
+    v - C (C^T v) when C spans E's complement.  The one application of E."""
+    along = columns @ (columns.T @ v)
+    return v - along if complement else along
+
+
 class _MajorantRows:
     """The rows E q - P_j = b_j of a :class:`MajorantProgram`, the free block
     q eliminated.
@@ -454,9 +461,7 @@ class _MajorantRows:
             raise ShapeError("majorant columns must be orthonormal")
 
     def _project(self, v: np.ndarray) -> np.ndarray:
-        """E v: C (C^T v), or v - C (C^T v) for a complement."""
-        along = self.columns @ (self.columns.T @ v)
-        return v - along if self.complement else along
+        return apply_projector(self.columns, self.complement, v)
 
     def _sum(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j over the copies."""
@@ -666,7 +671,9 @@ def solve(
     ``status`` is "optimal" only if all residuals and the gap met ``tol``.
     ``max_iter`` passes :func:`as_count` and ``tol`` :func:`as_tol` (``tol``
     = 0 never stops early: the run ends at ``max_iter`` or on its seventh
-    stall).
+    stall).  The stop rule is absolute below unit scale, so a program whose
+    objective or right-hand side is far from unit norm can stop "optimal" at
+    a wrong value: scale it first, as :func:`~gnorm.norms.majorant_norm` does.
     """
     tol, max_iter = as_tol(tol, "tol"), as_count(max_iter, "max_iter")
     with _kernel_errors():

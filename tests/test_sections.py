@@ -15,6 +15,7 @@ from gnorm.choi import kraus_channel, max_entangled_projection
 from gnorm.errors import EmptySectionError, ShapeError, SolverError, ValidationError
 from gnorm.hermitian import (
     _complement_columns,
+    _transpose_columns,
     herm,
     hunvec_matrix,
     hvec,
@@ -345,6 +346,47 @@ def test_membership_reads_the_complement_of_an_unbuilt_span():
 
     assert verdicts == [span_side(x) for x in points] == [True, False, True, True, False, False]
     assert [contains(sec, x, tol) for x in points] == verdicts
+
+
+def test_membership_depends_on_the_section_not_its_cache():
+    # a channel's Choi matrix, perturbed by 1e-9 off the span and pairing to zero with the
+    # normalizer, so that its weight off the span alone decides membership
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3)))[0]
+    choi = kraus_channel([q[0:3], q[3:6], q[6:9]]).matrix
+    ref = channels_section.__wrapped__(3, 3)  # uncached: the span is a recipe
+    a = rng.normal(size=(9, 9))
+    e = herm((a + a.T) / 2)
+    e = (e - ref.normalizer * (trace_pair(e, ref.normalizer) / trace_pair(ref.normalizer,
+                                                                           ref.normalizer)))
+    x = herm(choi.entries + 1e-9 * e.entries, choi.subsystem_dims)
+    assert abs(trace_pair(x, ref.normalizer) - 1.0) <= 1e-15
+    # the weight read through N and through M differ in the last digits
+    v, n, m = hvec(x), ref.complement_matrix(), ref.span_matrix()
+    through_n = float(np.linalg.norm(n.T @ v))
+    through_m = float(np.linalg.norm(v - m @ (m.T @ v)))
+    assert through_n != through_m and abs(through_n - 2.3e-9) <= 1e-10
+    tol = 0.5 * (through_n + through_m) / (1.0 + np.linalg.norm(x.entries))
+    sec = channels_section.__wrapped__(3, 3)
+    before = sec.slice_point(x, tol) is not None
+    assert not isinstance(sec._cache["span"], np.ndarray)
+    sec.span_matrix()
+    assert (sec.slice_point(x, tol) is not None) == before
+    assert contains(sec, x, tol) == before
+
+
+def test_transposed_view_reads_nothing_of_its_parent_until_asked():
+    parent = comb_section.__wrapped__((2, 2, 2, 2))  # uncached: the span is a recipe
+    view = transpose_section(parent)
+    assert not isinstance(parent._cache["span"], np.ndarray)
+    assert not any(isinstance(view._cache[key], np.ndarray) for key in ("span", "complement"))
+    d = parent.ambient_dim
+    n = view.complement_matrix()
+    assert not isinstance(parent._cache["span"], np.ndarray)
+    m = view.span_matrix()
+    assert not m.flags.writeable and not n.flags.writeable
+    assert m.tobytes() == _transpose_columns(parent.span_matrix(), d).tobytes()
+    assert n.tobytes() == _transpose_columns(parent.complement_matrix(), d).tobytes()
 
 
 def thin_custom():

@@ -46,7 +46,9 @@ from gnorm.sections import (
     custom_section,
     dual_section,
     id_tensor_section,
+    povm_section,
     states_section,
+    transpose_section,
 )
 from gnorm.solver import (
     FREE,
@@ -565,9 +567,12 @@ def test_single_run_programs_project_through_the_thin_complement():
 
 def test_id_tensor_and_dual_section_programs_keep_the_span_side():
     ch = channels_section(2, 2)
-    for sec in (id_tensor_section(ch, 2), dual_section(ch)):
+    wide = custom_section([identity(2), herm(np.diag([1.0, -1.0]))], identity(2))  # k = 2 of 4
+    for sec in (id_tensor_section(ch, 2), dual_section(ch), povm_section(states_section(3), 2),
+                wide, transpose_section(dual_section(ch))):
         program = majorant_program(sec, 2)
         assert not solver._rows(program).complement and program.columns is sec.span_matrix()
+        assert program.columns is sec.projector()[0] and not sec.projector()[1]
 
 
 def complement_builds(sec, d):
@@ -610,11 +615,14 @@ def test_custom_section_factors_its_complement_once():
 def test_thin_and_span_side_solves_agree():
     rng = np.random.default_rng(65)
     tol = 1e-8
-    for sec in thin_side_sections():
+    thin_custom = custom_section(  # k = 3 of 4
+        [identity(2), herm(np.diag([1.0, -1.0])), herm([[0.0, 1.0], [1.0, 0.0]])], identity(2))
+    for sec in thin_side_sections() + (thin_custom, transpose_section(channels_section(2, 2))):
         x = hvec(rand_herm(rng, sec.ambient_dim))
         rhs = np.concatenate([x, -x])
         thin, span = majorant_program(sec, 2).with_rhs(rhs), span_statement(sec, 2).with_rhs(rhs)
         assert solver._rows(thin).complement and thin.columns is sec.complement_matrix()
+        assert thin.columns is sec.projector()[0] and sec.projector()[1]
         assert not solver._rows(span).complement and span.columns is sec.span_matrix()
         got, ref = solve(thin, tol=tol), solve(span, tol=tol)
         assert got.status == ref.status == "optimal"
