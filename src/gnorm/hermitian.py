@@ -253,8 +253,8 @@ def frobenius_norm(x: HermitianMatrix) -> float:
 
 def unit_exponent(norm: float) -> int:
     """0 for a norm within [2^-4, 2^4]; otherwise the e with norm * 2^-e in
-    [1/2, 1) (``math.frexp``).  The solver's stop rule is absolute below unit
-    scale, so a far-from-unit program is solved at that exact power of two."""
+    [1/2, 1) (``math.frexp``).  :func:`~gnorm.solver.solve`, whose stop rule is
+    absolute below unit scale, solves a far-from-unit program at that power of two."""
     return 0 if 2.0**-4 <= norm <= 2.0**4 else math.frexp(norm)[1]
 
 

@@ -51,7 +51,6 @@ from .hermitian import (
     sqrt_psd,
     trace_norm,
     trace_pair,
-    unit_exponent,
     zeros,
 )
 from .sections import (
@@ -196,27 +195,15 @@ def majorant_norm(section: Section, blocks, scale: float, tol, max_iter, context
     Every block r_j has the section's dimension.  Value and q are multiplied
     by ``scale``, and the dual witness holds each block's multiplier y_j,
     on the caller's space.  A stopped solve raises SolverError
-    carrying this result.
-
-    The solver's stop rule is absolute below unit scale, so an objective
-    p = E hvec(n) with |p| outside [2^-4, 2^4] is solved as 2^-e p, and a
-    right-hand side r (the stacked blocks) outside that band as 2^-f r
-    (:func:`unit_exponent`): powers of two, so the multipliers scale back
-    by 2^e, q by 2^f and the value by 2^(e + f), exactly.  q is the solve's
-    free block."""
+    carrying this result.  :func:`~gnorm.solver.solve` solves the program
+    at unit scale and reports it in these units; q is its free block."""
     d, dims = section.ambient_dim, section.normalizer.subsystem_dims
     rhs = np.concatenate([hvec(b) for b in blocks])
-    f = unit_exponent(np.linalg.norm(rhs))
-    program = majorant_program(section, len(blocks)).with_rhs(np.ldexp(rhs, -f))
-    e = unit_exponent(np.linalg.norm(program.objective))
-    if e:
-        program = program.with_objective(np.ldexp(program.objective, -e))
-    sol = solver.solve(program, tol=tol, max_iter=max_iter)
-    q = section.lift(hunvec_matrix(np.ldexp(sol.primal_point[-1], f), d, dims) * scale)
-    multipliers = np.ldexp(sol.dual_vector, e).reshape(len(blocks), -1)
+    sol = solver.solve(majorant_program(section, len(blocks)).with_rhs(rhs), tol, max_iter)
+    q = section.lift(hunvec_matrix(sol.primal_point[-1], d, dims) * scale)
+    multipliers = sol.dual_vector.reshape(len(blocks), -1)
     ys = tuple(section.lift(hunvec_matrix(y, d, dims)) for y in multipliers)
-    unit = math.ldexp(scale, e + f)
-    norm = _conic_result(sol.primal_value * unit, sol.dual_value * unit, q, ys, sol)
+    norm = _conic_result(sol.primal_value * scale, sol.dual_value * scale, q, ys, sol)
     solver.require_optimal(sol, context, norm)
     return norm
 

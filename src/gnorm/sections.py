@@ -400,7 +400,8 @@ def _solve_interior(span_cols, normalizer):
 
 def _scaled_interior(span_cols, normalizer):
     """(t*, b*, unit): :func:`_solve_interior` on the normalizer times unit = 2^-e, the power
-    of two of :func:`unit_exponent`, so that t* and b* come out 1 / unit times their size."""
+    of two of :func:`unit_exponent`: the scale t* and b* are judged at, 1 / unit times their
+    size.  Only the judgement's scale: :func:`~gnorm.solver.solve` sets its own."""
     unit = math.ldexp(1.0, -unit_exponent(frobenius_norm(normalizer)))
     return *_solve_interior(span_cols, normalizer * unit), unit
 
@@ -441,8 +442,8 @@ def _make_section(
     the section then builds the span on its first read, and the hint is tested through N.
     The side built here is the builder's; every later read of E picks :meth:`Section.projector`'s.
 
-    The best member is solved for, and judged, at unit scale (:func:`_scaled_interior`); b*
-    is scaled back, so the judgement does not turn on the normalizer's absolute scale."""
+    The best member is judged at unit scale (:func:`_scaled_interior`); b* is scaled
+    back, so the judgement does not turn on the normalizer's absolute scale."""
     dim = normalizer.dim
     carrier = tuple(subsystem_dims) if embedding is None else ()
     if isinstance(span_cols, np.ndarray):

@@ -110,6 +110,13 @@ when A z = b has no solution, or no dual vector matches the free
 objective, the solve returns status "infeasible" without running an
 iteration.
 
+Scale: the stop rule is absolute below unit scale (the 1 in each
+denominator), so a right-hand side b or an objective c of norm outside
+[2^-4, 2^4] is divided by the power of two 2^e that brings its norm into
+[1/2, 1) (:func:`~gnorm.hermitian.unit_exponent`); on return the point is
+multiplied by 2^e_b, the dual vector and slack by 2^e_c and the values by
+2^(e_b + e_c), all exactly.  Every program is solved at unit scale.
+
 One rule moves the penalty, residual balancing (Boyd et al., section
 3.4.1, within [1e-4, 1e4]): primal and dual residuals over a factor apart
 halve or double it.  Before iteration 200 it may act every 25 iterations,
@@ -160,7 +167,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError, ShapeError, SolverError
 from .hermitian import (HermitianMatrix, _hvec_layout, as_array, as_count,
-                        as_dim, as_tol, hunvec)
+                        as_dim, as_tol, hunvec, unit_exponent)
 
 PSD = "psd"
 FREE = "free"
@@ -314,7 +321,9 @@ class ConeSolution:
 
     ``primal_point`` holds one entry per block (a hermitian ndarray for PSD
     blocks, a real vector for free blocks); ``dual_vector`` is the equality
-    multiplier y and ``dual_slack`` the per-block slack of c - A^T y.
+    multiplier y and ``dual_slack`` the per-block slack of c - A^T y.  They,
+    the two values and ``gap`` (read off the values) are in the caller's
+    units; the two residuals are the stop rule's, at unit scale.
     """
 
     # optimal | max_iter (the iteration cap) | stagnated (the seventh stall:
@@ -671,9 +680,7 @@ def solve(
     ``status`` is "optimal" only if all residuals and the gap met ``tol``.
     ``max_iter`` passes :func:`as_count` and ``tol`` :func:`as_tol` (``tol``
     = 0 never stops early: the run ends at ``max_iter`` or on its seventh
-    stall).  The stop rule is absolute below unit scale, so a program whose
-    objective or right-hand side is far from unit norm can stop "optimal" at
-    a wrong value: scale it first, as :func:`~gnorm.norms.majorant_norm` does.
+    stall).  Every program is solved, and judged, at unit scale (module docstring).
     """
     tol, max_iter = as_tol(tol, "tol"), as_count(max_iter, "max_iter")
     with _kernel_errors():
@@ -686,7 +693,9 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
     slices = _block_slices(program.blocks)
     psd = tuple(blk for blk in program.blocks if blk.cone == PSD)
     runs = _psd_runs(psd)
-    b, c = program.eq_rhs, program.objective
+    # The one scale rule (module docstring): b and c at unit scale.
+    e_b, e_c = unit_exponent(_norm(program.eq_rhs)), unit_exponent(_norm(program.objective))
+    b, c = np.ldexp(program.eq_rhs, -e_b), np.ldexp(program.objective, -e_c)
     # The loop runs on the PSD coordinates alone: objective c_red, and y_free
     # the part of the dual vector that the free objective fixes.
     c_red, y_free, b_red, no_solution = rows.eliminate(c, b)
@@ -814,13 +823,16 @@ def _admm(program: ConeProgram | MajorantProgram, tol: float, max_iter: int) -> 
         u = accel.next_point(g, f, rho, g_norm)
 
     v_b, y_b, s_b, pres, dres, gap, pobj, dobj, best_it = best
+    pobj, dobj = math.ldexp(pobj, e_b + e_c), math.ldexp(dobj, e_b + e_c)
+    if status != "infeasible":  # the gap of the caller's values; infeasible keeps inf
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return ConeSolution(
         status=status,
         primal_value=pobj,
         dual_value=dobj,
-        primal_point=_split(v_b, program.blocks, slices),
-        dual_vector=y_b,
-        dual_slack=_split(s_b, program.blocks, slices),
+        primal_point=_split(np.ldexp(v_b, e_b), program.blocks, slices),
+        dual_vector=np.ldexp(y_b, e_c),
+        dual_slack=_split(np.ldexp(s_b, e_c), program.blocks, slices),
         primal_residual=pres,
         dual_residual=dres,
         gap=gap,

@@ -200,15 +200,19 @@ def test_non_finite_program_data_rejected():
                     build(*broken)
 
 
-def test_inconsistent_rows_detected_infeasible():
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e-9])
+def test_inconsistent_rows_detected_infeasible(scale):
+    # at every scale: the rows are judged at unit scale, and the report
+    # keeps its infinite gap in the caller's units
     d = 2
     row = hvec(identity(d))
     a = np.vstack([row, row])
     prog = ConeProgram(
-        (Block(d, PSD),), np.zeros(d * d), a, np.array([1.0, 2.0]), "contradictory traces"
+        (Block(d, PSD),), np.zeros(d * d), a, scale * np.array([1.0, 2.0]), "contradictory traces"
     )
     sol = solve(prog, tol=1e-9)
     assert sol.status == "infeasible"
+    assert sol.iterations == 0 and sol.gap == np.inf
 
 
 def test_cone_infeasible_never_reports_optimal():
@@ -824,12 +828,39 @@ def test_screened_stop_matches_a_full_check_every_iteration(monkeypatch):
             assert np.array_equal(a, b)
 
 
+def majorant_at_scale(c):
+    """The channels(2,2) majorant program with right-hand side c (hvec x, -hvec x)."""
+    x = hvec(rand_herm(np.random.default_rng(3), 4))
+    return majorant_program(channels_section(2, 2), 2).with_rhs(c * np.concatenate([x, -x]))
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6, 1e9])
+def test_programs_far_from_unit_scale_solve_at_unit_scale(c):
+    # The stop rule is absolute below unit scale, so solve divides b and c by
+    # powers of two into the unit band and scales the solution back; without
+    # that, both programs stop optimal at a wrong value at c = 1e-9 and
+    # stagnate at 1e-6 and 1e9.
+    x = rand_herm(np.random.default_rng(7), 3)
+    tol = solver.DEFAULT_TOL
+    cases = (
+        (majorant_at_scale(c), solve(majorant_at_scale(1.0)).primal_value),
+        (trace_norm_program(c * x), trace_norm(x)),
+    )
+    for program, ref in cases:
+        sol = solve(program)
+        assert sol.status == "optimal"
+        for value in (sol.primal_value, sol.dual_value):
+            assert abs(value - c * ref) <= 10 * tol * c * ref
+
+
 def test_returned_dual_value_and_gap_are_the_full_checks():
     # the per-iteration screen reads b . y as y_free . b - rho (b . mult),
     # without forming y; the dual value and the gap a solve returns are the
     # full check's, on the exact b . y of the returned dual vector, whether
-    # the run stops optimal or at max_iter
-    programs = majorant_cases() + [trace_norm_program(rand_herm(np.random.default_rng(63), 3))]
+    # the run stops optimal or at max_iter, in the caller's units when the
+    # program is solved at another scale
+    programs = majorant_cases() + [trace_norm_program(rand_herm(np.random.default_rng(63), 3)),
+                                   majorant_at_scale(1e9)]
     for program in programs:
         for sol in (solve(program, tol=1e-8), solve(program, max_iter=7)):
             dobj = float(program.eq_rhs @ sol.dual_vector)
@@ -978,6 +1009,7 @@ def test_early_balancing_halves_rho_when_the_dual_residual_leads(monkeypatch):
     monkeypatch.setattr(solver._Anderson, "next_point", spy)
     rng = np.random.default_rng(63)
     x = hvec(rand_herm(rng, 16))
+    x = x / np.linalg.norm(x)  # unit Frobenius norm, as base_norm states its rhs
     sol = solve(majorant_program(comb_section((2, 2, 2, 2)), 2).with_rhs(np.concatenate([x, -x])))
     assert sol.status == "optimal" and sol.iterations > 25
     assert keys[:24] == [math.sqrt(2.0)] * 24 and keys[24] == math.sqrt(2.0) / 2.0
