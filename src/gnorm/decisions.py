@@ -13,9 +13,11 @@ over the section {I (x) b}, which is how quantum payoffs are solved (one
 PSD block over :func:`id_tensor_section`; classical ones collapse xi into
 one block per outcome), and every optimizer is certified by a
 complementary-slackness witness q:  xi <= I (x) q  and  ((I (x) q) - xi) X^T = 0.
-The minimizing q of the payoff's own solve is such a witness for every
-optimal X, so certification reads q and the optimum off that solve, and a
-candidate fails exactly by its payoff deficit.
+An optimal X fixes its own witness, q = Tr_D(xi X^T) T^-1 with T = Tr_D X^T
+positive definite, so certification first reads that q, made feasible, as an
+upper bound on the optimum; only when T is singular or the bound misses does
+it run the payoff's own solve, whose minimizing q is a witness for every
+optimal X.  Either way a candidate fails exactly by its payoff deficit.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .hermitian import (
     eig,
     eigenvalues,
     herm,
+    hunvec,
+    hvec,
     identity,
     json_field,
     json_floats,
@@ -59,6 +63,7 @@ from .hermitian import (
 from .norms import NormResult, base_norm, majorant_norm
 from .sections import (
     Section,
+    _positive_definite,
     contains,
     dual_section,
     id_tensor_section,
@@ -194,8 +199,11 @@ class GeneralizedPOVM:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Complementary-slackness check of a candidate decision procedure;
-    ``payoff_at_optimum`` and ``witness_q`` come from :func:`max_payoff`'s solve."""
+    """Complementary-slackness check of a candidate decision procedure.
+    ``witness_q`` is feasible for the payoff's minimization and
+    ``payoff_at_optimum`` is Tr(q n): the candidate's own slackness witness
+    and its upper bound on the optimum when that bound certifies it, else the
+    q and the value of :func:`max_payoff`'s solve."""
 
     feasible: bool
     witness_q: HermitianMatrix | None
@@ -408,6 +416,35 @@ def helstrom(
 # -- certification ---------------------------------------------------------------
 
 
+def _slackness_bound(section: Section, xi: HermitianMatrix, xt: HermitianMatrix, n_d: int):
+    """(q, Tr(q n)) for the witness the candidate X fixes itself, or None when
+    T = Tr_D X^T is not positive definite.  Slackness, (I (x) q - xi) X^T = 0,
+    traced over D gives q T = Tr_D(xi X^T), so q = Tr_D(xi X^T) T^-1, projected
+    onto the span.  It is raised by t b0 (b0 the interior point, Tr(b0 n) = 1)
+    with t = max(0, -lambda_min(R (I (x) q - xi) R)), R = I (x) b0^(-1/2), so
+    that I (x) q >= xi: q is feasible for the payoff's minimization, and
+    Tr(q n) bounds the optimum from above."""
+    h = section.ambient_dim
+
+    def blocks(m):  # m on D (x) H as its n_d x n_d grid of h x h blocks
+        return m.reshape(n_d, h, n_d, h).swapaxes(1, 2)
+
+    diagonal = (range(n_d), range(n_d))
+    w, u = np.linalg.eigh(blocks(xt.entries)[diagonal].sum(axis=0))
+    if not _positive_definite(w[::-1]):
+        return None
+    pulled = blocks(xi.entries @ xt.entries)[diagonal].sum(axis=0) @ (u / w) @ u.conj().T
+    q = hunvec(solver.apply_projector(*section.projector(), hvec(pulled + pulled.conj().T) / 2), h)
+    b0 = section.interior_point
+    r = _pinv_sqrt(eig(b0), ()).entries
+    slack = -blocks(xi.entries)  # I (x) q - xi, block by block
+    slack[diagonal] += q
+    scaled = (r @ slack @ r).swapaxes(1, 2).reshape(n_d * h, -1)
+    t = max(0.0, -float(np.linalg.eigvalsh(scaled)[0]))
+    q = HermitianMatrix(q + t * b0.entries, section.subsystem_dims)
+    return q, trace_pair(q, section.normalizer)
+
+
 def certify_optimal(
     candidate,
     experiment: Experiment,
@@ -419,11 +456,16 @@ def certify_optimal(
     """Decide whether a procedure attains the maximal average payoff.
 
     ``candidate`` is a :class:`GeneralizedPOVM`, a procedure Choi matrix, or
-    a :class:`ChoiMatrix`.  The witness is the q of the solve
-    :func:`max_payoff` runs: xi <= I (x) q, and Tr(((I (x) q) - xi) X^T) = 0
-    holds exactly when the candidate's payoff reaches that solve's optimum
-    (the input marginal of X^T is a dual element, which pairs with q as the
-    normalizer does).  So ``feasible`` is decided by the payoff deficit.  A
+    a :class:`ChoiMatrix`.  The witness is first the candidate's own
+    (:func:`_slackness_bound`): when T = Tr_D X^T is positive definite, the q
+    that slackness fixes, raised until xi <= I (x) q, bounds the optimum by
+    Tr(q n); if that bound is within ``tol`` of the candidate's payoff, the
+    candidate is optimal and no solve runs.  Otherwise the witness is the q
+    of the solve :func:`max_payoff` runs: Tr(((I (x) q) - xi) X^T) = 0 holds
+    exactly when the candidate's payoff reaches that solve's optimum (the
+    input marginal of X^T is a dual element, which pairs with q as the
+    normalizer does), and ``solve_tol`` and ``max_iter`` cap that solve
+    alone.  So ``feasible`` is decided by the payoff deficit.  A
     candidate not built on the experiment's own section (a Choi matrix, or a
     measurement on another section) must be a procedure for it: its blocks
     act on the section's dimension, it is PSD, and its transposed input
@@ -459,19 +501,22 @@ def certify_optimal(
 
     xt = transpose_in_basis(x)
     payoff = trace_pair(xi, xt)
-    norm = _payoff_norm(section, problem, blocks, solve_tol, max_iter, "certify_optimal")
-    q = norm.primal_witness
+    allowed = tol * max(1.0, abs(payoff))
+    bound = _slackness_bound(section, xi, xt, n_d)
+    if bound is None or bound[1] - payoff > allowed:
+        norm = _payoff_norm(section, problem, blocks, solve_tol, max_iter, "certify_optimal")
+        bound = norm.primal_witness, norm.value
+    q, optimum = bound
     big_q = tensor(identity(n_d), q)
     slack = float(np.linalg.norm((big_q.entries - xi.entries) @ xt.entries))
     w_min = float(eigenvalues(big_q - xi)[-1])
-    gap = norm.value - payoff
     return Certificate(
-        feasible=bool(gap <= tol * max(1.0, abs(payoff))),
+        feasible=bool(optimum - payoff <= allowed),
         witness_q=q,
         slack_residual=slack,
         majorization_residual=max(0.0, -w_min),
         candidate_payoff=payoff,
-        payoff_at_optimum=norm.value,
+        payoff_at_optimum=optimum,
     )
 
 

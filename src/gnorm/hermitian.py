@@ -188,6 +188,8 @@ class HermitianMatrix:
         return self * (1.0 / float(scalar))
 
     def allclose(self, other: HermitianMatrix, tol: float = 1e-10) -> bool:
+        """Same dimension and entries within ``tol`` (:func:`as_tol`), absolute and relative."""
+        tol = as_tol(tol, "tol")
         return self.dim == other.dim and bool(
             np.allclose(self.entries, other.entries, atol=tol, rtol=tol)
         )

@@ -63,8 +63,10 @@ furnishes an exactly dual-cone-feasible slack s = -rho w on the PSD blocks,
 and the free blocks' slack is zero.
 
 Acceleration: one ADMM step is a fixed-point map T: u = (v, w) -> (v+, w+),
-and the iteration is safeguarded type-II Anderson acceleration of T
-(Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020).  From the last
+and the iteration is safeguarded type-II Anderson acceleration of T: the
+type-II least-squares fit of Walker and Ni (SIAM J. Numer. Anal. 49, 2011)
+under the safeguard of Zhang, O'Donoghue and Boyd (SIAM J. Optim. 30,
+2020), who analyse the type-I form.  From the last
 ``ANDERSON_MEMORY`` differences of g = u - T(u) and of T(u) it extrapolates
 the next point T(u) - dF^T gamma; a fit whose weights exceed
 ``ANDERSON_MAX_WEIGHT`` is skipped.  The safeguard evaluates T at that
@@ -574,8 +576,9 @@ def _project_cone(z: np.ndarray, runs, out: np.ndarray | None = None) -> None:
 
 
 class _Anderson:
-    """Safeguarded type-II Anderson acceleration of a fixed-point map T
-    (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020).
+    """Safeguarded type-II Anderson acceleration of a fixed-point map T: the
+    type-II fit of Walker and Ni (SIAM J. Numer. Anal. 49, 2011), the
+    safeguard of Zhang, O'Donoghue and Boyd (SIAM J. Optim. 30, 2020).
 
     The memory holds the last ``ANDERSON_MEMORY`` differences of the
     residual g = u - T(u) and of the image T(u) in fixed ring arrays, and

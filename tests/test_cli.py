@@ -345,13 +345,20 @@ def test_certify_honours_max_iter(tmp_path):
     plus = outer([1.0 / math.sqrt(2), 1.0 / math.sqrt(2)])
     e = Experiment(s, (zero, plus), np.array([0.5, 0.5]))
     exp = write_json(tmp_path / "exp.json", experiment_to_json(e, classical_problem(np.eye(2))))
+    # the uniform measurement misses its own slackness bound, so certify solves
+    half = matrix_to_json(identity(2) / 2)
+    uniform = write_json(tmp_path / "uniform.json", {"kind": "povm", "effects": [half, half]})
+    proc = run_cli("certify", uniform, exp, "--max-iter", "1")
+    assert proc.returncode == 2
+    # the Helstrom measurement is certified by its own witness, with no solve
     _, povm = helstrom(zero, plus, 0.5)
     cand = write_json(
         tmp_path / "cand.json",
         {"kind": "povm", "effects": [matrix_to_json(m) for m in povm.effects]},
     )
     proc = run_cli("certify", cand, exp, "--max-iter", "1")
-    assert proc.returncode == 2
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["values"]["feasible"] is True
 
 
 def test_exit_code_non_finite_matrix(tmp_path):

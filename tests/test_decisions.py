@@ -1,5 +1,6 @@
 """Experiments, payoffs, discrimination and optimality certificates."""
 
+import functools
 import json
 import math
 
@@ -49,6 +50,7 @@ from gnorm.hermitian import (
 from gnorm.norms import base_norm, base_norm_psd
 from gnorm.oracles import sample_section
 from gnorm.sections import (
+    _off_span,
     channels_section,
     contains,
     dual_section,
@@ -617,8 +619,8 @@ def test_stopped_quantum_payoff_reports_q_on_the_section():
 
 def test_quantum_payoff_reads_the_span_and_reuses_its_program(monkeypatch):
     # the payoff is one copy over the id-tensor section, whose span is the
-    # side it reads: its complement stays a recipe, and the certificate
-    # solves the same cached program
+    # side it reads: its complement stays a recipe, and the certificate of a
+    # candidate that misses its slackness bound solves the same cached program
     sec = channels_section.__wrapped__(3, 3)
     experiment, problem = random_quantum_payoff(np.random.default_rng(92), sec, 2, 3)
     pay = max_payoff(experiment, problem, tol=1e-8)
@@ -629,8 +631,103 @@ def test_quantum_payoff_reads_the_span_and_reuses_its_program(monkeypatch):
     seen, real = [], solver.solve
     monkeypatch.setattr(solver, "solve", lambda p, *a, **kw: seen.append(p) or real(p, *a, **kw))
     assert certify_optimal(pay.choi, experiment, problem, tol=1e-5).feasible
+    assert seen == []  # the optimum is certified by its own witness
+    blind = tensor(identity(3) / 3, partial_trace(pay.choi, 0))
+    perturbed = 0.9 * pay.choi + 0.1 * blind
+    assert not certify_optimal(perturbed, experiment, problem, tol=1e-5).feasible
     assert len(seen) == 1 and solver._rows(seen[0]) is solver._rows(program)
     assert not isinstance(wrapped._cache["complement"], np.ndarray)
+
+
+def _instance(name):
+    """(experiment, problem) of one named payoff instance. The first three have
+    a positive definite T = Tr_D X^T at their optimum: the Helstrom problem on
+    states(2), a three-hypothesis channels(2,2) problem (uniform prior, identity
+    table) and a channels(3,3) quantum problem. The singular ones are
+    two-hypothesis channels(2,2) problems, whose optimal testers have a
+    rank-deficient input."""
+    if name == "helstrom":
+        return uniform_experiment(states_section(2), (KET0, PLUS)), classical_problem(np.eye(2))
+    if name == "channels-3-hypotheses":
+        rng = np.random.default_rng(5)
+        family = [kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(3)]
+        return uniform_experiment(channels_section(2, 2), family), classical_problem(np.eye(3))
+    if name == "quantum":
+        return random_quantum_payoff(np.random.default_rng(92), channels_section(3, 3), 2, 3)
+    rng = np.random.default_rng(71)
+    family = [kraus_channel(rand_kraus_channel(rng, 2, 2, 2)).matrix for _ in range(2)]
+    e = uniform_experiment(channels_section(2, 2), family)
+    if name == "singular-classical":
+        return e, classical_problem(np.eye(2))
+    return e, quantum_problem((herm(np.diag([1.0, 0.2])), herm(np.diag([0.1, 0.9]))))
+
+
+@functools.cache
+def _solved(name):
+    """(experiment, problem, optimal candidate, its ``max_payoff`` at tol 1e-8),
+    solved once per module."""
+    e, p = _instance(name)
+    pay = max_payoff(e, p, tol=1e-8)
+    if name == "helstrom":
+        candidate = helstrom(KET0, PLUS, 0.5)[1]
+    elif name == "channels-3-hypotheses":
+        candidate = pay.povm
+    else:
+        candidate = pay.choi
+    return e, p, candidate, pay
+
+
+def _perturbed(candidate):
+    """0.9 X + 0.1 (I_D / k (x) Tr_D X): the same input marginal, a tenth of it guessed blind."""
+    x = povm_to_choi(candidate) if isinstance(candidate, GeneralizedPOVM) else candidate
+    k = x.subsystem_dims[0]
+    return 0.9 * x + 0.1 * tensor(identity(k) / k, partial_trace(x, 0))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("certify_optimal solved")
+
+
+@pytest.mark.parametrize("name", ["helstrom", "channels-3-hypotheses", "quantum"])
+def test_an_optimal_candidate_is_certified_by_its_own_witness(monkeypatch, name):
+    e, p, candidate, pay = _solved(name)
+    monkeypatch.setattr(solver, "solve", _no_solve)
+    tol = 1e-6
+    cert = certify_optimal(candidate, e, p, tol=tol)
+    assert cert.feasible
+    # the certificate is sound: q is in the span and majorizes xi, so Tr(q n)
+    # bounds the optimum from above, and the candidate's payoff lies within tol
+    q = cert.witness_q
+    scale = 1.0 + np.linalg.norm(build_xi(e, p).entries)
+    assert _off_span(*e.section.projector(), q) <= 1e-12 * scale
+    assert cert.majorization_residual <= 1e-12 * scale
+    assert cert.payoff_at_optimum == pytest.approx(trace_pair(q, e.section.normalizer), abs=1e-15)
+    payoff = cert.candidate_payoff
+    assert payoff <= cert.payoff_at_optimum <= payoff + tol * max(1.0, abs(payoff))
+    assert cert.payoff_at_optimum >= pay.value - pay.norm.gap
+
+
+@pytest.mark.parametrize("case", ["helstrom-perturbed", "channels-3-hypotheses-perturbed",
+                                  "quantum-perturbed", "singular-classical", "singular-quantum"])
+def test_a_fallback_certificate_is_the_payoff_solve(monkeypatch, case):
+    # the optima perturbed miss their slackness bound; the singular optima have none
+    singular = case.startswith("singular")
+    e, p, candidate, pay = _solved(case.removesuffix("-perturbed"))
+    if not singular:
+        candidate = _perturbed(candidate)
+    seen, real = [], solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *a, **kw: seen.append(1) or real(*a, **kw))
+    cert = certify_optimal(candidate, e, p, tol=1e-5, solve_tol=1e-8)
+    assert len(seen) == 1
+    assert cert.feasible == singular
+    bound = decisions._slackness_bound(e.section, build_xi(e, p), transpose_in_basis(candidate),
+                                       p.n_outcomes)
+    if singular:
+        assert bound is None  # T is singular
+    else:
+        assert bound[1] - cert.candidate_payoff > 1e-5 * max(1.0, abs(cert.candidate_payoff))
+    assert cert.payoff_at_optimum == pay.value
+    assert np.array_equal(cert.witness_q.entries, pay.norm.primal_witness.entries)
 
 
 def test_decompose_povm_ordinary():

@@ -84,6 +84,7 @@ TOLS = {
         lambda v: GeneralizedPOVM(S2, HELSTROM.effects, validation_tol=v), "validation_tol"),
     "psd_check": (lambda v: psd_check(STATE, v), "tol"),
     "contains": (lambda v: contains(S2, STATE, v), "tol"),
+    "HermitianMatrix.allclose": (lambda v: STATE.allclose(DIFF, v), "tol"),
 }
 
 GOOD_COUNTS = [5, np.int64(5), 5.0, np.float64(5.0)]
